@@ -12,12 +12,10 @@ import sys
 from pathlib import Path
 
 from .engine import AutReport, analyze, verify
-from .errors import InternalCheckError, SpecError
 from .expr import expr_order, render_expr
-from .groups import realize
 from .oracle import CapExceeded, OracleCaps
-from .powergraph import PowerGraph, build_power_graph
-from .quotient import QuotientGraph, build_quotient, men_partition
+from .powergraph import PowerGraph
+from .quotient import QuotientGraph
 
 EXIT_OK = 0
 EXIT_SPEC_ERROR = 1
@@ -145,9 +143,6 @@ def cmd_verify(spec: str, args: argparse.Namespace, caps: OracleCaps) -> tuple[i
 
 def cmd_export(spec: str, args: argparse.Namespace, caps: OracleCaps) -> tuple[int, str, dict]:
     report = analyze(spec, caps)
-    g = realize(spec)
-    pg = build_power_graph(g)
-    q = build_quotient(pg, men_partition(pg))
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     slug = _slug(report.spec)
@@ -161,11 +156,11 @@ def cmd_export(spec: str, args: argparse.Namespace, caps: OracleCaps) -> tuple[i
     written.append(json_path)
     if "power-graph" in targets:
         p = out_dir / f"{slug}.power.dot"
-        p.write_text(power_graph_dot(pg), encoding="utf-8")
+        p.write_text(power_graph_dot(report.pipeline.pg), encoding="utf-8")
         written.append(p)
     if "quotient" in targets:
         p = out_dir / f"{slug}.quotient.dot"
-        p.write_text(quotient_dot(q, report), encoding="utf-8")
+        p.write_text(quotient_dot(report.pipeline.q, report), encoding="utf-8")
         written.append(p)
     text = "".join(f"wrote {p}\n" for p in written)
     return EXIT_OK, text, report_to_json_dict(report)
@@ -224,6 +219,9 @@ def _specs_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for flag, value in (("--max-nodes", args.max_nodes), ("--max-count", args.max_count)):
+        if value < 1:
+            parser.error(f"argument {flag}: must be at least 1, got {value}")
     caps = OracleCaps(max_nodes=args.max_nodes, max_count=args.max_count)
     handler = {"analyze": cmd_analyze, "verify": cmd_verify, "export": cmd_export}[args.mode]
     try:
@@ -237,24 +235,15 @@ def run(argv: list[str] | None = None) -> int:
     for spec in specs:
         try:
             code, text, as_dict = handler(spec, args, caps)
-        except SpecError as exc:
+        except (ValueError, OSError) as exc:  # SpecError is a ValueError
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_SPEC_ERROR
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_SPEC_ERROR
-        except CapExceeded as exc:
+        except CapExceeded as exc:  # a RuntimeError, so it must come first
             print(f"unknown: {exc}", file=sys.stderr)
             return EXIT_UNKNOWN
-        except InternalCheckError as exc:
+        except RuntimeError as exc:  # InternalCheckError and oracle self-checks
             print(f"internal check failed: {exc}", file=sys.stderr)
             return EXIT_INTERNAL
-        except RuntimeError as exc:
-            print(f"internal check failed: {exc}", file=sys.stderr)
-            return EXIT_INTERNAL
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_SPEC_ERROR
         worst = max(worst, code)
         texts.append(text)
         dicts.append(as_dict)

@@ -10,13 +10,18 @@ with closed forms for cyclic, homocyclic and coprime-product groups
 dispatched from the spec structure. Every closed form is cross-checked
 against the generic recursion, and `verify` compares against the brute-force
 oracle.
+
+Each spec's pipeline (group, power graph, MEN partition, quotient and the
+quotient's weighted graph) is built once, by `pipeline`, and passed to every
+route; the report carries it, so `verify` and the CLI export reuse it instead
+of rebuilding it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import InternalCheckError
@@ -64,7 +69,6 @@ from .quotient import (
     build_quotient,
     classify_men_class,
     men_partition,
-    merge_equal_closed_neighborhoods,
 )
 
 METHOD_COMPLETE = "complete-graph"
@@ -72,6 +76,25 @@ METHOD_CYCLIC = "cyclic-divisors"
 METHOD_HOMOCYCLIC = "homocyclic-wreath"
 METHOD_COPRIME = "coprime-factors"
 METHOD_GENERIC = "quotient-recursion"
+
+
+@dataclass(frozen=True)
+class Pipeline:
+    """One group and everything derived from it that the engine reads."""
+
+    g: FiniteGroup
+    pg: PowerGraph
+    mp: MenPartition
+    q: QuotientGraph
+    wq: WeightedGraph  # the quotient as a weighted graph
+
+
+def pipeline(g: FiniteGroup) -> Pipeline:
+    """Power graph, MEN partition and weighted quotient of a group, built once."""
+    pg = build_power_graph(g)
+    mp = men_partition(pg)
+    q = build_quotient(pg, mp)
+    return Pipeline(g, pg, mp, q, q.to_weighted_graph())
 
 
 @dataclass(frozen=True)
@@ -106,6 +129,7 @@ class AutReport:
     method: str
     notes: tuple[str, ...]
     verification: Verification
+    pipeline: Pipeline = field(repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +242,12 @@ def _component_aut(cg: WeightedGraph, caps: OracleCaps) -> GroupExpr:
 # report assembly
 
 
-def _summarize_classes(
-    g: FiniteGroup, pg: PowerGraph, mp: MenPartition
-) -> tuple[ClassSummary, ...]:
+def _summarize_classes(p: Pipeline) -> tuple[ClassSummary, ...]:
+    g = p.g
     out = []
-    for members in mp.classes:
+    for members in p.mp.classes:
         elements = tuple(v + 1 for v in members)
-        record = classify_men_class(g, pg, members)
+        record = classify_men_class(g, p.pg, members)
         out.append(
             ClassSummary(
                 members=tuple(g.labels[e] for e in elements),
@@ -238,10 +261,7 @@ def _summarize_classes(
 
 
 def _make_report(
-    g: FiniteGroup,
-    pg: PowerGraph,
-    mp: MenPartition,
-    q: QuotientGraph,
+    p: Pipeline,
     full_expr: GroupExpr,
     quotient_expr: GroupExpr,
     method: str,
@@ -251,19 +271,19 @@ def _make_report(
     order = expr_order(expression)
     if order != expr_order(full_expr):
         raise InternalCheckError("normalization changed the expression order")
-    factorial_part = math.prod(math.factorial(w) for w in mp.weights)
+    factorial_part = math.prod(math.factorial(w) for w in p.mp.weights)
     if order != expr_order(quotient_expr) * factorial_part:
         raise InternalCheckError(
             f"order {order} does not factor as quotient part "
             f"{expr_order(quotient_expr)} times class factorials {factorial_part}"
         )
     return AutReport(
-        spec=g.description,
-        group_order=g.size,
-        vertex_count=pg.n_vertices,
-        classes=_summarize_classes(g, pg, mp),
-        quotient_nodes=q.n_nodes,
-        quotient_edges=q.edge_count,
+        spec=p.g.description,
+        group_order=p.g.size,
+        vertex_count=p.pg.n_vertices,
+        classes=_summarize_classes(p),
+        quotient_nodes=p.q.n_nodes,
+        quotient_edges=p.q.edge_count,
         quotient_expr=expr_normalize(quotient_expr),
         expression=expression,
         expression_str=render_expr(expression),
@@ -274,15 +294,16 @@ def _make_report(
             status="skipped", structural_order=order, oracle_order=None,
             detail="verification not requested",
         ),
+        pipeline=p,
     )
 
 
 def _cross_check(
-    q: QuotientGraph, caps: OracleCaps, expected_quotient_order: int, notes: list[str]
+    p: Pipeline, caps: OracleCaps, expected_quotient_order: int, notes: list[str]
 ) -> None:
     """Every closed form must agree with the generic quotient recursion."""
     try:
-        generic = quotient_aut(q.to_weighted_graph(), caps)
+        generic = quotient_aut(p.wq, caps)
     except CapExceeded as exc:
         notes.append(f"cross-check skipped: {exc}")
         return
@@ -297,10 +318,7 @@ def _cross_check(
 
 
 def aut_full(
-    g: FiniteGroup,
-    pg: PowerGraph,
-    mp: MenPartition,
-    q: QuotientGraph,
+    p: Pipeline,
     caps: OracleCaps | None = None,
     *,
     method: str = METHOD_GENERIC,
@@ -309,9 +327,9 @@ def aut_full(
 ) -> AutReport:
     """Quotient automorphisms times one symmetric group per class."""
     caps = caps or OracleCaps()
-    qe = quotient_expr if quotient_expr is not None else quotient_aut(q.to_weighted_graph(), caps)
-    full = Product((qe, *(Sym(w) for w in mp.weights)), UNSPECIFIED_EXTENSION)
-    return _make_report(g, pg, mp, q, full, qe, method, notes)
+    qe = quotient_expr if quotient_expr is not None else quotient_aut(p.wq, caps)
+    full = Product((qe, *(Sym(w) for w in p.mp.weights)), UNSPECIFIED_EXTENSION)
+    return _make_report(p, full, qe, method, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -319,20 +337,16 @@ def aut_full(
 
 
 def aut_abelian(
-    g: FiniteGroup, invariants: Sequence[int], caps: OracleCaps | None = None
+    p: Pipeline, invariants: Sequence[int], caps: OracleCaps | None = None
 ) -> AutReport:
     """Dispatch an abelian group given as a product of cyclic factors."""
     caps = caps or OracleCaps()
+    g, mp = p.g, p.mp
     if not g.is_abelian:
         raise ValueError("group is not abelian")
     invariants = [int(d) for d in invariants if int(d) > 1]
     if math.prod(invariants, start=1) != g.size:
         raise ValueError("invariant factors do not multiply to the group order")
-    if not invariants:
-        raise ValueError("the trivial group has no power graph")
-    pg = build_power_graph(g)
-    mp = men_partition(pg)
-    q = build_quotient(pg, mp)
     notes: list[str] = []
 
     if len(invariants) == 1:
@@ -351,42 +365,41 @@ def aut_abelian(
                 f"class weights {sorted(mp.weights)} do not match the cyclic "
                 f"closed form {sorted(expected_weights)}"
             )
-        _cross_check(q, caps, 1, notes)
-        return _make_report(g, pg, mp, q, full, Trivial(), method, notes)
+        _cross_check(p, caps, 1, notes)
+        return _make_report(p, full, Trivial(), method, notes)
 
     common = set(invariants)
-    primes = {p for d in invariants for p in factorize(d)}
+    primes = {prime for d in invariants for prime in factorize(d)}
     if len(common) == 1 and is_prime_power(invariants[0]) is not None:
-        p, m = is_prime_power(invariants[0])  # type: ignore[misc]
-        nested, factorial_part = _homocyclic_parts(p, m, len(invariants))
+        prime, m = is_prime_power(invariants[0])  # type: ignore[misc]
+        nested, factorial_part = _homocyclic_parts(prime, m, len(invariants))
         expected = sorted(s.n for s in factorial_part if isinstance(s, Sym))
         if sorted(mp.weights) != expected:
             raise InternalCheckError(
                 f"class weights {sorted(mp.weights)} do not match the homocyclic "
                 f"closed form {expected}"
             )
-        _cross_check(q, caps, expr_order(nested), notes)
+        _cross_check(p, caps, expr_order(nested), notes)
         full = Product((nested, *factorial_part), UNSPECIFIED_EXTENSION)
-        return _make_report(
-            g, pg, mp, q, full, expr_normalize(nested), METHOD_HOMOCYCLIC, notes
-        )
+        return _make_report(p, full, expr_normalize(nested), METHOD_HOMOCYCLIC, notes)
     if len(primes) == 1:
         # non-cyclic, non-homocyclic p-group: recursive decomposition
-        return aut_full(g, pg, mp, q, caps)
-    factors = [realize(spec) for spec in _sylow_specs_from_orders(invariants)]
-    return aut_nilpotent(g, factors, caps)
+        return aut_full(p, caps)
+    # two or more primes, so the coprime split always exists
+    sylows = _sylow_leaf_specs(AbelianSpec(tuple(invariants))) or []
+    return aut_nilpotent(p, [realize(spec) for spec in sylows], caps)
 
 
 def aut_nilpotent(
-    g: FiniteGroup,
+    p: Pipeline,
     sylow_decomposition: Sequence[FiniteGroup],
     caps: OracleCaps | None = None,
 ) -> AutReport:
     """Coprime direct product: the quotient part multiplies over the factors.
 
-    Each factor contributes the quotient automorphisms of its own power graph
-    (after a merge pass fusing quotient nodes with equal closed neighborhoods);
-    the symmetric factorial part still comes from the whole group's classes.
+    Each factor contributes the quotient automorphisms of its own power graph,
+    from a pipeline built for that factor; the symmetric factorial part still
+    comes from the whole group's classes.
     """
     caps = caps or OracleCaps()
     factors = [f for f in sylow_decomposition if f.size > 1]
@@ -398,22 +411,13 @@ def aut_nilpotent(
                 raise ValueError(
                     f"factor orders {a.size} and {b.size} are not coprime"
                 )
-    if math.prod(f.size for f in factors) != g.size:
+    if math.prod(f.size for f in factors) != p.g.size:
         raise ValueError("factor orders do not multiply to the group order")
-    pg = build_power_graph(g)
-    mp = men_partition(pg)
-    q = build_quotient(pg, mp)
-    parts: list[GroupExpr] = []
-    for f in factors:
-        fpg = build_power_graph(f)
-        fq = merge_equal_closed_neighborhoods(build_quotient(fpg, men_partition(fpg)))
-        parts.append(quotient_aut(fq.to_weighted_graph(), caps))
-    qe = expr_normalize(Product(tuple(parts), DIRECT))
+    parts = tuple(quotient_aut(pipeline(f).wq, caps) for f in factors)
+    qe = expr_normalize(Product(parts, DIRECT))
     notes: list[str] = []
-    _cross_check(q, caps, expr_order(qe), notes)
-    return aut_full(
-        g, pg, mp, q, caps, method=METHOD_COPRIME, quotient_expr=qe, notes=notes
-    )
+    _cross_check(p, caps, expr_order(qe), notes)
+    return aut_full(p, caps, method=METHOD_COPRIME, quotient_expr=qe, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -435,18 +439,6 @@ def _cyclic_leaf_orders(spec: GroupSpec) -> list[int] | None:
     if all(isinstance(leaf, CyclicSpec) for leaf in leaves):
         return [leaf.n for leaf in leaves]  # type: ignore[union-attr]
     return None
-
-
-def _sylow_specs_from_orders(orders: Sequence[int]) -> list[GroupSpec]:
-    buckets: dict[int, list[int]] = {}
-    for d in orders:
-        for p, e in sorted(factorize(d).items()):
-            buckets.setdefault(p, []).append(p**e)
-    out: list[GroupSpec] = []
-    for p in sorted(buckets):
-        qs = sorted(buckets[p])
-        out.append(CyclicSpec(qs[0]) if len(qs) == 1 else AbelianSpec(tuple(qs)))
-    return out
 
 
 def _sylow_leaf_specs(spec: GroupSpec) -> list[GroupSpec] | None:
@@ -487,19 +479,16 @@ def analyze(
     """Full structural analysis of the power graph of the group a spec names."""
     gspec = parse_group_spec(spec) if isinstance(spec, str) else spec
     caps = caps or OracleCaps()
-    g = realize(gspec, max_order=max_order)
+    p = pipeline(realize(gspec, max_order=max_order))
     cyclic_orders = _cyclic_leaf_orders(gspec)
     if cyclic_orders is not None:
-        return aut_abelian(g, cyclic_orders, caps)
+        return aut_abelian(p, cyclic_orders, caps)
     sylows = _sylow_leaf_specs(gspec)
     if sylows is not None:
         return aut_nilpotent(
-            g, [realize(s, max_order=max_order) for s in sylows], caps
+            p, [realize(s, max_order=max_order) for s in sylows], caps
         )
-    pg = build_power_graph(g)
-    mp = men_partition(pg)
-    q = build_quotient(pg, mp)
-    return aut_full(g, pg, mp, q, caps)
+    return aut_full(p, caps)
 
 
 def verify(
@@ -509,18 +498,16 @@ def verify(
 ) -> AutReport:
     """Analyze, then check the structural order against the oracle.
 
+    The oracle runs on the pipeline the analysis built (`report.pipeline`).
+
     Full-graph comparison runs when the power graph fits the node cap and the
     structural order fits the count cap; otherwise the quotient is compared
     (the per-class factorial part is definitional). If neither fits, the
     verdict is unavailable and CapExceeded propagates.
     """
     caps = caps or OracleCaps()
-    gspec = parse_group_spec(spec) if isinstance(spec, str) else spec
-    report = analyze(gspec, caps, max_order)
-    g = realize(gspec, max_order=max_order)
-    pg = build_power_graph(g)
-    mp = men_partition(pg)
-    q = build_quotient(pg, mp)
+    report = analyze(spec, caps, max_order)
+    pg, q = report.pipeline.pg, report.pipeline.q
     if pg.n_vertices <= caps.max_nodes and report.order <= caps.max_count:
         oracle_order = count_automorphisms(pg.to_weighted_graph(), caps)
         status = "full-verified" if oracle_order == report.order else "mismatch"
@@ -534,7 +521,7 @@ def verify(
     )
     quotient_order = expr_order(report.quotient_expr)
     if q.n_nodes <= caps.max_nodes and quotient_order <= caps.max_count:
-        oracle_order = count_automorphisms(q.to_weighted_graph(), caps)
+        oracle_order = count_automorphisms(report.pipeline.wq, caps)
         status = "quotient-verified" if oracle_order == quotient_order else "mismatch"
         detail = f"{reason}; quotient on {q.n_nodes} nodes compared instead"
         return dataclasses.replace(

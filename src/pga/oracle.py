@@ -244,18 +244,6 @@ def _search_mapping(
     return None
 
 
-def _is_automorphism(wg: WeightedGraph, perm: Sequence[int]) -> bool:
-    if sorted(perm) != list(range(wg.n)):
-        return False
-    if any(wg.weights[perm[v]] != wg.weights[v] for v in range(wg.n)):
-        return False
-    for u in range(wg.n):
-        for v in range(u + 1, wg.n):
-            if wg.has_edge(u, v) != wg.has_edge(perm[u], perm[v]):
-                return False
-    return True
-
-
 def _is_isomorphism(a: WeightedGraph, b: WeightedGraph, perm: Sequence[int]) -> bool:
     if sorted(perm) != list(range(b.n)):
         return False
@@ -270,7 +258,7 @@ def _is_isomorphism(a: WeightedGraph, b: WeightedGraph, perm: Sequence[int]) -> 
 
 def _checked(wg: WeightedGraph, perm: tuple[int, ...]) -> tuple[int, ...]:
     # independent re-check of anything the search produces
-    if not _is_automorphism(wg, perm):
+    if not _is_isomorphism(wg, wg, perm):
         raise RuntimeError(f"search produced an invalid automorphism: {perm}")
     return perm
 

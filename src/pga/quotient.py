@@ -190,35 +190,3 @@ def reconstruct_order(g: FiniteGroup, mp: MenPartition, class_id: int) -> int:
         )
     return value
 
-
-def merge_equal_closed_neighborhoods(q: QuotientGraph) -> QuotientGraph:
-    """Fuse quotient nodes sharing a closed neighborhood.
-
-    Quotients produced by men_partition never contain such pairs (classes are
-    cliques, so a node's closed neighborhood pins it down), but the coprime
-    product route calls this as a safety pass before reusing a factor's
-    quotient.
-    """
-    k = q.n_nodes
-    closed = q.adj.copy()
-    np.fill_diagonal(closed, True)
-    groups: dict[bytes, list[int]] = {}
-    for i in range(k):
-        groups.setdefault(closed[i].tobytes(), []).append(i)
-    if len(groups) == k:
-        return q
-    parts = list(groups.values())
-    weights = tuple(sum(q.weights[i] for i in part) for part in parts)
-    members = tuple(
-        tuple(sorted(v for i in part for v in q.members[i])) for part in parts
-    )
-    adj = np.zeros((len(parts), len(parts)), dtype=bool)
-    for a, pa in enumerate(parts):
-        for b, pb in enumerate(parts):
-            if a == b:
-                continue
-            flags = {bool(q.adj[i, j]) for i in pa for j in pb}
-            if len(flags) != 1:
-                raise InternalCheckError("merged nodes have inconsistent adjacency")
-            adj[a, b] = flags.pop()
-    return QuotientGraph(weights, members, adj)

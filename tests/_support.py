@@ -1,22 +1,17 @@
-"""Shared fixtures: the test corpus, cached bundles, and naive reference oracles."""
+"""Shared fixtures: the test corpus, cached pipelines, and naive reference oracles."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
 from pga import (
     AutReport,
     FiniteGroup,
-    MenPartition,
-    PowerGraph,
-    QuotientGraph,
+    Pipeline,
     WeightedGraph,
     analyze,
-    build_power_graph,
-    build_quotient,
-    men_partition,
+    pipeline,
     realize,
 )
 
@@ -53,20 +48,9 @@ EXPECTED_ORDER = {
 P_GROUP_SPECS = ("Z(4)", "Z(8)", "Z(9)", "Z(2)^2", "Z(3)^2", "Z(2)^3", "Z(4)^2", "Q8", "Dih(4)")
 
 
-@dataclass(frozen=True)
-class Bundle:
-    g: FiniteGroup
-    pg: PowerGraph
-    mp: MenPartition
-    q: QuotientGraph
-
-
 @lru_cache(maxsize=None)
-def bundle(spec: str) -> Bundle:
-    g = realize(spec)
-    pg = build_power_graph(g)
-    mp = men_partition(pg)
-    return Bundle(g, pg, mp, build_quotient(pg, mp))
+def bundle(spec: str) -> Pipeline:
+    return pipeline(realize(spec))
 
 
 @lru_cache(maxsize=None)

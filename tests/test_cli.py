@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import pga
 from pga import expr_order, parse_expr
 from pga.cli import run
 
@@ -70,6 +73,18 @@ def test_usage_error_exit_code(capsys):
         run(["analyze"])
     assert exc.value.code == 1
     capsys.readouterr()
+
+
+def test_caps_below_one_are_usage_errors(capsys):
+    for argv in (
+        ["analyze", "--group", "Z(6)", "--max-nodes", "0"],
+        ["verify", "--group", "Z(6)", "--max-nodes", "0"],
+        ["verify", "--group", "Z(6)", "--max-count", "-1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 1, argv
+        assert "must be at least 1" in capsys.readouterr().err, argv
 
 
 def test_unwritable_output_path(tmp_path, capsys):
@@ -141,10 +156,14 @@ def test_out_file_for_analyze(tmp_path, capsys):
 
 
 def test_module_entry_point():
+    # run the same pga the tests import, installed or not
+    src = str(Path(pga.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "pga", "analyze", "--group", "Z(6)"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "order: 4" in proc.stdout

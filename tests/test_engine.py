@@ -25,6 +25,7 @@ from pga import (
     realize,
     verify,
 )
+from pga.cli import run
 
 from _support import CORPUS, EXPECTED_ORDER, bundle, report
 
@@ -83,20 +84,16 @@ def test_quotient_aut_q8_is_sym3():
 
 
 def test_aut_full_examples():
-    b = bundle("Z(6)")
-    r = aut_full(b.g, b.pg, b.mp, b.q)
+    r = aut_full(bundle("Z(6)"))
     assert r.order == 4 and r.quotient_expr == Trivial()
-    b = bundle("Z(2)^2")
-    r = aut_full(b.g, b.pg, b.mp, b.q)
+    r = aut_full(bundle("Z(2)^2"))
     assert r.order == 6 and r.expression == Sym(3)
-    b = bundle("Dih(4)")
-    r = aut_full(b.g, b.pg, b.mp, b.q)
+    r = aut_full(bundle("Dih(4)"))
     assert r.order == 144 and r.expression == Product((Sym(4), Sym(3)))
 
 
 def test_aut_nilpotent_z12_agrees_with_cyclic_formula():
-    g = realize("P(Z(4),Z(3))")
-    r = aut_nilpotent(g, [realize("Z(4)"), realize("Z(3)")])
+    r = aut_nilpotent(bundle("P(Z(4),Z(3))"), [realize("Z(4)"), realize("Z(3)")])
     assert r.order == 192
     assert r.method == "coprime-factors"
 
@@ -110,26 +107,26 @@ def test_aut_nilpotent_q8_z3():
 
 def test_aut_nilpotent_guards():
     with pytest.raises(ValueError, match="two nontrivial"):
-        aut_nilpotent(realize("Ab[2,2]"), [realize("Ab[2,2]")])
+        aut_nilpotent(bundle("Ab[2,2]"), [realize("Ab[2,2]")])
     with pytest.raises(ValueError, match="coprime"):
-        aut_nilpotent(realize("Ab[2,4]"), [realize("Z(2)"), realize("Z(4)")])
+        aut_nilpotent(bundle("Ab[2,4]"), [realize("Z(2)"), realize("Z(4)")])
     with pytest.raises(ValueError, match="multiply"):
-        aut_nilpotent(realize("Q8"), [realize("Z(2)"), realize("Z(3)")])
+        aut_nilpotent(bundle("Q8"), [realize("Z(2)"), realize("Z(3)")])
 
 
 def test_aut_abelian_dispatch():
-    assert aut_abelian(realize("Ab[2,4]"), [2, 4]).order == 16
-    homo = aut_abelian(realize("Ab[3,3]"), [3, 3])
+    assert aut_abelian(bundle("Ab[2,4]"), [2, 4]).order == 16
+    homo = aut_abelian(bundle("Ab[3,3]"), [3, 3])
     assert homo.order == 384
     assert homo.order == expr_order(aut_homocyclic_formula(3, 1, 2))
-    assert aut_abelian(realize("Ab[2,3]"), [2, 3]).order == 4
+    assert aut_abelian(bundle("Ab[2,3]"), [2, 3]).order == 4
 
 
 def test_aut_abelian_guards():
     with pytest.raises(ValueError, match="abelian"):
-        aut_abelian(realize("Q8"), [8])
+        aut_abelian(bundle("Q8"), [8])
     with pytest.raises(ValueError, match="multiply"):
-        aut_abelian(realize("Ab[2,2]"), [2])
+        aut_abelian(bundle("Ab[2,2]"), [2])
 
 
 def test_analyze_method_dispatch():
@@ -199,6 +196,35 @@ def test_verify_extra_groups_against_oracle():
     for spec in ("P(Dih(4),Z(3))", "P(Z(2),Z(9))", "Ab[2,2,2,3]", "Dih(6)", "Sym(4)"):
         r = verify(spec)
         assert r.verification.status in ("full-verified", "quotient-verified"), spec
+
+
+@pytest.mark.parametrize("spec", ["Z(12)", "Ab[2,3]", "P(Q8,Z(3))", "Sym(3)"])
+def test_one_whole_group_build_per_operation(spec, monkeypatch, tmp_path):
+    # coprime factors get their own pipelines; only the spec's own group counts
+    import pga.cli
+    import pga.engine
+
+    original = pga.engine.build_power_graph
+    sizes: list[int] = []
+
+    def counting(g):
+        sizes.append(g.size)
+        return original(g)
+
+    for module in (pga.engine, pga.cli):
+        if getattr(module, "build_power_graph", None) is original:
+            monkeypatch.setattr(module, "build_power_graph", counting)
+    order = report(spec).group_order
+
+    def whole_group_builds(operation) -> int:
+        sizes.clear()
+        operation()
+        return sizes.count(order)
+
+    assert whole_group_builds(lambda: analyze(spec)) == 1
+    assert whole_group_builds(lambda: verify(spec)) == 1
+    export = ["export", "--group", spec, "--out", str(tmp_path)]
+    assert whole_group_builds(lambda: run(export)) == 1
 
 
 def test_homocyclic_tower_quotient_against_oracle():

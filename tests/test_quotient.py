@@ -1,11 +1,8 @@
-import numpy as np
-
 from pga import (
     BOTH,
     CYCLIC_INTERVAL,
     GENERATOR_CLASS,
     classify_men_class,
-    merge_equal_closed_neighborhoods,
     reconstruct_order,
 )
 
@@ -153,25 +150,6 @@ def test_quotient_nodes_have_distinct_closed_neighborhoods():
         q = bundle(spec).q
         hoods = {q.closed_neighborhood(i) for i in range(q.n_nodes)}
         assert len(hoods) == q.n_nodes
-
-
-def test_merge_pass_is_identity_on_men_quotients():
-    for spec in CORPUS:
-        q = bundle(spec).q
-        merged = merge_equal_closed_neighborhoods(q)
-        assert merged is q
-
-
-def test_merge_pass_fuses_hand_built_twins():
-    from pga import QuotientGraph
-
-    # two adjacent nodes with no other neighbors share a closed neighborhood
-    adj = np.array([[False, True, False], [True, False, False], [False, False, False]])
-    q = QuotientGraph(weights=(1, 2, 5), members=((0,), (1,), (2,)), adj=adj)
-    merged = merge_equal_closed_neighborhoods(q)
-    assert merged.n_nodes == 2
-    assert sorted(merged.weights) == [3, 5]
-    assert merged.edge_count == 0
 
 
 def test_quotient_wellformedness():
