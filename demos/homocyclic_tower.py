@@ -34,7 +34,7 @@ g = realize("Z(8)^2")
 pg = build_power_graph(g)
 q = build_quotient(pg, men_partition(pg))
 report = analyze("Z(8)^2")
-oracle = count_automorphisms(q.to_weighted_graph())
+oracle = count_automorphisms(q)
 print(
     f"\nZ(8)^2 quotient on {q.n_nodes} nodes: tower order "
     f"{expr_order(report.quotient_expr)}, oracle recount {oracle}"

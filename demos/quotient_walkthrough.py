@@ -22,7 +22,7 @@ print(f"group {g.description}: order {g.size}, elements {', '.join(g.labels)}")
 pg = build_power_graph(g)
 print(f"\npower graph: {pg.n_vertices} vertices, {pg.edge_count} edges")
 for v in range(pg.n_vertices):
-    nbrs = ", ".join(g.labels[u + 1] for u in pg.neighbors[v])
+    nbrs = ", ".join(g.labels[u + 1] for u in pg.neighbors(v))
     print(f"  {g.labels[v + 1]:>2} -- {nbrs}")
 
 mp = men_partition(pg)

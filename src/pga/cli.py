@@ -98,7 +98,7 @@ def verdict_line(report: AutReport) -> str:
 
 def power_graph_dot(pg: PowerGraph) -> str:
     g = pg.group
-    lines = ["graph powergraph {", f'  label="{pg.group_description}";']
+    lines = ["graph powergraph {", f'  label="{pg.group.description}";']
     for v in range(pg.n_vertices):
         e = pg.element_of(v)
         lines.append(f'  {v} [label="{g.labels[e]} (order {g.element_order(e)})"];')

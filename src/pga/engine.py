@@ -11,10 +11,11 @@ dispatched from the spec structure. Every closed form is cross-checked
 against the generic recursion, and `verify` compares against the brute-force
 oracle.
 
-Each spec's pipeline (group, power graph, MEN partition, quotient and the
-quotient's weighted graph) is built once, by `pipeline`, and passed to every
-route; the report carries it, so `verify` and the CLI export reuse it instead
-of rebuilding it.
+Each spec's pipeline (group, power graph, MEN partition and quotient) is
+built once, by `pipeline`, and passed to every route; the report carries it,
+so `verify` and the CLI export reuse it instead of rebuilding it. The power
+graph and the quotient are both `WeightedGraph`s, so the recursion and the
+oracle read them as they are.
 """
 
 from __future__ import annotations
@@ -86,15 +87,13 @@ class Pipeline:
     pg: PowerGraph
     mp: MenPartition
     q: QuotientGraph
-    wq: WeightedGraph  # the quotient as a weighted graph
 
 
 def pipeline(g: FiniteGroup) -> Pipeline:
     """Power graph, MEN partition and weighted quotient of a group, built once."""
     pg = build_power_graph(g)
     mp = men_partition(pg)
-    q = build_quotient(pg, mp)
-    return Pipeline(g, pg, mp, q, q.to_weighted_graph())
+    return Pipeline(g, pg, mp, build_quotient(pg, mp))
 
 
 @dataclass(frozen=True)
@@ -303,7 +302,7 @@ def _cross_check(
 ) -> None:
     """Every closed form must agree with the generic quotient recursion."""
     try:
-        generic = quotient_aut(p.wq, caps)
+        generic = quotient_aut(p.q, caps)
     except CapExceeded as exc:
         notes.append(f"cross-check skipped: {exc}")
         return
@@ -327,7 +326,7 @@ def aut_full(
 ) -> AutReport:
     """Quotient automorphisms times one symmetric group per class."""
     caps = caps or OracleCaps()
-    qe = quotient_expr if quotient_expr is not None else quotient_aut(p.wq, caps)
+    qe = quotient_expr if quotient_expr is not None else quotient_aut(p.q, caps)
     full = Product((qe, *(Sym(w) for w in p.mp.weights)), UNSPECIFIED_EXTENSION)
     return _make_report(p, full, qe, method, notes)
 
@@ -413,7 +412,7 @@ def aut_nilpotent(
                 )
     if math.prod(f.size for f in factors) != p.g.size:
         raise ValueError("factor orders do not multiply to the group order")
-    parts = tuple(quotient_aut(pipeline(f).wq, caps) for f in factors)
+    parts = tuple(quotient_aut(pipeline(f).q, caps) for f in factors)
     qe = expr_normalize(Product(parts, DIRECT))
     notes: list[str] = []
     _cross_check(p, caps, expr_order(qe), notes)
@@ -509,7 +508,7 @@ def verify(
     report = analyze(spec, caps, max_order)
     pg, q = report.pipeline.pg, report.pipeline.q
     if pg.n_vertices <= caps.max_nodes and report.order <= caps.max_count:
-        oracle_order = count_automorphisms(pg.to_weighted_graph(), caps)
+        oracle_order = count_automorphisms(pg, caps)
         status = "full-verified" if oracle_order == report.order else "mismatch"
         detail = f"full power graph on {pg.n_vertices} vertices"
         return dataclasses.replace(
@@ -521,7 +520,7 @@ def verify(
     )
     quotient_order = expr_order(report.quotient_expr)
     if q.n_nodes <= caps.max_nodes and quotient_order <= caps.max_count:
-        oracle_order = count_automorphisms(report.pipeline.wq, caps)
+        oracle_order = count_automorphisms(q, caps)
         status = "quotient-verified" if oracle_order == quotient_order else "mismatch"
         detail = f"{reason}; quotient on {q.n_nodes} nodes compared instead"
         return dataclasses.replace(

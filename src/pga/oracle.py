@@ -24,7 +24,7 @@ before it is trusted. Caps produce an explicit CapExceeded, never a guess.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,12 @@ class OracleCaps:
 
     max_nodes: int = 40
     max_count: int = 10_000_000
+
+    def __post_init__(self) -> None:
+        # a cap below 1 would silently turn every check into "skipped"
+        for name, value in (("max_nodes", self.max_nodes), ("max_count", self.max_count)):
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 _DEFAULT_CAPS = OracleCaps()
@@ -54,7 +60,7 @@ class WeightedGraph:
     def __init__(
         self,
         n: int,
-        edges: Sequence[tuple[int, int]] = (),
+        edges: Iterable[tuple[int, int]] = (),
         weights: Sequence[int] | None = None,
     ) -> None:
         if n < 1:

@@ -3,10 +3,14 @@
 Vertex v (0-based) stands for group element v + 1; the identity is excluded.
 Two vertices are adjacent exactly when one element is a positive power of the
 other, equivalently when one of the two cyclic subgroups contains the other.
-Graphs are immutable after construction.
+A power graph is a unit-weight `WeightedGraph` (one int bitmask row per
+vertex) that also carries its group, so the oracle and the quotient recursion
+read it directly. Graphs are immutable after construction.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 import numpy as np
 
@@ -14,23 +18,22 @@ from .groups import FiniteGroup
 from .oracle import WeightedGraph
 
 
-class PowerGraph:
-    def __init__(self, group: FiniteGroup, adj: np.ndarray) -> None:
-        self.group = group
-        self.group_description = group.description
-        self.n_vertices = int(adj.shape[0])
-        self.adj = adj
-        self.adj.flags.writeable = False
-        self.neighbors = tuple(
-            tuple(int(u) for u in np.flatnonzero(adj[v])) for v in range(self.n_vertices)
-        )
-        self.edge_count = int(adj.sum()) // 2
+class PowerGraph(WeightedGraph):
+    __slots__ = ("group",)
+
+    def __init__(self, group: FiniteGroup, edges: Iterable[tuple[int, int]]) -> None:
+        super().__init__(group.size - 1, edges)
+        object.__setattr__(self, "group", group)
 
     def __repr__(self) -> str:
         return (
-            f"PowerGraph({self.group_description!r}, vertices={self.n_vertices}, "
+            f"PowerGraph({self.group.description!r}, vertices={self.n}, "
             f"edges={self.edge_count})"
         )
+
+    @property
+    def n_vertices(self) -> int:
+        return self.n
 
     @property
     def vertices(self) -> range:
@@ -45,42 +48,8 @@ class PowerGraph:
             raise ValueError(f"element {element} is not a vertex")
         return element - 1
 
-    def degree(self, v: int) -> int:
-        return len(self.neighbors[v])
-
-    def closed_neighborhood(self, v: int) -> frozenset[int]:
-        return frozenset(self.neighbors[v]) | {v}
-
-    def connected_components(self) -> list[list[int]]:
-        """Maximal connected vertex sets, ordered by smallest vertex."""
-        seen = [False] * self.n_vertices
-        components: list[list[int]] = []
-        for start in range(self.n_vertices):
-            if seen[start]:
-                continue
-            stack = [start]
-            seen[start] = True
-            comp = []
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for u in self.neighbors[v]:
-                    if not seen[u]:
-                        seen[u] = True
-                        stack.append(u)
-            components.append(sorted(comp))
-        return components
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [
-            (v, u)
-            for v in range(self.n_vertices)
-            for u in self.neighbors[v]
-            if u > v
-        ]
-
     def to_weighted_graph(self) -> WeightedGraph:
-        return WeightedGraph(self.n_vertices, self.edges())
+        return self
 
 
 def build_power_graph(g: FiniteGroup) -> PowerGraph:
@@ -91,7 +60,9 @@ def build_power_graph(g: FiniteGroup) -> PowerGraph:
     member = np.zeros((n, n), dtype=bool)  # member[x, y]: y lies in <x>
     for x in range(n):
         member[x, list(g.cyclic_subgroup(x))] = True
-    adj = member | member.T
-    adj = adj[1:, 1:].copy()
-    np.fill_diagonal(adj, False)
-    return PowerGraph(g, adj)
+    upper = np.triu(member | member.T, k=1)[1:, 1:]
+    # edges are streamed one row at a time: a list of all of them would hold
+    # hundreds of thousands of tuples at once (443,817 edges for Z(1000))
+    return PowerGraph(
+        g, ((u, v) for u in range(n - 1) for v in np.flatnonzero(upper[u]).tolist())
+    )

@@ -5,14 +5,14 @@ vertices that all share one closed neighborhood. Collapsing each class to a
 single node weighted by the class size yields the weighted quotient graph;
 automorphisms of the original graph are exactly quotient automorphisms
 combined with free permutations inside the classes, which is what the engine
-module exploits.
+module exploits. The quotient is a `WeightedGraph` like the power graph it
+comes from: each node's row is read off one member's row, one row per class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Sequence
 
 from .errors import InternalCheckError
 from .groups import FiniteGroup, is_prime_power
@@ -32,52 +32,35 @@ class MenPartition:
     class_of: tuple[int, ...]
     weights: tuple[int, ...]
 
-    @property
-    def n_classes(self) -> int:
-        return len(self.classes)
 
+class QuotientGraph(WeightedGraph):
+    """One node per MEN class, weighted by the class size and ordered by
+    smallest member vertex."""
 
-@dataclass(frozen=True, eq=False)
-class QuotientGraph:
-    """One weighted node per MEN class, ordered by smallest member vertex."""
+    __slots__ = ("members",)
 
-    weights: tuple[int, ...]
-    members: tuple[tuple[int, ...], ...]
-    adj: np.ndarray
+    def __init__(
+        self, members: tuple[tuple[int, ...], ...], edges: Sequence[tuple[int, int]]
+    ) -> None:
+        super().__init__(len(members), edges, [len(m) for m in members])
+        object.__setattr__(self, "members", members)
 
     @property
     def n_nodes(self) -> int:
-        return len(self.weights)
-
-    @property
-    def edge_count(self) -> int:
-        return int(self.adj.sum()) // 2
-
-    def closed_neighborhood(self, i: int) -> frozenset[int]:
-        return frozenset(int(j) for j in np.flatnonzero(self.adj[i])) | {i}
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [
-            (int(i), int(j))
-            for i in range(self.n_nodes)
-            for j in np.flatnonzero(self.adj[i])
-            if j > i
-        ]
+        return self.n
 
     def to_weighted_graph(self) -> WeightedGraph:
-        return WeightedGraph(self.n_nodes, self.edges(), self.weights)
+        return self
 
 
 def men_partition(pg: PowerGraph) -> MenPartition:
-    """Group vertices by their closed neighborhoods (as bitset rows)."""
-    closed = pg.adj.copy()
-    np.fill_diagonal(closed, True)
-    groups: dict[bytes, list[int]] = {}
-    for v in range(pg.n_vertices):
-        groups.setdefault(closed[v].tobytes(), []).append(v)
+    """Group vertices by their closed neighborhoods (as bitmask rows)."""
+    groups: dict[int, list[int]] = {}
+    for v in range(pg.n):
+        groups.setdefault(pg.closed_mask(v), []).append(v)
     # dict preserves first-seen order, so classes come out sorted by least member
     classes = tuple(tuple(vs) for vs in groups.values())
-    class_of = [0] * pg.n_vertices
+    class_of = [0] * pg.n
     for cid, members in enumerate(classes):
         for v in members:
             class_of[v] = cid
@@ -86,19 +69,29 @@ def men_partition(pg: PowerGraph) -> MenPartition:
 
 
 def build_quotient(pg: PowerGraph, mp: MenPartition) -> QuotientGraph:
-    """Collapse classes to weighted nodes; adjacency must be cross-pair uniform."""
-    k = mp.n_classes
-    adj = np.zeros((k, k), dtype=bool)
-    for i in range(k):
-        for j in range(i + 1, k):
-            block = pg.adj[np.ix_(mp.classes[i], mp.classes[j])]
-            some, every = bool(block.any()), bool(block.all())
-            if some != every:
+    """Collapse classes to weighted nodes; adjacency must be cross-pair uniform.
+
+    Node i's row is its class's first member's row, projected through
+    `class_of`. Every member must have that member's row outside its own
+    class; checked for every class, this makes each pair of classes all
+    adjacent or all apart (a in class i and u in class j see each other
+    exactly when the two first members do), so the projection is exact.
+    """
+    edges: list[tuple[int, int]] = []
+    for i, members in enumerate(mp.classes):
+        outside = ~sum(1 << v for v in members)
+        row = pg.adj[members[0]] & outside
+        for v in members[1:]:
+            diff = (pg.adj[v] & outside) ^ row
+            if diff:
+                j = mp.class_of[diff.bit_length() - 1]
                 raise InternalCheckError(
-                    f"classes {i} and {j} have mixed cross adjacency; the partition is not a MEN partition"
+                    f"classes {min(i, j)} and {max(i, j)} have mixed cross adjacency; "
+                    "the partition is not a MEN partition"
                 )
-            adj[i, j] = adj[j, i] = every
-    return QuotientGraph(mp.weights, mp.classes, adj)
+        touched = {mp.class_of[u] for u in pg.neighbors(members[0])}
+        edges.extend((i, j) for j in touched if j > i)
+    return QuotientGraph(mp.classes, edges)
 
 
 @dataclass(frozen=True)
@@ -133,15 +126,15 @@ def classify_men_class(
             if pp is not None:
                 p, n_exp = pp
                 sub = g.cyclic_subgroup(a)
-                sub_vertices = frozenset(pg.vertex_of(x) for x in sub if x != 0)
+                sub_mask = sum(1 << pg.vertex_of(x) for x in sub if x != 0)
                 for t in range(2, n_exp + 1):
                     low = g.power(a, p**t)
                     if class_set != frozenset(sub - g.cyclic_subgroup(low)):
                         continue
                     mid = g.power(a, p ** (t - 1))
-                    if pg.closed_neighborhood(pg.vertex_of(mid)) != sub_vertices:
+                    if pg.closed_mask(pg.vertex_of(mid)) != sub_mask:
                         continue
-                    if low != 0 and pg.closed_neighborhood(pg.vertex_of(low)) == sub_vertices:
+                    if low != 0 and pg.closed_mask(pg.vertex_of(low)) == sub_mask:
                         continue
                     interval = (a, p, t, n_exp)
                     break

@@ -5,6 +5,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations
 
+from hypothesis import strategies as st
+
 from pga import (
     AutReport,
     FiniteGroup,
@@ -56,6 +58,19 @@ def bundle(spec: str) -> Pipeline:
 @lru_cache(maxsize=None)
 def report(spec: str) -> AutReport:
     return analyze(spec)
+
+
+@st.composite
+def weighted_graphs(draw, max_nodes: int) -> WeightedGraph:
+    """Random graphs of 1..max_nodes nodes with weights in {1, 2, 3}."""
+    n = draw(st.integers(1, max_nodes))
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                edges.append((i, j))
+    weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    return WeightedGraph(n, edges, weights)
 
 
 def naive_count(wg: WeightedGraph) -> int:

@@ -27,7 +27,7 @@ from pga import (
 )
 from pga.cli import run
 
-from _support import CORPUS, EXPECTED_ORDER, bundle, report
+from _support import CORPUS, EXPECTED_ORDER, bundle, report, weighted_graphs
 
 
 def test_cyclic_formula_values():
@@ -81,6 +81,12 @@ def test_quotient_aut_single_node_trivial():
 
 def test_quotient_aut_q8_is_sym3():
     assert quotient_aut(bundle("Q8").q.to_weighted_graph()) == Sym(3)
+
+
+@given(weighted_graphs(9))
+@settings(max_examples=400, deadline=None)
+def test_quotient_aut_order_matches_oracle_count(wg):
+    assert expr_order(quotient_aut(wg)) == count_automorphisms(wg)
 
 
 def test_aut_full_examples():

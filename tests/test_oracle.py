@@ -14,7 +14,7 @@ from pga import (
 )
 from pga.oracle import _stable_colors
 
-from _support import bundle, naive_count
+from _support import bundle, naive_count, weighted_graphs
 
 
 def K(n, weights=None):
@@ -103,6 +103,15 @@ def test_node_cap():
         count_automorphisms(empty(5), OracleCaps(max_nodes=4))
 
 
+@pytest.mark.parametrize(
+    "caps", [{"max_nodes": 0}, {"max_count": 0}, {"max_nodes": -5, "max_count": -1}]
+)
+def test_caps_below_one_rejected(caps):
+    # a cap below 1 would make every count and cross-check a silent skip
+    with pytest.raises(ValueError, match="at least 1"):
+        OracleCaps(**caps)
+
+
 def test_enumeration_cap():
     with pytest.raises(CapExceeded):
         enumerate_automorphisms(K(3), OracleCaps(max_count=5))
@@ -124,22 +133,7 @@ def test_connected_components_order():
     assert connected_components(wg) == [[0], [1, 2], [3, 4]]
 
 
-def _random_graph_strategy():
-    @st.composite
-    def build(draw):
-        n = draw(st.integers(1, 6))
-        edges = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if draw(st.booleans()):
-                    edges.append((i, j))
-        weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
-        return WeightedGraph(n, edges, weights)
-
-    return build()
-
-
-@given(_random_graph_strategy())
+@given(weighted_graphs(6))
 @settings(max_examples=60, deadline=None)
 def test_count_matches_naive_and_enumeration(wg):
     count = count_automorphisms(wg)
@@ -147,7 +141,7 @@ def test_count_matches_naive_and_enumeration(wg):
     assert count == len(enumerate_automorphisms(wg))
 
 
-@given(_random_graph_strategy(), st.randoms(use_true_random=False))
+@given(weighted_graphs(6), st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
 def test_count_invariant_under_relabeling(wg, rng):
     perm = list(range(wg.n))
@@ -155,7 +149,7 @@ def test_count_invariant_under_relabeling(wg, rng):
     assert count_automorphisms(wg.relabel(perm)) == count_automorphisms(wg)
 
 
-@given(_random_graph_strategy())
+@given(weighted_graphs(6))
 @settings(max_examples=40, deadline=None)
 def test_refinement_soundness(wg):
     # no verified automorphism maps across stable color classes
@@ -164,7 +158,7 @@ def test_refinement_soundness(wg):
         assert all(colors[perm[v]] == colors[v] for v in range(wg.n))
 
 
-@given(_random_graph_strategy())
+@given(weighted_graphs(6))
 @settings(max_examples=40, deadline=None)
 def test_orbits_agree_with_enumeration(wg):
     maps = enumerate_automorphisms(wg)

@@ -1,7 +1,12 @@
+import pytest
+
 from pga import (
     BOTH,
     CYCLIC_INTERVAL,
     GENERATOR_CLASS,
+    InternalCheckError,
+    MenPartition,
+    build_quotient,
     classify_men_class,
     reconstruct_order,
 )
@@ -35,8 +40,32 @@ def test_quotient_z6_shape():
     assert b.q.n_nodes == 3
     assert b.q.weights == (2, 2, 1)
     gen_node = 0  # class of the generators
-    assert b.q.closed_neighborhood(gen_node) == {0, 1, 2}
-    assert not b.q.adj[1, 2]
+    assert b.q.closed_mask(gen_node) == 0b111
+    assert not b.q.has_edge(1, 2)
+
+
+def _partition(classes):
+    class_of = {v: cid for cid, members in enumerate(classes) for v in members}
+    return MenPartition(
+        classes, tuple(class_of[v] for v in sorted(class_of)), tuple(map(len, classes))
+    )
+
+
+def test_quotient_rows_are_representative_rows_and_checked():
+    for spec in CORPUS:
+        b = bundle(spec)
+        for i, ci in enumerate(b.mp.classes):
+            for j, cj in enumerate(b.mp.classes):
+                if i != j:
+                    assert b.q.has_edge(i, j) == b.pg.has_edge(ci[0], cj[0]), spec
+    # Z(6): vertices 0, 4 are generators, 1, 3 have order 3, 2 is the involution
+    pg = bundle("Z(6)").pg
+    for classes in (
+        ((0, 1), (2, 3, 4)),  # 0 sees vertex 2, 1 does not
+        ((0, 3), (1, 2), (4,)),  # 1 sees vertex 3, 2 does not
+    ):
+        with pytest.raises(InternalCheckError, match="mixed cross adjacency"):
+            build_quotient(pg, _partition(classes))
 
 
 def test_quotient_single_node_for_complete_graph():
@@ -48,12 +77,12 @@ def test_quotient_q8_apex_pattern():
     b = bundle("Q8")
     assert sorted(b.q.weights) == [1, 2, 2, 2]
     apex = b.q.weights.index(1)
-    assert b.q.closed_neighborhood(apex) == set(range(4))
+    assert b.q.closed_mask(apex) == 0b1111
     others = [i for i in range(4) if i != apex]
     for i in others:
         for j in others:
             if i != j:
-                assert not b.q.adj[i, j]
+                assert not b.q.has_edge(i, j)
 
 
 def test_classify_generator_class_z6():
@@ -126,7 +155,7 @@ def test_closed_neighborhoods_equal_within_classes():
     for spec in CORPUS:
         b = bundle(spec)
         for members in b.mp.classes:
-            hoods = {b.pg.closed_neighborhood(v) for v in members}
+            hoods = {b.pg.closed_mask(v) for v in members}
             assert len(hoods) == 1
 
 
@@ -134,7 +163,7 @@ def test_classes_are_maximal():
     # vertices in different classes have different closed neighborhoods
     for spec in CORPUS:
         b = bundle(spec)
-        reps = [b.pg.closed_neighborhood(c[0]) for c in b.mp.classes]
+        reps = [b.pg.closed_mask(c[0]) for c in b.mp.classes]
         assert len(set(reps)) == len(reps)
 
 
@@ -148,13 +177,15 @@ def test_quotient_nodes_have_distinct_closed_neighborhoods():
     # re-partitioning the quotient by closed neighborhoods yields singletons
     for spec in CORPUS:
         q = bundle(spec).q
-        hoods = {q.closed_neighborhood(i) for i in range(q.n_nodes)}
+        hoods = {q.closed_mask(i) for i in range(q.n_nodes)}
         assert len(hoods) == q.n_nodes
 
 
 def test_quotient_wellformedness():
     for spec in CORPUS:
         q = bundle(spec).q
-        assert not q.adj.diagonal().any()
-        assert (q.adj == q.adj.T).all()
+        for i in range(q.n_nodes):
+            assert not q.has_edge(i, i)
+            for j in range(q.n_nodes):
+                assert q.has_edge(i, j) == q.has_edge(j, i)
         assert all(w >= 1 for w in q.weights)
