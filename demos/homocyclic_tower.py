@@ -8,7 +8,7 @@ wreath products (...(S_k_m wr ...) wr S_k_2) wr S_k_1.
 
 The generic engine rediscovers the tower with no formula in hand: it splits
 components, certifies them pairwise isomorphic with the oracle, wreathes by
-the multiplicity, strips dominating nodes, and recurses.
+the multiplicity, strips the nodes every automorphism fixes, and recurses.
 """
 
 from pga import (

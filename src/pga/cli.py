@@ -148,11 +148,9 @@ def cmd_export(spec: str, args: argparse.Namespace, caps: OracleCaps) -> tuple[i
     slug = _slug(report.spec)
     targets = args.dot if args.dot else ["power-graph", "quotient"]
     written = []
+    as_dict = report_to_json_dict(report)
     json_path = out_dir / f"{slug}.json"
-    json_path.write_text(
-        json.dumps(report_to_json_dict(report), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    json_path.write_text(json.dumps(as_dict, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     written.append(json_path)
     if "power-graph" in targets:
         p = out_dir / f"{slug}.power.dot"
@@ -163,7 +161,7 @@ def cmd_export(spec: str, args: argparse.Namespace, caps: OracleCaps) -> tuple[i
         p.write_text(quotient_dot(report.pipeline.q, report), encoding="utf-8")
         written.append(p)
     text = "".join(f"wrote {p}\n" for p in written)
-    return EXIT_OK, text, report_to_json_dict(report)
+    return EXIT_OK, text, as_dict
 
 
 # ---------------------------------------------------------------------------

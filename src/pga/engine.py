@@ -2,14 +2,23 @@
 
 The full automorphism group of a power graph splits over the MEN quotient: a
 quotient automorphism part times one symmetric group per class (elements of a
-class are interchangeable). The quotient part is computed recursively —
-connected components are grouped by weighted-graph isomorphism, each class
-contributes a wreath product by the symmetric group permuting its copies, and
-a component with a unique dominating node loses that node and recurses —
-with closed forms for cyclic, homocyclic and coprime-product groups
-dispatched from the spec structure. Every closed form is cross-checked
-against the generic recursion, and `verify` compares against the brute-force
-oracle.
+class are interchangeable). The quotient part is computed by one recursion on
+weighted graphs:
+
+  * connected components are grouped by weighted-graph isomorphism (certified
+    by the oracle); each group of m copies contributes the wreath product of
+    one copy's group by Sym(m);
+  * inside a component, every node alone in its cell of the stable colour
+    refinement is fixed by every automorphism (equitable-partition cells are
+    Aut-invariant). Those nodes are stripped, the rest are re-weighted by
+    (weight, adjacency to the stripped nodes), and the recursion goes on;
+  * only a component with no singleton cell is brute-forced by the oracle and
+    contributes a factor known by its order alone (`Opaque`).
+
+`analyze` classifies the spec once. Cyclic, homocyclic and coprime-product
+specs take a closed form for the quotient part, which is cross-checked
+against the generic recursion; every other spec takes the recursion. `verify`
+compares against the brute-force oracle.
 
 Each spec's pipeline (group, power graph, MEN partition and quotient) is
 built once, by `pipeline`, and passed to every route; the report carries it,
@@ -22,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -62,6 +72,7 @@ from .oracle import (
     connected_components,
     count_automorphisms,
     find_isomorphism,
+    stable_colors,
 )
 from .powergraph import PowerGraph, build_power_graph
 from .quotient import (
@@ -159,7 +170,8 @@ def aut_prime_power_cyclic(p: int, m: int) -> GroupExpr:
 
 def _homocyclic_parts(
     p: int, m: int, copies: int
-) -> tuple[GroupExpr, list[GroupExpr]]:
+) -> tuple[GroupExpr, list[int]]:
+    """The quotient's wreath tower and the class weights of Z(p**m)^copies."""
     n = copies
     r: list[int] = []
     for t in range(1, m + 1):
@@ -176,10 +188,10 @@ def _homocyclic_parts(
     nested: GroupExpr = Sym(k[m - 1])
     for i in range(m - 2, -1, -1):
         nested = Wreath(nested, Sym(k[i]))
-    factorial_part: list[GroupExpr] = []
+    weights: list[int] = []
     for t in range(1, m + 1):
-        factorial_part.extend([Sym(p**t - p ** (t - 1))] * r[t - 1])
-    return nested, factorial_part
+        weights.extend([p**t - p ** (t - 1)] * r[t - 1])
+    return nested, weights
 
 
 def aut_homocyclic_formula(p: int, m: int, copies: int) -> GroupExpr:
@@ -190,8 +202,8 @@ def aut_homocyclic_formula(p: int, m: int, copies: int) -> GroupExpr:
         raise ValueError("exponent must be positive")
     if copies < 2:
         raise ValueError("a homocyclic group has at least two factors")
-    nested, factorial_part = _homocyclic_parts(p, m, copies)
-    return Product((nested, *factorial_part), UNSPECIFIED_EXTENSION)
+    nested, weights = _homocyclic_parts(p, m, copies)
+    return Product((nested, *(Sym(w) for w in weights)), UNSPECIFIED_EXTENSION)
 
 
 # ---------------------------------------------------------------------------
@@ -222,19 +234,26 @@ def quotient_aut(wg: WeightedGraph, caps: OracleCaps | None = None) -> GroupExpr
 
 
 def _component_aut(cg: WeightedGraph, caps: OracleCaps) -> GroupExpr:
-    if cg.n == 1:
+    colors = stable_colors(cg)
+    cell_size = Counter(colors)
+    fixed = [v for v in range(cg.n) if cell_size[colors[v]] == 1]
+    if not fixed:
+        try:
+            return Opaque(count_automorphisms(cg, caps))
+        except CapExceeded as exc:
+            raise CapExceeded(
+                f"order-only unavailable: a {cg.n}-node component needs brute force ({exc})"
+            ) from exc
+    rest = [v for v in range(cg.n) if cell_size[colors[v]] > 1]
+    if not rest:
         return Trivial()
-    full = (1 << cg.n) - 1
-    dominating = [v for v in range(cg.n) if cg.closed_mask(v) == full]
-    if len(dominating) == 1:
-        # the unique dominating node is fixed by every automorphism
-        return quotient_aut(cg.without(dominating[0]), caps)
-    try:
-        return Opaque(count_automorphisms(cg, caps))
-    except CapExceeded as exc:
-        raise CapExceeded(
-            f"order-only unavailable: a {cg.n}-node component needs brute force ({exc})"
-        ) from exc
+    # every automorphism fixes the singleton cells, so it maps each remaining
+    # node to one with the same weight and the same fixed neighbours
+    fixed_mask = sum(1 << v for v in fixed)
+    keys = [(cg.weights[v], cg.adj[v] & fixed_mask) for v in rest]
+    rank = {k: i for i, k in enumerate(sorted(set(keys)), start=1)}
+    sub = cg.subgraph(rest)
+    return quotient_aut(WeightedGraph(sub.n, sub.edges(), [rank[k] for k in keys]), caps)
 
 
 # ---------------------------------------------------------------------------
@@ -260,21 +279,22 @@ def _summarize_classes(p: Pipeline) -> tuple[ClassSummary, ...]:
 
 
 def _make_report(
-    p: Pipeline,
-    full_expr: GroupExpr,
-    quotient_expr: GroupExpr,
-    method: str,
-    notes: Sequence[str],
+    p: Pipeline, quotient_expr: GroupExpr, method: str, notes: Sequence[str]
 ) -> AutReport:
-    expression = expr_normalize(full_expr)
+    """The quotient part times one symmetric group per class, checked and summarized."""
+    qe = expr_normalize(quotient_expr)
+    # with a trivial quotient part every automorphism fixes every class
+    splitting = DIRECT if isinstance(qe, Trivial) else UNSPECIFIED_EXTENSION
+    full = Product((qe, *(Sym(w) for w in p.mp.weights)), splitting)
+    expression = expr_normalize(full)
     order = expr_order(expression)
-    if order != expr_order(full_expr):
+    if order != expr_order(full):
         raise InternalCheckError("normalization changed the expression order")
     factorial_part = math.prod(math.factorial(w) for w in p.mp.weights)
-    if order != expr_order(quotient_expr) * factorial_part:
+    if order != expr_order(qe) * factorial_part:
         raise InternalCheckError(
             f"order {order} does not factor as quotient part "
-            f"{expr_order(quotient_expr)} times class factorials {factorial_part}"
+            f"{expr_order(qe)} times class factorials {factorial_part}"
         )
     return AutReport(
         spec=p.g.description,
@@ -283,7 +303,7 @@ def _make_report(
         classes=_summarize_classes(p),
         quotient_nodes=p.q.n_nodes,
         quotient_edges=p.q.edge_count,
-        quotient_expr=expr_normalize(quotient_expr),
+        quotient_expr=qe,
         expression=expression,
         expression_str=render_expr(expression),
         order=order,
@@ -316,107 +336,10 @@ def _cross_check(
     )
 
 
-def aut_full(
-    p: Pipeline,
-    caps: OracleCaps | None = None,
-    *,
-    method: str = METHOD_GENERIC,
-    quotient_expr: GroupExpr | None = None,
-    notes: Sequence[str] = (),
-) -> AutReport:
-    """Quotient automorphisms times one symmetric group per class."""
-    caps = caps or OracleCaps()
-    qe = quotient_expr if quotient_expr is not None else quotient_aut(p.q, caps)
-    full = Product((qe, *(Sym(w) for w in p.mp.weights)), UNSPECIFIED_EXTENSION)
-    return _make_report(p, full, qe, method, notes)
-
-
-# ---------------------------------------------------------------------------
-# dispatched analyses
-
-
-def aut_abelian(
-    p: Pipeline, invariants: Sequence[int], caps: OracleCaps | None = None
-) -> AutReport:
-    """Dispatch an abelian group given as a product of cyclic factors."""
-    caps = caps or OracleCaps()
-    g, mp = p.g, p.mp
-    if not g.is_abelian:
-        raise ValueError("group is not abelian")
-    invariants = [int(d) for d in invariants if int(d) > 1]
-    if math.prod(invariants, start=1) != g.size:
-        raise ValueError("invariant factors do not multiply to the group order")
-    notes: list[str] = []
-
-    if len(invariants) == 1:
-        n = invariants[0]
-        pp = is_prime_power(n)
-        if pp is not None:
-            full: GroupExpr = aut_prime_power_cyclic(*pp)
-            method = METHOD_COMPLETE
-            expected_weights = [n - 1]
-        else:
-            full = aut_cyclic_formula(n)
-            method = METHOD_CYCLIC
-            expected_weights = [totient(d) for d in divisors(n) if d > 1]
-        if sorted(mp.weights) != sorted(expected_weights):
-            raise InternalCheckError(
-                f"class weights {sorted(mp.weights)} do not match the cyclic "
-                f"closed form {sorted(expected_weights)}"
-            )
-        _cross_check(p, caps, 1, notes)
-        return _make_report(p, full, Trivial(), method, notes)
-
-    common = set(invariants)
-    primes = {prime for d in invariants for prime in factorize(d)}
-    if len(common) == 1 and is_prime_power(invariants[0]) is not None:
-        prime, m = is_prime_power(invariants[0])  # type: ignore[misc]
-        nested, factorial_part = _homocyclic_parts(prime, m, len(invariants))
-        expected = sorted(s.n for s in factorial_part if isinstance(s, Sym))
-        if sorted(mp.weights) != expected:
-            raise InternalCheckError(
-                f"class weights {sorted(mp.weights)} do not match the homocyclic "
-                f"closed form {expected}"
-            )
-        _cross_check(p, caps, expr_order(nested), notes)
-        full = Product((nested, *factorial_part), UNSPECIFIED_EXTENSION)
-        return _make_report(p, full, expr_normalize(nested), METHOD_HOMOCYCLIC, notes)
-    if len(primes) == 1:
-        # non-cyclic, non-homocyclic p-group: recursive decomposition
-        return aut_full(p, caps)
-    # two or more primes, so the coprime split always exists
-    sylows = _sylow_leaf_specs(AbelianSpec(tuple(invariants))) or []
-    return aut_nilpotent(p, [realize(spec) for spec in sylows], caps)
-
-
-def aut_nilpotent(
-    p: Pipeline,
-    sylow_decomposition: Sequence[FiniteGroup],
-    caps: OracleCaps | None = None,
-) -> AutReport:
-    """Coprime direct product: the quotient part multiplies over the factors.
-
-    Each factor contributes the quotient automorphisms of its own power graph,
-    from a pipeline built for that factor; the symmetric factorial part still
-    comes from the whole group's classes.
-    """
-    caps = caps or OracleCaps()
-    factors = [f for f in sylow_decomposition if f.size > 1]
-    if len(factors) < 2:
-        raise ValueError("need at least two nontrivial coprime factors")
-    for i, a in enumerate(factors):
-        for b in factors[i + 1 :]:
-            if math.gcd(a.size, b.size) != 1:
-                raise ValueError(
-                    f"factor orders {a.size} and {b.size} are not coprime"
-                )
-    if math.prod(f.size for f in factors) != p.g.size:
-        raise ValueError("factor orders do not multiply to the group order")
-    parts = tuple(quotient_aut(pipeline(f).q, caps) for f in factors)
-    qe = expr_normalize(Product(parts, DIRECT))
-    notes: list[str] = []
-    _cross_check(p, caps, expr_order(qe), notes)
-    return aut_full(p, caps, method=METHOD_COPRIME, quotient_expr=qe, notes=notes)
+def aut_full(p: Pipeline, caps: OracleCaps | None = None) -> AutReport:
+    """Quotient automorphisms from the generic recursion times one symmetric
+    group per class."""
+    return _make_report(p, quotient_aut(p.q, caps), METHOD_GENERIC, ())
 
 
 # ---------------------------------------------------------------------------
@@ -431,13 +354,6 @@ def _leaf_specs(spec: GroupSpec) -> list[GroupSpec]:
     if isinstance(spec, HomocyclicSpec):
         return [CyclicSpec(spec.q)] * spec.copies
     return [spec]
-
-
-def _cyclic_leaf_orders(spec: GroupSpec) -> list[int] | None:
-    leaves = _leaf_specs(spec)
-    if all(isinstance(leaf, CyclicSpec) for leaf in leaves):
-        return [leaf.n for leaf in leaves]  # type: ignore[union-attr]
-    return None
 
 
 def _sylow_leaf_specs(spec: GroupSpec) -> list[GroupSpec] | None:
@@ -470,24 +386,56 @@ def _sylow_leaf_specs(spec: GroupSpec) -> list[GroupSpec] | None:
     return out
 
 
+def _closed_form(
+    gspec: GroupSpec, caps: OracleCaps, max_order: int
+) -> tuple[str, GroupExpr, list[int] | None] | None:
+    """The closed-form route for a spec: (method, quotient part, predicted
+    class weights, or None where the form predicts none), or None when only
+    the generic recursion applies."""
+    leaves = _leaf_specs(gspec)
+    if all(isinstance(leaf, CyclicSpec) for leaf in leaves):
+        orders = [leaf.n for leaf in leaves if leaf.n > 1]  # type: ignore[union-attr]
+        n = orders[0]
+        pp = is_prime_power(n)
+        if len(orders) == 1 and pp is not None:
+            return METHOD_COMPLETE, Trivial(), [n - 1]
+        if len(orders) == 1:
+            return METHOD_CYCLIC, Trivial(), [totient(d) for d in divisors(n) if d > 1]
+        if len(set(orders)) == 1 and pp is not None:
+            nested, weights = _homocyclic_parts(*pp, len(orders))
+            return METHOD_HOMOCYCLIC, nested, weights
+    sylows = _sylow_leaf_specs(gspec)
+    if sylows is None:
+        return None
+    # the quotient part multiplies over the coprime factors, each from its own pipeline
+    parts = tuple(quotient_aut(pipeline(realize(s, max_order=max_order)).q, caps) for s in sylows)
+    return METHOD_COPRIME, Product(parts, DIRECT), None
+
+
 def analyze(
     spec: GroupSpec | str,
     caps: OracleCaps | None = None,
     max_order: int = DEFAULT_MAX_ORDER,
 ) -> AutReport:
-    """Full structural analysis of the power graph of the group a spec names."""
+    """Full structural analysis of the power graph of the group a spec names.
+
+    A spec with a closed form takes it and has it cross-checked against the
+    generic recursion; every other spec gets the generic recursion."""
     gspec = parse_group_spec(spec) if isinstance(spec, str) else spec
     caps = caps or OracleCaps()
     p = pipeline(realize(gspec, max_order=max_order))
-    cyclic_orders = _cyclic_leaf_orders(gspec)
-    if cyclic_orders is not None:
-        return aut_abelian(p, cyclic_orders, caps)
-    sylows = _sylow_leaf_specs(gspec)
-    if sylows is not None:
-        return aut_nilpotent(
-            p, [realize(s, max_order=max_order) for s in sylows], caps
+    closed = _closed_form(gspec, caps, max_order)
+    if closed is None:
+        return aut_full(p, caps)
+    method, quotient_expr, weights = closed
+    if weights is not None and sorted(p.mp.weights) != sorted(weights):
+        raise InternalCheckError(
+            f"class weights {sorted(p.mp.weights)} do not match the {method} "
+            f"closed form {sorted(weights)}"
         )
-    return aut_full(p, caps)
+    notes: list[str] = []
+    _cross_check(p, caps, expr_order(quotient_expr), notes)
+    return _make_report(p, quotient_expr, method, notes)
 
 
 def verify(

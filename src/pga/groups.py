@@ -426,28 +426,26 @@ def _cycle_label(p: tuple[int, ...]) -> str:
 
 
 def _symmetric_group(n: int) -> FiniteGroup:
-    perms = list(permutations(range(n)))  # lexicographic; identity first
-    index = {p: i for i, p in enumerate(perms)}
-    size = len(perms)
-    table = np.zeros((size, size), dtype=np.int32)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            table[i, j] = index[tuple(p[q[x]] for x in range(n))]
-    labels = tuple(_cycle_label(p) for p in perms)
+    perm_list = list(permutations(range(n)))  # lexicographic; identity first
+    perms = np.array(perm_list, dtype=np.int64).reshape(len(perm_list), n)
+    # base-n codes increase with the lexicographic order, so a code's rank is
+    # its element index; perms[:, perms][i, j] is the composition p_i(p_j(x))
+    place = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    table = np.searchsorted(perms @ place, perms[:, perms] @ place)
+    labels = tuple(_cycle_label(p) for p in perm_list)
     return FiniteGroup(table, labels, f"Sym({n})")
 
 
 def _dihedral_group(n: int) -> FiniteGroup:
     # element (f, a) = s^f r^a at index f*n + a; r^a s = s r^(-a)
-    size = 2 * n
-    table = np.zeros((size, size), dtype=np.int32)
+    idx = np.arange(n, dtype=np.int32)
+    table = np.empty((2 * n, 2 * n), dtype=np.int32)
     for f1 in range(2):
-        for a1 in range(n):
-            for f2 in range(2):
-                for a2 in range(n):
-                    f = f1 ^ f2
-                    a = (a2 + (a1 if f2 == 0 else -a1)) % n
-                    table[f1 * n + a1, f2 * n + a2] = f * n + a
+        for f2 in range(2):
+            # rows a1, columns a2: the product is s^(f1^f2) r^(a2 +- a1)
+            a1 = idx[:, None] if f2 == 0 else -idx[:, None]
+            block = (idx[None, :] + a1) % n + (f1 ^ f2) * n
+            table[f1 * n : (f1 + 1) * n, f2 * n : (f2 + 1) * n] = block
     labels = []
     for f in range(2):
         for a in range(n):

@@ -117,9 +117,6 @@ class WeightedGraph:
         ]
         return WeightedGraph(len(nodes), edges, [self.weights[v] for v in nodes])
 
-    def without(self, node: int) -> "WeightedGraph":
-        return self.subgraph([v for v in range(self.n) if v != node])
-
     def relabel(self, perm: Sequence[int]) -> "WeightedGraph":
         """New graph with node i renamed to perm[i]."""
         if sorted(perm) != list(range(self.n)):
@@ -183,7 +180,11 @@ def _refine(wg: WeightedGraph, colors: list[int]) -> list[int]:
         count = len(rank)
 
 
-def _stable_colors(wg: WeightedGraph) -> list[int]:
+def stable_colors(wg: WeightedGraph) -> list[int]:
+    """Colour refinement from (weight, degree) to a stable partition.
+
+    Every automorphism maps each colour cell onto itself, so a node alone in
+    its cell is fixed by all of them."""
     return _refine(wg, _initial_colors(wg))
 
 
@@ -314,7 +315,7 @@ def count_automorphisms(wg: WeightedGraph, caps: OracleCaps | None = None) -> in
     caps = caps or _DEFAULT_CAPS
     if wg.n > caps.max_nodes:
         raise CapExceeded(f"graph has {wg.n} nodes, above the cap of {caps.max_nodes}")
-    return _aut_order(wg, _stable_colors(wg), None)
+    return _aut_order(wg, stable_colors(wg), None)
 
 
 def enumerate_automorphisms(
@@ -328,7 +329,7 @@ def enumerate_automorphisms(
             f"{total} automorphisms exceed the enumeration cap of {caps.max_count}"
         )
     n = wg.n
-    colors = _stable_colors(wg)
+    colors = stable_colors(wg)
     masks = _color_masks(colors)
     base = [masks[colors[v]] for v in range(n)]
     mapping = [-1] * n
@@ -382,7 +383,7 @@ def find_isomorphism(
         a.edges() + [(u + a.n, v + a.n) for u, v in b.edges()],
         a.weights + b.weights,
     )
-    colors = _stable_colors(union)
+    colors = stable_colors(union)
     b_masks: dict[int, int] = {}
     counts: dict[int, int] = {}
     for v in range(a.n):
@@ -421,7 +422,7 @@ def vertex_orbits(wg: WeightedGraph, caps: OracleCaps | None = None) -> list[lis
     if wg.n > caps.max_nodes:
         raise CapExceeded(f"graph has {wg.n} nodes, above the cap of {caps.max_nodes}")
     witnesses: list[tuple[int, ...]] = []
-    _aut_order(wg, _stable_colors(wg), witnesses)
+    _aut_order(wg, stable_colors(wg), witnesses)
     parent = list(range(wg.n))
 
     def find(x: int) -> int:

@@ -43,7 +43,7 @@ def test_criterion_01_cyclic_non_prime_power_oracle_equality():
     for n in (6, 10, 12, 15, 18, 20):
         spec = f"Z({n})"
         structural = report(spec).order
-        oracle = count_automorphisms(bundle(spec).pg.to_weighted_graph())
+        oracle = count_automorphisms(bundle(spec).pg)
         assert structural == oracle == EXPECTED_ORDER[spec], spec
         checked.append(f"{spec}={structural}")
     elapsed = time.perf_counter() - start
@@ -56,7 +56,7 @@ def test_criterion_02_cyclic_prime_powers_complete_graphs():
         r = report(spec)
         assert r.expression == Sym(n - 1)
         assert r.order == math.factorial(n - 1) == EXPECTED_ORDER[spec]
-        oracle = count_automorphisms(bundle(spec).pg.to_weighted_graph())
+        oracle = count_automorphisms(bundle(spec).pg)
         assert oracle == r.order, spec
     elapsed = time.perf_counter() - start
     _report_line(2, elapsed < 5.0, f"Z(4)=6 Z(8)=5040 Z(9)=40320 ({elapsed:.2f}s < 5s)")
@@ -66,7 +66,7 @@ def test_criterion_03_homocyclic_formula_oracle_equality_and_shape():
     start = time.perf_counter()
     for spec in ("Z(2)^2", "Z(3)^2", "Z(2)^3", "Z(4)^2"):
         structural = report(spec).order
-        oracle = count_automorphisms(bundle(spec).pg.to_weighted_graph())
+        oracle = count_automorphisms(bundle(spec).pg)
         assert structural == oracle == EXPECTED_ORDER[spec], spec
     # emitted expression for Z(4)^2 must instantiate the template with
     # r_1 = 3, r_2 = 6, k_2 = 2: the wreath tower plus S1^3 and S2^6
@@ -94,14 +94,14 @@ def test_criterion_04_quotient_times_factorials_for_all_corpus_groups():
     for spec in CORPUS:
         b = bundle(spec)
         r = report(spec)
-        quotient_oracle = count_automorphisms(b.q.to_weighted_graph())
+        quotient_oracle = count_automorphisms(b.q)
         factorial_part = math.prod(math.factorial(w) for w in b.mp.weights)
         assert r.order == quotient_oracle * factorial_part, spec
         feasible = (
             b.pg.n_vertices <= FULL_ORACLE_NODE_CAP and r.order <= FULL_ORACLE_COUNT_CAP
         )
         if feasible:
-            assert r.order == count_automorphisms(b.pg.to_weighted_graph()), spec
+            assert r.order == count_automorphisms(b.pg), spec
             full_checked += 1
     elapsed = time.perf_counter() - start
     _report_line(
@@ -115,7 +115,7 @@ def test_criterion_04_quotient_times_factorials_for_all_corpus_groups():
 def test_criterion_05_nonabelian_sanity():
     for spec, want in (("Sym(3)", 12), ("Dih(4)", 144), ("Q8", 48)):
         r = report(spec)
-        oracle = count_automorphisms(bundle(spec).pg.to_weighted_graph())
+        oracle = count_automorphisms(bundle(spec).pg)
         assert r.order == oracle == want, spec
     _report_line(5, True, "Sym(3)=12 Dih(4)=144 Q8=48, all oracle-confirmed")
 
@@ -123,7 +123,7 @@ def test_criterion_05_nonabelian_sanity():
 def test_criterion_06_coprime_product_route():
     r = report("P(Q8,Z(3))")
     quotient_structural = expr_order(r.quotient_expr)
-    quotient_oracle = count_automorphisms(bundle("P(Q8,Z(3))").q.to_weighted_graph())
+    quotient_oracle = count_automorphisms(bundle("P(Q8,Z(3))").q)
     assert r.method == "coprime-factors"
     assert quotient_structural == quotient_oracle == 6
     via_product = report("P(Z(4),Z(3))")
@@ -200,7 +200,7 @@ def test_criterion_09_order_reconstruction():
 def test_criterion_10_quotient_orbits_transitive_on_equal_orders():
     for spec in ("Z(2)^2", "Z(3)^2", "Z(2)^3", "Z(4)^2"):
         b = bundle(spec)
-        orbits = vertex_orbits(b.q.to_weighted_graph())
+        orbits = vertex_orbits(b.q)
         by_order = {}
         for node, members in enumerate(b.q.members):
             order = max(b.g.element_order(v + 1) for v in members)
@@ -213,7 +213,7 @@ def test_criterion_11_oracle_self_consistency():
     rng = random.Random(20240811)
     for spec in CORPUS:
         b = bundle(spec)
-        for wg in (b.pg.to_weighted_graph(), b.q.to_weighted_graph()):
+        for wg in (b.pg, b.q):
             base = count_automorphisms(wg)
             for _ in range(3):
                 perm = list(range(wg.n))

@@ -5,17 +5,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 from pga import (
     CapExceeded,
+    Opaque,
     OracleCaps,
     Product,
     Sym,
     Trivial,
     Wreath,
     analyze,
-    aut_abelian,
     aut_cyclic_formula,
     aut_full,
     aut_homocyclic_formula,
-    aut_nilpotent,
     aut_prime_power_cyclic,
     build_power_graph,
     count_automorphisms,
@@ -70,17 +69,17 @@ def test_homocyclic_formula_structure():
 
 def test_quotient_aut_z4_squared_is_wreath():
     q = bundle("Z(4)^2").q
-    e = quotient_aut(q.to_weighted_graph())
+    e = quotient_aut(q)
     assert e == Wreath(Sym(2), Sym(3))
     assert expr_order(e) == 48
 
 
 def test_quotient_aut_single_node_trivial():
-    assert quotient_aut(bundle("Z(4)").q.to_weighted_graph()) == Trivial()
+    assert quotient_aut(bundle("Z(4)").q) == Trivial()
 
 
 def test_quotient_aut_q8_is_sym3():
-    assert quotient_aut(bundle("Q8").q.to_weighted_graph()) == Sym(3)
+    assert quotient_aut(bundle("Q8").q) == Sym(3)
 
 
 @given(weighted_graphs(9))
@@ -99,8 +98,8 @@ def test_aut_full_examples():
 
 
 def test_aut_nilpotent_z12_agrees_with_cyclic_formula():
-    r = aut_nilpotent(bundle("P(Z(4),Z(3))"), [realize("Z(4)"), realize("Z(3)")])
-    assert r.order == 192
+    r = report("P(Z(4),Z(3))")
+    assert r.order == 192 == expr_order(aut_cyclic_formula(12))
     assert r.method == "coprime-factors"
 
 
@@ -111,28 +110,15 @@ def test_aut_nilpotent_q8_z3():
     assert r.method == "coprime-factors"
 
 
-def test_aut_nilpotent_guards():
-    with pytest.raises(ValueError, match="two nontrivial"):
-        aut_nilpotent(bundle("Ab[2,2]"), [realize("Ab[2,2]")])
-    with pytest.raises(ValueError, match="coprime"):
-        aut_nilpotent(bundle("Ab[2,4]"), [realize("Z(2)"), realize("Z(4)")])
-    with pytest.raises(ValueError, match="multiply"):
-        aut_nilpotent(bundle("Q8"), [realize("Z(2)"), realize("Z(3)")])
-
-
 def test_aut_abelian_dispatch():
-    assert aut_abelian(bundle("Ab[2,4]"), [2, 4]).order == 16
-    homo = aut_abelian(bundle("Ab[3,3]"), [3, 3])
+    assert report("Ab[2,4]").order == 16
+    assert report("Ab[2,4]").method == "quotient-recursion"
+    homo = report("Ab[3,3]")
     assert homo.order == 384
     assert homo.order == expr_order(aut_homocyclic_formula(3, 1, 2))
-    assert aut_abelian(bundle("Ab[2,3]"), [2, 3]).order == 4
-
-
-def test_aut_abelian_guards():
-    with pytest.raises(ValueError, match="abelian"):
-        aut_abelian(bundle("Q8"), [8])
-    with pytest.raises(ValueError, match="multiply"):
-        aut_abelian(bundle("Ab[2,2]"), [2])
+    assert homo.method == "homocyclic-wreath"
+    assert report("Ab[2,3]").order == 4
+    assert report("Ab[2,3]").method == "coprime-factors"
 
 
 def test_analyze_method_dispatch():
@@ -151,14 +137,34 @@ def test_analyze_orders_match_frozen_values():
 
 
 def test_closed_forms_agree_with_generic_recursion():
-    # the engine cross-checks internally; re-check explicitly here
+    # the engine cross-checks orders internally; here the expressions must agree too
     for spec in CORPUS:
         b = bundle(spec)
         r = report(spec)
-        generic = quotient_aut(b.q.to_weighted_graph())
+        generic = quotient_aut(b.q)
         factorial_part = math.prod(math.factorial(w) for w in b.mp.weights)
         assert expr_order(generic) * factorial_part == r.order, spec
-        assert expr_order(generic) == expr_order(r.quotient_expr), spec
+        assert generic == r.quotient_expr, spec
+
+
+@pytest.mark.parametrize(
+    "spec, expression, opaque",
+    [
+        # a 133-node quotient component without a unique dominating node
+        ("P(Sym(5),Z(7))", None, []),
+        ("P(Sym(3),Sym(3))", "(S3 wr S2) x S9 x S2^11", []),
+        # one component has no singleton cell, so it stays brute-forced
+        ("P(Sym(4),Sym(3))", None, [Opaque(144)]),
+    ],
+)
+def test_fixed_node_splitting_answers_products(spec, expression, opaque):
+    r = analyze(spec)
+    assert r.method == "quotient-recursion"
+    if expression is not None:
+        assert r.expression_str == expression
+    assert [f for f in r.expression.factors if isinstance(f, Opaque)] == opaque
+    q = r.pipeline.q
+    assert expr_order(r.quotient_expr) == count_automorphisms(q, OracleCaps(max_nodes=q.n_nodes))
 
 
 def test_cross_check_note_present_for_closed_forms():
@@ -240,7 +246,7 @@ def test_homocyclic_tower_quotient_against_oracle():
         expr_normalize(Wreath(Wreath(Sym(2), Sym(2)), Sym(3)))
     )
     b = bundle("Z(8)^2")
-    assert count_automorphisms(b.q.to_weighted_graph()) == expr_order(r.quotient_expr)
+    assert count_automorphisms(b.q) == expr_order(r.quotient_expr)
 
 
 def test_analyze_accepts_parsed_specs():
@@ -260,7 +266,7 @@ def test_random_abelian_groups_match_oracle(invariants):
     r = analyze(spec)
     if r.order <= 200_000:
         pg = build_power_graph(realize(spec))
-        assert count_automorphisms(pg.to_weighted_graph()) == r.order
+        assert count_automorphisms(pg) == r.order
 
 
 def test_sweep_small_groups_against_oracle():
@@ -280,4 +286,4 @@ def test_sweep_small_groups_against_oracle():
     for spec in specs:
         r = analyze(spec)
         pg = build_power_graph(realize(spec))
-        assert count_automorphisms(pg.to_weighted_graph()) == r.order, spec
+        assert count_automorphisms(pg) == r.order, spec

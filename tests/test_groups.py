@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -207,6 +209,35 @@ def test_symmetric_group_realization():
     assert not s4.is_abelian
     with pytest.raises(SpecError):
         realize("Sym(6)")
+
+
+def _loop_symmetric_table(n):
+    perms = list(permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(p[q[x]] for x in range(n))] for q in perms] for p in perms]
+
+
+def _loop_dihedral_table(n):
+    # s^f1 r^a1 * s^f2 r^a2 = s^(f1^f2) r^(a2 +- a1), index f*n + a
+    return [
+        [(f1 ^ f2) * n + (a2 + (a1 if f2 == 0 else -a1)) % n for f2 in range(2) for a2 in range(n)]
+        for f1 in range(2)
+        for a1 in range(n)
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_symmetric_table_matches_loop_reference(n):
+    g = realize(f"Sym({n})")
+    assert g.table.dtype == np.int32
+    assert g.table.tolist() == _loop_symmetric_table(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 12, 50])
+def test_dihedral_table_matches_loop_reference(n):
+    g = realize(f"Dih({n})")
+    assert g.table.dtype == np.int32
+    assert g.table.tolist() == _loop_dihedral_table(n)
 
 
 def test_arithmetic_helpers():

@@ -10,9 +10,9 @@ from pga import (
     count_automorphisms,
     enumerate_automorphisms,
     find_isomorphism,
+    stable_colors,
     vertex_orbits,
 )
-from pga.oracle import _stable_colors
 
 from _support import bundle, naive_count, weighted_graphs
 
@@ -34,7 +34,7 @@ def test_empty_seven_has_factorial_count():
 
 
 def test_power_graph_z4_squared_count():
-    wg = bundle("Z(4)^2").pg.to_weighted_graph()
+    wg = bundle("Z(4)^2").pg
     assert count_automorphisms(wg) == 3072
 
 
@@ -48,7 +48,7 @@ def test_enumerate_single_node():
 
 
 def test_enumerate_power_graph_sym3():
-    wg = bundle("Sym(3)").pg.to_weighted_graph()
+    wg = bundle("Sym(3)").pg
     maps = enumerate_automorphisms(wg)
     assert len(maps) == 12
 
@@ -78,8 +78,7 @@ def test_isomorphism_witness_is_valid():
 
 
 def test_quotient_components_of_z4_squared_pairwise_isomorphic():
-    q = bundle("Z(4)^2").q
-    wg = q.to_weighted_graph()
+    wg = bundle("Z(4)^2").q
     comps = [wg.subgraph(c) for c in connected_components(wg)]
     assert len(comps) == 3
     for a in comps:
@@ -91,7 +90,7 @@ def test_vertex_orbits_examples():
     assert vertex_orbits(empty(4)) == [[0, 1, 2, 3]]
     assert vertex_orbits(K(2, (1, 2))) == [[0], [1]]
     q = bundle("Z(4)^2").q
-    orbits = vertex_orbits(q.to_weighted_graph())
+    orbits = vertex_orbits(q)
     by_weight = {1: [], 2: []}
     for i, w in enumerate(q.weights):
         by_weight[w].append(i)
@@ -153,7 +152,7 @@ def test_count_invariant_under_relabeling(wg, rng):
 @settings(max_examples=40, deadline=None)
 def test_refinement_soundness(wg):
     # no verified automorphism maps across stable color classes
-    colors = _stable_colors(wg)
+    colors = stable_colors(wg)
     for perm in enumerate_automorphisms(wg):
         assert all(colors[perm[v]] == colors[v] for v in range(wg.n))
 

@@ -113,6 +113,9 @@ def test_cyclic_prime_power_complete():
 
 
 def test_to_weighted_graph_round_trip():
+    """`to_weighted_graph()` returns the graph itself; it stays, with this test,
+    only because the benchmark's reference generator (`perfbench/freeze.py`)
+    still calls it."""
     pg = bundle("Q8").pg
     wg = pg.to_weighted_graph()
     assert wg.n == pg.n_vertices
