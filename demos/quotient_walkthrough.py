@@ -28,7 +28,7 @@ for v in range(pg.n_vertices):
 mp = men_partition(pg)
 print("\nclasses with one shared closed neighborhood each:")
 for members in mp.classes:
-    record = classify_men_class(g, pg, members)
+    record = classify_men_class(g, members)
     names = ", ".join(g.labels[v + 1] for v in members)
     print(f"  {{{names}}}  ({record.kind})")
 

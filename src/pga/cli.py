@@ -227,6 +227,9 @@ def run(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
+    except UnicodeDecodeError as exc:
+        print(f"error: corpus file {args.corpus} is not UTF-8 text ({exc})", file=sys.stderr)
+        return EXIT_SPEC_ERROR
     worst = EXIT_OK
     texts: list[str] = []
     dicts: list[dict] = []

@@ -20,11 +20,10 @@ specs take a closed form for the quotient part, which is cross-checked
 against the generic recursion; every other spec takes the recursion. `verify`
 compares against the brute-force oracle.
 
-Each spec's pipeline (group, power graph, MEN partition and quotient) is
-built once, by `pipeline`, and passed to every route; the report carries it,
-so `verify` and the CLI export reuse it instead of rebuilding it. The power
-graph and the quotient are both `WeightedGraph`s, so the recursion and the
-oracle read them as they are.
+Each spec's pipeline is built once, by `pipeline`, and passed to every route;
+the report carries it, so `verify` and the CLI export reuse it. Its MEN
+partition and quotient come from the graph of cyclic subgroups; the power
+graph is built on first use of `Pipeline.pg` and must give the same partition.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ import dataclasses
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from .errors import InternalCheckError
@@ -74,7 +74,7 @@ from .oracle import (
     find_isomorphism,
     stable_colors,
 )
-from .powergraph import PowerGraph, build_power_graph
+from .powergraph import PowerGraph, build_power_graph, cyclic_subgroup_graph
 from .quotient import (
     MenPartition,
     QuotientGraph,
@@ -95,22 +95,28 @@ class Pipeline:
     """One group and everything derived from it that the engine reads."""
 
     g: FiniteGroup
-    pg: PowerGraph
     mp: MenPartition
     q: QuotientGraph
 
+    @cached_property
+    def pg(self) -> PowerGraph:
+        """The power graph, built on first use; its MEN partition must be `mp`."""
+        pg = build_power_graph(self.g)
+        if men_partition(pg) != self.mp:
+            raise InternalCheckError("power-graph and cyclic-subgroup MEN partitions differ")
+        return pg
+
 
 def pipeline(g: FiniteGroup) -> Pipeline:
-    """Power graph, MEN partition and weighted quotient of a group, built once."""
-    pg = build_power_graph(g)
-    mp = men_partition(pg)
-    return Pipeline(g, pg, mp, build_quotient(pg, mp))
+    """MEN partition and weighted quotient of a group, from its cyclic subgroups."""
+    sg = cyclic_subgroup_graph(g)
+    q = build_quotient(sg, men_partition(sg))
+    return Pipeline(g, MenPartition.of(q.members, q.weights), q)
 
 
 @dataclass(frozen=True)
 class ClassSummary:
     members: tuple[str, ...]  # element labels, ascending element id
-    member_elements: tuple[int, ...]
     weight: int
     element_order: int  # largest order over the class
     kind: str
@@ -262,20 +268,15 @@ def _component_aut(cg: WeightedGraph, caps: OracleCaps) -> GroupExpr:
 
 def _summarize_classes(p: Pipeline) -> tuple[ClassSummary, ...]:
     g = p.g
-    out = []
-    for members in p.mp.classes:
-        elements = tuple(v + 1 for v in members)
-        record = classify_men_class(g, p.pg, members)
-        out.append(
-            ClassSummary(
-                members=tuple(g.labels[e] for e in elements),
-                member_elements=elements,
-                weight=len(members),
-                element_order=max(g.element_order(e) for e in elements),
-                kind=record.kind,
-            )
+    return tuple(
+        ClassSummary(
+            members=tuple(g.labels[v + 1] for v in members),
+            weight=len(members),
+            element_order=max(g.element_order(v + 1) for v in members),
+            kind=classify_men_class(g, members).kind,
         )
-    return tuple(out)
+        for members in p.mp.classes
+    )
 
 
 def _make_report(
@@ -299,7 +300,7 @@ def _make_report(
     return AutReport(
         spec=p.g.description,
         group_order=p.g.size,
-        vertex_count=p.pg.n_vertices,
+        vertex_count=p.g.size - 1,
         classes=_summarize_classes(p),
         quotient_nodes=p.q.n_nodes,
         quotient_edges=p.q.edge_count,
@@ -454,18 +455,16 @@ def verify(
     """
     caps = caps or OracleCaps()
     report = analyze(spec, caps, max_order)
-    pg, q = report.pipeline.pg, report.pipeline.q
-    if pg.n_vertices <= caps.max_nodes and report.order <= caps.max_count:
-        oracle_order = count_automorphisms(pg, caps)
+    n, q = report.vertex_count, report.pipeline.q
+    if n <= caps.max_nodes and report.order <= caps.max_count:
+        oracle_order = count_automorphisms(report.pipeline.pg, caps)
         status = "full-verified" if oracle_order == report.order else "mismatch"
-        detail = f"full power graph on {pg.n_vertices} vertices"
+        detail = f"full power graph on {n} vertices"
         return dataclasses.replace(
             report,
             verification=Verification(status, report.order, oracle_order, detail),
         )
-    reason = (
-        f"full graph infeasible ({pg.n_vertices} vertices, structural order {report.order})"
-    )
+    reason = f"full graph infeasible ({n} vertices, structural order {report.order})"
     quotient_order = expr_order(report.quotient_expr)
     if q.n_nodes <= caps.max_nodes and quotient_order <= caps.max_count:
         oracle_order = count_automorphisms(q, caps)

@@ -10,7 +10,8 @@ Element 0 is always the identity. Groups are built from a small spec grammar:
     Q8              quaternion group
     P(A,B)          external direct product of two specs
 
-Instances are immutable after construction and safe to share across threads.
+Element orders, cyclic subgroups and generator sets are reads of one power
+table per group, built on first use. Instances are immutable and thread-safe.
 """
 
 from __future__ import annotations
@@ -328,50 +329,42 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
 
-    def inverse(self, a: int) -> int:
-        return int(np.argmax(self.table[a] == 0))
-
-    def power(self, x: int, k: int) -> int:
-        if k < 0:
-            x, k = self.inverse(x), -k
-        y = 0
-        for _ in range(k):
-            y = int(self.table[y, x])
-        return y
-
     @cached_property
     def is_abelian(self) -> bool:
         return bool((self.table == self.table.T).all())
 
+    @cached_property
+    def powers(self) -> np.ndarray:
+        """powers[k, x] = x**k for 0 <= k <= m, the largest element order, filled by
+        row gathers; a first pass finds m, so the table is allocated once."""
+        idx = np.arange(self.size, dtype=np.int32)
+        row, seen, m = idx, idx == 0, 1
+        while not seen.all():
+            row, m = self.table[row, idx], m + 1
+            seen |= row == 0
+        out = np.zeros((m + 1, self.size), dtype=np.int32)
+        out[1] = idx
+        for k in range(2, m + 1):
+            out[k] = self.table[out[k - 1], idx]
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def orders(self) -> np.ndarray:
+        """orders[x]: the least k >= 1 with x**k the identity."""
+        return (self.powers[1:] == 0).argmax(axis=0) + 1
+
     def element_order(self, x: int) -> int:
-        k = 1
-        y = x
-        while y != 0:
-            y = int(self.table[y, x])
-            k += 1
-        return k
+        return int(self.orders[x])
 
     def cyclic_subgroup(self, x: int) -> frozenset[int]:
         """All powers of x, identity included."""
-        elems = [0]
-        y = x
-        while y != 0:
-            elems.append(y)
-            y = int(self.table[y, x])
-        return frozenset(elems)
+        return frozenset(self.powers[: self.orders[x], x].tolist())
 
     def gen_set(self, x: int) -> frozenset[int]:
         """The generators of the cyclic subgroup of x; size totient(order(x))."""
-        order = self.element_order(x)
-        powers = [0]
-        y = x
-        while y != 0:
-            powers.append(y)
-            y = int(self.table[y, x])
-        del powers[0]  # powers[k-1] is x**k for k >= 1
-        if order == 1:
-            return frozenset({0})
-        return frozenset(powers[k - 1] for k in range(1, order + 1) if math.gcd(k, order) == 1)
+        ks = np.arange(1, self.orders[x] + 1)
+        return frozenset(self.powers[ks[np.gcd(ks, ks[-1]) == 1], x].tolist())
 
     def centralizer_size(self, x: int) -> int:
         return int((self.table[x, :] == self.table[:, x]).sum())

@@ -1,48 +1,52 @@
 """MEN partitions and weighted quotient graphs.
 
-A MEN class ("maximal equal neighborhood") is a maximal set of power-graph
-vertices that all share one closed neighborhood. Collapsing each class to a
-single node weighted by the class size yields the weighted quotient graph;
-automorphisms of the original graph are exactly quotient automorphisms
-combined with free permutations inside the classes, which is what the engine
-module exploits. The quotient is a `WeightedGraph` like the power graph it
-comes from: each node's row is read off one member's row, one row per class.
+A MEN class ("maximal equal neighborhood") is a maximal set of nodes that all
+share one closed neighborhood. Collapsing each class to a single node weighted
+by its total weight yields the weighted quotient graph; automorphisms of the
+power graph are exactly quotient automorphisms combined with free permutations
+inside the classes, which is what the engine module exploits. Both functions
+work on any `WeightedGraph`: the pipeline runs them on the cyclic-subgroup
+graph (members stay power-graph vertices) and, as the reference, on the power graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import InternalCheckError
 from .groups import FiniteGroup, is_prime_power
 from .oracle import WeightedGraph
-from .powergraph import PowerGraph
 
 GENERATOR_CLASS = "generator-class"
 CYCLIC_INTERVAL = "cyclic-interval"
-BOTH = "both"
 
 
 @dataclass(frozen=True)
 class MenPartition:
-    """Disjoint classes covering all vertices, each a maximal equal-N[.] set."""
+    """Disjoint classes covering all nodes, each a maximal equal-N[.] set."""
 
     classes: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...]
     weights: tuple[int, ...]
 
+    @classmethod
+    def of(cls, classes: tuple[tuple[int, ...], ...], weights: Iterable[int]) -> "MenPartition":
+        class_of = {v: cid for cid, members in enumerate(classes) for v in members}
+        return cls(classes, tuple(class_of[v] for v in range(len(class_of))), tuple(weights))
+
 
 class QuotientGraph(WeightedGraph):
-    """One node per MEN class, weighted by the class size and ordered by
-    smallest member vertex."""
+    """One node per class, weighted by the class's total weight and ordered
+    by smallest member vertex."""
 
     __slots__ = ("members",)
 
     def __init__(
-        self, members: tuple[tuple[int, ...], ...], edges: Sequence[tuple[int, int]]
+        self, members: tuple[tuple[int, ...], ...], edges: Iterable[tuple[int, int]],
+        weights: Sequence[int],
     ) -> None:
-        super().__init__(len(members), edges, [len(m) for m in members])
+        super().__init__(len(members), edges, weights)
         object.__setattr__(self, "members", members)
 
     @property
@@ -53,22 +57,17 @@ class QuotientGraph(WeightedGraph):
         return self
 
 
-def men_partition(pg: PowerGraph) -> MenPartition:
-    """Group vertices by their closed neighborhoods (as bitmask rows)."""
+def men_partition(wg: WeightedGraph) -> MenPartition:
+    """Group nodes by their closed neighborhoods (as bitmask rows)."""
     groups: dict[int, list[int]] = {}
-    for v in range(pg.n):
-        groups.setdefault(pg.closed_mask(v), []).append(v)
+    for v in range(wg.n):
+        groups.setdefault(wg.closed_mask(v), []).append(v)
     # dict preserves first-seen order, so classes come out sorted by least member
     classes = tuple(tuple(vs) for vs in groups.values())
-    class_of = [0] * pg.n
-    for cid, members in enumerate(classes):
-        for v in members:
-            class_of[v] = cid
-    weights = tuple(len(members) for members in classes)
-    return MenPartition(classes, tuple(class_of), weights)
+    return MenPartition.of(classes, (sum(wg.weights[v] for v in c) for c in classes))
 
 
-def build_quotient(pg: PowerGraph, mp: MenPartition) -> QuotientGraph:
+def build_quotient(wg: WeightedGraph, mp: MenPartition) -> QuotientGraph:
     """Collapse classes to weighted nodes; adjacency must be cross-pair uniform.
 
     Node i's row is its class's first member's row, projected through
@@ -80,73 +79,51 @@ def build_quotient(pg: PowerGraph, mp: MenPartition) -> QuotientGraph:
     edges: list[tuple[int, int]] = []
     for i, members in enumerate(mp.classes):
         outside = ~sum(1 << v for v in members)
-        row = pg.adj[members[0]] & outside
+        row = wg.adj[members[0]] & outside
         for v in members[1:]:
-            diff = (pg.adj[v] & outside) ^ row
+            diff = (wg.adj[v] & outside) ^ row
             if diff:
                 j = mp.class_of[diff.bit_length() - 1]
                 raise InternalCheckError(
                     f"classes {min(i, j)} and {max(i, j)} have mixed cross adjacency; "
                     "the partition is not a MEN partition"
                 )
-        touched = {mp.class_of[u] for u in pg.neighbors(members[0])}
+        touched = {mp.class_of[u] for u in wg.neighbors(members[0])}
         edges.extend((i, j) for j in touched if j > i)
-    return QuotientGraph(mp.classes, edges)
+    classes = mp.classes
+    if isinstance(wg, QuotientGraph):
+        classes = tuple(tuple(sorted(v for i in c for v in wg.members[i])) for c in classes)
+    return QuotientGraph(classes, edges, mp.weights)
 
 
 @dataclass(frozen=True)
 class MenClassRecord:
-    """How a class arises: as the generator set of a cyclic subgroup, as the
-    complement of a proper subchain inside a cyclic group of prime-power order
-    (an interval of the subgroup chain), or both."""
+    """How a class arises: as the generator set of one cyclic subgroup, or as an
+    interval of the subgroup chain of a cyclic group of prime-power order."""
 
     kind: str
-    generator: int | None = None  # element id witnessing the generator-set form
+    generator: int | None = None  # least generator of the class's one subgroup
     interval: tuple[int, int, int, int] | None = None  # (a, p, t, n): class = <a> minus <a**(p**t)>, order(a) = p**n
 
 
-def classify_men_class(
-    g: FiniteGroup, pg: PowerGraph, members: tuple[int, ...]
-) -> MenClassRecord:
-    """Classify one MEN class; every class must fit at least one form."""
-    elements = sorted(pg.element_of(v) for v in members)
-    class_set = frozenset(elements)
-    orders = {e: g.element_order(e) for e in elements}
-    max_order = max(orders.values())
-
-    generator: int | None = None
-    interval: tuple[int, int, int, int] | None = None
-    for a in elements:
-        if orders[a] != max_order:
-            continue
-        if generator is None and g.gen_set(a) == class_set:
-            generator = a
-        if interval is None:
-            pp = is_prime_power(orders[a])
-            if pp is not None:
-                p, n_exp = pp
-                sub = g.cyclic_subgroup(a)
-                sub_mask = sum(1 << pg.vertex_of(x) for x in sub if x != 0)
-                for t in range(2, n_exp + 1):
-                    low = g.power(a, p**t)
-                    if class_set != frozenset(sub - g.cyclic_subgroup(low)):
-                        continue
-                    mid = g.power(a, p ** (t - 1))
-                    if pg.closed_mask(pg.vertex_of(mid)) != sub_mask:
-                        continue
-                    if low != 0 and pg.closed_mask(pg.vertex_of(low)) == sub_mask:
-                        continue
-                    interval = (a, p, t, n_exp)
-                    break
-        if generator is not None and interval is not None:
-            break
-
-    if generator is not None and interval is not None:
-        return MenClassRecord(BOTH, generator=generator, interval=interval)
-    if generator is not None:
-        return MenClassRecord(GENERATOR_CLASS, generator=generator)
-    if interval is not None:
-        return MenClassRecord(CYCLIC_INTERVAL, interval=interval)
+def classify_men_class(g: FiniteGroup, members: tuple[int, ...]) -> MenClassRecord:
+    """Classify one MEN class of power-graph vertices by the cyclic subgroups
+    whose generator sets it merges; every class must fit one of the forms."""
+    rest = {v + 1 for v in members}
+    chain: list[int] = []  # the least generator of each merged subgroup
+    while rest and (gens := g.gen_set(min(rest))) <= rest:
+        chain.append(min(gens))
+        rest -= gens
+    chain.sort(key=g.element_order, reverse=True)
+    if not rest and len(chain) == 1:
+        return MenClassRecord(GENERATOR_CLASS, generator=chain[0])
+    # t >= 2 subgroups of orders p**n, ..., p**(n-t+1), each of index p in the one before
+    pp = None if rest else is_prime_power(g.element_order(chain[0]))
+    if pp is not None and all(
+        g.element_order(a) == pp[0] * g.element_order(b) and b in g.cyclic_subgroup(a)
+        for a, b in zip(chain, chain[1:])
+    ):
+        return MenClassRecord(CYCLIC_INTERVAL, interval=(chain[0], pp[0], len(chain), pp[1]))
     raise InternalCheckError(
         f"MEN class {sorted(members)} fits neither classification form; "
         "this falsifies a structural assumption the engine relies on"
@@ -160,10 +137,7 @@ def reconstruct_order(g: FiniteGroup, mp: MenPartition, class_id: int) -> int:
     union of whole MEN classes; summing their weights and adding one for the
     identity recovers the element order.
     """
-    members = mp.classes[class_id]
-    elements = [v + 1 for v in members]
-    orders = [g.element_order(e) for e in elements]
-    x_m = elements[orders.index(max(orders))]
+    x_m = max((v + 1 for v in mp.classes[class_id]), key=g.element_order)
     inside = {x - 1 for x in g.cyclic_subgroup(x_m) if x != 0}
     total = 0
     for cls, weight in zip(mp.classes, mp.weights):

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 from hypothesis import strategies as st
 
@@ -46,6 +47,23 @@ EXPECTED_ORDER = {
     "Ab[2,2,3]": 96,
     "P(Q8,Z(3))": 2_654_208,
 }
+
+def _small_group_specs() -> tuple[str, ...]:
+    """Every expressible group on up to 28 nontrivial elements."""
+    specs = [f"Z({n})" for n in range(2, 29)]
+    specs += [f"Dih({n})" for n in range(1, 15)]
+    specs += ["Sym(2)", "Sym(3)", "Sym(4)", "Q8", "Z(2)^2", "Z(2)^3", "Z(3)^2",
+              "Z(4)^2", "Z(5)^2", "P(Q8,Z(3))", "P(Dih(4),Z(3))", "P(Q8,Z(2))",
+              "P(Dih(3),Z(4))", "P(Sym(3),Z(4))"]
+    for size in range(2, 29):
+        for k in (2, 3):
+            for combo in combinations_with_replacement(range(2, 29), k):
+                if math.prod(combo) == size:
+                    specs.append("Ab[" + ",".join(map(str, combo)) + "]")
+    return tuple(specs)
+
+
+SMALL_GROUP_SPECS = _small_group_specs()
 
 P_GROUP_SPECS = ("Z(4)", "Z(8)", "Z(9)", "Z(2)^2", "Z(3)^2", "Z(2)^3", "Z(4)^2", "Q8", "Dih(4)")
 

@@ -98,6 +98,13 @@ def test_missing_corpus_file(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_corpus_file_not_utf8(tmp_path, capsys):
+    corpus = tmp_path / "groups.txt"
+    corpus.write_bytes(b"\xff\xfeZ(6)\n")
+    assert run(["analyze", "--corpus", str(corpus)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: corpus file {corpus} is not UTF-8 text")
+
+
 def test_export_files(tmp_path, capsys):
     assert run(["export", "--group", "Z(6)", "--out", str(tmp_path)]) == 0
     capsys.readouterr()

@@ -26,7 +26,7 @@ from pga import (
 )
 from pga.cli import run
 
-from _support import CORPUS, EXPECTED_ORDER, bundle, report, weighted_graphs
+from _support import CORPUS, EXPECTED_ORDER, SMALL_GROUP_SPECS, bundle, report, weighted_graphs
 
 
 def test_cyclic_formula_values():
@@ -233,10 +233,38 @@ def test_one_whole_group_build_per_operation(spec, monkeypatch, tmp_path):
         operation()
         return sizes.count(order)
 
-    assert whole_group_builds(lambda: analyze(spec)) == 1
+    # analyze never builds the power graph; verify's full count and export's DOT need it once
+    assert whole_group_builds(lambda: analyze(spec)) == 0
     assert whole_group_builds(lambda: verify(spec)) == 1
     export = ["export", "--group", spec, "--out", str(tmp_path)]
     assert whole_group_builds(lambda: run(export)) == 1
+
+
+def _forbid_power_graph(monkeypatch):
+    import pga.engine
+
+    def no_power_graph(g):
+        raise AssertionError(f"power graph of {g.description} built")
+
+    monkeypatch.setattr(pga.engine, "build_power_graph", no_power_graph)
+
+
+@pytest.mark.parametrize("spec", ["Z(1)", "Ab[1,1]", "P(Z(1),Sym(1))"])
+def test_trivial_group_rejected_without_power_graph(spec, monkeypatch, tmp_path, capsys):
+    _forbid_power_graph(monkeypatch)
+    for operation in (analyze, verify):
+        with pytest.raises(ValueError, match="defined on nontrivial elements"):
+            operation(spec)
+    for mode in ("analyze", "verify", "export"):
+        assert run([mode, "--group", spec, "--out", str(tmp_path / mode)]) == 1, mode
+        assert "defined on nontrivial elements" in capsys.readouterr().err, mode
+
+
+def test_verify_above_node_cap_builds_no_power_graph(monkeypatch):
+    # 119 vertices: only the quotient (51 nodes, also above the cap) is tried
+    _forbid_power_graph(monkeypatch)
+    with pytest.raises(CapExceeded, match="119 vertices"):
+        verify("Sym(5)")
 
 
 def test_homocyclic_tower_quotient_against_oracle():
@@ -271,19 +299,7 @@ def test_random_abelian_groups_match_oracle(invariants):
 
 def test_sweep_small_groups_against_oracle():
     # every expressible group on up to 28 nontrivial elements, full oracle
-    import itertools
-
-    specs = [f"Z({n})" for n in range(2, 29)]
-    specs += [f"Dih({n})" for n in range(1, 15)]
-    specs += ["Sym(2)", "Sym(3)", "Sym(4)", "Q8", "Z(2)^2", "Z(2)^3", "Z(3)^2",
-              "Z(4)^2", "Z(5)^2", "P(Q8,Z(3))", "P(Dih(4),Z(3))", "P(Q8,Z(2))",
-              "P(Dih(3),Z(4))", "P(Sym(3),Z(4))"]
-    for size in range(2, 29):
-        for k in (2, 3):
-            for combo in itertools.combinations_with_replacement(range(2, 29), k):
-                if math.prod(combo) == size:
-                    specs.append("Ab[" + ",".join(map(str, combo)) + "]")
-    for spec in specs:
+    for spec in SMALL_GROUP_SPECS:
         r = analyze(spec)
         pg = build_power_graph(realize(spec))
         assert count_automorphisms(pg) == r.order, spec

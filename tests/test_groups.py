@@ -1,3 +1,4 @@
+import math
 from itertools import permutations
 
 import numpy as np
@@ -238,6 +239,26 @@ def test_dihedral_table_matches_loop_reference(n):
     g = realize(f"Dih({n})")
     assert g.table.dtype == np.int32
     assert g.table.tolist() == _loop_dihedral_table(n)
+
+
+def _loop_powers(g, x):
+    """[x**1, x**2, ..., identity], one multiplication at a time."""
+    out = [x]
+    while out[-1] != 0:
+        out.append(g.mul(out[-1], x))
+    return out
+
+
+@pytest.mark.parametrize("spec", ["Z(12)", "Q8", "Dih(6)", "Sym(4)", "Z(2)^3"])
+def test_power_table_reads_match_loop_reference(spec):
+    g = realize(spec)
+    assert g.powers.dtype == np.int32
+    for x in range(g.size):
+        powers = _loop_powers(g, x)
+        order = len(powers)
+        assert g.element_order(x) == order
+        assert g.cyclic_subgroup(x) == frozenset(powers)
+        assert g.gen_set(x) == {powers[k - 1] for k in range(1, order + 1) if math.gcd(k, order) == 1}
 
 
 def test_arithmetic_helpers():

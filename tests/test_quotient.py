@@ -1,17 +1,22 @@
 import pytest
 
 from pga import (
-    BOTH,
     CYCLIC_INTERVAL,
     GENERATOR_CLASS,
     InternalCheckError,
     MenPartition,
+    Pipeline,
+    build_power_graph,
     build_quotient,
     classify_men_class,
+    men_partition,
+    pipeline,
+    realize,
     reconstruct_order,
 )
+from pga.powergraph import cyclic_subgroup_graph
 
-from _support import CORPUS, bundle
+from _support import CORPUS, SMALL_GROUP_SPECS, bundle
 
 
 def _class_sets(mp):
@@ -66,6 +71,25 @@ def test_quotient_rows_are_representative_rows_and_checked():
     ):
         with pytest.raises(InternalCheckError, match="mixed cross adjacency"):
             build_quotient(pg, _partition(classes))
+    # the same check on Z(6)'s subgroup graph: <1> contains <3>, <2> does not
+    sg = cyclic_subgroup_graph(bundle("Z(6)").g)
+    with pytest.raises(InternalCheckError, match="mixed cross adjacency"):
+        build_quotient(sg, _partition(((0, 1), (2,))))
+
+
+def test_cyclic_subgroup_route_matches_power_graph_route():
+    for spec in dict.fromkeys(CORPUS + SMALL_GROUP_SPECS):
+        p = pipeline(realize(spec))
+        assert "pg" not in vars(p), spec  # not built yet
+        pg = build_power_graph(p.g)
+        mp = men_partition(pg)
+        q = build_quotient(pg, mp)
+        assert (p.mp.classes, p.mp.class_of, p.mp.weights) == (mp.classes, mp.class_of, mp.weights), spec
+        assert (p.q.members, p.q.weights, p.q.edges()) == (q.members, q.weights, q.edges()), spec
+        assert p.pg.adj == pg.adj, spec
+    b = bundle("Z(6)")
+    with pytest.raises(InternalCheckError, match="MEN partitions differ"):
+        Pipeline(b.g, _partition(((0, 4), (1, 2, 3))), b.q).pg
 
 
 def test_quotient_single_node_for_complete_graph():
@@ -87,21 +111,21 @@ def test_quotient_q8_apex_pattern():
 
 def test_classify_generator_class_z6():
     b = bundle("Z(6)")
-    rec = classify_men_class(b.g, b.pg, b.mp.classes[0])
+    rec = classify_men_class(b.g, b.mp.classes[0])
     assert rec.kind == GENERATOR_CLASS
     assert rec.generator == 1
 
 
 def test_classify_interval_z4():
     b = bundle("Z(4)")
-    rec = classify_men_class(b.g, b.pg, b.mp.classes[0])
+    rec = classify_men_class(b.g, b.mp.classes[0])
     assert rec.kind == CYCLIC_INTERVAL
     assert rec.interval == (1, 2, 2, 2)  # whole chain <g> minus the identity
 
 
 def test_classify_interval_z8():
     b = bundle("Z(8)")
-    rec = classify_men_class(b.g, b.pg, b.mp.classes[0])
+    rec = classify_men_class(b.g, b.mp.classes[0])
     assert rec.kind == CYCLIC_INTERVAL
     assert rec.interval == (1, 2, 3, 3)
 
@@ -109,17 +133,28 @@ def test_classify_interval_z8():
 def test_classify_gen_class_q8():
     b = bundle("Q8")
     i_class = next(c for c in b.mp.classes if b.g.labels[c[0] + 1] == "i")
-    rec = classify_men_class(b.g, b.pg, i_class)
+    rec = classify_men_class(b.g, i_class)
     assert rec.kind == GENERATOR_CLASS
     assert b.g.labels[rec.generator] == "i"
+
+
+def test_classify_rejects_other_unions():
+    z6, z8 = bundle("Z(6)").g, bundle("Z(8)").g
+    for g, members in (
+        (z6, (0, 1)),  # elements 1, 2: part of the generator set {1, 5}
+        (z6, (1, 2, 3)),  # <2> and <3>: neither contains the other
+        (z8, (0, 2, 3, 4, 6)),  # <1> and <4>: index 4, not 2
+    ):
+        with pytest.raises(InternalCheckError, match="fits neither"):
+            classify_men_class(g, members)
 
 
 def test_every_corpus_class_classifies():
     for spec in CORPUS:
         b = bundle(spec)
         for members in b.mp.classes:
-            rec = classify_men_class(b.g, b.pg, members)
-            assert rec.kind in (GENERATOR_CLASS, CYCLIC_INTERVAL, BOTH)
+            rec = classify_men_class(b.g, members)
+            assert rec.kind in (GENERATOR_CLASS, CYCLIC_INTERVAL)
 
 
 def test_mixed_order_classes_are_intervals():
@@ -128,7 +163,7 @@ def test_mixed_order_classes_are_intervals():
         for members in b.mp.classes:
             orders = {b.g.element_order(v + 1) for v in members}
             if len(orders) > 1:
-                rec = classify_men_class(b.g, b.pg, members)
+                rec = classify_men_class(b.g, members)
                 assert rec.kind == CYCLIC_INTERVAL
 
 
