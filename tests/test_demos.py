@@ -8,10 +8,13 @@ import pytest
 import pga
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+# each demo's committed stdout; regenerate one with `python demos/<name>.py > tests/demo_output/<name>.txt`
+EXPECTED = Path(__file__).with_name("demo_output")
 
 
 def test_all_demos_found():
     assert len(DEMOS) == 4
+    assert sorted(p.stem for p in EXPECTED.glob("*.txt")) == [p.stem for p in DEMOS]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
@@ -26,4 +29,4 @@ def test_demo_runs(demo):
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout
+    assert proc.stdout == (EXPECTED / f"{demo.stem}.txt").read_text(encoding="utf-8")

@@ -12,14 +12,12 @@ from pga import (
     Trivial,
     Wreath,
     analyze,
-    aut_cyclic_formula,
     aut_full,
-    aut_homocyclic_formula,
-    aut_prime_power_cyclic,
     build_power_graph,
     count_automorphisms,
     expr_normalize,
     expr_order,
+    pipeline,
     quotient_aut,
     realize,
     verify,
@@ -29,42 +27,37 @@ from pga.cli import run
 from _support import CORPUS, EXPECTED_ORDER, SMALL_GROUP_SPECS, bundle, report, weighted_graphs
 
 
+def _class_weights(spec: str) -> list[int]:
+    return sorted(report(spec).pipeline.mp.weights)
+
+
 def test_cyclic_formula_values():
-    assert expr_order(aut_cyclic_formula(6)) == 4
-    assert expr_order(aut_cyclic_formula(10)) == 576
-    assert expr_order(aut_cyclic_formula(12)) == 192
-    assert aut_cyclic_formula(6).factors == (Sym(1), Sym(2), Sym(2))
-
-
-def test_cyclic_formula_rejects_prime_powers():
-    with pytest.raises(ValueError, match="complete"):
-        aut_cyclic_formula(8)
+    # one class per divisor d > 1, of weight phi(d), and a trivial quotient part
+    assert report("Z(6)").order == 4
+    assert report("Z(10)").order == 576
+    assert report("Z(12)").order == 192
+    assert _class_weights("Z(6)") == [1, 2, 2]
+    assert report("Z(6)").quotient_expr == Trivial()
 
 
 def test_prime_power_cyclic():
-    assert aut_prime_power_cyclic(2, 2) == Sym(3)
-    assert aut_prime_power_cyclic(3, 1) == Sym(2)
-    assert expr_order(aut_prime_power_cyclic(2, 3)) == 5040
-    with pytest.raises(ValueError):
-        aut_prime_power_cyclic(6, 1)
+    assert report("Z(4)").expression == Sym(3)
+    assert report("Z(3)").expression == Sym(2)
+    assert report("Z(8)").order == 5040
+    assert report("Z(8)").method == "complete-graph"
 
 
 def test_homocyclic_formula_values():
-    assert expr_order(aut_homocyclic_formula(2, 1, 2)) == 6
-    assert expr_order(aut_homocyclic_formula(3, 1, 2)) == 384
-    assert expr_order(aut_homocyclic_formula(2, 2, 2)) == 3072
-    with pytest.raises(ValueError):
-        aut_homocyclic_formula(2, 1, 1)
+    assert report("Z(2)^2").order == 6
+    assert report("Z(3)^2").order == 384
+    assert report("Z(4)^2").order == 3072
 
 
 def test_homocyclic_formula_structure():
-    e = aut_homocyclic_formula(2, 2, 2)
-    assert isinstance(e, Product)
-    factors = list(e.factors)
-    assert factors.count(Wreath(Sym(2), Sym(3))) == 1
-    assert factors.count(Sym(1)) == 3
-    assert factors.count(Sym(2)) == 6
-    assert len(factors) == 10
+    r = report("Z(4)^2")
+    assert r.method == "homocyclic-wreath"
+    assert r.quotient_expr == Wreath(Sym(2), Sym(3))
+    assert _class_weights("Z(4)^2") == [1] * 3 + [2] * 6
 
 
 def test_quotient_aut_z4_squared_is_wreath():
@@ -99,7 +92,7 @@ def test_aut_full_examples():
 
 def test_aut_nilpotent_z12_agrees_with_cyclic_formula():
     r = report("P(Z(4),Z(3))")
-    assert r.order == 192 == expr_order(aut_cyclic_formula(12))
+    assert r.order == 192 == report("Z(12)").order
     assert r.method == "coprime-factors"
 
 
@@ -115,7 +108,6 @@ def test_aut_abelian_dispatch():
     assert report("Ab[2,4]").method == "quotient-recursion"
     homo = report("Ab[3,3]")
     assert homo.order == 384
-    assert homo.order == expr_order(aut_homocyclic_formula(3, 1, 2))
     assert homo.method == "homocyclic-wreath"
     assert report("Ab[2,3]").order == 4
     assert report("Ab[2,3]").method == "coprime-factors"
@@ -212,7 +204,7 @@ def test_verify_extra_groups_against_oracle():
 
 @pytest.mark.parametrize("spec", ["Z(12)", "Ab[2,3]", "P(Q8,Z(3))", "Sym(3)"])
 def test_one_whole_group_build_per_operation(spec, monkeypatch, tmp_path):
-    # coprime factors get their own pipelines; only the spec's own group counts
+    # the spec's group is the only one realized, so every power graph built is its own
     import pga.cli
     import pga.engine
 
@@ -231,13 +223,54 @@ def test_one_whole_group_build_per_operation(spec, monkeypatch, tmp_path):
     def whole_group_builds(operation) -> int:
         sizes.clear()
         operation()
-        return sizes.count(order)
+        assert set(sizes) <= {order}
+        return len(sizes)
 
     # analyze never builds the power graph; verify's full count and export's DOT need it once
     assert whole_group_builds(lambda: analyze(spec)) == 0
     assert whole_group_builds(lambda: verify(spec)) == 1
     export = ["export", "--group", spec, "--out", str(tmp_path)]
     assert whole_group_builds(lambda: run(export)) == 1
+
+
+@pytest.mark.parametrize("spec", ["Ab[2,3]", "P(Q8,Z(3))", "Ab[2,2,3]"])
+def test_coprime_route_realizes_only_the_spec(spec, monkeypatch):
+    # the Sylow quotients come from the spec's own cyclic-subgroup graph
+    import pga.engine
+
+    calls = {"realize": 0, "pipeline": 0, "cyclic_subgroup_graph": 0}
+
+    def counted(name):
+        original = getattr(pga.engine, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pga.engine, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    assert analyze(spec).method == "coprime-factors"
+    assert calls == {"realize": 1, "pipeline": 1, "cyclic_subgroup_graph": 1}
+
+
+@pytest.mark.parametrize(
+    "spec, sylows",
+    [
+        ("P(Q8,Z(3))", ["Q8", "Z(3)"]),
+        ("P(Dih(4),Z(3))", ["Dih(4)", "Z(3)"]),
+        ("P(Q8,Z(9))", ["Q8", "Z(9)"]),
+        ("P(Dih(4),Z(5))", ["Dih(4)", "Z(5)"]),
+        ("Ab[4,6,9]", ["Ab[2,4]", "Ab[3,9]"]),
+    ],
+)
+def test_coprime_route_matches_realized_sylow_subgroups(spec, sylows):
+    # reference: realize each Sylow subgroup and recurse on its own quotient
+    r = report(spec)
+    assert r.method == "coprime-factors"
+    parts = tuple(quotient_aut(pipeline(realize(s)).q) for s in sylows)
+    assert r.quotient_expr == expr_normalize(Product(parts))
 
 
 def _forbid_power_graph(monkeypatch):

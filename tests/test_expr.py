@@ -14,7 +14,6 @@ from pga import (
     parse_expr,
     render_expr,
 )
-from pga.expr import UNSPECIFIED_EXTENSION
 
 
 def test_order_examples():
@@ -39,12 +38,6 @@ def test_normalize_collapses_degenerate_wreath():
 def test_normalize_flattens_and_sorts():
     e = Product((Product((Sym(2), Sym(4))), Sym(3)))
     assert expr_normalize(e) == Product((Sym(4), Sym(3), Sym(2)))
-
-
-def test_normalize_escalates_mixed_splitting():
-    inner = Product((Sym(2), Sym(2)), UNSPECIFIED_EXTENSION)
-    out = expr_normalize(Product((inner, Sym(3))))
-    assert isinstance(out, Product) and out.splitting == UNSPECIFIED_EXTENSION
 
 
 def test_render_examples():

@@ -89,7 +89,7 @@ def test_cyclic_subgroup_route_matches_power_graph_route():
         assert p.pg.adj == pg.adj, spec
     b = bundle("Z(6)")
     with pytest.raises(InternalCheckError, match="MEN partitions differ"):
-        Pipeline(b.g, _partition(((0, 4), (1, 2, 3))), b.q).pg
+        Pipeline(b.g, b.sg, _partition(((0, 4), (1, 2, 3))), b.q).pg
 
 
 def test_quotient_single_node_for_complete_graph():
