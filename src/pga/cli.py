@@ -1,5 +1,10 @@
 """Command-line front end: analyze, verify and export power-graph reports.
 
+    pga analyze|verify|export (--group SPEC | --corpus FILE) [options]
+
+One flat parser, built at import and reused by every `run` call, takes the
+mode and the options in any order; `--dot` is accepted only with `export`.
+
 Exit codes: 0 success, 1 bad spec or usage, 2 internal assertion failure or a
 verification mismatch, 3 oracle caps exceeded (result unknown).
 """
@@ -175,55 +180,48 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_SPEC_ERROR)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="pga",
-        description="Automorphism groups of power graphs of finite groups.",
-    )
-    sub = parser.add_subparsers(dest="mode", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--group", help='group spec, e.g. "Z(12)" or "P(Q8,Z(3))"')
-    common.add_argument("--corpus", help="file with one group spec per line")
-    common.add_argument("--format", choices=["text", "json"], default="text")
-    common.add_argument("--out", help="output file (analyze/verify) or directory (export)")
-    common.add_argument("--max-nodes", type=int, default=40, help="oracle node cap")
-    common.add_argument(
-        "--max-count", type=int, default=10_000_000, help="oracle enumeration cap"
-    )
-    sub.add_parser("analyze", parents=[common], help="structural analysis")
-    sub.add_parser("verify", parents=[common], help="analysis plus oracle comparison")
-    export = sub.add_parser("export", parents=[common], help="write JSON and DOT files")
-    export.add_argument(
-        "--dot",
-        action="append",
-        choices=["power-graph", "quotient"],
-        help="DOT targets (default: both)",
-    )
-    return parser
+_PARSER = _Parser(prog="pga", description="Automorphism groups of power graphs of finite groups.")
+_PARSER.add_argument(
+    "mode",
+    choices=["analyze", "verify", "export"],
+    help="analyze: structural report; verify: with oracle comparison; export: JSON and DOT",
+)
+_SOURCE = _PARSER.add_mutually_exclusive_group(required=True)
+_SOURCE.add_argument("--group", help='group spec, e.g. "Z(12)" or "P(Q8,Z(3))"')
+_SOURCE.add_argument("--corpus", help="file with one group spec per line")
+_PARSER.add_argument("--format", choices=["text", "json"], default="text")
+_PARSER.add_argument("--out", help="output file (analyze/verify) or directory (export)")
+_PARSER.add_argument("--max-nodes", type=int, default=40, help="oracle node cap")
+_PARSER.add_argument("--max-count", type=int, default=10_000_000, help="oracle enumeration cap")
+_PARSER.add_argument(
+    "--dot",
+    action="append",
+    choices=["power-graph", "quotient"],
+    help="DOT targets of export (default: both)",
+)
 
 
-def _specs_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> list[str]:
-    if bool(args.group) == bool(args.corpus):
-        parser.error("exactly one of --group or --corpus is required")
-    if args.group:
+def _specs_from_args(args: argparse.Namespace) -> list[str]:
+    if args.corpus is None:
         return [args.group]
     lines = Path(args.corpus).read_text(encoding="utf-8").splitlines()
     specs = [ln.strip() for ln in lines if ln.strip() and not ln.strip().startswith("#")]
     if not specs:
-        parser.error(f"corpus file {args.corpus} contains no specs")
+        _PARSER.error(f"corpus file {args.corpus} contains no specs")
     return specs
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    for flag, value in (("--max-nodes", args.max_nodes), ("--max-count", args.max_count)):
-        if value < 1:
-            parser.error(f"argument {flag}: must be at least 1, got {value}")
-    caps = OracleCaps(max_nodes=args.max_nodes, max_count=args.max_count)
+    args = _PARSER.parse_args(argv)
+    if args.dot and args.mode != "export":
+        _PARSER.error("argument --dot: only allowed with export")
+    try:
+        caps = OracleCaps(max_nodes=args.max_nodes, max_count=args.max_count)
+    except ValueError as exc:
+        _PARSER.error(str(exc))
     handler = {"analyze": cmd_analyze, "verify": cmd_verify, "export": cmd_export}[args.mode]
     try:
-        specs = _specs_from_args(parser, args)
+        specs = _specs_from_args(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
@@ -266,7 +264,3 @@ def run(argv: list[str] | None = None) -> int:
     else:
         sys.stdout.write(output)
     return worst
-
-
-def main(argv: list[str] | None = None) -> int:
-    return run(argv)

@@ -415,21 +415,17 @@ def verify(
     report = analyze(spec, caps, max_order)
     n, q = report.vertex_count, report.pipeline.q
     if n <= caps.max_nodes and report.order <= caps.max_count:
-        oracle_order = count_automorphisms(report.pipeline.pg, caps)
-        status = "full-verified" if oracle_order == report.order else "mismatch"
+        graph, expected, kind = report.pipeline.pg, report.order, "full"
         detail = f"full power graph on {n} vertices"
-        return dataclasses.replace(
-            report,
-            verification=Verification(status, report.order, oracle_order, detail),
-        )
-    reason = f"full graph infeasible ({n} vertices, structural order {report.order})"
-    quotient_order = expr_order(report.quotient_expr)
-    if q.n_nodes <= caps.max_nodes and quotient_order <= caps.max_count:
-        oracle_order = count_automorphisms(q, caps)
-        status = "quotient-verified" if oracle_order == quotient_order else "mismatch"
+    else:
+        reason = f"full graph infeasible ({n} vertices, structural order {report.order})"
+        expected = expr_order(report.quotient_expr)
+        if q.n_nodes > caps.max_nodes or expected > caps.max_count:
+            raise CapExceeded(f"{reason}; quotient also exceeds the caps")
+        graph, kind = q, "quotient"
         detail = f"{reason}; quotient on {q.n_nodes} nodes compared instead"
-        return dataclasses.replace(
-            report,
-            verification=Verification(status, quotient_order, oracle_order, detail),
-        )
-    raise CapExceeded(f"{reason}; quotient also exceeds the caps")
+    oracle_order = count_automorphisms(graph, caps)
+    status = f"{kind}-verified" if oracle_order == expected else "mismatch"
+    return dataclasses.replace(
+        report, verification=Verification(status, expected, oracle_order, detail)
+    )

@@ -12,7 +12,7 @@ group and `[n]` for opaque groups of order n, e.g. "(S2 wr S3) x S2^6".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class GroupExpr:
@@ -34,7 +34,6 @@ class Opaque(GroupExpr):
     """A group identified only by its exact order (brute-force fallback)."""
 
     order: int
-    note: str = field(default="brute-forced component", compare=False)
 
 
 @dataclass(frozen=True)

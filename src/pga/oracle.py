@@ -24,7 +24,7 @@ before it is trusted. Caps produce an explicit CapExceeded, never a guess.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,10 @@ def _color_masks(colors: Sequence[int]) -> dict[int, int]:
 
 
 def _search_mapping(
-    src: WeightedGraph, dst: WeightedGraph, allowed: list[int]
+    src: WeightedGraph,
+    dst: WeightedGraph,
+    allowed: list[int],
+    found: Callable[[tuple[int, ...]], None] | None = None,
 ) -> tuple[int, ...] | None:
     """Find one bijection src -> dst respecting adjacency and the allowed masks.
 
@@ -208,6 +211,9 @@ def _search_mapping(
     restricted to compatible colors). The search picks the most constrained
     unmapped vertex, tries its candidates in ascending order, and forward-checks
     by shrinking the masks of the still-unmapped vertices.
+
+    With `found`, every bijection is passed to it and the search goes on to
+    the next one; the return value is then None.
     """
     n = src.n
     mapping = [-1] * n
@@ -224,7 +230,10 @@ def _search_mapping(
                 if c <= 1:
                     break
         if best < 0:
-            return True
+            if found is None:
+                return True
+            found(tuple(mapping))
+            return False
         for u in _iter_bits(masks[best]):
             mapping[best] = u
             nxt = list(masks)
@@ -328,37 +337,13 @@ def enumerate_automorphisms(
         raise CapExceeded(
             f"{total} automorphisms exceed the enumeration cap of {caps.max_count}"
         )
-    n = wg.n
     colors = stable_colors(wg)
     masks = _color_masks(colors)
-    base = [masks[colors[v]] for v in range(n)]
-    mapping = [-1] * n
     out: list[tuple[int, ...]] = []
-
-    def dfs(i: int, allowed: list[int]) -> None:
-        if i == n:
-            out.append(_checked(wg, tuple(mapping)))
-            return
-        for u in _iter_bits(allowed[i]):
-            nxt = list(allowed)
-            ok = True
-            for j in range(i + 1, n):
-                m = nxt[j] & ~(1 << u)
-                if wg.has_edge(i, j):
-                    m &= wg.adj[u]
-                else:
-                    m &= ~wg.adj[u]
-                if m == 0:
-                    ok = False
-                    break
-                nxt[j] = m
-            if not ok:
-                continue
-            mapping[i] = u
-            dfs(i + 1, nxt)
-            mapping[i] = -1
-
-    dfs(0, base)
+    _search_mapping(
+        wg, wg, [masks[c] for c in colors], lambda perm: out.append(_checked(wg, perm))
+    )
+    out.sort()
     if len(out) != total:
         raise RuntimeError(
             f"enumeration found {len(out)} automorphisms but counting found {total}"

@@ -1,3 +1,5 @@
+import argparse
+import importlib
 import json
 import os
 import subprocess
@@ -69,10 +71,16 @@ def test_spec_error_exit_code(capsys):
 
 
 def test_usage_error_exit_code(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["analyze"])
-    assert exc.value.code == 1
-    capsys.readouterr()
+    for argv, message in (
+        (["analyze"], "one of the arguments --group --corpus is required"),
+        (["analyze", "--group", "Z(6)", "--corpus", "groups.txt"], "not allowed with"),
+        (["analyze", "--group", "Z(6)", "--dot", "quotient"], "--dot: only allowed with export"),
+        (["verify", "--group", "Z(6)", "--dot", "power-graph"], "--dot: only allowed with export"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 1, argv
+        assert message in capsys.readouterr().err, argv
 
 
 def test_caps_below_one_are_usage_errors(capsys):
@@ -85,6 +93,26 @@ def test_caps_below_one_are_usage_errors(capsys):
             run(argv)
         assert exc.value.code == 1, argv
         assert "must be at least 1" in capsys.readouterr().err, argv
+
+
+def test_options_in_any_order(capsys):
+    assert run(["--group", "Z(6)", "--format", "json", "analyze"]) == 0
+    assert json.loads(capsys.readouterr().out)["order_decimal"] == "4"
+
+
+def test_run_builds_no_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(["analyze", "--group", "Z(6)"]) == 0
+    assert run(["verify", "--group", "Z(4)", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert built == []
 
 
 def test_unwritable_output_path(tmp_path, capsys):
@@ -174,3 +202,14 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "order: 4" in proc.stdout
+
+
+def test_console_script_target(monkeypatch, capsys):
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["pga"]
+    module, _, attr = target.partition(":")
+    entry = getattr(importlib.import_module(module), attr)
+    monkeypatch.setattr(sys, "argv", ["pga", "analyze", "--group", "Z(6)"])
+    assert entry() == 0
+    assert "order: 4" in capsys.readouterr().out
