@@ -5,9 +5,9 @@ quotient automorphism part times one symmetric group per class (elements of a
 class are interchangeable). The quotient part is computed by one recursion on
 weighted graphs:
 
-  * connected components are grouped by weighted-graph isomorphism (certified
-    by the oracle); each group of m copies contributes the wreath product of
-    one copy's group by Sym(m);
+  * connected components are grouped by weighted-graph isomorphism (the
+    oracle's `component_classes`); each group of m copies contributes the
+    wreath product of one copy's group by Sym(m);
   * inside a component, every node alone in its cell of the stable colour
     refinement is fixed by every automorphism (equitable-partition cells are
     Aut-invariant). Those nodes are stripped, the rest are re-weighted by
@@ -71,9 +71,8 @@ from .oracle import (
     CapExceeded,
     OracleCaps,
     WeightedGraph,
-    connected_components,
+    component_classes,
     count_automorphisms,
-    find_isomorphism,
     stable_colors,
 )
 from .powergraph import PowerGraph, build_power_graph, cyclic_subgroup_graph
@@ -193,17 +192,9 @@ def quotient_aut(wg: WeightedGraph, caps: OracleCaps | None = None) -> GroupExpr
     component's group by Sym(m), and distinct groups multiply directly.
     """
     caps = caps or OracleCaps()
-    groups: list[tuple[WeightedGraph, int]] = []
-    for comp in connected_components(wg):
-        sub = wg.subgraph(comp)
-        for i, (rep, count) in enumerate(groups):
-            if find_isomorphism(rep, sub, caps) is not None:
-                groups[i] = (rep, count + 1)
-                break
-        else:
-            groups.append((sub, 1))
     factors = tuple(
-        Wreath(_component_aut(rep, caps), Sym(count)) for rep, count in groups
+        Wreath(_component_aut(rep, caps), Sym(count))
+        for rep, count in component_classes(wg, caps)
     )
     return expr_normalize(Product(factors))
 
@@ -237,14 +228,19 @@ def _component_aut(cg: WeightedGraph, caps: OracleCaps) -> GroupExpr:
 
 def _summarize_classes(p: Pipeline) -> tuple[ClassSummary, ...]:
     g = p.g
+    # each class merges the generator sets of some cyclic subgroups, the
+    # nodes of p.sg; their least generators classify it
+    generators: list[list[int]] = [[] for _ in p.mp.classes]
+    for members in p.sg.members:
+        generators[p.mp.class_of[members[0]]].append(members[0] + 1)
     return tuple(
         ClassSummary(
             members=tuple(g.labels[v + 1] for v in members),
             weight=len(members),
-            element_order=max(g.element_order(v + 1) for v in members),
-            kind=classify_men_class(g, members).kind,
+            element_order=max(map(g.element_order, gens)),
+            kind=classify_men_class(g, members, gens).kind,
         )
-        for members in p.mp.classes
+        for members, gens in zip(p.mp.classes, generators)
     )
 
 

@@ -10,19 +10,21 @@ Element 0 is always the identity. Groups are built from a small spec grammar:
     Q8              quaternion group
     P(A,B)          external direct product of two specs
 
-Element orders, cyclic subgroups and generator sets are reads of one power
-table per group, built on first use. Instances are immutable and thread-safe.
+Element orders come from repeated squaring (each divides the group order);
+cyclic subgroups and generator sets are reads of one power table per group,
+built on first use. Instances are immutable and thread-safe.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import permutations, product
 from typing import Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SpecError
 
@@ -72,6 +74,29 @@ def divisors(n: int) -> list[int]:
     small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
     large = [n // d for d in small if d * d != n]
     return sorted(small + large)
+
+
+def unit_generators(n: int) -> list[int]:
+    """Residues that generate the multiplicative group of units mod n.
+
+    That group is the product, over the p**a exactly dividing n, of the units
+    mod p**a: cyclic for odd p (a primitive root mod p, or that root plus p
+    when it fails mod p**2, generates it for every a), and generated by -1
+    and 5 for 2**a. Each local generator is lifted to n as the residue that
+    is 1 modulo n / p**a."""
+    out = []
+    for p, a in factorize(n).items():
+        q, rest = p**a, n // p**a
+        if p == 2:
+            local = [q - 1, 5][: min(a, 3) - 1]  # none mod 2, -1 mod 4
+        else:
+            root = next(
+                g for g in range(2, p)
+                if all(pow(g, (p - 1) // r, p) != 1 for r in factorize(p - 1))
+            )
+            local = [root + p if a > 1 and pow(root, p - 1, p * p) == 1 else root]
+        out += [1 + rest * ((g - 1) * pow(rest, -1, q) % q) for g in local]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +344,16 @@ class FiniteGroup:
         if not (t[idx, inv] == 0).all() or not (t[inv, idx] == 0).all():
             raise ValueError("some element has no two-sided inverse")
         if n <= 200:
-            for a in range(n):
-                if not np.array_equal(t[t[a]], t[a][t]):
-                    raise ValueError(f"multiplication is not associative (element {a})")
+            # (ab)c against a(bc) for a block of rows a at a time, about 2**16
+            # products per block
+            step = max(1, 2**16 // (n * n))
+            for lo in range(0, n, step):
+                rows = t[lo : lo + step]
+                bad = np.flatnonzero((t[rows] != np.take(rows, t, axis=1)).any(axis=(1, 2)))
+                if bad.size:
+                    raise ValueError(
+                        f"multiplication is not associative (element {lo + bad[0]})"
+                    )
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.description!r}, order={self.size})"
@@ -334,25 +366,60 @@ class FiniteGroup:
         return bool((self.table == self.table.T).all())
 
     @cached_property
+    def orders(self) -> np.ndarray:
+        """orders[x]: the least k >= 1 with x**k the identity.
+
+        It divides the group order n (Lagrange), so it is the product, over
+        the prime powers p**e exactly dividing n, of the order p**a of x's
+        p-part x**(n / p**e); a counts the p-th powers that part takes to
+        reach the identity."""
+        n = self.size
+        orders = np.ones(n, dtype=np.intp)
+        for p, e in factorize(n).items():
+            part = self.power(np.arange(n, dtype=np.int32), n // p**e)
+            while (moving := part != 0).any():
+                orders[moving] *= p
+                part = self.power(part, p)
+        return orders
+
+    @cached_property
     def powers(self) -> np.ndarray:
-        """powers[k, x] = x**k for 0 <= k <= m, the largest element order, filled by
-        row gathers; a first pass finds m, so the table is allocated once."""
-        idx = np.arange(self.size, dtype=np.int32)
-        row, seen, m = idx, idx == 0, 1
-        while not seen.all():
-            row, m = self.table[row, idx], m + 1
-            seen |= row == 0
-        out = np.zeros((m + 1, self.size), dtype=np.int32)
-        out[1] = idx
-        for k in range(2, m + 1):
-            out[k] = self.table[out[k - 1], idx]
+        """powers[k, x] = x**k for 0 <= k <= m, the largest element order."""
+        out = self.power_rows(np.arange(self.size, dtype=np.int32), int(self.orders.max()))
         out.flags.writeable = False
         return out
 
-    @cached_property
-    def orders(self) -> np.ndarray:
-        """orders[x]: the least k >= 1 with x**k the identity."""
-        return (self.powers[1:] == 0).argmax(axis=0) + 1
+    def power_rows(self, x: np.ndarray, m: int) -> np.ndarray:
+        """Rows 0..m of the powers of the int32 elements x: out[k, i] = x[i]**k.
+
+        Rows j+1..j+s come from rows 1..s and row j in one gather, since
+        x**(j+k) = x**k * x**j, so the table takes about log2(m) gathers; the
+        only other buffer is one gather's result, at most half its size."""
+        n = self.size
+        out = np.empty((m + 1, len(x)), dtype=np.int32)
+        out[0], out[1] = 0, x
+        flat, j = self.table.ravel(), 1
+        while j < m:
+            s = min(j, m - j)
+            block = out[j + 1 : j + s + 1]
+            np.multiply(out[1 : s + 1], n, out=block)
+            block += out[j]
+            block[...] = flat[block]
+            j += s
+        return out
+
+    def power(self, x: np.ndarray, k: int) -> np.ndarray:
+        """x**k for the int32 elements x and k >= 1, by repeated squaring;
+        indices into the flat table stay int32, as n * n < 2**31 for any
+        table that fits in memory."""
+        flat, n, out = self.table.ravel(), self.size, None
+        while True:
+            if k & 1:
+                out = x if out is None else flat[out * n + x]
+            k >>= 1
+            if not k:
+                return out
+            x = flat[x * n + x]
 
     def element_order(self, x: int) -> int:
         return int(self.orders[x])
@@ -374,18 +441,23 @@ class FiniteGroup:
 # constructions
 
 
-def _cyclic_group(n: int, description: str | None = None) -> FiniteGroup:
+def _rotations(n: int) -> np.ndarray:
+    """An (n + 1) x n read-only view whose row i is (i + j) mod n over j."""
     idx = np.arange(n, dtype=np.int32)
-    table = (idx[:, None] + idx[None, :]) % n
+    return sliding_window_view(np.concatenate([idx, idx]), n)
+
+
+def _cyclic_group(n: int, description: str | None = None) -> FiniteGroup:
     labels = tuple(str(i) for i in range(n))
-    return FiniteGroup(table, labels, description or f"Z({n})")
+    return FiniteGroup(_rotations(n)[:n], labels, description or f"Z({n})")
 
 
 def _compose_tables(ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
-    nb = tb.shape[0]
-    na = ta.shape[0]
-    t = ta[:, None, :, None].astype(np.int64) * nb + tb[None, :, None, :]
-    return t.reshape(na * nb, na * nb).astype(np.int32)
+    na, nb = ta.shape[0], tb.shape[0]
+    t = np.empty((na, nb, na, nb), dtype=np.int32)
+    np.multiply(ta[:, None, :, None], nb, out=t)
+    t += tb[None, :, None, :]
+    return t.reshape(na * nb, na * nb)
 
 
 def direct_product(factors: list[FiniteGroup], description: str) -> FiniteGroup:
@@ -395,7 +467,11 @@ def direct_product(factors: list[FiniteGroup], description: str) -> FiniteGroup:
     if len(factors) == 1:
         g = factors[0]
         return FiniteGroup(g.table, g.labels, description, check=False)
-    table = reduce(_compose_tables, (g.table for g in factors))
+    # folded from the right: the growing table is the fast-varying factor,
+    # so each composition writes long contiguous runs
+    table = factors[-1].table
+    for g in factors[-2::-1]:
+        table = _compose_tables(g.table, table)
     labels = tuple(
         "(" + ",".join(parts) + ")" for parts in product(*(g.labels for g in factors))
     )
@@ -431,14 +507,15 @@ def _symmetric_group(n: int) -> FiniteGroup:
 
 def _dihedral_group(n: int) -> FiniteGroup:
     # element (f, a) = s^f r^a at index f*n + a; r^a s = s r^(-a)
-    idx = np.arange(n, dtype=np.int32)
+    rot = _rotations(n)
     table = np.empty((2 * n, 2 * n), dtype=np.int32)
     for f1 in range(2):
         for f2 in range(2):
-            # rows a1, columns a2: the product is s^(f1^f2) r^(a2 +- a1)
-            a1 = idx[:, None] if f2 == 0 else -idx[:, None]
-            block = (idx[None, :] + a1) % n + (f1 ^ f2) * n
-            table[f1 * n : (f1 + 1) * n, f2 * n : (f2 + 1) * n] = block
+            # rows a1, columns a2: the product is s^(f1^f2) r^(a2 +- a1), and
+            # row n - a1 of the rotations is a2 - a1 mod n
+            block = rot[:n] if f2 == 0 else rot[n:0:-1]
+            out = table[f1 * n : (f1 + 1) * n, f2 * n : (f2 + 1) * n]
+            np.add(block, (f1 ^ f2) * n, out=out)
     labels = []
     for f in range(2):
         for a in range(n):

@@ -12,10 +12,17 @@ The machinery is classic individualization-refinement:
     across stable colors;
   * a backtracking search with bitmask forward-checking decides whether a
     color-respecting bijection with prescribed constraints exists;
-  * the group order is the product, down an individualization chain, of the
-    number of valid images of one pivot vertex per level (each image validated
-    by an explicit search, each level fixing the pivot and re-refining), so
-    huge symmetric groups are counted without listing their elements.
+  * the group order is the product, down an individualization chain (each
+    level fixing one pivot vertex and re-refining), of the size of each
+    pivot's orbit under the maps that fix the earlier pivots, so huge
+    symmetric groups are counted without listing their elements. Levels are
+    handled from the deepest up, and a union-find over the automorphisms
+    found so far prunes the searches: a candidate image gets an explicit
+    search only when it lies outside the pivot's known orbit and outside
+    every orbit already shown to hold no image (orbit pruning, after McKay
+    and Piperno, "Practical Graph Isomorphism II", 2014);
+  * components are grouped by isomorphism after one refinement of the whole
+    graph, comparing only components with equal colour multisets.
 
 Every witness bijection is re-verified edge by edge and weight by weight
 before it is trusted. Caps produce an explicit CapExceeded, never a guess.
@@ -216,60 +223,69 @@ def _search_mapping(
     the next one; the return value is then None.
     """
     n = src.n
+    src_adj, dst_adj = src.adj, dst.adj
     mapping = [-1] * n
 
-    def dfs(masks: list[int]) -> bool:
-        best = -1
-        best_count = n + 1
-        for v in range(n):
-            if mapping[v] >= 0:
-                continue
+    def dfs(masks: list[int], free: list[int]) -> bool:
+        if not free:
+            if found is None:
+                return True
+            found(tuple(mapping))
+            return False
+        best, best_count = -1, n + 1
+        for v in free:
             c = masks[v].bit_count()
             if c < best_count:
                 best, best_count = v, c
                 if c <= 1:
                     break
-        if best < 0:
-            if found is None:
-                return True
-            found(tuple(mapping))
-            return False
+        rest = [w for w in free if w != best]
+        row = src_adj[best]
         for u in _iter_bits(masks[best]):
             mapping[best] = u
+            # src neighbours of best must go to dst neighbours of u, the rest
+            # to non-neighbours other than u
+            near, far = dst_adj[u], ~(dst_adj[u] | 1 << u)
             nxt = list(masks)
-            ok = True
-            for w in range(n):
-                if mapping[w] >= 0 or w == best:
-                    continue
-                m = nxt[w] & ~(1 << u)
-                if src.has_edge(best, w):
-                    m &= dst.adj[u]
-                else:
-                    m &= ~dst.adj[u]
-                if m == 0:
-                    ok = False
+            for w in rest:
+                m = nxt[w] & (near if row >> w & 1 else far)
+                if not m:
                     break
                 nxt[w] = m
-            if ok and dfs(nxt):
-                return True
-            mapping[best] = -1
+            else:
+                if dfs(nxt, rest):
+                    return True
+        mapping[best] = -1
         return False
 
-    if dfs(list(allowed)):
+    if dfs(list(allowed), list(range(n))):
         return tuple(mapping)
     return None
 
 
-def _is_isomorphism(a: WeightedGraph, b: WeightedGraph, perm: Sequence[int]) -> bool:
-    if sorted(perm) != list(range(b.n)):
+def _preserves(a: WeightedGraph, b: WeightedGraph, pairs: dict[int, int]) -> bool:
+    """True when the node map `pairs` from a to b is injective, keeps weights,
+    and carries each key's neighbourhood onto its image's neighbourhood, which
+    makes it an isomorphism between the unions of components it covers."""
+    if len(set(pairs.values())) != len(pairs):
         return False
-    if any(b.weights[perm[v]] != a.weights[v] for v in range(a.n)):
-        return False
-    for u in range(a.n):
-        for v in range(u + 1, a.n):
-            if a.has_edge(u, v) != b.has_edge(perm[u], perm[v]):
+    for u, w in pairs.items():
+        if a.weights[u] != b.weights[w]:
+            return False
+        image = 0
+        for v in _iter_bits(a.adj[u]):
+            if v not in pairs:
                 return False
+            image |= 1 << pairs[v]
+        if image != b.adj[w]:
+            return False
     return True
+
+
+def _is_isomorphism(a: WeightedGraph, b: WeightedGraph, perm: Sequence[int]) -> bool:
+    if len(perm) != a.n or sorted(perm) != list(range(b.n)):
+        return False
+    return _preserves(a, b, dict(enumerate(perm)))
 
 
 def _checked(wg: WeightedGraph, perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -279,40 +295,79 @@ def _checked(wg: WeightedGraph, perm: tuple[int, ...]) -> tuple[int, ...]:
     return perm
 
 
-def _aut_order(
-    wg: WeightedGraph, colors: list[int], witnesses: list[tuple[int, ...]] | None
-) -> int:
-    """Order of the color-preserving automorphism group.
+class _Orbits:
+    """Union-find over the nodes whose classes are the orbits of the group
+    generated by the maps joined so far; a class's root is its least node."""
 
-    Per level: count the images the first pivot vertex can take inside its
-    color class (each certified by an explicit search), then fix the pivot,
-    re-refine, and recurse; the products of the per-level counts multiply out
-    to the group order. Maps found along the way form a generating set.
+    __slots__ = ("parent",)
+
+    def __init__(self, n: int) -> None:
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def join(self, perm: Sequence[int]) -> None:
+        for v, w in enumerate(perm):
+            ra, rb = self.find(v), self.find(w)
+            if ra != rb:
+                self.parent[max(ra, rb)] = min(ra, rb)
+
+
+def _aut_order(wg: WeightedGraph, colors: list[int]) -> tuple[int, _Orbits]:
+    """Order of the color-preserving automorphism group, by orbit-stabilizer,
+    and its orbits.
+
+    The individualization chain fixes, level by level, the first vertex (the
+    pivot) of the first non-singleton cell and re-refines, until every cell
+    is a singleton. Level i's group G_i fixes the earlier pivots, and |G_i| is
+    the size of the pivot's G_i-orbit times |G_(i+1)|. Levels are handled
+    from the deepest up, with one union-find over the automorphisms found so
+    far: all of them fix the current level's earlier pivots, so they lie in
+    G_i. A cell member gets a search only when it lies outside the pivot's
+    known orbit and outside every orbit already shown to hold no image of
+    the pivot (an image there would put the whole orbit in the pivot's). At
+    the end of a level the pivot's known orbit is its full G_i-orbit, so the
+    maps found generate the group and the union-find ends with its orbits.
     """
-    target: list[int] | None = None
-    for c in sorted(set(colors)):
-        cell = [v for v in range(wg.n) if colors[v] == c]
-        if len(cell) > 1:
-            target = cell
+    chain: list[tuple[list[int], list[int]]] = []  # (cell, colors) per level
+    while True:
+        cells: dict[int, list[int]] = {}
+        for v, c in enumerate(colors):
+            cells.setdefault(c, []).append(v)
+        target = next((cells[c] for c in sorted(cells) if len(cells[c]) > 1), None)
+        if target is None:
             break
-    if target is None:
-        return 1
-    masks = _color_masks(colors)
-    base = [masks[colors[v]] for v in range(wg.n)]
-    v0 = target[0]
-    images = 1  # v0 -> v0 via the identity
-    for u in target[1:]:
-        allowed = list(base)
-        allowed[v0] = 1 << u
-        perm = _search_mapping(wg, wg, allowed)
-        if perm is not None:
-            images += 1
-            if witnesses is not None:
-                witnesses.append(_checked(wg, perm))
-    refined = list(colors)
-    refined[v0] = max(colors) + 1
-    refined = _refine(wg, refined)
-    return images * _aut_order(wg, refined, witnesses)
+        chain.append((target, colors))
+        refined = list(colors)
+        refined[target[0]] = len(cells)
+        colors = _refine(wg, refined)
+
+    orbits = _Orbits(wg.n)
+    order = 1
+    for cell, level_colors in reversed(chain):
+        masks = _color_masks(level_colors)
+        base = [masks[c] for c in level_colors]
+        pivot = cell[0]
+        dead: list[int] = []  # one member of each orbit known to hold no image
+        for u in cell[1:]:
+            root = orbits.find(u)
+            if root == orbits.find(pivot) or any(orbits.find(d) == root for d in dead):
+                continue
+            allowed = list(base)
+            allowed[pivot] = 1 << u
+            perm = _search_mapping(wg, wg, allowed)
+            if perm is None:
+                dead.append(u)
+            else:
+                orbits.join(_checked(wg, perm))
+        root = orbits.find(pivot)
+        order *= sum(1 for u in cell if orbits.find(u) == root)
+    return order, orbits
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +379,7 @@ def count_automorphisms(wg: WeightedGraph, caps: OracleCaps | None = None) -> in
     caps = caps or _DEFAULT_CAPS
     if wg.n > caps.max_nodes:
         raise CapExceeded(f"graph has {wg.n} nodes, above the cap of {caps.max_nodes}")
-    return _aut_order(wg, stable_colors(wg), None)
+    return _aut_order(wg, stable_colors(wg))[0]
 
 
 def enumerate_automorphisms(
@@ -390,6 +445,60 @@ def find_isomorphism(
     return perm
 
 
+class _ComponentClass:
+    """Isomorphic components: the first one's nodes, its node of each stable
+    colour, its subgraph once built, and how many there are."""
+
+    __slots__ = ("nodes", "at", "sub", "count")
+
+    def __init__(self, nodes: list[int], at: dict[int, int], sub: WeightedGraph | None) -> None:
+        self.nodes, self.at, self.sub, self.count = nodes, at, sub, 1
+
+
+def component_classes(
+    wg: WeightedGraph, caps: OracleCaps | None = None
+) -> list[tuple[WeightedGraph, int]]:
+    """Connected components grouped by isomorphism: one (representative, count)
+    per class, in order of first appearance; the representative is the class's
+    first component as a subgraph.
+
+    The whole graph is colour-refined once. Isomorphic components have equal
+    multisets of stable colours, which also fix their sizes, weights and edge
+    counts (colours refine weight and degree), so a component is compared
+    only with the representatives of its multiset. When its colours are
+    pairwise distinct, the colour-matching bijection is the only candidate
+    and is checked directly; otherwise find_isomorphism decides. With two or
+    more components every one must fit the node cap, as each is comparable
+    with the first.
+    """
+    caps = caps or _DEFAULT_CAPS
+    comps = connected_components(wg)
+    if len(comps) > 1 and max(map(len, comps)) > caps.max_nodes:
+        raise CapExceeded(f"graph above the node cap of {caps.max_nodes}")
+    colors = stable_colors(wg)
+    classes: list[_ComponentClass] = []
+    buckets: dict[tuple[int, ...], list[_ComponentClass]] = {}
+    for comp in comps:
+        cs = [colors[v] for v in comp]
+        forced = len(set(cs)) == len(cs)
+        sub = None
+        bucket = buckets.setdefault(tuple(sorted(cs)), [])
+        for cls in bucket:
+            if forced:
+                same = _preserves(wg, wg, {v: cls.at[c] for v, c in zip(comp, cs)})
+            else:
+                cls.sub = cls.sub or wg.subgraph(cls.nodes)
+                sub = sub or wg.subgraph(comp)
+                same = find_isomorphism(cls.sub, sub, caps) is not None
+            if same:
+                cls.count += 1
+                break
+        else:
+            bucket.append(_ComponentClass(comp, dict(zip(cs, comp)), sub))
+            classes.append(bucket[-1])
+    return [(cls.sub or wg.subgraph(cls.nodes), cls.count) for cls in classes]
+
+
 def are_isomorphic(
     a: WeightedGraph, b: WeightedGraph, caps: OracleCaps | None = None
 ) -> bool:
@@ -399,29 +508,15 @@ def are_isomorphic(
 def vertex_orbits(wg: WeightedGraph, caps: OracleCaps | None = None) -> list[list[int]]:
     """Orbits of the full automorphism group on nodes.
 
-    The witnesses collected by the counting recursion are a generating set
-    (one coset representative per image per level), so closing the nodes under
-    them yields the exact orbit partition without enumerating the group.
+    The automorphisms the count finds are a generating set (every orbit of a
+    pivot at its level is reached), so closing the nodes under them yields
+    the exact orbit partition without enumerating the group.
     """
     caps = caps or _DEFAULT_CAPS
     if wg.n > caps.max_nodes:
         raise CapExceeded(f"graph has {wg.n} nodes, above the cap of {caps.max_nodes}")
-    witnesses: list[tuple[int, ...]] = []
-    _aut_order(wg, stable_colors(wg), witnesses)
-    parent = list(range(wg.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for perm in witnesses:
-        for v in range(wg.n):
-            ra, rb = find(v), find(perm[v])
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
+    orbits = _aut_order(wg, stable_colors(wg))[1]
     groups: dict[int, list[int]] = {}
     for v in range(wg.n):
-        groups.setdefault(find(v), []).append(v)
+        groups.setdefault(orbits.find(v), []).append(v)
     return [sorted(vs) for _, vs in sorted(groups.items())]

@@ -14,11 +14,12 @@ blown up to a clique of its generators; `cyclic_subgroup_graph` skips the blow-u
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 import numpy as np
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, unit_generators
 from .oracle import WeightedGraph
 from .quotient import QuotientGraph
 
@@ -81,21 +82,32 @@ def cyclic_subgroup_graph(g: FiniteGroup) -> QuotientGraph:
     weighted by phi(order); two nodes are adjacent when one subgroup contains
     the other. A node's members are its generators as power-graph vertices."""
     _require_nontrivial(g)
-    powers, orders = g.powers, g.orders
-    # least[x]: the least generator of <x>; a power of x generates <x> if it has x's order
-    least = powers[1].copy()
-    for row in powers[2:-1]:
-        np.minimum(least, row, out=least, where=orders[row] == orders)
-    reps = np.flatnonzero(least == np.arange(g.size))[1:]
+    n, orders = g.size, g.orders
+    # least[x]: the least generator of <x>. The generators of <x> are its
+    # images under the maps y -> y**k for the units k modulo the exponent
+    # (the lcm of the element orders), and those maps are generated by the
+    # ones for unit_generators, so least is the minimum over an orbit: one
+    # cycle minimum per generator, by pointer doubling, as a cycle is shorter
+    # than the exponent.
+    exponent = math.lcm(*set(orders.tolist()))
+    least = np.arange(n, dtype=np.int32)
+    for u in unit_generators(exponent):
+        step = g.power(np.arange(n, dtype=np.int32), u)
+        for _ in range(exponent.bit_length()):
+            np.minimum(least, least[step], out=least)
+            step = step[step]
+    reps = np.flatnonzero(least == np.arange(n))[1:]
     node_of, node_orders = np.searchsorted(reps, least), orders[reps]
     # <r> is r**k for 1 <= k < order(r): the nodes of one order take one gather
+    powers = g.power_rows(reps.astype(np.int32), int(node_orders.max()))
     pairs = []
     for o in sorted(set(node_orders.tolist())):
         block = np.flatnonzero(node_orders == o)
-        inner = node_of[powers[1:o, reps[block]]]
+        inner = node_of[powers[1:o, block]]
         outer = np.broadcast_to(block, inner.shape)
         pairs.append(np.stack([outer, inner])[:, inner != outer])
     edges = zip(*np.concatenate(pairs, axis=1).tolist())
-    vertices = np.argsort(node_of[1:], kind="stable")  # grouped by node, ascending
-    members = np.split(vertices, np.cumsum(np.bincount(node_of[1:]))[:-1])
-    return QuotientGraph(tuple(tuple(m.tolist()) for m in members), edges, list(map(len, members)))
+    vertices = np.argsort(node_of[1:], kind="stable").tolist()  # grouped by node, ascending
+    ends = np.cumsum(np.bincount(node_of[1:])).tolist()
+    members = tuple(tuple(vertices[a:b]) for a, b in zip([0, *ends], ends))
+    return QuotientGraph(members, edges, list(map(len, members)))

@@ -106,19 +106,27 @@ class MenClassRecord:
     interval: tuple[int, int, int, int] | None = None  # (a, p, t, n): class = <a> minus <a**(p**t)>, order(a) = p**n
 
 
-def classify_men_class(g: FiniteGroup, members: tuple[int, ...]) -> MenClassRecord:
+def classify_men_class(
+    g: FiniteGroup, members: tuple[int, ...], generators: Sequence[int] | None = None
+) -> MenClassRecord:
     """Classify one MEN class of power-graph vertices by the cyclic subgroups
-    whose generator sets it merges; every class must fit one of the forms."""
-    rest = {v + 1 for v in members}
-    chain: list[int] = []  # the least generator of each merged subgroup
-    while rest and (gens := g.gen_set(min(rest))) <= rest:
-        chain.append(min(gens))
-        rest -= gens
-    chain.sort(key=g.element_order, reverse=True)
-    if not rest and len(chain) == 1:
+    whose generator sets it merges; every class must fit one of the forms.
+
+    `generators`, the least generator of each merged subgroup, may be given
+    where they are known (a class of the cyclic-subgroup graph's quotient);
+    otherwise generator sets are peeled off the class one at a time."""
+    if generators is None:
+        rest, generators = {v + 1 for v in members}, []
+        while rest and (gens := g.gen_set(min(rest))) <= rest:
+            generators.append(min(gens))
+            rest -= gens
+        if rest:  # not a union of generator sets
+            generators = []
+    chain = sorted(generators, key=g.element_order, reverse=True)
+    if len(chain) == 1:
         return MenClassRecord(GENERATOR_CLASS, generator=chain[0])
     # t >= 2 subgroups of orders p**n, ..., p**(n-t+1), each of index p in the one before
-    pp = None if rest else is_prime_power(g.element_order(chain[0]))
+    pp = is_prime_power(g.element_order(chain[0])) if chain else None
     if pp is not None and all(
         g.element_order(a) == pp[0] * g.element_order(b) and b in g.cyclic_subgroup(a)
         for a, b in zip(chain, chain[1:])

@@ -191,6 +191,15 @@ def test_verify_full_and_quotient_modes():
     assert r.order == 3_745_618_329_600
 
 
+@pytest.mark.parametrize("spec", ["Dih(13)", "Z(2)^5", "Sym(5)"])
+def test_full_graph_counts_match_analyze(spec):
+    # verify answers "unknown" on these at default caps (its max_count gate);
+    # the oracle counts their whole power graphs, 25-119 nodes, directly
+    r = analyze(spec)
+    pg = r.pipeline.pg
+    assert count_automorphisms(pg, OracleCaps(max_nodes=pg.n)) == r.order
+
+
 def test_verify_raises_when_both_routes_capped():
     with pytest.raises(CapExceeded):
         verify("Z(12)", OracleCaps(max_nodes=2))

@@ -17,7 +17,14 @@ from pga import (
     spec_order,
     totient,
 )
-from pga.groups import AbelianSpec, CyclicSpec, HomocyclicSpec, ProductSpec, QuaternionSpec
+from pga.groups import (
+    AbelianSpec,
+    CyclicSpec,
+    HomocyclicSpec,
+    ProductSpec,
+    QuaternionSpec,
+    unit_generators,
+)
 
 from _support import CORPUS, bundle
 
@@ -249,13 +256,17 @@ def _loop_powers(g, x):
     return out
 
 
-@pytest.mark.parametrize("spec", ["Z(12)", "Q8", "Dih(6)", "Sym(4)", "Z(2)^3"])
+@pytest.mark.parametrize(
+    "spec", ["Z(12)", "Q8", "Dih(6)", "Sym(4)", "Z(2)^3", "Z(97)", "Dih(50)", "Sym(5)", "P(Sym(3),Z(4))"]
+)
 def test_power_table_reads_match_loop_reference(spec):
     g = realize(spec)
     assert g.powers.dtype == np.int32
     for x in range(g.size):
         powers = _loop_powers(g, x)
         order = len(powers)
+        # the whole column, rows 0..m: x**k cycles with period order(x)
+        assert g.powers[:, x].tolist() == [0] + [powers[(k - 1) % order] for k in range(1, len(g.powers))]
         assert g.element_order(x) == order
         assert g.cyclic_subgroup(x) == frozenset(powers)
         assert g.gen_set(x) == {powers[k - 1] for k in range(1, order + 1) if math.gcd(k, order) == 1}
@@ -269,6 +280,20 @@ def test_arithmetic_helpers():
     assert totient(12) == 4
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert spec_order(parse_group_spec("P(Q8,Z(3))")) == 24
+
+
+def test_unit_generators_generate_the_unit_group():
+    for n in [*range(1, 130), 1000, 1024, 1260, 1680, 2000]:
+        units = {k % n for k in range(1, n + 1) if math.gcd(k, n) == 1}
+        gens = unit_generators(n)
+        assert set(gens) <= units
+        closure = {1 % n}
+        while True:
+            grown = closure | {h * u % n for h in closure for u in gens}
+            if grown == closure:
+                break
+            closure = grown
+        assert closure == units, n
 
 
 def test_labels_are_unique():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +8,7 @@ from pga import (
     OracleCaps,
     WeightedGraph,
     are_isomorphic,
+    component_classes,
     connected_components,
     count_automorphisms,
     enumerate_automorphisms,
@@ -13,6 +16,7 @@ from pga import (
     stable_colors,
     vertex_orbits,
 )
+from pga import oracle
 
 from _support import bundle, naive_count, weighted_graphs
 
@@ -186,3 +190,116 @@ def test_subgraph_and_relabel():
     back = wg.relabel([3, 2, 1, 0])
     assert back.weights == (4, 3, 2, 1)
     assert back.has_edge(3, 2) and back.has_edge(0, 1)
+
+
+def _count_searches(monkeypatch):
+    """The list of results of every _search_mapping call from now on."""
+    calls = []
+    real = oracle._search_mapping
+
+    def counted(*args, **kwargs):
+        calls.append(real(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(oracle, "_search_mapping", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: empty(63), lambda: bundle("Z(2)^6").pg], ids=["empty(63)", "Z(2)^6"]
+)
+def test_orbit_pruning_bounds_the_searches(build, monkeypatch):
+    # each search either joins two orbits or rules out a whole one, and on
+    # these graphs every search finds a map, so at most n - 1 run
+    wg = build()
+    calls = _count_searches(monkeypatch)
+    assert count_automorphisms(wg, OracleCaps(max_nodes=wg.n)) == math.factorial(63)
+    assert 0 < len(calls) <= wg.n - 1
+
+
+def test_one_failed_search_rules_out_a_whole_orbit(monkeypatch):
+    # a triangle and a 4-cycle: one colour cell but two orbits. At the top
+    # level the square's nodes already form one orbit of the maps found
+    # deeper down, so one failed search rules out all four of them
+    wg = WeightedGraph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (6, 3)])
+    calls = _count_searches(monkeypatch)
+    assert count_automorphisms(wg) == 6 * 8 == naive_count(wg)
+    assert [perm is None for perm in calls].count(True) == 1
+
+
+def _disjoint_copies(wg, copies):
+    edges = [(u + i * wg.n, v + i * wg.n) for i in range(copies) for u, v in wg.edges()]
+    return WeightedGraph(wg.n * copies, edges, wg.weights * copies)
+
+
+def _complete_bipartite(a, b, subdivided=False):
+    if not subdivided:
+        return WeightedGraph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+    # node a + b + i*b + j sits on the edge between i and a + j
+    mid = a + b
+    edges = [(i, mid + i * b + j) for i in range(a) for j in range(b)]
+    edges += [(a + j, mid + i * b + j) for i in range(a) for j in range(b)]
+    return WeightedGraph(mid + a * b, edges)
+
+
+# at most 4!**2 * 2 or 3!**3 * 3! automorphisms each, so enumeration stays quick
+symmetric_graphs = st.one_of(
+    weighted_graphs(4).map(lambda wg: _disjoint_copies(wg, 2)),
+    weighted_graphs(3).map(lambda wg: _disjoint_copies(wg, 3)),
+    st.tuples(st.integers(1, 4), st.integers(1, 4)).map(lambda t: _complete_bipartite(*t)),
+    st.just(_complete_bipartite(3, 4, subdivided=True)),
+)
+
+
+@given(symmetric_graphs)
+@settings(max_examples=40, deadline=None)
+def test_count_matches_enumeration_on_symmetric_graphs(wg):
+    assert count_automorphisms(wg) == len(enumerate_automorphisms(wg))
+
+
+def _pairwise_classes(wg, caps):
+    """Reference grouping: each component against every earlier class in turn."""
+    classes = []
+    for comp in connected_components(wg):
+        sub = wg.subgraph(comp)
+        for cls in classes:
+            if find_isomorphism(cls[0], sub, caps) is not None:
+                cls[1] += 1
+                break
+        else:
+            classes.append([sub, 1])
+    return _described(classes)
+
+
+def _described(classes):
+    return [(rep.n, rep.weights, rep.edges(), count) for rep, count in classes]
+
+
+@given(st.lists(weighted_graphs(4), min_size=1, max_size=5), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_component_classes_match_pairwise_grouping(parts, rng):
+    # disjoint union of the parts, some repeated, with the nodes shuffled
+    parts = parts + [rng.choice(parts) for _ in range(rng.randrange(4))]
+    edges, weights = [], []
+    for part in parts:
+        edges += [(u + len(weights), v + len(weights)) for u, v in part.edges()]
+        weights += part.weights
+    perm = list(range(len(weights)))
+    rng.shuffle(perm)
+    wg = WeightedGraph(len(weights), edges, weights).relabel(perm)
+    for caps in (OracleCaps(), OracleCaps(max_nodes=2)):
+        try:
+            expected = _pairwise_classes(wg, caps)
+        except CapExceeded:
+            with pytest.raises(CapExceeded):
+                component_classes(wg, caps)
+            continue
+        assert _described(component_classes(wg, caps)) == expected
+
+
+def test_component_classes_check_forced_maps_without_search(monkeypatch):
+    # 20 isolated nodes of two weights: two classes and no search at all
+    wg = WeightedGraph(20, [], [1 + v % 2 for v in range(20)])
+    calls = _count_searches(monkeypatch)
+    assert _described(component_classes(wg)) == [(1, (1,), [], 10), (1, (2,), [], 10)]
+    assert calls == []

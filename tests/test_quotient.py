@@ -3,9 +3,11 @@ import pytest
 from pga import (
     CYCLIC_INTERVAL,
     GENERATOR_CLASS,
+    FiniteGroup,
     InternalCheckError,
     MenPartition,
     Pipeline,
+    analyze,
     build_power_graph,
     build_quotient,
     classify_men_class,
@@ -147,6 +149,21 @@ def test_classify_rejects_other_unions():
     ):
         with pytest.raises(InternalCheckError, match="fits neither"):
             classify_men_class(g, members)
+
+
+def test_classes_classify_from_subgroup_nodes(monkeypatch):
+    # the least generators of a class's cyclic-subgroup nodes give the same
+    # record as peeling generator sets off its members
+    for spec in CORPUS + ("Dih(6)", "Sym(4)"):
+        b = bundle(spec)
+        gens = {c: [] for c in range(len(b.mp.classes))}
+        for members in b.sg.members:
+            gens[b.mp.class_of[members[0]]].append(members[0] + 1)
+        for cid, members in enumerate(b.mp.classes):
+            assert classify_men_class(b.g, members, gens[cid]) == classify_men_class(b.g, members)
+    # and the report's summaries take that route, with no generator-set reads
+    monkeypatch.setattr(FiniteGroup, "gen_set", lambda self, x: pytest.fail("gen_set called"))
+    assert [c.kind for c in analyze("Z(8)").classes] == [CYCLIC_INTERVAL]
 
 
 def test_every_corpus_class_classifies():
