@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .engine import AutReport, analyze, verify
-from .expr import expr_order, render_expr
+from .expr import decimal, expr_order, render_expr
 from .oracle import CapExceeded, OracleCaps
 from .powergraph import PowerGraph
 from .quotient import QuotientGraph
@@ -49,17 +49,21 @@ def report_to_json_dict(report: AutReport) -> dict:
         ],
         "quotient": {"nodes": report.quotient_nodes, "edges": report.quotient_edges},
         "expression": report.expression_str,
-        "order_decimal": str(report.order),
+        "order_decimal": decimal(report.order),
         "method": report.method,
         "verification": {
             "status": verification.status,
-            "structural_order": str(verification.structural_order),
+            "structural_order": decimal(verification.structural_order),
             "oracle_order": (
-                None if verification.oracle_order is None else str(verification.oracle_order)
+                None if verification.oracle_order is None else decimal(verification.oracle_order)
             ),
             "detail": verification.detail,
         },
     }
+
+
+def _optional_decimal(n: int | None) -> str:
+    return "None" if n is None else decimal(n)
 
 
 def render_text(report: AutReport) -> str:
@@ -76,10 +80,10 @@ def render_text(report: AutReport) -> str:
     lines.append(f"quotient: {report.quotient_nodes} nodes, {report.quotient_edges} edges")
     lines.append(
         f"quotient automorphisms: {render_expr(report.quotient_expr)}"
-        f"  (order {expr_order(report.quotient_expr)})"
+        f"  (order {decimal(expr_order(report.quotient_expr))})"
     )
     lines.append(f"expression: {report.expression_str}")
-    lines.append(f"order: {report.order}")
+    lines.append(f"order: {decimal(report.order)}")
     for note in report.notes:
         lines.append(f"note: {note}")
     v = report.verification
@@ -87,8 +91,8 @@ def render_text(report: AutReport) -> str:
         lines.append("verification: skipped")
     else:
         lines.append(
-            f"verification: {v.status.upper()}  structural={v.structural_order}"
-            f"  oracle={v.oracle_order}  ({v.detail})"
+            f"verification: {v.status.upper()}  structural={decimal(v.structural_order)}"
+            f"  oracle={_optional_decimal(v.oracle_order)}  ({v.detail})"
         )
     return "\n".join(lines) + "\n"
 
@@ -96,7 +100,8 @@ def render_text(report: AutReport) -> str:
 def verdict_line(report: AutReport) -> str:
     v = report.verification
     return (
-        f"{report.spec}: {v.status.upper()}  {v.structural_order} = {v.oracle_order}"
+        f"{report.spec}: {v.status.upper()}  {decimal(v.structural_order)}"
+        f" = {_optional_decimal(v.oracle_order)}"
         f"  ({v.detail})"
     )
 

@@ -47,6 +47,7 @@ from .expr import (
     Sym,
     Trivial,
     Wreath,
+    decimal,
     expr_normalize,
     expr_order,
     render_expr,
@@ -257,8 +258,8 @@ def _make_report(
     factorial_part = math.prod(math.factorial(w) for w in p.mp.weights)
     if order != expr_order(qe) * factorial_part:
         raise InternalCheckError(
-            f"order {order} does not factor as quotient part "
-            f"{expr_order(qe)} times class factorials {factorial_part}"
+            f"order {decimal(order)} does not factor as quotient part "
+            f"{decimal(expr_order(qe))} times class factorials {decimal(factorial_part)}"
         )
     return AutReport(
         spec=p.g.description,
@@ -292,11 +293,12 @@ def _cross_check(
         return
     if expr_order(generic) != expected_quotient_order:
         raise InternalCheckError(
-            f"closed form gives quotient order {expected_quotient_order} but the "
-            f"recursive decomposition gives {expr_order(generic)}"
+            f"closed form gives quotient order {decimal(expected_quotient_order)} but the "
+            f"recursive decomposition gives {decimal(expr_order(generic))}"
         )
     notes.append(
-        f"cross-check: recursive quotient decomposition agrees (order {expected_quotient_order})"
+        "cross-check: recursive quotient decomposition agrees "
+        f"(order {decimal(expected_quotient_order)})"
     )
 
 
@@ -414,7 +416,7 @@ def verify(
         graph, expected, kind = report.pipeline.pg, report.order, "full"
         detail = f"full power graph on {n} vertices"
     else:
-        reason = f"full graph infeasible ({n} vertices, structural order {report.order})"
+        reason = f"full graph infeasible ({n} vertices, structural order {decimal(report.order)})"
         expected = expr_order(report.quotient_expr)
         if q.n_nodes > caps.max_nodes or expected > caps.max_count:
             raise CapExceeded(f"{reason}; quotient also exceeds the caps")

@@ -107,13 +107,32 @@ def expr_normalize(e: GroupExpr) -> GroupExpr:
     return e
 
 
+def decimal(n: int) -> str:
+    """The exact decimal digits of an integer of any size.
+
+    Python refuses str() on integers above a digit limit (4300 by default,
+    set by sys.set_int_max_str_digits and never changed here), and
+    automorphism orders pass it from Z(1567) on. Numbers of up to 2000 bits
+    (at most 603 digits, below the least limit allowed) go through str();
+    larger ones are split by a power of ten near half their length and
+    converted half by half.
+    """
+    if n < 0:
+        return "-" + decimal(-n)
+    if n.bit_length() <= 2000:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10
+    high, low = divmod(n, 10**k)
+    return decimal(high) + decimal(low).rjust(k, "0")
+
+
 def render_expr(e: GroupExpr) -> str:
     if isinstance(e, Trivial):
         return "1"
     if isinstance(e, Sym):
         return f"S{e.n}"
     if isinstance(e, Opaque):
-        return f"[{e.order}]"
+        return f"[{decimal(e.order)}]"
     if isinstance(e, Wreath):
         base = render_expr(e.base)
         if isinstance(e.base, Product):

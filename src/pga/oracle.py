@@ -7,25 +7,37 @@ nothing about groups or neighborhood partitions.
 
 The machinery is classic individualization-refinement:
 
-  * vertices are colored by (weight, degree) and the coloring is refined with
-    sorted neighbor-color signatures until stable; automorphisms can never map
-    across stable colors;
-  * a backtracking search with bitmask forward-checking decides whether a
-    color-respecting bijection with prescribed constraints exists;
+  * one bitmask refinement (_split) splits each cell by the number of
+    neighbours its nodes have in a splitter cell until the partition is
+    equitable, starting from cells of equal weight; automorphisms can never
+    map across its cells, and its cell order does not depend on how the
+    nodes are numbered;
   * the group order is the product, down an individualization chain (each
-    level fixing one pivot vertex and re-refining), of the size of each
-    pivot's orbit under the maps that fix the earlier pivots, so huge
-    symmetric groups are counted without listing their elements. Levels are
-    handled from the deepest up, and a union-find over the automorphisms
-    found so far prunes the searches: a candidate image gets an explicit
-    search only when it lies outside the pivot's known orbit and outside
-    every orbit already shown to hold no image (orbit pruning, after McKay
-    and Piperno, "Practical Graph Isomorphism II", 2014);
+    level fixing one pivot vertex and refining with it as the only
+    splitter), of the size of each pivot's orbit under the maps that fix the
+    earlier pivots, so huge symmetric groups are counted without listing
+    their elements. Levels are handled from the deepest up, and a union-find
+    over the automorphisms found so far prunes the work: a candidate image
+    gets a witness attempt only when it lies outside the pivot's known orbit
+    and outside every orbit already shown to hold no image (orbit pruning,
+    after McKay and Piperno, "Practical Graph Isomorphism II", 2014);
+  * a witness attempt tries, in order, the transposition of the pivot and
+    the candidate; the candidate's own refinement of the level (cell sizes
+    unequal to the pivot's rule it out) and one guess read off the two
+    refinements, fixing every node its cell allows, as most symmetries
+    move few nodes (Darga, Sakallah and Markov, "Faster Symmetry Discovery
+    using Sparsity of Symmetries", 2008); and only then an exhaustive
+    backtracking search with bitmask forward-checking, run on an explicit
+    stack;
   * components are grouped by isomorphism after one refinement of the whole
     graph, comparing only components with equal colour multisets.
 
-Every witness bijection is re-verified edge by edge and weight by weight
-before it is trusted. Caps produce an explicit CapExceeded, never a guess.
+Every guess and every found map is checked before it is trusted. An
+automorphism check compares only the rows of the nodes the map moves; an
+edge between two fixed nodes is its own image, so that is complete. Only a
+refinement mismatch or a failed exhaustive search rules a candidate out, so
+a bad guess never lowers a count. Caps produce an explicit CapExceeded,
+never a guess.
 """
 
 from __future__ import annotations
@@ -163,47 +175,111 @@ def connected_components(wg: WeightedGraph) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# coloring
+# refinement
 
 
-def _initial_colors(wg: WeightedGraph) -> list[int]:
-    keys = [(wg.weights[v], wg.degree(v)) for v in range(wg.n)]
-    rank = {k: i for i, k in enumerate(sorted(set(keys)))}
-    return [rank[k] for k in keys]
+def _split(adj: Sequence[int], cells: list[int], cell_of: list[int], queue: list[int]) -> None:
+    """Refine an ordered partition in place until it is equitable.
+
+    cells holds one node bitmask per cell and cell_of the index of each
+    node's cell. Each queued cell S in turn splits every cell it touches, in
+    index order, by the number of neighbours in S,
+    `(adj[v] & S).bit_count()`. The fragment with the fewest keeps the
+    cell's index and the others are appended by increasing count. Nothing
+    here reads node numbers, so an automorphism that maps one partition onto
+    another maps their refinements onto each other cell by cell. As in
+    Hopcroft's algorithm, a cell split while not queued queues all its
+    fragments but the first largest one.
+    """
+    queued = [False] * len(cells)
+    for s in queue:
+        queued[s] = True
+    for s in queue:  # the loop sees what is appended to the queue
+        queued[s] = False
+        splitter = cells[s]
+        touched = 0
+        for x in _iter_bits(splitter):
+            touched |= adj[x]
+        for i in sorted({cell_of[v] for v in _iter_bits(touched)}):
+            cell = cells[i]
+            if not cell & (cell - 1):
+                continue
+            by_count = {0: cell & ~touched} if cell & ~touched else {}
+            for v in _iter_bits(cell & touched):
+                k = (adj[v] & splitter).bit_count()
+                by_count[k] = by_count.get(k, 0) | 1 << v
+            if len(by_count) == 1:
+                continue
+            parts = [by_count[k] for k in sorted(by_count)]
+            indices = [i]
+            cells[i] = parts[0]
+            for part in parts[1:]:
+                indices.append(len(cells))
+                for v in _iter_bits(part):
+                    cell_of[v] = len(cells)
+                cells.append(part)
+                queued.append(False)
+            if not queued[i]:
+                sizes = [part.bit_count() for part in parts]
+                del indices[sizes.index(max(sizes))]
+            for j in indices:
+                if not queued[j]:
+                    queued[j] = True
+                    queue.append(j)
 
 
-def _refine(wg: WeightedGraph, colors: list[int]) -> list[int]:
-    """Refine with sorted neighbor-color signatures until the partition is stable."""
-    count = len(set(colors))
-    while True:
-        sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in wg.neighbors(v))))
-            for v in range(wg.n)
-        ]
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        colors = [rank[s] for s in sigs]
-        if len(rank) == count:
-            return colors
-        count = len(rank)
+def _equitable(adj: Sequence[int], weights: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The coarsest equitable partition with cells of equal weight, as
+    (cells, cell_of); cells start in increasing weight order."""
+    rank = {w: i for i, w in enumerate(sorted(set(weights)))}
+    cells = [0] * len(rank)
+    cell_of = [rank[w] for w in weights]
+    for v, i in enumerate(cell_of):
+        cells[i] |= 1 << v
+    _split(adj, cells, cell_of, list(range(len(cells))))
+    return cells, cell_of
+
+
+def _individualize(
+    adj: Sequence[int], cells: list[int], cell_of: list[int], v: int
+) -> tuple[list[int], list[int]]:
+    """Copies of an equitable partition with v moved to a new last cell of its
+    own, refined with that cell as the only splitter."""
+    cells, cell_of = list(cells), list(cell_of)
+    cells[cell_of[v]] ^= 1 << v
+    cell_of[v] = len(cells)
+    cells.append(1 << v)
+    _split(adj, cells, cell_of, [len(cells) - 1])
+    return cells, cell_of
 
 
 def stable_colors(wg: WeightedGraph) -> list[int]:
-    """Colour refinement from (weight, degree) to a stable partition.
+    """Colour refinement from the weights to the coarsest equitable partition;
+    a node's colour is its cell's index.
 
     Every automorphism maps each colour cell onto itself, so a node alone in
     its cell is fixed by all of them."""
-    return _refine(wg, _initial_colors(wg))
-
-
-def _color_masks(colors: Sequence[int]) -> dict[int, int]:
-    masks: dict[int, int] = {}
-    for v, c in enumerate(colors):
-        masks[c] = masks.get(c, 0) | (1 << v)
-    return masks
+    return _equitable(wg.adj, wg.weights)[1]
 
 
 # ---------------------------------------------------------------------------
 # core search
+
+
+def _restrict(groups: dict[int, int], row: int, near: int, far: int) -> dict[int, int] | None:
+    """Forward-check after mapping a node whose row is `row` onto one whose
+    row is `near`: the nodes of each group (mask -> nodes) in `row` keep the
+    candidates in `near`, the others those in `far`. Groups that end with
+    equal masks merge; None when a mask has fewer candidates than nodes."""
+    out: dict[int, int] = {}
+    for mask, nodes in groups.items():
+        for part, m in ((nodes & row, mask & near), (nodes & ~row, mask & far)):
+            if part:
+                part |= out.get(m, 0)
+                if m.bit_count() < part.bit_count():
+                    return None
+                out[m] = part
+    return out
 
 
 def _search_mapping(
@@ -215,52 +291,90 @@ def _search_mapping(
     """Find one bijection src -> dst respecting adjacency and the allowed masks.
 
     allowed[v] is a bitmask of permitted images for src node v (already
-    restricted to compatible colors). The search picks the most constrained
-    unmapped vertex, tries its candidates in ascending order, and forward-checks
-    by shrinking the masks of the still-unmapped vertices.
+    restricted to compatible colors). The unmapped nodes are grouped by
+    their mask. All nodes with a single candidate are mapped in one pass;
+    then the search picks the least node among those with the fewest
+    candidates and tries its candidates in ascending order. Each step
+    forward-checks with one AND per group and side (_restrict). The search
+    runs as a loop with an explicit stack, so its depth is not bounded by
+    Python's recursion limit.
 
     With `found`, every bijection is passed to it and the search goes on to
     the next one; the return value is then None.
     """
-    n = src.n
     src_adj, dst_adj = src.adj, dst.adj
-    mapping = [-1] * n
+    mapping = [-1] * src.n
 
-    def dfs(masks: list[int], free: list[int]) -> bool:
-        if not free:
-            if found is None:
-                return True
-            found(tuple(mapping))
-            return False
-        best, best_count = -1, n + 1
-        for v in free:
-            c = masks[v].bit_count()
-            if c < best_count:
-                best, best_count = v, c
-                if c <= 1:
-                    break
-        rest = [w for w in free if w != best]
-        row = src_adj[best]
-        for u in _iter_bits(masks[best]):
-            mapping[best] = u
-            # src neighbours of best must go to dst neighbours of u, the rest
-            # to non-neighbours other than u
-            near, far = dst_adj[u], ~(dst_adj[u] | 1 << u)
-            nxt = list(masks)
-            for w in rest:
-                m = nxt[w] & (near if row >> w & 1 else far)
-                if not m:
-                    break
-                nxt[w] = m
+    def settle(groups: dict[int, int] | None, assigned: list[int]) -> dict[int, int] | None:
+        # map every group with one candidate (one node, by _restrict's count
+        # check) at once, until none is left
+        while groups:
+            forced = [m for m in groups if not m & (m - 1)]
+            if not forced:
+                break
+            sources = taken = 0
+            for m in forced:
+                v = groups.pop(m).bit_length() - 1
+                mapping[v] = m.bit_length() - 1
+                assigned.append(v)
+                sources |= 1 << v
+                taken |= m
+            for v in _iter_bits(sources):  # the forced pairs among themselves
+                image = 0
+                for w in _iter_bits(src_adj[v] & sources):
+                    image |= 1 << mapping[w]
+                if image != dst_adj[mapping[v]] & taken:
+                    return None
+            groups = _restrict(groups, 0, 0, ~taken)
+            free_src = free_dst = 0
+            for m, nodes in (groups or {}).items():
+                free_src |= nodes
+                free_dst |= m
+            for v in _iter_bits(sources):
+                near = dst_adj[mapping[v]]
+                if groups is not None and (src_adj[v] & free_src or near & free_dst):
+                    groups = _restrict(groups, src_adj[v], near, ~near)
+        return groups
+
+    groups: dict[int, int] | None = {}
+    for v, m in enumerate(allowed):
+        groups[m] = groups.get(m, 0) | 1 << v
+    groups = _restrict(groups, 0, 0, -1)
+    groups = settle(groups, [])
+    stack: list[list] = []  # [groups without v, v, untried candidates, nodes mapped]
+    while True:
+        if groups:
+            mask = min(groups, key=lambda m: (m.bit_count(), groups[m] & -groups[m]))
+            nodes = groups[mask]
+            low = nodes & -nodes
+            rest = dict(groups)
+            if nodes == low:
+                del rest[mask]
             else:
-                if dfs(nxt, rest):
-                    return True
-        mapping[best] = -1
-        return False
-
-    if dfs(list(allowed), list(range(n))):
-        return tuple(mapping)
-    return None
+                rest[mask] = nodes ^ low
+            stack.append([rest, low.bit_length() - 1, mask, []])
+        elif groups is not None:
+            if found is None:
+                return tuple(mapping)
+            found(tuple(mapping))
+        groups = None
+        while groups is None:
+            if not stack:
+                return None
+            frame = stack[-1]
+            rest, v, cands, assigned = frame
+            for w in assigned:
+                mapping[w] = -1
+            assigned.clear()
+            if not cands:
+                stack.pop()
+                continue
+            low = cands & -cands
+            frame[2] = cands ^ low
+            mapping[v] = low.bit_length() - 1
+            assigned.append(v)
+            near = dst_adj[mapping[v]]
+            groups = settle(_restrict(rest, src_adj[v], near, ~(near | low)), assigned)
 
 
 def _preserves(a: WeightedGraph, b: WeightedGraph, pairs: dict[int, int]) -> bool:
@@ -288,9 +402,38 @@ def _is_isomorphism(a: WeightedGraph, b: WeightedGraph, perm: Sequence[int]) -> 
     return _preserves(a, b, dict(enumerate(perm)))
 
 
+def _is_automorphism(wg: WeightedGraph, perm: Sequence[int]) -> bool:
+    """True when perm is a weight- and adjacency-preserving bijection of wg.
+
+    Only the rows of moved nodes are compared. That is complete: an edge
+    between two fixed nodes is its own image, and every other edge or
+    non-edge lies in a moved row."""
+    if len(perm) != wg.n:
+        return False
+    moved = [v for v, w in enumerate(perm) if v != w]
+    support = images = 0
+    for v in moved:
+        support |= 1 << v
+        images |= 1 << perm[v]
+    if images != support or images.bit_count() != len(moved):
+        return False
+    adj, weights = wg.adj, wg.weights
+    for v in moved:
+        w = perm[v]
+        if weights[v] != weights[w]:
+            return False
+        row = adj[v]
+        image = row & ~support
+        for x in _iter_bits(row & support):
+            image |= 1 << perm[x]
+        if image != adj[w]:
+            return False
+    return True
+
+
 def _checked(wg: WeightedGraph, perm: tuple[int, ...]) -> tuple[int, ...]:
     # independent re-check of anything the search produces
-    if not _is_isomorphism(wg, wg, perm):
+    if not _is_automorphism(wg, perm):
         raise RuntimeError(f"search produced an invalid automorphism: {perm}")
     return perm
 
@@ -313,60 +456,101 @@ class _Orbits:
 
     def join(self, perm: Sequence[int]) -> None:
         for v, w in enumerate(perm):
-            ra, rb = self.find(v), self.find(w)
-            if ra != rb:
-                self.parent[max(ra, rb)] = min(ra, rb)
+            if v != w:
+                ra, rb = self.find(v), self.find(w)
+                if ra != rb:
+                    self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def _aut_order(wg: WeightedGraph, colors: list[int]) -> tuple[int, _Orbits]:
-    """Order of the color-preserving automorphism group, by orbit-stabilizer,
-    and its orbits.
+def _guess(n: int, pcells: list[int], ucells: list[int]) -> tuple[int, ...]:
+    """The map that sends each pivot-side cell onto the u-side cell of the same
+    index, fixing every node both cells share and pairing the rest in
+    increasing order; a singleton cell's node is forced."""
+    perm = list(range(n))
+    for a, b in zip(pcells, ucells):
+        if a != b:
+            common = a & b
+            for v, w in zip(_iter_bits(a ^ common), _iter_bits(b ^ common)):
+                perm[v] = w
+    return tuple(perm)
 
-    The individualization chain fixes, level by level, the first vertex (the
-    pivot) of the first non-singleton cell and re-refines, until every cell
-    is a singleton. Level i's group G_i fixes the earlier pivots, and |G_i| is
-    the size of the pivot's G_i-orbit times |G_(i+1)|. Levels are handled
-    from the deepest up, with one union-find over the automorphisms found so
-    far: all of them fix the current level's earlier pivots, so they lie in
-    G_i. A cell member gets a search only when it lies outside the pivot's
-    known orbit and outside every orbit already shown to hold no image of
-    the pivot (an image there would put the whole orbit in the pivot's). At
-    the end of a level the pivot's known orbit is its full G_i-orbit, so the
-    maps found generate the group and the union-find ends with its orbits.
+
+def _witness(
+    wg: WeightedGraph,
+    level: tuple[list[int], list[int]],
+    pivot_side: tuple[list[int], list[int]],
+    p: int,
+    u: int,
+) -> tuple[int, ...] | None:
+    """A checked automorphism that preserves the level's partition and maps p
+    to u, or None when there is none.
+
+    The steps run in order and stop at the first map that passes the check:
+    the transposition (p u); u's refinement of the level, whose cell sizes
+    must equal those of p's (pivot_side) or u is ruled out, and one guess
+    from the two; the exhaustive search with the u-side cells as masks. An
+    automorphism that maps p to u maps p's refinement onto u's cell by cell,
+    so only a size mismatch or a failed search rules u out.
     """
-    chain: list[tuple[list[int], list[int]]] = []  # (cell, colors) per level
+    swap = list(range(wg.n))
+    swap[p], swap[u] = u, p
+    if _is_automorphism(wg, swap):
+        return tuple(swap)
+    pcells, pcell_of = pivot_side
+    ucells = _individualize(wg.adj, *level, u)[0]
+    if [c.bit_count() for c in ucells] != [c.bit_count() for c in pcells]:
+        return None
+    perm = _guess(wg.n, pcells, ucells)
+    if _is_automorphism(wg, perm):
+        return perm
+    perm = _search_mapping(wg, wg, [ucells[i] for i in pcell_of])
+    return None if perm is None else _checked(wg, perm)
+
+
+def _aut_order(wg: WeightedGraph, cells: list[int], cell_of: list[int]) -> tuple[int, _Orbits]:
+    """Order of the automorphism group that preserves the equitable partition
+    (cells, cell_of), by orbit-stabilizer, and its orbits.
+
+    The individualization chain fixes, level by level, the least node (the
+    pivot) of the first non-singleton cell and refines, until every cell is a
+    singleton. Level i's group G_i fixes the earlier pivots, and |G_i| is the
+    size of the pivot's G_i-orbit times |G_(i+1)|. Levels are handled from
+    the deepest up, with one union-find over the automorphisms found so far:
+    all of them fix the current level's earlier pivots, so they lie in G_i.
+    A cell member gets a witness attempt (_witness) only when it lies outside
+    the pivot's known orbit and outside every orbit already shown to hold no
+    image of the pivot (an image there would put the whole orbit in the
+    pivot's). At the end of a level the pivot's known orbit is its full
+    G_i-orbit, so the maps found generate the group and the union-find ends
+    with its orbits.
+    """
+    chain: list[tuple[list[int], list[int], int, int]] = []  # per level
     while True:
-        cells: dict[int, list[int]] = {}
-        for v, c in enumerate(colors):
-            cells.setdefault(c, []).append(v)
-        target = next((cells[c] for c in sorted(cells) if len(cells[c]) > 1), None)
-        if target is None:
+        target = next((c for c in cells if c & (c - 1)), 0)
+        if not target:
             break
-        chain.append((target, colors))
-        refined = list(colors)
-        refined[target[0]] = len(cells)
-        colors = _refine(wg, refined)
+        pivot = (target & -target).bit_length() - 1
+        chain.append((cells, cell_of, target, pivot))
+        cells, cell_of = _individualize(wg.adj, cells, cell_of, pivot)
 
     orbits = _Orbits(wg.n)
     order = 1
-    for cell, level_colors in reversed(chain):
-        masks = _color_masks(level_colors)
-        base = [masks[c] for c in level_colors]
-        pivot = cell[0]
+    pivot_side = (cells, cell_of)
+    for cells, cell_of, target, pivot in reversed(chain):
+        members = list(_iter_bits(target))
         dead: list[int] = []  # one member of each orbit known to hold no image
-        for u in cell[1:]:
+        for u in members[1:]:
             root = orbits.find(u)
             if root == orbits.find(pivot) or any(orbits.find(d) == root for d in dead):
                 continue
-            allowed = list(base)
-            allowed[pivot] = 1 << u
-            perm = _search_mapping(wg, wg, allowed)
+            perm = _witness(wg, (cells, cell_of), pivot_side, pivot, u)
             if perm is None:
                 dead.append(u)
             else:
-                orbits.join(_checked(wg, perm))
+                orbits.join(perm)
         root = orbits.find(pivot)
-        order *= sum(1 for u in cell if orbits.find(u) == root)
+        order *= sum(1 for u in members if orbits.find(u) == root)
+        pivot_side = (cells, cell_of)
     return order, orbits
 
 
@@ -379,7 +563,7 @@ def count_automorphisms(wg: WeightedGraph, caps: OracleCaps | None = None) -> in
     caps = caps or _DEFAULT_CAPS
     if wg.n > caps.max_nodes:
         raise CapExceeded(f"graph has {wg.n} nodes, above the cap of {caps.max_nodes}")
-    return _aut_order(wg, stable_colors(wg))[0]
+    return _aut_order(wg, *_equitable(wg.adj, wg.weights))[0]
 
 
 def enumerate_automorphisms(
@@ -392,11 +576,10 @@ def enumerate_automorphisms(
         raise CapExceeded(
             f"{total} automorphisms exceed the enumeration cap of {caps.max_count}"
         )
-    colors = stable_colors(wg)
-    masks = _color_masks(colors)
+    cells, cell_of = _equitable(wg.adj, wg.weights)
     out: list[tuple[int, ...]] = []
     _search_mapping(
-        wg, wg, [masks[c] for c in colors], lambda perm: out.append(_checked(wg, perm))
+        wg, wg, [cells[i] for i in cell_of], lambda perm: out.append(_checked(wg, perm))
     )
     out.sort()
     if len(out) != total:
@@ -417,27 +600,13 @@ def find_isomorphism(
         return None
     if sorted(a.weights) != sorted(b.weights):
         return None
-    # refine both graphs jointly so colors are comparable across them
-    union = WeightedGraph(
-        a.n + b.n,
-        a.edges() + [(u + a.n, v + a.n) for u, v in b.edges()],
-        a.weights + b.weights,
-    )
-    colors = stable_colors(union)
-    b_masks: dict[int, int] = {}
-    counts: dict[int, int] = {}
-    for v in range(a.n):
-        counts[colors[v]] = counts.get(colors[v], 0) + 1
-    for v in range(a.n, union.n):
-        c = colors[v]
-        counts[c] = counts.get(c, 0) - 1
-        b_masks[c] = b_masks.get(c, 0) | (1 << (v - a.n))
-    if any(counts.values()):
+    # refine both graphs jointly, as one disjoint union with b's nodes
+    # shifted by a.n, so that cells are comparable across them
+    cells, cell_of = _equitable(a.adj + tuple(m << a.n for m in b.adj), a.weights + b.weights)
+    a_side = (1 << a.n) - 1
+    if any(2 * (c & a_side).bit_count() != c.bit_count() for c in cells):
         return None
-    allowed = [b_masks.get(colors[v], 0) for v in range(a.n)]
-    if any(m == 0 for m in allowed):
-        return None
-    perm = _search_mapping(a, b, allowed)
+    perm = _search_mapping(a, b, [cells[i] >> a.n for i in cell_of[: a.n]])
     if perm is None:
         return None
     if not _is_isomorphism(a, b, perm):
@@ -515,7 +684,7 @@ def vertex_orbits(wg: WeightedGraph, caps: OracleCaps | None = None) -> list[lis
     caps = caps or _DEFAULT_CAPS
     if wg.n > caps.max_nodes:
         raise CapExceeded(f"graph has {wg.n} nodes, above the cap of {caps.max_nodes}")
-    orbits = _aut_order(wg, stable_colors(wg))[1]
+    orbits = _aut_order(wg, *_equitable(wg.adj, wg.weights))[1]
     groups: dict[int, list[int]] = {}
     for v in range(wg.n):
         groups.setdefault(orbits.find(v), []).append(v)

@@ -106,6 +106,35 @@ def naive_count(wg: WeightedGraph) -> int:
     return total
 
 
+def reference_search(src, dst, allowed, found=None):
+    """Per-node backtracking with the oracle's rule: branch on the least node
+    among those with the fewest candidates, try them in ascending order, and
+    forward-check every unmapped node. The first bijection, or with `found`
+    every bijection passed to it in order and None."""
+    mapping = [-1] * src.n
+
+    def dfs(masks, free):
+        if not free:
+            if found is None:
+                return True
+            found(tuple(mapping))
+            return False
+        best = min(free, key=lambda v: (bin(masks[v]).count("1"), v))
+        rest = [w for w in free if w != best]
+        for u in (u for u in range(dst.n) if masks[best] >> u & 1):
+            mapping[best] = u
+            nxt = list(masks)
+            for w in rest:
+                near = src.has_edge(best, w)
+                nxt[w] &= dst.adj[u] if near else ~(dst.adj[u] | 1 << u)
+            if all(nxt[w] for w in rest) and dfs(nxt, rest):
+                return True
+        mapping[best] = -1
+        return False
+
+    return tuple(mapping) if dfs(list(allowed), list(range(src.n))) else None
+
+
 def maximal_cyclic_subgroups(g: FiniteGroup) -> list[frozenset[int]]:
     subs = {g.cyclic_subgroup(x) for x in range(g.size)}
     return [s for s in subs if not any(s < t for t in subs)]

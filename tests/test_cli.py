@@ -1,6 +1,7 @@
 import argparse
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -43,6 +44,40 @@ def test_json_expression_round_trip(capsys):
         assert run(["analyze", "--group", spec, "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert expr_order(parse_expr(data["expression"])) == int(data["order_decimal"])
+
+
+def _unlimited_str(n):
+    # the reference conversion lifts the digit limit for this call only
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_big_order_json(capsys):
+    # Z(1999)'s power graph is complete on 1998 vertices: 1998!, 5729 digits
+    assert run(["analyze", "--group", "Z(1999)", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["expression"] == "S1998"
+    assert data["order_decimal"] == _unlimited_str(math.factorial(1998))
+
+
+def test_big_order_text_and_verify(capsys):
+    assert run(["analyze", "--group", "Dih(1000)"]) == 0
+    out = capsys.readouterr().out
+    expression = next(ln for ln in out.splitlines() if ln.startswith("expression: "))
+    order = _unlimited_str(expr_order(parse_expr(expression[len("expression: "):])))
+    assert len(order) > 4300 and f"\norder: {order}\n" in out
+    # its 1015-node quotient is above the cap, and the message names the order
+    assert run(["verify", "--group", "Dih(1000)"]) == 3
+    assert f"structural order {order});" in capsys.readouterr().err
+    assert run(["verify", "--group", "Z(1999)"]) == 0
+    big = _unlimited_str(math.factorial(1998))
+    out = capsys.readouterr().out
+    assert out.startswith("Z(1999): QUOTIENT-VERIFIED  1 = 1  (full graph infeasible")
+    assert f"(1998 vertices, structural order {big}); quotient" in out
 
 
 def test_verify_full(capsys):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +10,7 @@ from pga import (
     Sym,
     Trivial,
     Wreath,
+    decimal,
     expr_normalize,
     expr_order,
     parse_expr,
@@ -98,3 +100,20 @@ def test_normalize_idempotent(e):
 @given(_expr_strategy())
 def test_render_parse_preserves_order(e):
     assert expr_order(parse_expr(render_expr(e))) == expr_order(e)
+
+
+@given(st.integers(-(10**5000), 10**5000) | st.sampled_from([0, 2**2000, 2**2001, -(2**9000)]))
+def test_decimal_matches_str_without_a_digit_limit(n):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert decimal(n) == expected
+
+
+def test_decimal_leaves_the_digit_limit_alone():
+    limit = sys.get_int_max_str_digits()
+    assert len(decimal(math.factorial(3000))) == 9131
+    assert sys.get_int_max_str_digits() == limit

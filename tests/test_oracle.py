@@ -18,7 +18,7 @@ from pga import (
 )
 from pga import oracle
 
-from _support import bundle, naive_count, weighted_graphs
+from _support import bundle, naive_count, reference_search, report, weighted_graphs
 
 
 def K(n, weights=None):
@@ -192,16 +192,16 @@ def test_subgraph_and_relabel():
     assert back.has_edge(3, 2) and back.has_edge(0, 1)
 
 
-def _count_searches(monkeypatch):
-    """The list of results of every _search_mapping call from now on."""
+def _count_calls(monkeypatch, name):
+    """The list of results of every call of oracle.<name> from now on."""
     calls = []
-    real = oracle._search_mapping
+    real = getattr(oracle, name)
 
     def counted(*args, **kwargs):
         calls.append(real(*args, **kwargs))
         return calls[-1]
 
-    monkeypatch.setattr(oracle, "_search_mapping", counted)
+    monkeypatch.setattr(oracle, name, counted)
     return calls
 
 
@@ -209,22 +209,131 @@ def _count_searches(monkeypatch):
     "build", [lambda: empty(63), lambda: bundle("Z(2)^6").pg], ids=["empty(63)", "Z(2)^6"]
 )
 def test_orbit_pruning_bounds_the_searches(build, monkeypatch):
-    # each search either joins two orbits or rules out a whole one, and on
-    # these graphs every search finds a map, so at most n - 1 run
+    # each witness attempt either joins two orbits or rules out a whole one,
+    # and on these graphs the transposition is always a witness, so at most
+    # n - 1 attempts run and none needs a guess or an exhaustive search
     wg = build()
-    calls = _count_searches(monkeypatch)
+    witnesses = _count_calls(monkeypatch, "_witness")
+    guesses = _count_calls(monkeypatch, "_guess")
+    searches = _count_calls(monkeypatch, "_search_mapping")
     assert count_automorphisms(wg, OracleCaps(max_nodes=wg.n)) == math.factorial(63)
-    assert 0 < len(calls) <= wg.n - 1
+    assert 0 < len(witnesses) <= wg.n - 1
+    assert None not in witnesses
+    assert guesses == [] and searches == []
 
 
 def test_one_failed_search_rules_out_a_whole_orbit(monkeypatch):
     # a triangle and a 4-cycle: one colour cell but two orbits. At the top
     # level the square's nodes already form one orbit of the maps found
-    # deeper down, so one failed search rules out all four of them
+    # deeper down, so ruling out one of them rules out all four. The pivot's
+    # refinement and the square node's differ in cell sizes, so that one
+    # candidate is ruled out with no search
     wg = WeightedGraph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (6, 3)])
-    calls = _count_searches(monkeypatch)
+    witnesses = _count_calls(monkeypatch, "_witness")
+    guesses = _count_calls(monkeypatch, "_guess")
+    searches = _count_calls(monkeypatch, "_search_mapping")
     assert count_automorphisms(wg) == 6 * 8 == naive_count(wg)
-    assert [perm is None for perm in calls].count(True) == 1
+    assert witnesses.count(None) == 1
+    assert searches == []
+    # every guess made was a witness, so the refinement ruled the candidate out
+    assert all(oracle._is_automorphism(wg, perm) for perm in guesses)
+
+
+@pytest.mark.parametrize("spec", ["Sym(5)", "Dih(50)", "Z(2)^6"])
+def test_full_power_graphs_count_without_exhaustive_search(spec, monkeypatch):
+    wg = bundle(spec).pg
+    searches = _count_calls(monkeypatch, "_search_mapping")
+    assert count_automorphisms(wg, OracleCaps(max_nodes=wg.n)) == report(spec).order
+    assert searches == []
+
+
+@given(weighted_graphs(6), st.data())
+@settings(max_examples=80, deadline=None)
+def test_moved_rows_check_equals_full_check(wg, data):
+    # random permutations, and automorphisms so that both answers occur
+    autos = enumerate_automorphisms(wg)
+    perm = data.draw(st.one_of(st.permutations(range(wg.n)), st.sampled_from(autos)))
+    full = all(wg.weights[perm[v]] == wg.weights[v] for v in range(wg.n)) and all(
+        wg.has_edge(u, v) == wg.has_edge(perm[u], perm[v])
+        for u in range(wg.n)
+        for v in range(wg.n)
+        if u != v
+    )
+    assert oracle._is_automorphism(wg, tuple(perm)) == full
+
+
+@st.composite
+def graphs_with_twins(draw):
+    """A random graph with some nodes cloned: each clone has its original's
+    weight and neighbours, and is joined to the original or not."""
+    base = draw(weighted_graphs(4))
+    edges, weights = base.edges(), list(base.weights)
+    for v in draw(st.lists(st.integers(0, base.n - 1), min_size=1, max_size=4)):
+        clone = len(weights)
+        weights.append(weights[v])
+        edges += [(clone, w) for w in range(base.n) if base.has_edge(v, w)]
+        if draw(st.booleans()):
+            edges.append((v, clone))
+    return WeightedGraph(len(weights), edges, weights)
+
+
+@given(graphs_with_twins())
+@settings(max_examples=60, deadline=None)
+def test_count_matches_enumeration_with_twins(wg):
+    count = count_automorphisms(wg)
+    assert count == len(enumerate_automorphisms(wg))
+    if wg.n <= 7:
+        assert count == naive_count(wg)
+
+
+@given(weighted_graphs(6), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_search_matches_per_node_reference(wg, rng):
+    # the first isomorphism onto a shuffled copy, and every automorphism in
+    # the order found, equal those of a per-node search with the same rule
+    perm = list(range(wg.n))
+    rng.shuffle(perm)
+    other = wg.relabel(perm)
+    union = WeightedGraph(
+        2 * wg.n, wg.edges() + [(u + wg.n, v + wg.n) for u, v in other.edges()],
+        wg.weights + other.weights,
+    )
+    colors = stable_colors(union)
+    allowed = [
+        sum(1 << w for w in range(wg.n) if colors[wg.n + w] == colors[v]) for v in range(wg.n)
+    ]
+    assert find_isomorphism(wg, other) == reference_search(wg, other, allowed)
+    own = stable_colors(wg)
+    allowed = [sum(1 << w for w in range(wg.n) if own[w] == own[v]) for v in range(wg.n)]
+    found, expected = [], []
+    oracle._search_mapping(wg, wg, allowed, found.append)
+    reference_search(wg, wg, allowed, expected.append)
+    assert found == expected
+    assert enumerate_automorphisms(wg) == sorted(expected)
+
+
+@given(weighted_graphs(6), st.data())
+@settings(max_examples=100, deadline=None)
+def test_search_matches_per_node_reference_on_any_masks(src, data):
+    # arbitrary masks and a second graph force conflicting single candidates
+    n = src.n
+    dst = WeightedGraph(
+        n, [(i, j) for i in range(n) for j in range(i + 1, n) if data.draw(st.booleans())]
+    )
+    allowed = data.draw(st.lists(st.integers(0, 2**n - 1), min_size=n, max_size=n))
+    assert oracle._search_mapping(src, dst, allowed) == reference_search(src, dst, allowed)
+    found, expected = [], []
+    oracle._search_mapping(src, dst, allowed, found.append)
+    reference_search(src, dst, allowed, expected.append)
+    assert found == expected
+
+
+def test_deep_search_has_no_recursion_limit():
+    # the search is a loop, so 1,100 mapped nodes need no 1,100 stack frames
+    caps = OracleCaps(max_nodes=1100)
+    assert find_isomorphism(WeightedGraph(1100), WeightedGraph(1100), caps) == tuple(range(1100))
+    path = WeightedGraph(1100, [(i, i + 1) for i in range(1099)])
+    assert find_isomorphism(path, path.relabel(range(1099, -1, -1)), caps) == tuple(range(1100))
 
 
 def _disjoint_copies(wg, copies):
@@ -300,6 +409,6 @@ def test_component_classes_match_pairwise_grouping(parts, rng):
 def test_component_classes_check_forced_maps_without_search(monkeypatch):
     # 20 isolated nodes of two weights: two classes and no search at all
     wg = WeightedGraph(20, [], [1 + v % 2 for v in range(20)])
-    calls = _count_searches(monkeypatch)
+    calls = _count_calls(monkeypatch, "_search_mapping")
     assert _described(component_classes(wg)) == [(1, (1,), [], 10), (1, (2,), [], 10)]
     assert calls == []
