@@ -140,27 +140,34 @@ def _slug(spec: str) -> str:
 # commands
 
 
-def cmd_analyze(spec: str, args: argparse.Namespace, caps: OracleCaps) -> tuple[int, str, dict]:
+# each command returns its exit code and its output, rendered only in the
+# format asked for: a JSON dict for --format json, else text
+
+
+def cmd_analyze(spec: str, args: argparse.Namespace, caps: OracleCaps) -> tuple[int, str | dict]:
     report = analyze(spec, caps)
-    return EXIT_OK, render_text(report), report_to_json_dict(report)
+    return EXIT_OK, report_to_json_dict(report) if args.format == "json" else render_text(report)
 
 
-def cmd_verify(spec: str, args: argparse.Namespace, caps: OracleCaps) -> tuple[int, str, dict]:
+def cmd_verify(spec: str, args: argparse.Namespace, caps: OracleCaps) -> tuple[int, str | dict]:
     report = verify(spec, caps)
     code = EXIT_OK if report.verification.status != "mismatch" else EXIT_INTERNAL
-    return code, verdict_line(report) + "\n", report_to_json_dict(report)
+    if args.format == "json":
+        return code, report_to_json_dict(report)
+    return code, verdict_line(report) + "\n"
 
 
-def cmd_export(spec: str, args: argparse.Namespace, caps: OracleCaps) -> tuple[int, str, dict]:
+def cmd_export(spec: str, args: argparse.Namespace, caps: OracleCaps) -> tuple[int, str]:
+    """Writes the JSON and DOT files; the text output names them."""
     report = analyze(spec, caps)
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     slug = _slug(report.spec)
     targets = args.dot if args.dot else ["power-graph", "quotient"]
     written = []
-    as_dict = report_to_json_dict(report)
     json_path = out_dir / f"{slug}.json"
-    json_path.write_text(json.dumps(as_dict, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    payload = json.dumps(report_to_json_dict(report), indent=2, sort_keys=True)
+    json_path.write_text(payload + "\n", encoding="utf-8")
     written.append(json_path)
     if "power-graph" in targets:
         p = out_dir / f"{slug}.power.dot"
@@ -170,8 +177,7 @@ def cmd_export(spec: str, args: argparse.Namespace, caps: OracleCaps) -> tuple[i
         p = out_dir / f"{slug}.quotient.dot"
         p.write_text(quotient_dot(report.pipeline.q, report), encoding="utf-8")
         written.append(p)
-    text = "".join(f"wrote {p}\n" for p in written)
-    return EXIT_OK, text, as_dict
+    return EXIT_OK, "".join(f"wrote {p}\n" for p in written)
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +240,10 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: corpus file {args.corpus} is not UTF-8 text ({exc})", file=sys.stderr)
         return EXIT_SPEC_ERROR
     worst = EXIT_OK
-    texts: list[str] = []
-    dicts: list[dict] = []
+    outputs: list[str | dict] = []
     for spec in specs:
         try:
-            code, text, as_dict = handler(spec, args, caps)
+            code, out = handler(spec, args, caps)
         except (ValueError, OSError) as exc:  # SpecError is a ValueError
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_SPEC_ERROR
@@ -249,17 +254,16 @@ def run(argv: list[str] | None = None) -> int:
             print(f"internal check failed: {exc}", file=sys.stderr)
             return EXIT_INTERNAL
         worst = max(worst, code)
-        texts.append(text)
-        dicts.append(as_dict)
+        outputs.append(out)
     if args.mode == "export":
         # export writes its own files; stdout only names them
-        sys.stdout.write("".join(texts))
+        sys.stdout.write("".join(outputs))
         return worst
     if args.format == "json":
-        payload = dicts[0] if len(dicts) == 1 else dicts
+        payload = outputs[0] if len(outputs) == 1 else outputs
         output = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        output = "\n".join(texts) if len(texts) > 1 else texts[0]
+        output = "\n".join(outputs) if len(outputs) > 1 else outputs[0]
     if args.out:
         try:
             Path(args.out).write_text(output, encoding="utf-8")

@@ -78,6 +78,7 @@ from .oracle import (
 )
 from .powergraph import PowerGraph, build_power_graph, cyclic_subgroup_graph
 from .quotient import (
+    GENERATOR_CLASS,
     MenPartition,
     QuotientGraph,
     build_quotient,
@@ -228,9 +229,10 @@ def _component_aut(cg: WeightedGraph, caps: OracleCaps) -> GroupExpr:
 
 
 def _summarize_classes(p: Pipeline) -> tuple[ClassSummary, ...]:
-    g = p.g
+    g, orders = p.g, p.g.orders.tolist()
     # each class merges the generator sets of some cyclic subgroups, the
-    # nodes of p.sg; their least generators classify it
+    # nodes of p.sg; their least generators classify it, and a class of one
+    # subgroup is that subgroup's generator set
     generators: list[list[int]] = [[] for _ in p.mp.classes]
     for members in p.sg.members:
         generators[p.mp.class_of[members[0]]].append(members[0] + 1)
@@ -238,8 +240,8 @@ def _summarize_classes(p: Pipeline) -> tuple[ClassSummary, ...]:
         ClassSummary(
             members=tuple(g.labels[v + 1] for v in members),
             weight=len(members),
-            element_order=max(map(g.element_order, gens)),
-            kind=classify_men_class(g, members, gens).kind,
+            element_order=max(orders[x] for x in gens),
+            kind=GENERATOR_CLASS if len(gens) == 1 else classify_men_class(g, members, gens).kind,
         )
         for members, gens in zip(p.mp.classes, generators)
     )
@@ -250,7 +252,7 @@ def _make_report(
 ) -> AutReport:
     """The quotient part times one symmetric group per class, checked and summarized."""
     qe = expr_normalize(quotient_expr)
-    full = Product((qe, *(Sym(w) for w in p.mp.weights)))
+    full = Product((qe, *(Sym(w) for w in p.mp.weights if w > 1)))  # Sym(1) is trivial
     expression = expr_normalize(full)
     order = expr_order(expression)
     if order != expr_order(full):

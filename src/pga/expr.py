@@ -92,11 +92,11 @@ def expr_normalize(e: GroupExpr) -> GroupExpr:
         return Wreath(base, Sym(t))
     if isinstance(e, Product):
         factors: list[GroupExpr] = []
-        stack = list(e.factors)
+        stack = list(reversed(e.factors))  # next factor last
         while stack:
-            f = expr_normalize(stack.pop(0))
+            f = expr_normalize(stack.pop())
             if isinstance(f, Product):
-                stack = list(f.factors) + stack
+                stack.extend(reversed(f.factors))
             elif not isinstance(f, Trivial):
                 factors.append(f)
         if not factors:

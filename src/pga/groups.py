@@ -13,6 +13,20 @@ Element 0 is always the identity. Groups are built from a small spec grammar:
 Element orders come from repeated squaring (each divides the group order);
 cyclic subgroups and generator sets are reads of one power table per group,
 built on first use. Instances are immutable and thread-safe.
+
+Every table is checked when it is built: element 0 must be a two-sided
+identity and every element must have a two-sided inverse. For orders up to
+200 the table must also be associative. The check is Light's test (Clifford
+and Preston, *The Algebraic Theory of Semigroups* I, 1961, section 1.2): the
+elements a with (ab)c = a(bc) for all b and c are closed under products, so
+it suffices that they include a generating set. Each constructor passes the
+generators it knows (1 for Z(n); r and s for Dih(n); (0 1) and (0 1 ... n-1)
+for Sym(n); i and j for Q8; each factor's, embedded, for a direct product);
+the check first proves, by closure under products, that they generate the
+table, and then tests them against every pair b, c, about |S| n**2 products
+where the exhaustive test takes n**3. A table given without generators, or
+small enough for one block of the test (n**3 <= 2**16), has every element
+tested. Larger groups only arise here as direct products of checked factors.
 """
 
 from __future__ import annotations
@@ -305,9 +319,15 @@ class FiniteGroup:
     """A finite group given by its full multiplication table.
 
     table[a, b] is the index of the product a*b; index 0 is the identity.
-    Identity and inverse axioms are always validated; associativity is checked
-    exhaustively for orders up to 200 (larger groups only arise here through
-    direct products of validated factors).
+    `generators`, when given, are element indices that generate the group.
+
+    Identity and inverse axioms are always validated. For orders up to 200
+    (larger groups only arise here through direct products of validated
+    factors) associativity is validated by Light's test: for n**3 > 2**16
+    and given generators S, a closure under products first proves that S
+    generates the table (a ValueError otherwise), and then (sb)c = s(bc) is
+    checked for every s in S and all b, c; otherwise every element is checked
+    as s, which is the exhaustive test.
     """
 
     def __init__(
@@ -317,12 +337,14 @@ class FiniteGroup:
         description: str,
         *,
         check: bool = True,
+        generators: tuple[int, ...] | None = None,
     ) -> None:
         table = np.ascontiguousarray(table, dtype=np.int32)
         self.size = int(table.shape[0])
         self.table = table
         self.labels = tuple(labels)
         self.description = description
+        self.generators = None if generators is None else tuple(generators)
         if len(self.labels) != self.size:
             raise ValueError("one label per element is required")
         if check:
@@ -343,17 +365,37 @@ class FiniteGroup:
         inv = (t == 0).argmax(axis=1)
         if not (t[idx, inv] == 0).all() or not (t[inv, idx] == 0).all():
             raise ValueError("some element has no two-sided inverse")
-        if n <= 200:
-            # (ab)c against a(bc) for a block of rows a at a time, about 2**16
-            # products per block
-            step = max(1, 2**16 // (n * n))
-            for lo in range(0, n, step):
-                rows = t[lo : lo + step]
-                bad = np.flatnonzero((t[rows] != np.take(rows, t, axis=1)).any(axis=(1, 2)))
-                if bad.size:
-                    raise ValueError(
-                        f"multiplication is not associative (element {lo + bad[0]})"
-                    )
+        if n > 200:
+            return
+        # the elements s with (sb)c = s(bc) for all b, c are closed under
+        # products: ((s1 s2) b) c = (s1 (s2 b)) c = s1 ((s2 b) c) = s1 (s2 (bc))
+        # = (s1 s2)(bc), so checking a generating set checks every element
+        gens = idx
+        if self.generators is not None and n**3 > 2**16:
+            gens = np.array(sorted(set(self.generators)), dtype=np.intp)
+            if ((gens < 0) | (gens >= n)).any():
+                raise ValueError("generators out of range")
+            # close {identity} + S under products; each round at least
+            # doubles the length of the words reached
+            reached = np.zeros(n, dtype=bool)
+            reached[0] = reached[gens] = True
+            span = np.flatnonzero(reached)
+            while span.size < n:
+                reached[t[np.ix_(span, span)]] = True
+                grown = np.flatnonzero(reached)
+                if grown.size == span.size:
+                    raise ValueError(f"the generators span {span.size} of the {n} elements")
+                span = grown
+        # (sb)c against s(bc) for a block of elements s at a time, about 2**16
+        # products per block
+        step = max(1, 2**16 // (n * n))
+        for lo in range(0, gens.size, step):
+            rows = t[gens[lo : lo + step]]
+            bad = np.flatnonzero((t[rows] != np.take(rows, t, axis=1)).any(axis=(1, 2)))
+            if bad.size:
+                raise ValueError(
+                    f"multiplication is not associative (element {gens[lo + bad[0]]})"
+                )
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.description!r}, order={self.size})"
@@ -449,7 +491,8 @@ def _rotations(n: int) -> np.ndarray:
 
 def _cyclic_group(n: int, description: str | None = None) -> FiniteGroup:
     labels = tuple(str(i) for i in range(n))
-    return FiniteGroup(_rotations(n)[:n], labels, description or f"Z({n})")
+    generators = (1,) if n > 1 else ()
+    return FiniteGroup(_rotations(n)[:n], labels, description or f"Z({n})", generators=generators)
 
 
 def _compose_tables(ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
@@ -466,7 +509,7 @@ def direct_product(factors: list[FiniteGroup], description: str) -> FiniteGroup:
         raise ValueError("need at least one factor")
     if len(factors) == 1:
         g = factors[0]
-        return FiniteGroup(g.table, g.labels, description, check=False)
+        return FiniteGroup(g.table, g.labels, description, check=False, generators=g.generators)
     # folded from the right: the growing table is the fast-varying factor,
     # so each composition writes long contiguous runs
     table = factors[-1].table
@@ -475,7 +518,15 @@ def direct_product(factors: list[FiniteGroup], description: str) -> FiniteGroup:
     labels = tuple(
         "(" + ",".join(parts) + ")" for parts in product(*(g.labels for g in factors))
     )
-    return FiniteGroup(table, labels, description)
+    # a factor's element x, the others at the identity, is x times the product
+    # of the later factors' orders
+    generators: list[int] = []
+    stride = 1
+    for g in reversed(factors):
+        own = range(g.size) if g.generators is None else g.generators
+        generators += [x * stride for x in own]
+        stride *= g.size
+    return FiniteGroup(table, labels, description, generators=tuple(generators))
 
 
 def _cycle_label(p: tuple[int, ...]) -> str:
@@ -502,7 +553,10 @@ def _symmetric_group(n: int) -> FiniteGroup:
     place = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
     table = np.searchsorted(perms @ place, perms[:, perms] @ place)
     labels = tuple(_cycle_label(p) for p in perm_list)
-    return FiniteGroup(table, labels, f"Sym({n})")
+    # the transposition (0 1) and the n-cycle (0 1 ... n-1)
+    moves = [(1, 0, *range(2, n)), (*range(1, n), 0)] if n > 1 else []
+    generators = tuple(perm_list.index(p) for p in moves)
+    return FiniteGroup(table, labels, f"Sym({n})", generators=generators)
 
 
 def _dihedral_group(n: int) -> FiniteGroup:
@@ -524,7 +578,7 @@ def _dihedral_group(n: int) -> FiniteGroup:
                 labels.append(rot or "e")
             else:
                 labels.append("s" + rot)
-    return FiniteGroup(table, tuple(labels), f"Dih({n})")
+    return FiniteGroup(table, tuple(labels), f"Dih({n})", generators=(1, n))  # r and s
 
 
 _Q8_UNIT_MUL = {
@@ -546,7 +600,7 @@ def _quaternion_group() -> FiniteGroup:
                     sign, unit = _Q8_UNIT_MUL[(u1, u2)]
                     table[2 * u1 + s1, 2 * u2 + s2] = 2 * unit + (s1 ^ s2 ^ sign)
     labels = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
-    return FiniteGroup(table, labels, "Q8")
+    return FiniteGroup(table, labels, "Q8", generators=(2, 4))  # i and j
 
 
 def realize(spec: GroupSpec | str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:

@@ -161,6 +161,9 @@ def connected_components(wg: WeightedGraph) -> list[list[int]]:
     for start in range(wg.n):
         if seen >> start & 1:
             continue
+        if not wg.adj[start]:  # an isolated node; no later start reaches it
+            out.append([start])
+            continue
         frontier = 1 << start
         comp = 0
         while frontier:
@@ -566,6 +569,12 @@ def count_automorphisms(wg: WeightedGraph, caps: OracleCaps | None = None) -> in
     return _aut_order(wg, *_equitable(wg.adj, wg.weights))[0]
 
 
+def _magnitude(n: int) -> str:
+    """n in decimal, or its leading power of two where str() could refuse it
+    (above 4300 digits by default; 2000 bits are at most 603 digits)."""
+    return str(n) if n.bit_length() <= 2000 else f"about 2**{n.bit_length() - 1}"
+
+
 def enumerate_automorphisms(
     wg: WeightedGraph, caps: OracleCaps | None = None
 ) -> list[tuple[int, ...]]:
@@ -574,7 +583,8 @@ def enumerate_automorphisms(
     total = count_automorphisms(wg, caps)
     if total > caps.max_count:
         raise CapExceeded(
-            f"{total} automorphisms exceed the enumeration cap of {caps.max_count}"
+            f"{_magnitude(total)} automorphisms exceed the enumeration cap of "
+            f"{_magnitude(caps.max_count)}"
         )
     cells, cell_of = _equitable(wg.adj, wg.weights)
     out: list[tuple[int, ...]] = []
@@ -649,9 +659,14 @@ def component_classes(
     buckets: dict[tuple[int, ...], list[_ComponentClass]] = {}
     for comp in comps:
         cs = [colors[v] for v in comp]
+        bucket = buckets.setdefault(tuple(sorted(cs)), [])
+        if len(comp) == 1 and bucket:
+            # an isolated node: equal colour means equal weight, and neither
+            # node has an edge
+            bucket[0].count += 1
+            continue
         forced = len(set(cs)) == len(cs)
         sub = None
-        bucket = buckets.setdefault(tuple(sorted(cs)), [])
         for cls in bucket:
             if forced:
                 same = _preserves(wg, wg, {v: cls.at[c] for v, c in zip(comp, cs)})

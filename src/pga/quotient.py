@@ -75,7 +75,17 @@ def build_quotient(wg: WeightedGraph, mp: MenPartition) -> QuotientGraph:
     class; checked for every class, this makes each pair of classes all
     adjacent or all apart (a in class i and u in class j see each other
     exactly when the two first members do), so the projection is exact.
+
+    A `QuotientGraph` whose partition is all singletons, node i alone in class
+    i with its own weight, is returned as it is: the projection is then the
+    identity and no class has a second member to check.
     """
+    if (
+        isinstance(wg, QuotientGraph)
+        and mp.weights == wg.weights
+        and mp.classes == tuple((v,) for v in range(wg.n))
+    ):
+        return wg
     edges: list[tuple[int, int]] = []
     for i, members in enumerate(mp.classes):
         outside = ~sum(1 << v for v in members)

@@ -65,6 +65,12 @@ def _small_group_specs() -> tuple[str, ...]:
 
 SMALL_GROUP_SPECS = _small_group_specs()
 
+# coprime products whose Sylow factors are not all abelian
+COPRIME_NONABELIAN_SPECS = ("P(Q8,Z(3))", "P(Dih(4),Z(3))", "P(Q8,Z(9))", "P(Dih(4),Z(5))", "Ab[4,6,9]")
+
+# the specs whose reports tests/golden_reports.json freezes
+GOLDEN_SPECS = tuple(dict.fromkeys(CORPUS + SMALL_GROUP_SPECS + COPRIME_NONABELIAN_SPECS))
+
 P_GROUP_SPECS = ("Z(4)", "Z(8)", "Z(9)", "Z(2)^2", "Z(3)^2", "Z(2)^3", "Z(4)^2", "Q8", "Dih(4)")
 
 
@@ -133,6 +139,21 @@ def reference_search(src, dst, allowed, found=None):
         return False
 
     return tuple(mapping) if dfs(list(allowed), list(range(src.n))) else None
+
+
+def is_group_table(table) -> bool:
+    """Reference check of the group axioms on a square table, element 0 the
+    identity: entries in range, two-sided identity and inverses, and
+    (ab)c == a(bc) for every triple."""
+    n = len(table)
+    if table.min() < 0 or table.max() >= n:
+        return False
+    t = table.tolist()
+    if t[0] != list(range(n)) or [row[0] for row in t] != list(range(n)):
+        return False
+    if not all(any(t[a][b] == 0 == t[b][a] for b in range(n)) for a in range(n)):
+        return False
+    return bool((table[table] == table[:, table]).all())  # [a,b,c]: (ab)c, a(bc)
 
 
 def maximal_cyclic_subgroups(g: FiniteGroup) -> list[frozenset[int]]:

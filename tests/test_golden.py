@@ -16,14 +16,9 @@ from pathlib import Path
 from pga import analyze
 from pga.cli import render_text, report_to_json_dict
 
-from _support import CORPUS, SMALL_GROUP_SPECS
+from _support import GOLDEN_SPECS
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
-
-# coprime products whose Sylow factors are not all abelian
-COPRIME_NONABELIAN_SPECS = ("P(Q8,Z(3))", "P(Dih(4),Z(3))", "P(Q8,Z(9))", "P(Dih(4),Z(5))", "Ab[4,6,9]")
-
-GOLDEN_SPECS = tuple(dict.fromkeys(CORPUS + SMALL_GROUP_SPECS + COPRIME_NONABELIAN_SPECS))
 
 
 def report_digest(spec: str) -> str:

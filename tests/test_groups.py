@@ -3,11 +3,12 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pga import (
     FiniteGroup,
     SpecError,
+    direct_product,
     divisors,
     factorize,
     is_prime_power,
@@ -26,7 +27,7 @@ from pga.groups import (
     unit_generators,
 )
 
-from _support import CORPUS, bundle
+from _support import CORPUS, bundle, is_group_table
 
 
 def test_parse_cyclic():
@@ -209,6 +210,89 @@ def test_non_associative_table_rejected():
     )
     with pytest.raises(ValueError, match="associative"):
         FiniteGroup(table, tuple("eabcd"), "loop5")
+
+
+def _perturbed(g, data):
+    """g's table with the entries of one row, away from column 0, permuted;
+    mostly the row's inverse keeps its column too, so that only the
+    associativity check can tell."""
+    table = g.table.copy()
+    row = data.draw(st.integers(1, g.size - 1))
+    keep = {0, int(np.flatnonzero(g.table[row] == 0)[0])} if data.draw(st.integers(0, 3)) else {0}
+    cols = [c for c in range(g.size) if c not in keep]
+    table[row, cols] = g.table[row, data.draw(st.permutations(cols))]
+    return table
+
+
+SMALL_TABLE_SPECS = ("Z(2)", "Z(5)", "Z(12)", "Dih(3)", "Dih(6)", "Sym(3)", "Q8", "Z(2)^3", "Ab[2,6]")
+
+
+@given(st.sampled_from(SMALL_TABLE_SPECS), st.data())
+@settings(max_examples=80, deadline=None)
+def test_table_accepted_exactly_when_it_is_a_group(spec, data):
+    g = realize(spec)
+    table = _perturbed(g, data)
+    if is_group_table(table):
+        FiniteGroup(table, g.labels, "perturbed")
+    else:
+        with pytest.raises(ValueError):
+            FiniteGroup(table, g.labels, "perturbed")
+
+
+# orders above 40, where the check tests the constructor's generators only
+LIGHT_TEST_SPECS = (
+    "Z(41)", "Z(64)", "Dih(21)", "Dih(32)", "Z(2)^6", "Z(4)^3", "Ab[2,2,12]",
+    "P(Sym(3),Z(8))", "P(Q8,Z(6))", "P(Sym(4),Z(2))", "P(Dih(4),Dih(3))",
+)
+
+
+@given(st.sampled_from(LIGHT_TEST_SPECS), st.data())
+@settings(max_examples=40, deadline=None)
+def test_table_with_generators_accepted_exactly_when_it_is_a_group(spec, data):
+    g = realize(spec)
+    table = _perturbed(g, data)
+    if is_group_table(table):
+        FiniteGroup(table, g.labels, "perturbed", generators=g.generators)
+    else:
+        with pytest.raises(ValueError):
+            FiniteGroup(table, g.labels, "perturbed", generators=g.generators)
+
+
+@pytest.mark.parametrize(
+    "spec", ["Z(1)", "Z(7)", "Dih(1)", "Dih(2)", "Dih(9)", "Sym(1)", "Sym(2)", "Sym(3)", "Sym(4)",
+             "Sym(5)", "Q8", "Z(3)^2", "Ab[2,4,6]", "P(Q8,Sym(3))", "P(Z(1),Dih(5))"]
+)
+def test_constructor_generators_generate_the_group(spec):
+    # they are proved only above 40 elements, and a product embeds its factors'
+    g = realize(spec)
+    reached = {0, *g.generators}
+    while (grown := reached | {g.mul(a, b) for a in reached for b in reached}) != reached:
+        reached = grown
+    assert reached == set(range(g.size))
+
+
+def test_product_embeds_every_element_of_a_factor_without_generators():
+    z7, dih4 = realize("Z(7)"), realize("Dih(4)")
+    bare = FiniteGroup(z7.table, z7.labels, "Z(7)")
+    g = direct_product([bare, dih4], "P(Z(7),Dih(4))")  # 56 elements: generators checked
+    assert sorted(g.generators) == sorted([8 * x for x in range(7)] + list(dih4.generators))
+
+
+def test_non_generating_generators_rejected():
+    g = realize("Sym(5)")
+    transposition = g.labels.index("(0 1)")
+    with pytest.raises(ValueError, match="span 2 of the 120"):
+        FiniteGroup(g.table, g.labels, "Sym(5)", generators=(transposition,))
+    with pytest.raises(ValueError, match="out of range"):
+        FiniteGroup(g.table, g.labels, "Sym(5)", generators=(*g.generators, 120))
+
+
+def test_swapped_entries_rejected_with_generators():
+    g = realize("Dih(100)")
+    table = g.table.copy()
+    table[57, [3, 150]] = table[57, [150, 3]]  # row 57 is neither r nor s
+    with pytest.raises(ValueError, match="associative"):
+        FiniteGroup(table, g.labels, "Dih(100)", generators=g.generators)
 
 
 def test_symmetric_group_realization():

@@ -120,6 +120,13 @@ def test_enumeration_cap():
         enumerate_automorphisms(K(3), OracleCaps(max_count=5))
 
 
+def test_enumeration_cap_message_survives_huge_counts(monkeypatch):
+    # str() refuses integers above 4300 digits; the message must not need it
+    monkeypatch.setattr(oracle, "count_automorphisms", lambda wg, caps: 10**5000)
+    with pytest.raises(CapExceeded, match=r"about 2\*\*16609 .* cap of about 2\*\*16606"):
+        enumerate_automorphisms(K(3), OracleCaps(max_count=10**4999))
+
+
 def test_graph_validation():
     with pytest.raises(ValueError):
         WeightedGraph(2, [(0, 0)])
@@ -384,11 +391,17 @@ def _described(classes):
     return [(rep.n, rep.weights, rep.edges(), count) for rep, count in classes]
 
 
-@given(st.lists(weighted_graphs(4), min_size=1, max_size=5), st.randoms(use_true_random=False))
+@given(
+    st.lists(weighted_graphs(4), min_size=1, max_size=5),
+    st.lists(st.integers(1, 3), max_size=30),
+    st.randoms(use_true_random=False),
+)
 @settings(max_examples=60, deadline=None)
-def test_component_classes_match_pairwise_grouping(parts, rng):
-    # disjoint union of the parts, some repeated, with the nodes shuffled
+def test_component_classes_match_pairwise_grouping(parts, isolated, rng):
+    # disjoint union of the parts, some repeated, and of isolated nodes of
+    # mixed weights, with the nodes shuffled
     parts = parts + [rng.choice(parts) for _ in range(rng.randrange(4))]
+    parts += [WeightedGraph(1, [], [w]) for w in isolated]
     edges, weights = [], []
     for part in parts:
         edges += [(u + len(weights), v + len(weights)) for u, v in part.edges()]

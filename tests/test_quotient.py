@@ -18,7 +18,7 @@ from pga import (
 )
 from pga.powergraph import cyclic_subgroup_graph
 
-from _support import CORPUS, SMALL_GROUP_SPECS, bundle
+from _support import CORPUS, GOLDEN_SPECS, bundle
 
 
 def _class_sets(mp):
@@ -80,7 +80,8 @@ def test_quotient_rows_are_representative_rows_and_checked():
 
 
 def test_cyclic_subgroup_route_matches_power_graph_route():
-    for spec in dict.fromkeys(CORPUS + SMALL_GROUP_SPECS):
+    # the power graph is no QuotientGraph, so its route always projects
+    for spec in GOLDEN_SPECS:
         p = pipeline(realize(spec))
         assert "pg" not in vars(p), spec  # not built yet
         pg = build_power_graph(p.g)
@@ -89,9 +90,27 @@ def test_cyclic_subgroup_route_matches_power_graph_route():
         assert (p.mp.classes, p.mp.class_of, p.mp.weights) == (mp.classes, mp.class_of, mp.weights), spec
         assert (p.q.members, p.q.weights, p.q.edges()) == (q.members, q.weights, q.edges()), spec
         assert p.pg.adj == pg.adj, spec
+        # an all-singleton partition of the subgroup graph returns that graph
+        assert (p.q is p.sg) == (p.q.n == p.sg.n), spec
     b = bundle("Z(6)")
     with pytest.raises(InternalCheckError, match="MEN partitions differ"):
         Pipeline(b.g, b.sg, _partition(((0, 4), (1, 2, 3))), b.q).pg
+
+
+def test_all_singleton_partition_returns_its_quotient_graph():
+    sg = bundle("Sym(3)").sg
+    mp = men_partition(sg)
+    assert all(len(c) == 1 for c in mp.classes)
+    assert build_quotient(sg, mp) is sg
+    # other discrete partitions are projected: doubled weights, reversed classes
+    reverse = tuple(reversed(range(sg.n)))
+    for classes, weights in (
+        (mp.classes, tuple(2 * w for w in sg.weights)),
+        (tuple((v,) for v in reverse), tuple(sg.weights[v] for v in reverse)),
+    ):
+        q = build_quotient(sg, MenPartition.of(classes, weights))
+        assert q is not sg and q.weights == weights
+        assert q.members == tuple(sg.members[v] for (v,) in classes)
 
 
 def test_quotient_single_node_for_complete_graph():
