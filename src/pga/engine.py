@@ -37,7 +37,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from itertools import accumulate
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import InternalCheckError
 from .expr import (
@@ -118,8 +121,7 @@ def pipeline(g: FiniteGroup) -> Pipeline:
     return Pipeline(g, sg, MenPartition.of(q.members, q.weights), q)
 
 
-@dataclass(frozen=True)
-class ClassSummary:
+class ClassSummary(NamedTuple):
     members: tuple[str, ...]  # element labels, ascending element id
     weight: int
     element_order: int  # largest order over the class
@@ -229,22 +231,27 @@ def _component_aut(cg: WeightedGraph, caps: OracleCaps) -> GroupExpr:
 
 
 def _summarize_classes(p: Pipeline) -> tuple[ClassSummary, ...]:
-    g, orders = p.g, p.g.orders.tolist()
+    g, classes = p.g, p.mp.classes
     # each class merges the generator sets of some cyclic subgroups, the
     # nodes of p.sg; their least generators classify it, and a class of one
     # subgroup is that subgroup's generator set
-    generators: list[list[int]] = [[] for _ in p.mp.classes]
-    for members in p.sg.members:
-        generators[p.mp.class_of[members[0]]].append(members[0] + 1)
-    return tuple(
-        ClassSummary(
-            members=tuple(g.labels[v + 1] for v in members),
-            weight=len(members),
-            element_order=max(orders[x] for x in gens),
-            kind=GENERATOR_CLASS if len(gens) == 1 else classify_men_class(g, members, gens).kind,
-        )
-        for members, gens in zip(p.mp.classes, generators)
-    )
+    least = [members[0] + 1 for members in p.sg.members]
+    node_class = [p.mp.class_of[x - 1] for x in least]
+    class_order = np.zeros(len(classes), dtype=np.intp)
+    class_order[node_class] = g.orders[least]  # a merged class's is set below
+    kinds = [GENERATOR_CLASS] * len(classes)
+    merged = {c: [] for c in np.flatnonzero(np.bincount(node_class) > 1).tolist()}
+    for x, c in zip(least, node_class):
+        if c in merged:
+            merged[c].append(x)
+    for c, gens in merged.items():
+        class_order[c] = g.orders[gens].max()
+        kinds[c] = classify_men_class(g, classes[c], gens).kind
+    labels = g.labels
+    flat = [labels[v + 1] for members in classes for v in members]
+    ends = list(accumulate(map(len, classes)))
+    members = map(tuple, map(flat.__getitem__, map(slice, [0, *ends], ends)))
+    return tuple(map(ClassSummary._make, zip(members, map(len, classes), class_order.tolist(), kinds)))
 
 
 def _make_report(

@@ -1,4 +1,5 @@
-"""Finite groups as explicit multiplication tables with 0-based element indices.
+"""Finite groups on 0-based element indices, read through a vectorized
+product and power.
 
 Element 0 is always the identity. Groups are built from a small spec grammar:
 
@@ -10,27 +11,37 @@ Element 0 is always the identity. Groups are built from a small spec grammar:
     Q8              quaternion group
     P(A,B)          external direct product of two specs
 
-Element orders come from repeated squaring (each divides the group order);
-cyclic subgroups and generator sets are reads of one power table per group,
-built on first use. Instances are immutable and thread-safe.
+A group supplies `mul(a, b)` and `power(x, k)` on int32 index arrays, and
+everything else is built on those two. Sym(n), Q8 and any table passed to
+`FiniteGroup` are table groups, which read an n x n multiplication table.
+Z(n), Dih(n) and direct products (Ab[...], Z(q)^k, P(A,B)) are arithmetic
+groups: residues mod n, (flip, rotation) pairs, and mixed-radix digits over
+the factors, with a closed-form power each; they store no table, so no
+n x n array is built for them. Element orders come from repeated powers
+(each divides the group order); cyclic subgroups and generator sets are read
+off a few rows of powers. Instances are immutable and thread-safe.
 
-Every table is checked when it is built: element 0 must be a two-sided
-identity and every element must have a two-sided inverse. For orders up to
-200 the table must also be associative. The check is Light's test (Clifford
-and Preston, *The Algebraic Theory of Semigroups* I, 1961, section 1.2): the
+Every group is checked when it is built: element 0 must be a two-sided
+identity and every element must have a two-sided inverse, and power(x, 2)
+must equal mul(x, x). For orders up to 200 the product, on its full n x n
+grid, must also be associative. The check is Light's test (Clifford and
+Preston, *The Algebraic Theory of Semigroups* I, 1961, section 1.2): the
 elements a with (ab)c = a(bc) for all b and c are closed under products, so
 it suffices that they include a generating set. Each constructor passes the
 generators it knows (1 for Z(n); r and s for Dih(n); (0 1) and (0 1 ... n-1)
 for Sym(n); i and j for Q8; each factor's, embedded, for a direct product);
 the check first proves, by closure under products, that they generate the
-table, and then tests them against every pair b, c, about |S| n**2 products
+group, and then tests them against every pair b, c, about |S| n**2 products
 where the exhaustive test takes n**3. A table given without generators, or
-small enough for one block of the test (n**3 <= 2**16), has every element
-tested. Larger groups only arise here as direct products of checked factors.
+a group small enough for one block of the test (n**3 <= 2**16), has every
+element tested. Larger groups only arise here as Z(n), Dih(n) or direct
+products of checked factors; above 200 elements an arithmetic group checks
+identity and inverses on its n elements alone.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,7 +49,6 @@ from itertools import permutations, product
 from typing import Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SpecError
 
@@ -315,20 +325,46 @@ def spec_order(spec: GroupSpec) -> int:
 # the group model
 
 
-class FiniteGroup:
-    """A finite group given by its full multiplication table.
+def _scale(x: np.ndarray, k: int, n: int) -> np.ndarray:
+    """k * x mod n for the int32 residues x, in int64 where int32 could overflow."""
+    k %= n
+    if k * n < 2**31:
+        return x * k % n
+    return (x.astype(np.int64) * k % n).astype(np.int32)
 
-    table[a, b] is the index of the product a*b; index 0 is the identity.
+
+class FiniteGroup:
+    """A finite group on the element indices 0..n-1, index 0 the identity.
+
+    Everything is read through two vectorized operations on int32 index
+    arrays: `mul(a, b)`, the elementwise (broadcast) product, and
+    `power(x, k)`. Element orders, power rows, cyclic subgroups, generator
+    sets, commutativity and centralizers are built on those two. Two forms
+    supply them:
+
+    - a table group, this class built from its n x n multiplication table
+      (table[a, b] is the index of a*b): Sym(n), Q8 and any table passed in;
+    - an arithmetic group, one of the subclasses below, which computes each
+      product and each power in closed form and stores no table: Z(n),
+      Dih(n), and direct products (Ab[...], Z(q)^k, P(A,B)), componentwise.
+
     `generators`, when given, are element indices that generate the group.
 
-    Identity and inverse axioms are always validated. For orders up to 200
-    (larger groups only arise here through direct products of validated
-    factors) associativity is validated by Light's test: for n**3 > 2**16
-    and given generators S, a closure under products first proves that S
-    generates the table (a ValueError otherwise), and then (sb)c = s(bc) is
-    checked for every s in S and all b, c; otherwise every element is checked
-    as s, which is the exhaustive test.
+    Every group is checked when it is built. For orders up to 200, and for
+    every table, the product on the full n x n grid (the table itself) must
+    have element 0 as a two-sided identity and a two-sided inverse for every
+    element. For orders up to 200 it must also be associative, by Light's
+    test: for n**3 > 2**16 and given generators S, a closure under products
+    first proves that S generates the grid (a ValueError otherwise), and then
+    (sb)c = s(bc) is checked for every s in S and all b, c; otherwise every
+    element is checked as s, which is the exhaustive test. An arithmetic group
+    above 200 elements checks identity and inverses on its n elements through
+    `mul`, x**(n-1) being x's inverse. Every group also checks
+    power(x, 2) == mul(x, x) for every x, so that a closed-form power cannot
+    drift away from the checked product.
     """
+
+    table: np.ndarray | None = None  # arithmetic groups have none
 
     def __init__(
         self,
@@ -339,9 +375,20 @@ class FiniteGroup:
         check: bool = True,
         generators: tuple[int, ...] | None = None,
     ) -> None:
-        table = np.ascontiguousarray(table, dtype=np.int32)
-        self.size = int(table.shape[0])
-        self.table = table
+        self.table = np.ascontiguousarray(table, dtype=np.int32)
+        self._flat = self.table.ravel()
+        self._setup(int(self.table.shape[0]), labels, description, generators, check)
+        self.table.flags.writeable = False
+
+    def _setup(
+        self,
+        size: int,
+        labels: tuple[str, ...],
+        description: str,
+        generators: tuple[int, ...] | None,
+        check: bool,
+    ) -> None:
+        self.size = size
         self.labels = tuple(labels)
         self.description = description
         self.generators = None if generators is None else tuple(generators)
@@ -349,10 +396,23 @@ class FiniteGroup:
             raise ValueError("one label per element is required")
         if check:
             self._validate()
-        self.table.flags.writeable = False
 
     def _validate(self) -> None:
-        n, t = self.size, self.table
+        n = self.size
+        idx = np.arange(n, dtype=np.int32)
+        if self.table is None and n > 200:
+            if (self.mul(0, idx) != idx).any() or (self.mul(idx, 0) != idx).any():
+                raise ValueError("element 0 is not a two-sided identity")
+            inv = self.power(idx, n - 1)
+            if (self.mul(idx, inv) != 0).any() or (self.mul(inv, idx) != 0).any():
+                raise ValueError("some element has no two-sided inverse")
+        else:
+            self._validate_grid(self.table if self.table is not None else self.mul(idx[:, None], idx))
+        if (self.power(idx, 2) != self.mul(idx, idx)).any():
+            raise ValueError("power(x, 2) differs from the product x * x")
+
+    def _validate_grid(self, t: np.ndarray) -> None:
+        n = self.size
         if t.shape != (n, n):
             raise ValueError("multiplication table must be square")
         if n < 1:
@@ -400,12 +460,29 @@ class FiniteGroup:
     def __repr__(self) -> str:
         return f"FiniteGroup({self.description!r}, order={self.size})"
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
+    def mul(self, a, b):
+        """The products a*b, elementwise over the broadcast index arrays (or ints);
+        flat table indices stay int32, as n * n < 2**31 for any table that
+        fits in memory."""
+        return self._flat.take(a * self.size + b)
+
+    def power(self, x: np.ndarray, k: int) -> np.ndarray:
+        """x**k for the int32 elements x and k >= 1, by repeated squaring."""
+        out = None
+        while True:
+            if k & 1:
+                out = x if out is None else self.mul(out, x)
+            k >>= 1
+            if not k:
+                return out
+            x = self.mul(x, x)
 
     @cached_property
     def is_abelian(self) -> bool:
-        return bool((self.table == self.table.T).all())
+        # abelian exactly when every generator commutes with every element
+        x = np.arange(self.size, dtype=np.int32)
+        s = (x if self.generators is None else np.array(self.generators, dtype=np.int32))[:, None]
+        return bool((self.mul(s, x) == self.mul(x, s)).all())
 
     @cached_property
     def orders(self) -> np.ndarray:
@@ -414,14 +491,19 @@ class FiniteGroup:
         It divides the group order n (Lagrange), so it is the product, over
         the prime powers p**e exactly dividing n, of the order p**a of x's
         p-part x**(n / p**e); a counts the p-th powers that part takes to
-        reach the identity."""
+        reach the identity, at most e."""
         n = self.size
         orders = np.ones(n, dtype=np.intp)
         for p, e in factorize(n).items():
             part = self.power(np.arange(n, dtype=np.int32), n // p**e)
-            while (moving := part != 0).any():
+            for _ in range(e):
+                if not (moving := part != 0).any():
+                    break
                 orders[moving] *= p
                 part = self.power(part, p)
+            else:
+                if part.any():
+                    raise ValueError("some element's order does not divide the group order")
         return orders
 
     @cached_property
@@ -432,75 +514,131 @@ class FiniteGroup:
         return out
 
     def power_rows(self, x: np.ndarray, m: int) -> np.ndarray:
-        """Rows 0..m of the powers of the int32 elements x: out[k, i] = x[i]**k.
+        """Rows 0..m (m >= 1) of the powers of the int32 elements x:
+        out[k, i] = x[i]**k.
 
-        Rows j+1..j+s come from rows 1..s and row j in one gather, since
-        x**(j+k) = x**k * x**j, so the table takes about log2(m) gathers; the
-        only other buffer is one gather's result, at most half its size."""
-        n = self.size
+        Rows j+1..j+s are rows 1..s times row j in one product, since
+        x**(j+k) = x**k * x**j, so the table takes about log2(m) products; the
+        only other buffer is one product's result, at most half its size."""
         out = np.empty((m + 1, len(x)), dtype=np.int32)
         out[0], out[1] = 0, x
-        flat, j = self.table.ravel(), 1
+        j = 1
         while j < m:
             s = min(j, m - j)
-            block = out[j + 1 : j + s + 1]
-            np.multiply(out[1 : s + 1], n, out=block)
-            block += out[j]
-            block[...] = flat[block]
+            out[j + 1 : j + s + 1] = self.mul(out[1 : s + 1], out[j])
             j += s
         return out
-
-    def power(self, x: np.ndarray, k: int) -> np.ndarray:
-        """x**k for the int32 elements x and k >= 1, by repeated squaring;
-        indices into the flat table stay int32, as n * n < 2**31 for any
-        table that fits in memory."""
-        flat, n, out = self.table.ravel(), self.size, None
-        while True:
-            if k & 1:
-                out = x if out is None else flat[out * n + x]
-            k >>= 1
-            if not k:
-                return out
-            x = flat[x * n + x]
 
     def element_order(self, x: int) -> int:
         return int(self.orders[x])
 
+    def _own_powers(self, x: int) -> np.ndarray:
+        """x**k for 0 <= k <= order(x)."""
+        return self.power_rows(np.array([x], dtype=np.int32), int(self.orders[x]))[:, 0]
+
     def cyclic_subgroup(self, x: int) -> frozenset[int]:
         """All powers of x, identity included."""
-        return frozenset(self.powers[: self.orders[x], x].tolist())
+        return frozenset(self._own_powers(x).tolist())
 
     def gen_set(self, x: int) -> frozenset[int]:
         """The generators of the cyclic subgroup of x; size totient(order(x))."""
-        ks = np.arange(1, self.orders[x] + 1)
-        return frozenset(self.powers[ks[np.gcd(ks, ks[-1]) == 1], x].tolist())
+        powers = self._own_powers(x)
+        ks = np.arange(1, len(powers))
+        return frozenset(powers[ks[np.gcd(ks, ks[-1]) == 1]].tolist())
 
     def centralizer_size(self, x: int) -> int:
-        return int((self.table[x, :] == self.table[:, x]).sum())
+        y = np.arange(self.size, dtype=np.int32)
+        return int((self.mul(x, y) == self.mul(y, x)).sum())
+
+
+class _CyclicGroup(FiniteGroup):
+    """Z(n) on the residues mod n: a*b is a + b and x**k is kx, mod n."""
+
+    def __init__(self, n: int) -> None:
+        generators = (1,) if n > 1 else ()
+        self._setup(n, tuple(map(str, range(n))), f"Z({n})", generators, True)
+
+    def mul(self, a, b):
+        return (a + b) % self.size
+
+    def power(self, x: np.ndarray, k: int) -> np.ndarray:
+        return _scale(x, k, self.size)
+
+
+class _DihedralGroup(FiniteGroup):
+    """Dih(n), order 2n: index f*n + a is s^f r^a, and r^a s = s r^(-a)."""
+
+    def __init__(self, n: int) -> None:
+        self.rotations = n
+        labels = []
+        for f in range(2):
+            for a in range(n):
+                rot = "" if a == 0 else ("r" if a == 1 else f"r^{a}")
+                if f == 0:
+                    labels.append(rot or "e")
+                else:
+                    labels.append("s" + rot)
+        self._setup(2 * n, labels, f"Dih({n})", (1, n), True)  # r and s
+
+    def mul(self, a, b):
+        # s^f1 r^a1 * s^f2 r^a2 = s^(f1^f2) r^(a2 +- a1), minus when f2 = 1
+        n = self.rotations
+        f1, a1 = divmod(a, n)
+        f2, a2 = divmod(b, n)
+        return (f1 ^ f2) * n + (a2 + a1 - 2 * a1 * f2) % n
+
+    def power(self, x: np.ndarray, k: int) -> np.ndarray:
+        # a rotation's exponent is multiplied by k; a reflection is an involution
+        n = self.rotations
+        return np.where(x < n, _scale(x, k, n), x * (k & 1))
+
+
+class _ProductGroup(FiniteGroup):
+    """A direct product, element index the mixed-radix number of the factors'
+    indices with the first factor most significant; products and powers are
+    the factors', digit by digit."""
+
+    def __init__(self, factors: list[FiniteGroup], description: str) -> None:
+        self.factors = tuple(factors)
+        generators: list[int] = []
+        stride = 1
+        for g in reversed(factors):
+            # a factor's element x, the others at the identity, is x times
+            # the product of the later factors' orders
+            own = range(g.size) if g.generators is None else g.generators
+            generators += [x * stride for x in own]
+            stride *= g.size
+        labels = (
+            "(" + ",".join(parts) + ")" for parts in product(*(g.labels for g in factors))
+        )
+        self._setup(stride, labels, description, generators, True)
+
+    def _digits(self, x):
+        """The factors' indices of x, first factor first."""
+        out = []
+        for g in reversed(self.factors[1:]):
+            x, digit = divmod(x, g.size)
+            out.append(digit)
+        out.append(x)
+        return out[::-1]
+
+    def _number(self, digits):
+        out = digits[0]
+        for g, digit in zip(self.factors[1:], digits[1:]):
+            out = out * g.size + digit
+        return out
+
+    def mul(self, a, b):
+        return self._number(
+            [g.mul(x, y) for g, x, y in zip(self.factors, self._digits(a), self._digits(b))]
+        )
+
+    def power(self, x: np.ndarray, k: int) -> np.ndarray:
+        return self._number([g.power(d, k) for g, d in zip(self.factors, self._digits(x))])
 
 
 # ---------------------------------------------------------------------------
 # constructions
-
-
-def _rotations(n: int) -> np.ndarray:
-    """An (n + 1) x n read-only view whose row i is (i + j) mod n over j."""
-    idx = np.arange(n, dtype=np.int32)
-    return sliding_window_view(np.concatenate([idx, idx]), n)
-
-
-def _cyclic_group(n: int, description: str | None = None) -> FiniteGroup:
-    labels = tuple(str(i) for i in range(n))
-    generators = (1,) if n > 1 else ()
-    return FiniteGroup(_rotations(n)[:n], labels, description or f"Z({n})", generators=generators)
-
-
-def _compose_tables(ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
-    na, nb = ta.shape[0], tb.shape[0]
-    t = np.empty((na, nb, na, nb), dtype=np.int32)
-    np.multiply(ta[:, None, :, None], nb, out=t)
-    t += tb[None, :, None, :]
-    return t.reshape(na * nb, na * nb)
 
 
 def direct_product(factors: list[FiniteGroup], description: str) -> FiniteGroup:
@@ -508,25 +646,10 @@ def direct_product(factors: list[FiniteGroup], description: str) -> FiniteGroup:
     if not factors:
         raise ValueError("need at least one factor")
     if len(factors) == 1:
-        g = factors[0]
-        return FiniteGroup(g.table, g.labels, description, check=False, generators=g.generators)
-    # folded from the right: the growing table is the fast-varying factor,
-    # so each composition writes long contiguous runs
-    table = factors[-1].table
-    for g in factors[-2::-1]:
-        table = _compose_tables(g.table, table)
-    labels = tuple(
-        "(" + ",".join(parts) + ")" for parts in product(*(g.labels for g in factors))
-    )
-    # a factor's element x, the others at the identity, is x times the product
-    # of the later factors' orders
-    generators: list[int] = []
-    stride = 1
-    for g in reversed(factors):
-        own = range(g.size) if g.generators is None else g.generators
-        generators += [x * stride for x in own]
-        stride *= g.size
-    return FiniteGroup(table, labels, description, generators=tuple(generators))
+        g = copy.copy(factors[0])
+        g.description = description
+        return g
+    return _ProductGroup(factors, description)
 
 
 def _cycle_label(p: tuple[int, ...]) -> str:
@@ -557,28 +680,6 @@ def _symmetric_group(n: int) -> FiniteGroup:
     moves = [(1, 0, *range(2, n)), (*range(1, n), 0)] if n > 1 else []
     generators = tuple(perm_list.index(p) for p in moves)
     return FiniteGroup(table, labels, f"Sym({n})", generators=generators)
-
-
-def _dihedral_group(n: int) -> FiniteGroup:
-    # element (f, a) = s^f r^a at index f*n + a; r^a s = s r^(-a)
-    rot = _rotations(n)
-    table = np.empty((2 * n, 2 * n), dtype=np.int32)
-    for f1 in range(2):
-        for f2 in range(2):
-            # rows a1, columns a2: the product is s^(f1^f2) r^(a2 +- a1), and
-            # row n - a1 of the rotations is a2 - a1 mod n
-            block = rot[:n] if f2 == 0 else rot[n:0:-1]
-            out = table[f1 * n : (f1 + 1) * n, f2 * n : (f2 + 1) * n]
-            np.add(block, (f1 ^ f2) * n, out=out)
-    labels = []
-    for f in range(2):
-        for a in range(n):
-            rot = "" if a == 0 else ("r" if a == 1 else f"r^{a}")
-            if f == 0:
-                labels.append(rot or "e")
-            else:
-                labels.append("s" + rot)
-    return FiniteGroup(table, tuple(labels), f"Dih({n})", generators=(1, n))  # r and s
 
 
 _Q8_UNIT_MUL = {
@@ -614,15 +715,15 @@ def realize(spec: GroupSpec | str, max_order: int = DEFAULT_MAX_ORDER) -> Finite
         )
     description = render_group_spec(spec)
     if isinstance(spec, CyclicSpec):
-        return _cyclic_group(spec.n)
+        return _CyclicGroup(spec.n)
     if isinstance(spec, HomocyclicSpec):
-        return direct_product([_cyclic_group(spec.q) for _ in range(spec.copies)], description)
+        return direct_product([_CyclicGroup(spec.q)] * spec.copies, description)
     if isinstance(spec, AbelianSpec):
-        return direct_product([_cyclic_group(d) for d in spec.orders], description)
+        return direct_product([_CyclicGroup(d) for d in spec.orders], description)
     if isinstance(spec, SymmetricSpec):
         return _symmetric_group(spec.n)
     if isinstance(spec, DihedralSpec):
-        return _dihedral_group(spec.n)
+        return _DihedralGroup(spec.n)
     if isinstance(spec, QuaternionSpec):
         return _quaternion_group()
     if isinstance(spec, ProductSpec):

@@ -181,7 +181,13 @@ def connected_components(wg: WeightedGraph) -> list[list[int]]:
 # refinement
 
 
-def _split(adj: Sequence[int], cells: list[int], cell_of: list[int], queue: list[int]) -> None:
+def _split(
+    adj: Sequence[int],
+    cells: list[int],
+    cell_of: list[int],
+    queue: list[int],
+    log: dict[int, int] | None = None,
+) -> None:
     """Refine an ordered partition in place until it is equitable.
 
     cells holds one node bitmask per cell and cell_of the index of each
@@ -192,7 +198,8 @@ def _split(adj: Sequence[int], cells: list[int], cell_of: list[int], queue: list
     here reads node numbers, so an automorphism that maps one partition onto
     another maps their refinements onto each other cell by cell. As in
     Hopcroft's algorithm, a cell split while not queued queues all its
-    fragments but the first largest one.
+    fragments but the first largest one. With `log`, the first previous mask
+    of every cell that splits is recorded under its index.
     """
     queued = [False] * len(cells)
     for s in queue:
@@ -215,6 +222,8 @@ def _split(adj: Sequence[int], cells: list[int], cell_of: list[int], queue: list
                 continue
             parts = [by_count[k] for k in sorted(by_count)]
             indices = [i]
+            if log is not None:
+                log.setdefault(i, cell)
             cells[i] = parts[0]
             for part in parts[1:]:
                 indices.append(len(cells))
@@ -244,16 +253,36 @@ def _equitable(adj: Sequence[int], weights: Sequence[int]) -> tuple[list[int], l
 
 
 def _individualize(
-    adj: Sequence[int], cells: list[int], cell_of: list[int], v: int
-) -> tuple[list[int], list[int]]:
-    """Copies of an equitable partition with v moved to a new last cell of its
-    own, refined with that cell as the only splitter."""
-    cells, cell_of = list(cells), list(cell_of)
+    adj: Sequence[int], cells: list[int], cell_of: list[int], v: int, log: dict[int, int] | None = None
+) -> None:
+    """Move v, in place, from an equitable partition's cell to a new last cell
+    of its own, and refine with that cell as the only splitter. With `log`,
+    the first previous mask of every cell it changes is recorded under the
+    cell's index.
+
+    Cells only shrink or are appended, and a node only moves into an
+    appended cell, so the log undoes it (_undo)."""
+    if log is not None:
+        log.setdefault(cell_of[v], cells[cell_of[v]])
     cells[cell_of[v]] ^= 1 << v
     cell_of[v] = len(cells)
     cells.append(1 << v)
-    _split(adj, cells, cell_of, [len(cells) - 1])
-    return cells, cell_of
+    _split(adj, cells, cell_of, [len(cells) - 1], log)
+
+
+def _undo(cells: list[int], cell_of: list[int], base: int, log: dict[int, int]) -> None:
+    """Return, in place, a partition to its state before the changes logged
+    from a length of `base` cells: the nodes of the appended cells go back to
+    the logged cells that held them."""
+    moved = 0
+    for c in cells[base:]:
+        moved |= c
+    del cells[base:]
+    for i, mask in log.items():
+        if i < base:
+            cells[i] = mask
+            for v in _iter_bits(mask & moved):
+                cell_of[v] = i
 
 
 def stable_colors(wg: WeightedGraph) -> list[int]:
@@ -500,7 +529,8 @@ def _witness(
     if _is_automorphism(wg, swap):
         return tuple(swap)
     pcells, pcell_of = pivot_side
-    ucells = _individualize(wg.adj, *level, u)[0]
+    ucells = list(level[0])
+    _individualize(wg.adj, ucells, list(level[1]), u)
     if [c.bit_count() for c in ucells] != [c.bit_count() for c in pcells]:
         return None
     perm = _guess(wg.n, pcells, ucells)
@@ -526,20 +556,28 @@ def _aut_order(wg: WeightedGraph, cells: list[int], cell_of: list[int]) -> tuple
     pivot's). At the end of a level the pivot's known orbit is its full
     G_i-orbit, so the maps found generate the group and the union-find ends
     with its orbits.
+
+    The chain refines (cells, cell_of) in place and keeps, per level, only
+    an undo log of the cells it changed; going up, each level's partition is
+    a copy of the one below with that level's log undone, so at most two
+    levels' partitions are alive at a time.
     """
-    chain: list[tuple[list[int], list[int], int, int]] = []  # per level
+    chain: list[tuple[int, dict[int, int], int, int]] = []  # per level
     while True:
         target = next((c for c in cells if c & (c - 1)), 0)
         if not target:
             break
         pivot = (target & -target).bit_length() - 1
-        chain.append((cells, cell_of, target, pivot))
-        cells, cell_of = _individualize(wg.adj, cells, cell_of, pivot)
+        log: dict[int, int] = {}
+        chain.append((len(cells), log, target, pivot))
+        _individualize(wg.adj, cells, cell_of, pivot, log)
 
     orbits = _Orbits(wg.n)
     order = 1
     pivot_side = (cells, cell_of)
-    for cells, cell_of, target, pivot in reversed(chain):
+    for base, log, target, pivot in reversed(chain):
+        cells, cell_of = list(cells), list(cell_of)
+        _undo(cells, cell_of, base, log)
         members = list(_iter_bits(target))
         dead: list[int] = []  # one member of each orbit known to hold no image
         for u in members[1:]:

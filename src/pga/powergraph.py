@@ -15,11 +15,12 @@ blown up to a clique of its generators; `cyclic_subgroup_graph` skips the blow-u
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from itertools import chain, starmap
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .groups import FiniteGroup, unit_generators
+from .groups import FiniteGroup, divisors, unit_generators
 from .oracle import WeightedGraph
 from .quotient import QuotientGraph
 
@@ -66,15 +67,32 @@ def _require_nontrivial(g: FiniteGroup) -> None:
 def build_power_graph(g: FiniteGroup) -> PowerGraph:
     """Adjacency from cyclic-subgroup membership; rejects the trivial group."""
     _require_nontrivial(g)
-    n = g.size
-    member = np.zeros((n, n), dtype=bool)  # member[x, y]: y lies in <x>
-    member[np.arange(n), g.powers] = True
-    upper = np.triu(member | member.T, k=1)[1:, 1:]
-    # edges are streamed one row at a time: a list of all of them would hold
-    # hundreds of thousands of tuples at once (443,817 edges for Z(1000))
-    return PowerGraph(
-        g, ((u, v) for u in range(n - 1) for v in np.flatnonzero(upper[u]).tolist())
-    )
+    return PowerGraph(g, chain.from_iterable(starmap(zip, _power_edge_blocks(g))))
+
+
+def _power_edge_blocks(g: FiniteGroup) -> Iterator[tuple[list[int], list[int]]]:
+    """Every edge once, in blocks of their two vertex lists: x with each power
+    y = x**k other than x and the identity (2 <= k < order(x)). y is in <x>,
+    and x is in <y> only when y has x's order, so such a pair is kept from
+    its lesser end only.
+
+    The elements are taken by increasing order, as many at once as give
+    about 2**12 powers, and the edges are streamed: a list of all of them
+    would hold hundreds of thousands of tuples at once (443,817 edges for
+    Z(1000))."""
+    orders = g.orders
+    by_order = np.argsort(orders, kind="stable").astype(np.int32)
+    sorted_orders = orders[by_order]
+    lo = int(np.searchsorted(sorted_orders, 3))  # orders 1 and 2 have no such powers
+    while lo < g.size:
+        # the powers of by_order[lo:hi] up to the largest order among them
+        cost = sorted_orders[lo:] * np.arange(1, g.size - lo + 1)
+        hi = lo + max(1, int(np.searchsorted(cost, 2**12, side="right")))
+        x, o, m = by_order[lo:hi], sorted_orders[lo:hi], int(sorted_orders[hi - 1])
+        y = g.power_rows(x, m - 1)[2:]
+        keep = (np.arange(2, m)[:, None] < o) & ((orders[y] < o) | (y > x))
+        yield (np.broadcast_to(x, y.shape)[keep] - 1).tolist(), (y[keep] - 1).tolist()
+        lo = hi
 
 
 def cyclic_subgroup_graph(g: FiniteGroup) -> QuotientGraph:
@@ -96,16 +114,14 @@ def cyclic_subgroup_graph(g: FiniteGroup) -> QuotientGraph:
         for _ in range(exponent.bit_length()):
             np.minimum(least, least[step], out=least)
             step = step[step]
-    reps = np.flatnonzero(least == np.arange(n))[1:]
+    reps = np.flatnonzero(least == np.arange(n))[1:].astype(np.int32)
     node_of, node_orders = np.searchsorted(reps, least), orders[reps]
-    # <r> is r**k for 1 <= k < order(r): the nodes of one order take one gather
-    powers = g.power_rows(reps.astype(np.int32), int(node_orders.max()))
-    pairs = []
-    for o in sorted(set(node_orders.tolist())):
-        block = np.flatnonzero(node_orders == o)
-        inner = node_of[powers[1:o, block]]
-        outer = np.broadcast_to(block, inner.shape)
-        pairs.append(np.stack([outer, inner])[:, inner != outer])
+    # the nontrivial subgroups of <r> other than itself are the <r**d> for the
+    # divisors 1 < d < order(r): one power of the nodes per such divisor
+    pairs = [np.empty((2, 0), dtype=np.intp)]
+    for d in sorted({d for o in set(node_orders.tolist()) for d in divisors(o)[1:-1]}):
+        block = np.flatnonzero((node_orders % d == 0) & (node_orders > d))
+        pairs.append(np.stack([block, node_of[g.power(reps[block], d)]]))
     edges = zip(*np.concatenate(pairs, axis=1).tolist())
     vertices = np.argsort(node_of[1:], kind="stable").tolist()  # grouped by node, ascending
     ends = np.cumsum(np.bincount(node_of[1:])).tolist()

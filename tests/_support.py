@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 import math
+import tracemalloc
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
+from pathlib import Path
 
+import numpy as np
 from hypothesis import strategies as st
 
 from pga import (
@@ -14,9 +18,11 @@ from pga import (
     Pipeline,
     WeightedGraph,
     analyze,
+    parse_group_spec,
     pipeline,
     realize,
 )
+from pga.groups import AbelianSpec, CyclicSpec, DihedralSpec, HomocyclicSpec, ProductSpec
 
 CORPUS = (
     "Z(6)", "Z(10)", "Z(12)", "Z(15)", "Z(18)", "Z(20)",
@@ -70,6 +76,21 @@ COPRIME_NONABELIAN_SPECS = ("P(Q8,Z(3))", "P(Dih(4),Z(3))", "P(Q8,Z(9))", "P(Dih
 
 # the specs whose reports tests/golden_reports.json freezes
 GOLDEN_SPECS = tuple(dict.fromkeys(CORPUS + SMALL_GROUP_SPECS + COPRIME_NONABELIAN_SPECS))
+
+
+def _workload_specs() -> tuple[str, ...]:
+    """The specs of the benchmark's three workloads, read from its source."""
+    tree = ast.parse(Path(__file__).parent.parent.joinpath("perfbench", "worker.py").read_text())
+    lists = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in ("ANALYZE_LARGE", "VERIFY_ORACLE", "CLI_BATCH")
+    }
+    return tuple(dict.fromkeys(lists["ANALYZE_LARGE"] + lists["VERIFY_ORACLE"] + lists["CLI_BATCH"]))
+
+
+WORKLOAD_SPECS = _workload_specs()
 
 P_GROUP_SPECS = ("Z(4)", "Z(8)", "Z(9)", "Z(2)^2", "Z(3)^2", "Z(2)^3", "Z(4)^2", "Q8", "Dih(4)")
 
@@ -139,6 +160,69 @@ def reference_search(src, dst, allowed, found=None):
         return False
 
     return tuple(mapping) if dfs(list(allowed), list(range(src.n))) else None
+
+
+def table_of(g: FiniteGroup) -> np.ndarray:
+    """The reference multiplication table: g's product on the full n x n grid."""
+    idx = np.arange(g.size, dtype=np.int32)
+    return g.mul(idx[:, None], idx)
+
+
+def reference_group(spec: str) -> FiniteGroup:
+    """The reference for the arithmetic groups: the spec's group as a table
+    group, its table built by addition mod n for Z(n), the (rotation, flip)
+    rule for Dih(n) and factor tables composed in lexicographic order for a
+    direct product, with the spec's labels and generators. Sym(n) and Q8 are
+    table groups already."""
+    table, labels, generators = _reference_parts(parse_group_spec(spec))
+    return FiniteGroup(table, labels, spec, check=False, generators=generators)
+
+
+def _reference_parts(spec) -> tuple[np.ndarray, tuple[str, ...], tuple[int, ...]]:
+    if isinstance(spec, CyclicSpec):
+        a = np.arange(spec.n)
+        return (a[:, None] + a) % spec.n, tuple(str(i) for i in a), (1,) if spec.n > 1 else ()
+    if isinstance(spec, HomocyclicSpec):
+        return _reference_product([_reference_parts(CyclicSpec(spec.q))] * spec.copies)
+    if isinstance(spec, AbelianSpec):
+        return _reference_product([_reference_parts(CyclicSpec(d)) for d in spec.orders])
+    if isinstance(spec, ProductSpec):
+        return _reference_product([_reference_parts(spec.left), _reference_parts(spec.right)])
+    if isinstance(spec, DihedralSpec):
+        # s^f1 r^a1 * s^f2 r^a2 = s^(f1^f2) r^(a2 +- a1), at index f*n + a
+        n, a = spec.n, np.arange(spec.n)
+        plus, minus = (a[:, None] + a) % n, (a - a[:, None]) % n
+        rotations = ["e", "r"][:n] + [f"r^{i}" for i in range(2, n)]
+        labels = (*rotations, "s", *("s" + r for r in rotations[1:]))
+        return np.block([[plus, minus + n], [plus + n, minus]]), labels, (1, n)
+    g = realize(spec)
+    return g.table, g.labels, g.generators
+
+
+def _reference_product(parts):
+    if len(parts) == 1:
+        return parts[0]
+    table = parts[0][0]
+    for t, _, _ in parts[1:]:
+        table = (table[:, None, :, None] * len(t) + t[None, :, None, :]).reshape(
+            len(table) * len(t), -1
+        )
+    labels = tuple("(" + ",".join(p) + ")" for p in product(*(labels for _, labels, _ in parts)))
+    generators, stride = [], 1
+    for t, _, own in reversed(parts):
+        generators += [x * stride for x in own]
+        stride *= len(t)
+    return table, labels, tuple(generators)
+
+
+def traced_peak(f) -> int:
+    """The peak of the memory traced by tracemalloc while f() runs, in bytes."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def is_group_table(table) -> bool:

@@ -8,6 +8,9 @@ from hypothesis import given, settings, strategies as st
 from pga import (
     FiniteGroup,
     SpecError,
+    WeightedGraph,
+    analyze,
+    build_power_graph,
     direct_product,
     divisors,
     factorize,
@@ -26,8 +29,18 @@ from pga.groups import (
     QuaternionSpec,
     unit_generators,
 )
+from pga.powergraph import cyclic_subgroup_graph
 
-from _support import CORPUS, bundle, is_group_table
+from _support import (
+    CORPUS,
+    SMALL_GROUP_SPECS,
+    WORKLOAD_SPECS,
+    bundle,
+    is_group_table,
+    reference_group,
+    table_of,
+    traced_peak,
+)
 
 
 def test_parse_cyclic():
@@ -119,6 +132,14 @@ def test_realize_rejects_large_order():
     with pytest.raises(SpecError, match="exceeds"):
         realize("Z(2100)")
     assert realize("Z(2100)", max_order=2100).size == 2100
+
+
+def test_cyclic_power_beyond_int32_products():
+    # k * x overflows int32 above n = 46340; the inverse check at realize
+    # takes x**(n-1)
+    g = realize("Z(50000)", max_order=50000)
+    assert g.power(np.array([49999, 2], dtype=np.int32), 49999).tolist() == [1, 49998]
+    assert g.element_order(2) == 25000
 
 
 def test_identity_is_element_zero():
@@ -216,11 +237,12 @@ def _perturbed(g, data):
     """g's table with the entries of one row, away from column 0, permuted;
     mostly the row's inverse keeps its column too, so that only the
     associativity check can tell."""
-    table = g.table.copy()
+    reference = table_of(g)
+    table = reference.copy()
     row = data.draw(st.integers(1, g.size - 1))
-    keep = {0, int(np.flatnonzero(g.table[row] == 0)[0])} if data.draw(st.integers(0, 3)) else {0}
+    keep = {0, int(np.flatnonzero(reference[row] == 0)[0])} if data.draw(st.integers(0, 3)) else {0}
     cols = [c for c in range(g.size) if c not in keep]
-    table[row, cols] = g.table[row, data.draw(st.permutations(cols))]
+    table[row, cols] = reference[row, data.draw(st.permutations(cols))]
     return table
 
 
@@ -273,7 +295,7 @@ def test_constructor_generators_generate_the_group(spec):
 
 def test_product_embeds_every_element_of_a_factor_without_generators():
     z7, dih4 = realize("Z(7)"), realize("Dih(4)")
-    bare = FiniteGroup(z7.table, z7.labels, "Z(7)")
+    bare = FiniteGroup(table_of(z7), z7.labels, "Z(7)")
     g = direct_product([bare, dih4], "P(Z(7),Dih(4))")  # 56 elements: generators checked
     assert sorted(g.generators) == sorted([8 * x for x in range(7)] + list(dih4.generators))
 
@@ -289,7 +311,7 @@ def test_non_generating_generators_rejected():
 
 def test_swapped_entries_rejected_with_generators():
     g = realize("Dih(100)")
-    table = g.table.copy()
+    table = table_of(g)
     table[57, [3, 150]] = table[57, [150, 3]]  # row 57 is neither r nor s
     with pytest.raises(ValueError, match="associative"):
         FiniteGroup(table, g.labels, "Dih(100)", generators=g.generators)
@@ -328,8 +350,8 @@ def test_symmetric_table_matches_loop_reference(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 12, 50])
 def test_dihedral_table_matches_loop_reference(n):
     g = realize(f"Dih({n})")
-    assert g.table.dtype == np.int32
-    assert g.table.tolist() == _loop_dihedral_table(n)
+    assert table_of(g).dtype == np.int32
+    assert table_of(g).tolist() == _loop_dihedral_table(n)
 
 
 def _loop_powers(g, x):
@@ -384,3 +406,47 @@ def test_labels_are_unique():
     for spec in CORPUS:
         g = bundle(spec).g
         assert len(set(g.labels)) == g.size
+
+
+def _reference_power_graph(ref):
+    """Adjacency of the power graph from the table route's membership matrix."""
+    n = ref.size
+    member = np.zeros((n, n), dtype=bool)  # member[x, y]: y lies in <x>
+    member[np.arange(n), ref.powers] = True
+    upper = np.triu(member | member.T, k=1)[1:, 1:]
+    return WeightedGraph(n - 1, zip(*(ends.tolist() for ends in np.nonzero(upper)))).adj
+
+
+@pytest.mark.parametrize(
+    "specs", [CORPUS, SMALL_GROUP_SPECS, WORKLOAD_SPECS], ids=["corpus", "small", "workloads"]
+)
+def test_arithmetic_groups_match_the_table_route(specs):
+    for spec in specs:
+        g, ref = realize(spec), reference_group(spec)
+        assert (g.labels, g.generators) == (ref.labels, ref.generators), spec
+        assert np.array_equal(table_of(g), ref.table), spec
+        x = np.arange(g.size, dtype=np.int32)
+        m = int(ref.orders.max())
+        rows = ref.power_rows(x, m)
+        assert np.array_equal(g.power_rows(x, m), rows), spec
+        # every closed-form power, against the table's repeated products
+        assert all(np.array_equal(g.power(x, k), rows[k]) for k in range(1, m + 1)), spec
+        assert np.array_equal(g.orders, ref.orders), spec
+        if g.size > 1:
+            sg, ref_sg = cyclic_subgroup_graph(g), cyclic_subgroup_graph(ref)
+            assert (sg.members, sg.adj, sg.weights) == (ref_sg.members, ref_sg.adj, ref_sg.weights), spec
+            if g.size <= 1000:
+                assert build_power_graph(g).adj == _reference_power_graph(ref), spec
+
+
+@pytest.mark.parametrize("spec", ["Z(1000)", "Dih(500)", "Z(2)^10"])
+def test_analyze_of_an_arithmetic_group_builds_no_cayley_table(spec):
+    # a table alone would take 4 MB at order 1000 (about 5 MB peak with one)
+    analyze("Z(6)")
+    assert traced_peak(lambda: analyze(spec)) < 2**20
+
+
+def test_power_graph_of_an_arithmetic_group_builds_no_square_matrix():
+    # built from an n x n membership matrix, this graph peaked at 6 MB
+    g = realize("Dih(500)")
+    assert traced_peak(lambda: build_power_graph(g)) < 2**20
