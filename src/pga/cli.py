@@ -203,7 +203,6 @@ _SOURCE.add_argument("--corpus", help="file with one group spec per line")
 _PARSER.add_argument("--format", choices=["text", "json"], default="text")
 _PARSER.add_argument("--out", help="output file (analyze/verify) or directory (export)")
 _PARSER.add_argument("--max-nodes", type=int, default=40, help="oracle node cap")
-_PARSER.add_argument("--max-count", type=int, default=10_000_000, help="oracle enumeration cap")
 _PARSER.add_argument(
     "--dot",
     action="append",
@@ -227,7 +226,7 @@ def run(argv: list[str] | None = None) -> int:
     if args.dot and args.mode != "export":
         _PARSER.error("argument --dot: only allowed with export")
     try:
-        caps = OracleCaps(max_nodes=args.max_nodes, max_count=args.max_count)
+        caps = OracleCaps(max_nodes=args.max_nodes)
     except ValueError as exc:
         _PARSER.error(str(exc))
     handler = {"analyze": cmd_analyze, "verify": cmd_verify, "export": cmd_export}[args.mode]

@@ -413,22 +413,21 @@ def verify(
 
     The oracle runs on the pipeline the analysis built (`report.pipeline`).
 
-    Full-graph comparison runs when the power graph fits the node cap and the
-    structural order fits the count cap; otherwise the quotient is compared
-    (the per-class factorial part is definitional). If neither fits, the
-    verdict is unavailable and CapExceeded propagates.
+    The full power graph is compared when it fits the node cap, and otherwise
+    the quotient (the per-class factorial part is definitional). If neither
+    fits, the verdict is unavailable and CapExceeded propagates.
     """
     caps = caps or OracleCaps()
     report = analyze(spec, caps, max_order)
-    n, q = report.vertex_count, report.pipeline.q
-    if n <= caps.max_nodes and report.order <= caps.max_count:
+    n, q, cap = report.vertex_count, report.pipeline.q, caps.max_nodes
+    if n <= cap:
         graph, expected, kind = report.pipeline.pg, report.order, "full"
         detail = f"full power graph on {n} vertices"
     else:
         reason = f"full graph infeasible ({n} vertices, structural order {decimal(report.order)})"
         expected = expr_order(report.quotient_expr)
-        if q.n_nodes > caps.max_nodes or expected > caps.max_count:
-            raise CapExceeded(f"{reason}; quotient also exceeds the caps")
+        if q.n_nodes > cap:
+            raise CapExceeded(f"{reason}; quotient has {q.n_nodes} nodes, above the cap of {cap}")
         graph, kind = q, "quotient"
         detail = f"{reason}; quotient on {q.n_nodes} nodes compared instead"
     oracle_order = count_automorphisms(graph, caps)

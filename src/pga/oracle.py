@@ -48,7 +48,10 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 @dataclass(frozen=True)
 class OracleCaps:
-    """Hard limits for the search; exceeding one raises CapExceeded."""
+    """Hard limits for the search; exceeding one raises CapExceeded.
+
+    max_nodes bounds every graph the oracle searches, and max_count only the
+    list enumerate_automorphisms returns (counting never lists the maps)."""
 
     max_nodes: int = 40
     max_count: int = 10_000_000
@@ -65,6 +68,13 @@ _DEFAULT_CAPS = OracleCaps()
 
 class CapExceeded(RuntimeError):
     """The requested computation exceeds the configured oracle limits."""
+
+
+def _check_nodes(caps: OracleCaps | None, *graphs: WeightedGraph) -> None:
+    """Raise CapExceeded, naming the largest graph, when it is above the node cap."""
+    n, cap = max(wg.n for wg in graphs), (caps or _DEFAULT_CAPS).max_nodes
+    if n > cap:
+        raise CapExceeded(f"graph has {n} nodes, above the cap of {cap}")
 
 
 class WeightedGraph:
@@ -601,9 +611,7 @@ def _aut_order(wg: WeightedGraph, cells: list[int], cell_of: list[int]) -> tuple
 
 def count_automorphisms(wg: WeightedGraph, caps: OracleCaps | None = None) -> int:
     """Exact number of weight- and adjacency-preserving node bijections."""
-    caps = caps or _DEFAULT_CAPS
-    if wg.n > caps.max_nodes:
-        raise CapExceeded(f"graph has {wg.n} nodes, above the cap of {caps.max_nodes}")
+    _check_nodes(caps, wg)
     return _aut_order(wg, *_equitable(wg.adj, wg.weights))[0]
 
 
@@ -641,9 +649,7 @@ def find_isomorphism(
     a: WeightedGraph, b: WeightedGraph, caps: OracleCaps | None = None
 ) -> tuple[int, ...] | None:
     """A weight- and adjacency-preserving bijection a -> b, or None."""
-    caps = caps or _DEFAULT_CAPS
-    if a.n > caps.max_nodes or b.n > caps.max_nodes:
-        raise CapExceeded(f"graph above the node cap of {caps.max_nodes}")
+    _check_nodes(caps, a, b)
     if a.n != b.n or a.edge_count != b.edge_count:
         return None
     if sorted(a.weights) != sorted(b.weights):
@@ -684,14 +690,10 @@ def component_classes(
     counts (colours refine weight and degree), so a component is compared
     only with the representatives of its multiset. When its colours are
     pairwise distinct, the colour-matching bijection is the only candidate
-    and is checked directly; otherwise find_isomorphism decides. With two or
-    more components every one must fit the node cap, as each is comparable
-    with the first.
+    and is checked directly; otherwise find_isomorphism decides, so the node
+    cap applies only to components it compares.
     """
-    caps = caps or _DEFAULT_CAPS
     comps = connected_components(wg)
-    if len(comps) > 1 and max(map(len, comps)) > caps.max_nodes:
-        raise CapExceeded(f"graph above the node cap of {caps.max_nodes}")
     colors = stable_colors(wg)
     classes: list[_ComponentClass] = []
     buckets: dict[tuple[int, ...], list[_ComponentClass]] = {}
@@ -734,9 +736,7 @@ def vertex_orbits(wg: WeightedGraph, caps: OracleCaps | None = None) -> list[lis
     pivot at its level is reached), so closing the nodes under them yields
     the exact orbit partition without enumerating the group.
     """
-    caps = caps or _DEFAULT_CAPS
-    if wg.n > caps.max_nodes:
-        raise CapExceeded(f"graph has {wg.n} nodes, above the cap of {caps.max_nodes}")
+    _check_nodes(caps, wg)
     orbits = _aut_order(wg, *_equitable(wg.adj, wg.weights))[1]
     groups: dict[int, list[int]] = {}
     for v in range(wg.n):

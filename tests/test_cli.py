@@ -87,9 +87,13 @@ def test_verify_full(capsys):
 
 
 def test_verify_quotient_mode(capsys):
+    # Z(30)'s 29 vertices are above a cap of 10, and its quotient has 7 nodes
+    assert run(["verify", "--group", "Z(30)", "--max-nodes", "10"]) == 0
+    out = capsys.readouterr().out
+    assert "QUOTIENT-VERIFIED" in out and "quotient on 7 nodes" in out
     assert run(["verify", "--group", "Z(30)"]) == 0
     out = capsys.readouterr().out
-    assert "QUOTIENT-VERIFIED" in out
+    assert out.startswith("Z(30): FULL-VERIFIED  3745618329600 = 3745618329600")
 
 
 def test_verify_cap_exit_code(capsys):
@@ -119,15 +123,16 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_caps_below_one_are_usage_errors(capsys):
-    for argv in (
-        ["analyze", "--group", "Z(6)", "--max-nodes", "0"],
-        ["verify", "--group", "Z(6)", "--max-nodes", "0"],
-        ["verify", "--group", "Z(6)", "--max-count", "-1"],
+    for argv, message in (
+        (["analyze", "--group", "Z(6)", "--max-nodes", "0"], "must be at least 1"),
+        (["verify", "--group", "Z(6)", "--max-nodes", "0"], "must be at least 1"),
+        # no command enumerates automorphisms, so there is no count cap to set
+        (["verify", "--group", "Z(6)", "--max-count", "-1"], "unrecognized arguments"),
     ):
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 1, argv
-        assert "must be at least 1" in capsys.readouterr().err, argv
+        assert message in capsys.readouterr().err, argv
 
 
 def test_options_in_any_order(capsys):

@@ -185,16 +185,34 @@ def test_verify_full_and_quotient_modes():
     r = verify("Z(2)^3")
     assert r.verification.status == "full-verified"
     assert r.verification.oracle_order == 5040
-    r = verify("Z(30)")
+    # Z(30)'s 29 vertices are above a cap of 10, and its quotient has 7 nodes
+    r = verify("Z(30)", OracleCaps(max_nodes=10))
     assert r.verification.status == "quotient-verified"
     assert r.verification.structural_order == 1  # trivial quotient group
     assert r.order == 3_745_618_329_600
+    v = verify("Z(30)").verification
+    assert v.status == "full-verified"
+    assert v.oracle_order == v.structural_order == 3_745_618_329_600
 
 
 @pytest.mark.parametrize("spec", ["Dih(13)", "Z(2)^5", "Sym(5)"])
 def test_full_graph_counts_match_analyze(spec):
-    # verify answers "unknown" on these at default caps (its max_count gate);
-    # the oracle counts their whole power graphs, 25-119 nodes, directly
+    # the oracle counts their whole power graphs, 25-119 nodes, directly, and
+    # verify does too at default caps for those within the node cap of 40
+    r = analyze(spec)
+    pg = r.pipeline.pg
+    assert count_automorphisms(pg, OracleCaps(max_nodes=pg.n)) == r.order
+    if pg.n <= OracleCaps().max_nodes:
+        v = verify(spec).verification
+        assert (v.status, v.oracle_order) == ("full-verified", r.order)
+
+
+@pytest.mark.parametrize(
+    "spec", ["P(Sym(4),Dih(4))", "P(Sym(5),Z(2))", "P(Z(4)^2,Dih(5))", "Ab[2,2,4,16]"]
+)
+def test_lone_large_components_answer_at_default_caps(spec):
+    # each has a quotient component above the node cap that no other
+    # component is compared with, so no search needs the cap
     r = analyze(spec)
     pg = r.pipeline.pg
     assert count_automorphisms(pg, OracleCaps(max_nodes=pg.n)) == r.order
@@ -206,9 +224,12 @@ def test_verify_raises_when_both_routes_capped():
 
 
 def test_verify_extra_groups_against_oracle():
-    for spec in ("P(Dih(4),Z(3))", "P(Z(2),Z(9))", "Ab[2,2,2,3]", "Dih(6)", "Sym(4)"):
-        r = verify(spec)
-        assert r.verification.status in ("full-verified", "quotient-verified"), spec
+    # every power graph here fits the default node cap, whatever its order
+    extra = ("P(Dih(4),Z(3))", "P(Z(2),Z(9))", "Ab[2,2,2,3]", "Dih(6)", "Sym(4)")
+    for spec in dict.fromkeys(CORPUS + SMALL_GROUP_SPECS + extra):
+        v = verify(spec).verification
+        assert v.status == "full-verified", spec
+        assert v.oracle_order == v.structural_order == EXPECTED_ORDER.get(spec, v.oracle_order), spec
 
 
 @pytest.mark.parametrize("spec", ["Z(12)", "Ab[2,3]", "P(Q8,Z(3))", "Sym(3)"])

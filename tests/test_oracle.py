@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -102,8 +103,15 @@ def test_vertex_orbits_examples():
 
 
 def test_node_cap():
-    with pytest.raises(CapExceeded):
-        count_automorphisms(empty(5), OracleCaps(max_nodes=4))
+    caps = OracleCaps(max_nodes=4)
+    message = "graph has 5 nodes, above the cap of 4"
+    for call in (count_automorphisms, vertex_orbits):
+        with pytest.raises(CapExceeded, match=message):
+            call(empty(5), caps)
+    # find_isomorphism names the larger graph, whichever side it is on
+    for a, b in ((K(3), empty(5)), (empty(5), K(3))):
+        with pytest.raises(CapExceeded, match=message):
+            find_isomorphism(a, b, caps)
 
 
 @pytest.mark.parametrize(
@@ -418,14 +426,34 @@ def test_component_classes_match_pairwise_grouping(parts, isolated, rng):
     perm = list(range(len(weights)))
     rng.shuffle(perm)
     wg = WeightedGraph(len(weights), edges, weights).relabel(perm)
+    expected = _pairwise_classes(wg, OracleCaps(max_nodes=wg.n))
+    # a search is needed only for a component with a repeated colour that
+    # meets an earlier one of its colour multiset; only it meets the cap
+    colors = stable_colors(wg)
+    buckets = Counter(tuple(sorted(colors[v] for v in comp)) for comp in connected_components(wg))
     for caps in (OracleCaps(), OracleCaps(max_nodes=2)):
-        try:
-            expected = _pairwise_classes(wg, caps)
-        except CapExceeded:
+        if any(
+            k > 1 and len(cs) > caps.max_nodes and len(set(cs)) < len(cs)
+            for cs, k in buckets.items()
+        ):
             with pytest.raises(CapExceeded):
                 component_classes(wg, caps)
-            continue
-        assert _described(component_classes(wg, caps)) == expected
+        else:
+            assert _described(component_classes(wg, caps)) == expected
+
+
+def test_component_classes_cap_only_compared_components():
+    # a 45-cycle is above the default cap, and its nodes share one colour
+    cycle = [(v, (v + 1) % 45) for v in range(45)]
+    wg = WeightedGraph(48, cycle, [1] * 45 + [2, 2, 3])
+    assert _described(component_classes(wg)) == [
+        (45, (1,) * 45, WeightedGraph(45, cycle).edges(), 1),
+        (1, (2,), [], 2),
+        (1, (3,), [], 1),
+    ]
+    two = WeightedGraph(90, cycle + [(u + 45, v + 45) for u, v in cycle])
+    with pytest.raises(CapExceeded, match="graph has 45 nodes, above the cap of 40"):
+        component_classes(two)
 
 
 def test_component_classes_check_forced_maps_without_search(monkeypatch):
