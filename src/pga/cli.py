@@ -202,7 +202,7 @@ _SOURCE.add_argument("--group", help='group spec, e.g. "Z(12)" or "P(Q8,Z(3))"')
 _SOURCE.add_argument("--corpus", help="file with one group spec per line")
 _PARSER.add_argument("--format", choices=["text", "json"], default="text")
 _PARSER.add_argument("--out", help="output file (analyze/verify) or directory (export)")
-_PARSER.add_argument("--max-nodes", type=int, default=40, help="oracle node cap")
+_PARSER.add_argument("--max-nodes", type=int, default=OracleCaps.max_nodes, help="oracle node cap")
 _PARSER.add_argument(
     "--dot",
     action="append",

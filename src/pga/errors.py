@@ -1,16 +1,62 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input cursor of its two
+string grammars (group specs and automorphism expressions)."""
 
 from __future__ import annotations
 
 
 class SpecError(ValueError):
-    """A group spec string is malformed or names an unsupported group."""
+    """A group spec or expression string is malformed, or a spec names an
+    unsupported group."""
 
     def __init__(self, message: str, position: int | None = None) -> None:
         self.position = position
         if position is not None:
             message = f"{message} (at position {position})"
         super().__init__(message)
+
+
+class Cursor:
+    """A read position in a spec or expression string. Every read skips
+    whitespace first; every error is a SpecError at the position reached."""
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.pos = 0
+
+    def error(self, message: str) -> SpecError:
+        return SpecError(message, position=self.pos)
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def literal(self, word: str) -> bool:
+        """Consume word if the input continues with it after any whitespace."""
+        if not self.text.startswith(word, self.pos):
+            self.skip_ws()
+            if not self.text.startswith(word, self.pos):
+                return False
+        self.pos += len(word)
+        return True
+
+    def expect(self, ch: str) -> None:
+        if not self.literal(ch):
+            raise self.error(f"expected {ch!r}")
+
+    def integer(self) -> int:
+        """Read decimal digits; zero too, which only the spec grammar rejects."""
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
+            self.pos += 1
+        if self.pos == start:
+            raise self.error("expected a positive integer")
+        return int(self.text[start : self.pos])
+
+    def end(self) -> None:
+        self.skip_ws()
+        if self.pos != len(self.text):
+            raise self.error("unexpected trailing input")
 
 
 class InternalCheckError(RuntimeError):

@@ -7,12 +7,16 @@ All orders are exact Python integers; nothing here touches floats.
 Rendered strings use `x` for products, `wr` for wreath products, `S<n>` for
 symmetric groups, `^k` for repeated identical factors, `1` for the trivial
 group and `[n]` for opaque groups of order n, e.g. "(S2 wr S3) x S2^6".
+`parse_expr` reads such strings back; on malformed input it raises SpecError
+(a ValueError) carrying the position where reading stopped.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+from .errors import Cursor
 
 
 class GroupExpr:
@@ -162,92 +166,47 @@ def render_expr(e: GroupExpr) -> str:
 # parsing rendered strings back (used by report round-trips)
 
 
-def _tokenize(text: str) -> list[str]:
-    for ch in "()[]^":
-        text = text.replace(ch, f" {ch} ")
-    return text.split()
+def _atom(c: Cursor) -> GroupExpr:
+    if c.literal("S"):
+        return Sym(c.integer())
+    if c.literal("("):
+        return _group(c)
+    if c.literal("["):
+        order = c.integer()
+        c.expect("]")
+        return Opaque(order)
+    if c.literal("1"):
+        return Trivial()
+    raise c.error("expected S<n>, 1, [n] or '('")
 
 
-class _ExprParser:
-    def __init__(self, tokens: list[str]) -> None:
-        self.tokens = tokens
-        self.pos = 0
+def _group(c: Cursor) -> GroupExpr:
+    """The rest of "(" product ")" or "(" product "wr" S<n> ")"."""
+    inner = _product(c)
+    if c.literal("wr"):
+        c.expect("S")
+        inner = Wreath(inner, Sym(c.integer()))
+    c.expect(")")
+    return inner
 
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ValueError("unexpected end of expression")
-        self.pos += 1
-        return tok
+def _term(c: Cursor) -> list[GroupExpr]:
+    atom = _atom(c)
+    return [atom] * c.integer() if c.literal("^") else [atom]
 
-    def expect(self, tok: str) -> None:
-        got = self.take()
-        if got != tok:
-            raise ValueError(f"expected {tok!r}, got {got!r}")
 
-    def parse_int(self) -> int:
-        tok = self.take()
-        if not tok.isdigit():
-            raise ValueError(f"expected an integer, got {tok!r}")
-        return int(tok)
-
-    def parse_sym(self) -> Sym:
-        tok = self.take()
-        if not (tok.startswith("S") and tok[1:].isdigit()):
-            raise ValueError(f"expected a symmetric group token, got {tok!r}")
-        return Sym(int(tok[1:]))
-
-    def parse_atom(self) -> GroupExpr:
-        tok = self.peek()
-        if tok is None:
-            raise ValueError("unexpected end of expression")
-        if tok == "1":
-            self.take()
-            return Trivial()
-        if tok == "[":
-            self.take()
-            order = self.parse_int()
-            self.expect("]")
-            return Opaque(order)
-        if tok == "(":
-            self.take()
-            inner = self.parse_product()
-            nxt = self.take()
-            if nxt == ")":
-                return inner
-            if nxt == "wr":
-                top = self.parse_sym()
-                self.expect(")")
-                return Wreath(inner, top)
-            raise ValueError(f"expected ')' or 'wr', got {nxt!r}")
-        return self.parse_sym()
-
-    def parse_term(self) -> list[GroupExpr]:
-        atom = self.parse_atom()
-        if self.peek() == "^":
-            self.take()
-            k = self.parse_int()
-            return [atom] * k
-        return [atom]
-
-    def parse_product(self) -> GroupExpr:
-        factors = self.parse_term()
-        while self.peek() == "x":
-            self.take()
-            factors.extend(self.parse_term())
-        if len(factors) == 1:
-            return factors[0]
-        return Product(tuple(factors))
+def _product(c: Cursor) -> GroupExpr:
+    factors = _term(c)
+    while c.literal("x"):
+        factors += _term(c)
+    return factors[0] if len(factors) == 1 else Product(tuple(factors))
 
 
 def parse_expr(text: str) -> GroupExpr:
     """Parse a rendered expression string; inverse of render_expr up to
-    normalization (exact orders always round-trip)."""
-    parser = _ExprParser(_tokenize(text))
-    e = parser.parse_product()
-    if parser.peek() is not None:
-        raise ValueError(f"trailing tokens in expression: {parser.tokens[parser.pos:]}")
+    normalization (exact orders always round-trip). Malformed input raises
+    SpecError with the position where reading stopped."""
+    cursor = Cursor(text)
+    e = _product(cursor)
+    cursor.end()
     return e

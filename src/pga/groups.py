@@ -50,7 +50,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import SpecError
+from .errors import Cursor, SpecError
 
 DEFAULT_MAX_ORDER = 2000
 
@@ -181,87 +181,47 @@ GroupSpec = Union[
 ]
 
 
-class _SpecParser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-
-    def error(self, message: str) -> SpecError:
-        return SpecError(message, position=self.pos)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str) -> None:
-        self.skip_ws()
-        if self.peek() != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def literal(self, word: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(word, self.pos):
-            self.pos += len(word)
-            return True
-        return False
-
-    def parse_int(self) -> int:
+class _SpecParser(Cursor):
+    def parameter(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected a positive integer")
-        value = int(self.text[start : self.pos])
+        value = self.integer()
         if value < 1:
             raise SpecError("parameters must be positive", position=start)
         return value
+
+    def argument(self) -> int:
+        """The "(" n ")" after Z, Sym and Dih."""
+        self.expect("(")
+        n = self.parameter()
+        self.expect(")")
+        return n
 
     def parse_spec(self) -> GroupSpec:
         self.skip_ws()
         start = self.pos
         if self.literal("Z"):
-            self.expect("(")
-            n = self.parse_int()
-            self.expect(")")
-            self.skip_ws()
-            if self.peek() == "^":
-                self.pos += 1
-                k = self.parse_int()
-                if is_prime_power(n) is None:
-                    raise SpecError(
-                        f"{n} is not a prime power", position=start
-                    )
-                if k == 1:
-                    return CyclicSpec(n)
-                return HomocyclicSpec(n, k)
-            return CyclicSpec(n)
+            n = self.argument()
+            if not self.literal("^"):
+                return CyclicSpec(n)
+            k = self.parameter()
+            if is_prime_power(n) is None:
+                raise SpecError(f"{n} is not a prime power", position=start)
+            return CyclicSpec(n) if k == 1 else HomocyclicSpec(n, k)
         if self.literal("Ab"):
             self.expect("[")
-            orders = [self.parse_int()]
-            self.skip_ws()
-            while self.peek() == ",":
-                self.pos += 1
-                orders.append(self.parse_int())
-                self.skip_ws()
+            orders = [self.parameter()]
+            while self.literal(","):
+                orders.append(self.parameter())
             self.expect("]")
             return AbelianSpec(tuple(orders))
         if self.literal("Sym"):
-            self.expect("(")
-            n = self.parse_int()
-            self.expect(")")
+            n = self.argument()
             if n > 5:
                 raise SpecError(f"Sym({n}) is unsupported (n must be <= 5)", position=start)
             return SymmetricSpec(n)
         if self.literal("Dih"):
-            self.expect("(")
-            n = self.parse_int()
-            self.expect(")")
-            return DihedralSpec(n)
+            return DihedralSpec(self.argument())
         if self.literal("Q8"):
             return QuaternionSpec()
         if self.literal("P"):
@@ -278,9 +238,7 @@ def parse_group_spec(text: str) -> GroupSpec:
     """Parse a spec string; raises SpecError with a position on bad input."""
     parser = _SpecParser(text)
     spec = parser.parse_spec()
-    parser.skip_ws()
-    if parser.pos != len(text):
-        raise parser.error("unexpected trailing input")
+    parser.end()
     return spec
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from pga import (
     Opaque,
     Product,
+    SpecError,
     Sym,
     Trivial,
     Wreath,
@@ -16,6 +17,8 @@ from pga import (
     parse_expr,
     render_expr,
 )
+
+from _support import GOLDEN_SPECS, WORKLOAD_SPECS, report
 
 
 def test_order_examples():
@@ -61,8 +64,19 @@ def test_parse_render_round_trip_samples():
 
 def test_parse_rejects_garbage():
     for text in ("", "S", "wr", "(S2 wr)", "S2 x", "[x]"):
-        with pytest.raises(ValueError):
+        with pytest.raises(SpecError) as err:
             parse_expr(text)
+        assert err.value.position is not None, text
+
+
+@pytest.mark.parametrize(
+    "spec", tuple(dict.fromkeys(GOLDEN_SPECS + WORKLOAD_SPECS + ("Z(1999)", "Dih(1000)")))
+)
+def test_report_expressions_round_trip(spec):
+    r = report(spec)
+    parsed = parse_expr(r.expression_str)
+    assert expr_normalize(parsed) == r.expression
+    assert decimal(expr_order(parsed)) == decimal(r.order)
 
 
 def _expr_strategy():

@@ -71,14 +71,28 @@ def test_parse_whitespace_tolerated():
     assert parse_group_spec(" P( Q8 , Z(3) ) ") == ProductSpec(QuaternionSpec(), CyclicSpec(3))
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["", "Z(", "Z()", "Z(0)", "Foo", "Z(6)x", "Ab[]", "Sym(6)", "P(Z(2))", "Q8Q8"],
-)
+# what the CLI prints after "error: " for each malformed spec
+SPEC_ERRORS = {
+    "": "expected a group spec (Z, Ab, Sym, Dih, Q8 or P) (at position 0)",
+    "Z(": "expected a positive integer (at position 2)",
+    "Z()": "expected a positive integer (at position 2)",
+    "Z(0)": "parameters must be positive (at position 2)",
+    "Foo": "expected a group spec (Z, Ab, Sym, Dih, Q8 or P) (at position 0)",
+    "Z(6)x": "unexpected trailing input (at position 4)",
+    "Ab[]": "expected a positive integer (at position 3)",
+    "Sym(6)": "Sym(6) is unsupported (n must be <= 5) (at position 0)",
+    "P(Z(2))": "expected ',' (at position 6)",
+    "Q8Q8": "unexpected trailing input (at position 2)",
+    "Z(²)": "expected a positive integer (at position 2)",  # a digit, but not a decimal one
+}
+
+
+@pytest.mark.parametrize("text", list(SPEC_ERRORS))
 def test_parse_errors_carry_position(text):
     with pytest.raises(SpecError) as err:
         parse_group_spec(text)
     assert err.value.position is not None
+    assert str(err.value) == SPEC_ERRORS[text]
 
 
 @pytest.mark.parametrize("text", list(CORPUS) + ["Ab[2,2]", "P(P(Z(2),Z(3)),Q8)", "Dih(7)", "Sym(5)"])
