@@ -211,11 +211,14 @@ _PARSER.add_argument(
 )
 
 
-def _specs_from_args(args: argparse.Namespace) -> list[str]:
+def _specs_from_args(args: argparse.Namespace) -> list[tuple[str, str]]:
+    """(spec, prefix of its error messages) pairs: with --corpus the prefix
+    names the spec's line number and the spec."""
     if args.corpus is None:
-        return [args.group]
+        return [(args.group, "")]
     lines = Path(args.corpus).read_text(encoding="utf-8").splitlines()
-    specs = [ln.strip() for ln in lines if ln.strip() and not ln.strip().startswith("#")]
+    stripped = [(i, ln.strip()) for i, ln in enumerate(lines, 1)]
+    specs = [(s, f"line {i}, {s}: ") for i, s in stripped if s and not s.startswith("#")]
     if not specs:
         _PARSER.error(f"corpus file {args.corpus} contains no specs")
     return specs
@@ -240,17 +243,17 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_SPEC_ERROR
     worst = EXIT_OK
     outputs: list[str | dict] = []
-    for spec in specs:
+    for spec, where in specs:
         try:
             code, out = handler(spec, args, caps)
         except (ValueError, OSError) as exc:  # SpecError is a ValueError
-            print(f"error: {exc}", file=sys.stderr)
+            print(f"error: {where}{exc}", file=sys.stderr)
             return EXIT_SPEC_ERROR
         except CapExceeded as exc:  # a RuntimeError, so it must come first
-            print(f"unknown: {exc}", file=sys.stderr)
+            print(f"unknown: {where}{exc}", file=sys.stderr)
             return EXIT_UNKNOWN
         except RuntimeError as exc:  # InternalCheckError and oracle self-checks
-            print(f"internal check failed: {exc}", file=sys.stderr)
+            print(f"internal check failed: {where}{exc}", file=sys.stderr)
             return EXIT_INTERNAL
         worst = max(worst, code)
         outputs.append(out)

@@ -44,14 +44,20 @@ class Cursor:
             raise self.error(f"expected {ch!r}")
 
     def integer(self) -> int:
-        """Read decimal digits; zero too, which only the spec grammar rejects."""
+        """Read decimal digits; zero too, which only the spec grammar rejects.
+        A run too long for int() is an error at its first digit."""
         self.skip_ws()
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise self.error("expected a positive integer")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # longer than int() converts (4300 digits by default)
+            raise SpecError(
+                f"integer of {self.pos - start} digits is too long", position=start
+            ) from None
 
     def end(self) -> None:
         self.skip_ws()

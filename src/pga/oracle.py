@@ -11,24 +11,35 @@ The machinery is classic individualization-refinement:
     neighbours its nodes have in a splitter cell until the partition is
     equitable, starting from cells of equal weight; automorphisms can never
     map across its cells, and its cell order does not depend on how the
-    nodes are numbered;
+    nodes are numbered. A splitter of one node splits each cell it touches
+    with one AND, into the nodes outside its row and those inside;
   * the group order is the product, down an individualization chain (each
     level fixing one pivot vertex and refining with it as the only
     splitter), of the size of each pivot's orbit under the maps that fix the
     earlier pivots, so huge symmetric groups are counted without listing
     their elements. Levels are handled from the deepest up, and a union-find
-    over the automorphisms found so far prunes the work: a candidate image
-    gets a witness attempt only when it lies outside the pivot's known orbit
-    and outside every orbit already shown to hold no image (orbit pruning,
-    after McKay and Piperno, "Practical Graph Isomorphism II", 2014);
+    over the automorphisms found so far prunes the work. Each of its classes
+    keeps its node bitmask, so a level reads its candidates as one mask,
+    the cell minus the pivot's known orbit and minus every orbit already
+    shown to hold no image (orbit pruning, after McKay and Piperno,
+    "Practical Graph Isomorphism II", 2014), and its orbit size as one
+    popcount;
+  * a level whose cell consists of twins of the pivot (nodes of equal weight
+    and equal open, or equal closed, neighbourhoods; computed once per
+    count) needs no refinement: every other node is adjacent to all of the
+    cell or to none, and the partition is equitable, so each cell is
+    adjacent to the pivot as a whole or not at all and refining would split
+    nothing. The pivot only moves to a cell of its own;
   * a witness attempt tries, in order, the transposition of the pivot and
-    the candidate; the candidate's own refinement of the level (cell sizes
-    unequal to the pivot's rule it out) and one guess read off the two
-    refinements, fixing every node its cell allows, as most symmetries
-    move few nodes (Darga, Sakallah and Markov, "Faster Symmetry Discovery
-    using Sparsity of Symmetries", 2008); and only then an exhaustive
-    backtracking search with bitmask forward-checking, run on an explicit
-    stack;
+    the candidate, an automorphism exactly when their weights and their
+    rows outside the two of them are equal, so two rows decide it; the
+    candidate's own refinement of the level (cell sizes unequal to the
+    pivot's rule it out) and one guess read off the two refinements,
+    fixing every node its cell allows, as most symmetries move few nodes
+    (Darga, Sakallah and Markov, "Faster Symmetry Discovery using Sparsity
+    of Symmetries", 2008); and only then an exhaustive backtracking search
+    with bitmask forward-checking, run on an explicit stack. A witness
+    hands back only the pairs its map moves;
   * components are grouped by isomorphism after one refinement of the whole
     graph, comparing only components with equal colour multisets.
 
@@ -36,8 +47,9 @@ Every guess and every found map is checked before it is trusted. An
 automorphism check compares only the rows of the nodes the map moves; an
 edge between two fixed nodes is its own image, so that is complete. Only a
 refinement mismatch or a failed exhaustive search rules a candidate out, so
-a bad guess never lowers a count. Caps produce an explicit CapExceeded,
-never a guess.
+a bad guess never lowers a count. No level is counted by a formula: each
+orbit it joins comes from one checked map, a twin level's from its
+transposition. Caps produce an explicit CapExceeded, never a guess.
 """
 
 from __future__ import annotations
@@ -210,6 +222,10 @@ def _split(
     Hopcroft's algorithm, a cell split while not queued queues all its
     fragments but the first largest one. With `log`, the first previous mask
     of every cell that splits is recorded under its index.
+
+    A splitter of one node gives counts of 0 and 1 only, so a cell it
+    touches splits into `cell & ~row` and `cell & row` with no count per
+    node.
     """
     queued = [False] * len(cells)
     for s in queue:
@@ -217,20 +233,27 @@ def _split(
     for s in queue:  # the loop sees what is appended to the queue
         queued[s] = False
         splitter = cells[s]
-        touched = 0
-        for x in _iter_bits(splitter):
-            touched |= adj[x]
+        single = not splitter & (splitter - 1)
+        if single:
+            touched = adj[splitter.bit_length() - 1]
+        else:
+            touched = 0
+            for x in _iter_bits(splitter):
+                touched |= adj[x]
         for i in sorted({cell_of[v] for v in _iter_bits(touched)}):
             cell = cells[i]
-            if not cell & (cell - 1):
+            if not cell & (cell - 1) or single and not cell & ~touched:
                 continue
-            by_count = {0: cell & ~touched} if cell & ~touched else {}
-            for v in _iter_bits(cell & touched):
-                k = (adj[v] & splitter).bit_count()
-                by_count[k] = by_count.get(k, 0) | 1 << v
-            if len(by_count) == 1:
-                continue
-            parts = [by_count[k] for k in sorted(by_count)]
+            if single:  # counts are 0 or 1: one AND per fragment
+                parts = [cell & ~touched, cell & touched]
+            else:
+                by_count = {0: cell & ~touched} if cell & ~touched else {}
+                for v in _iter_bits(cell & touched):
+                    k = (adj[v] & splitter).bit_count()
+                    by_count[k] = by_count.get(k, 0) | 1 << v
+                if len(by_count) == 1:
+                    continue
+                parts = [by_count[k] for k in sorted(by_count)]
             indices = [i]
             if log is not None:
                 log.setdefault(i, cell)
@@ -272,12 +295,40 @@ def _individualize(
 
     Cells only shrink or are appended, and a node only moves into an
     appended cell, so the log undoes it (_undo)."""
+    _detach(cells, cell_of, v, log)
+    _split(adj, cells, cell_of, [len(cells) - 1], log)
+
+
+def _detach(
+    cells: list[int], cell_of: list[int], v: int, log: dict[int, int] | None = None
+) -> None:
+    """Move v, in place, to a new last cell of its own, logged as
+    _individualize logs it, with no refinement.
+
+    This is the whole of _individualize when v's cell lies inside v's twin
+    mask (_twins) and the partition is equitable: a node outside the cell's
+    twins is adjacent to all of the cell or to none, and equitability gives
+    every node of its own cell the same count, so each cell is adjacent to v
+    as a whole or not at all and _split would split nothing."""
     if log is not None:
         log.setdefault(cell_of[v], cells[cell_of[v]])
     cells[cell_of[v]] ^= 1 << v
     cell_of[v] = len(cells)
     cells.append(1 << v)
-    _split(adj, cells, cell_of, [len(cells) - 1], log)
+
+
+def _twins(adj: Sequence[int], weights: Sequence[int]) -> list[int]:
+    """Each node's twin mask: itself and the nodes of its weight with an
+    equal open row, or with an equal closed row.
+
+    One dict holds both kinds of row, as no open row equals a closed one:
+    if a's open row were b's closed row, it would hold b, so b's row would
+    hold a and a's open row would hold a."""
+    classes: dict[tuple[int, int], int] = {}
+    for v, w in enumerate(weights):
+        for key in ((w, adj[v]), (w, adj[v] | 1 << v)):
+            classes[key] = classes.get(key, 0) | 1 << v
+    return [classes[w, adj[v]] | classes[w, adj[v] | 1 << v] for v, w in enumerate(weights)]
 
 
 def _undo(cells: list[int], cell_of: list[int], base: int, log: dict[int, int]) -> None:
@@ -482,12 +533,14 @@ def _checked(wg: WeightedGraph, perm: tuple[int, ...]) -> tuple[int, ...]:
 
 class _Orbits:
     """Union-find over the nodes whose classes are the orbits of the group
-    generated by the maps joined so far; a class's root is its least node."""
+    generated by the maps joined so far; a class's root is its least node,
+    and holds the class's node bitmask."""
 
-    __slots__ = ("parent",)
+    __slots__ = ("parent", "mask")
 
     def __init__(self, n: int) -> None:
         self.parent = list(range(n))
+        self.mask = [1 << v for v in range(n)]
 
     def find(self, x: int) -> int:
         parent = self.parent
@@ -496,12 +549,18 @@ class _Orbits:
             x = parent[x]
         return x
 
-    def join(self, perm: Sequence[int]) -> None:
-        for v, w in enumerate(perm):
-            if v != w:
-                ra, rb = self.find(v), self.find(w)
-                if ra != rb:
-                    self.parent[max(ra, rb)] = min(ra, rb)
+    def orbit(self, x: int) -> int:
+        return self.mask[self.find(x)]
+
+    def join(self, pairs: Iterable[tuple[int, int]]) -> None:
+        """Merge the classes of each moved node v and its image w."""
+        for v, w in pairs:
+            ra, rb = self.find(v), self.find(w)
+            if ra != rb:
+                if rb < ra:
+                    ra, rb = rb, ra
+                self.parent[rb] = ra
+                self.mask[ra] |= self.mask[rb]
 
 
 def _guess(n: int, pcells: list[int], ucells: list[int]) -> tuple[int, ...]:
@@ -517,27 +576,38 @@ def _guess(n: int, pcells: list[int], ucells: list[int]) -> tuple[int, ...]:
     return tuple(perm)
 
 
+def _transposes(wg: WeightedGraph, p: int, u: int) -> bool:
+    """True when the transposition (p u) is an automorphism: p and u have
+    equal weights and equal rows outside the two of them (the edge between
+    them, if any, is its own image)."""
+    adj = wg.adj
+    return wg.weights[p] == wg.weights[u] and not (adj[p] ^ adj[u]) & ~(1 << p | 1 << u)
+
+
+def _moved(perm: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    return tuple((v, w) for v, w in enumerate(perm) if v != w)
+
+
 def _witness(
     wg: WeightedGraph,
     level: tuple[list[int], list[int]],
     pivot_side: tuple[list[int], list[int]],
     p: int,
     u: int,
-) -> tuple[int, ...] | None:
-    """A checked automorphism that preserves the level's partition and maps p
-    to u, or None when there is none.
+) -> tuple[tuple[int, int], ...] | None:
+    """The moved (node, image) pairs of a checked automorphism that preserves
+    the level's partition and maps p to u, or None when there is none.
 
-    The steps run in order and stop at the first map that passes the check:
-    the transposition (p u); u's refinement of the level, whose cell sizes
-    must equal those of p's (pivot_side) or u is ruled out, and one guess
-    from the two; the exhaustive search with the u-side cells as masks. An
-    automorphism that maps p to u maps p's refinement onto u's cell by cell,
-    so only a size mismatch or a failed search rules u out.
+    The steps run in order and stop at the first map that passes its check:
+    the transposition (p u), which two rows decide (_transposes); u's
+    refinement of the level, whose cell sizes must equal those of p's
+    (pivot_side) or u is ruled out, and one guess from the two; the
+    exhaustive search with the u-side cells as masks. An automorphism
+    that maps p to u maps p's refinement onto u's cell by cell, so only a
+    size mismatch or a failed search rules u out.
     """
-    swap = list(range(wg.n))
-    swap[p], swap[u] = u, p
-    if _is_automorphism(wg, swap):
-        return tuple(swap)
+    if _transposes(wg, p, u):
+        return (p, u), (u, p)
     pcells, pcell_of = pivot_side
     ucells = list(level[0])
     _individualize(wg.adj, ucells, list(level[1]), u)
@@ -545,9 +615,9 @@ def _witness(
         return None
     perm = _guess(wg.n, pcells, ucells)
     if _is_automorphism(wg, perm):
-        return perm
+        return _moved(perm)
     perm = _search_mapping(wg, wg, [ucells[i] for i in pcell_of])
-    return None if perm is None else _checked(wg, perm)
+    return None if perm is None else _moved(_checked(wg, perm))
 
 
 def _aut_order(wg: WeightedGraph, cells: list[int], cell_of: list[int]) -> tuple[int, _Orbits]:
@@ -556,31 +626,40 @@ def _aut_order(wg: WeightedGraph, cells: list[int], cell_of: list[int]) -> tuple
 
     The individualization chain fixes, level by level, the least node (the
     pivot) of the first non-singleton cell and refines, until every cell is a
-    singleton. Level i's group G_i fixes the earlier pivots, and |G_i| is the
-    size of the pivot's G_i-orbit times |G_(i+1)|. Levels are handled from
-    the deepest up, with one union-find over the automorphisms found so far:
-    all of them fix the current level's earlier pivots, so they lie in G_i.
-    A cell member gets a witness attempt (_witness) only when it lies outside
-    the pivot's known orbit and outside every orbit already shown to hold no
-    image of the pivot (an image there would put the whole orbit in the
-    pivot's). At the end of a level the pivot's known orbit is its full
-    G_i-orbit, so the maps found generate the group and the union-find ends
-    with its orbits.
+    singleton; a level whose cell lies inside the pivot's twin mask needs no
+    refinement (_detach). Level i's group G_i fixes the earlier pivots, and
+    |G_i| is the size of the pivot's G_i-orbit times |G_(i+1)|. Levels are
+    handled from the deepest up, with one union-find over the automorphisms
+    found so far: all of them fix the current level's earlier pivots, so
+    they lie in G_i. A cell member gets a witness attempt (_witness) only
+    when it lies outside the pivot's known orbit and outside every orbit
+    already shown to hold no image of the pivot (an image there would put
+    the whole orbit in the pivot's); both are read off the orbit masks. At
+    the end of a level the pivot's known orbit is its full G_i-orbit, so
+    the maps found generate the group and the union-find ends with its
+    orbits.
 
     The chain refines (cells, cell_of) in place and keeps, per level, only
     an undo log of the cells it changed; going up, each level's partition is
     a copy of the one below with that level's log undone, so at most two
     levels' partitions are alive at a time.
     """
+    twins = _twins(wg.adj, wg.weights)
     chain: list[tuple[int, dict[int, int], int, int]] = []  # per level
+    first = 0  # cells before it are singletons, and stay so
     while True:
-        target = next((c for c in cells if c & (c - 1)), 0)
-        if not target:
+        while first < len(cells) and not cells[first] & (cells[first] - 1):
+            first += 1
+        if first == len(cells):
             break
+        target = cells[first]
         pivot = (target & -target).bit_length() - 1
         log: dict[int, int] = {}
         chain.append((len(cells), log, target, pivot))
-        _individualize(wg.adj, cells, cell_of, pivot, log)
+        if target & ~twins[pivot]:
+            _individualize(wg.adj, cells, cell_of, pivot, log)
+        else:
+            _detach(cells, cell_of, pivot, log)
 
     orbits = _Orbits(wg.n)
     order = 1
@@ -588,19 +667,19 @@ def _aut_order(wg: WeightedGraph, cells: list[int], cell_of: list[int]) -> tuple
     for base, log, target, pivot in reversed(chain):
         cells, cell_of = list(cells), list(cell_of)
         _undo(cells, cell_of, base, log)
-        members = list(_iter_bits(target))
-        dead: list[int] = []  # one member of each orbit known to hold no image
-        for u in members[1:]:
-            root = orbits.find(u)
-            if root == orbits.find(pivot) or any(orbits.find(d) == root for d in dead):
+        dead = 0  # the orbits known to hold no image
+        while candidates := target & ~(orbits.orbit(pivot) | dead):
+            u = (candidates & -candidates).bit_length() - 1
+            orbit = orbits.orbit(u)
+            if orbit & dead:  # joined to a dead orbit since it was ruled out
+                dead |= orbit
                 continue
-            perm = _witness(wg, (cells, cell_of), pivot_side, pivot, u)
-            if perm is None:
-                dead.append(u)
+            pairs = _witness(wg, (cells, cell_of), pivot_side, pivot, u)
+            if pairs is None:
+                dead |= orbit
             else:
-                orbits.join(perm)
-        root = orbits.find(pivot)
-        order *= sum(1 for u in members if orbits.find(u) == root)
+                orbits.join(pairs)
+        order *= (orbits.orbit(pivot) & target).bit_count()
         pivot_side = (cells, cell_of)
     return order, orbits
 
@@ -738,7 +817,4 @@ def vertex_orbits(wg: WeightedGraph, caps: OracleCaps | None = None) -> list[lis
     """
     _check_nodes(caps, wg)
     orbits = _aut_order(wg, *_equitable(wg.adj, wg.weights))[1]
-    groups: dict[int, list[int]] = {}
-    for v in range(wg.n):
-        groups.setdefault(orbits.find(v), []).append(v)
-    return [sorted(vs) for _, vs in sorted(groups.items())]
+    return [list(_iter_bits(orbits.mask[v])) for v in range(wg.n) if orbits.parent[v] == v]

@@ -109,6 +109,13 @@ def test_spec_error_exit_code(capsys):
     assert run(["analyze", "--group", "Z(1)"]) == 1
 
 
+def test_long_integer_spec_error_has_position(capsys):
+    assert run(["analyze", "--group", "Z(" + "1" * 5000 + ")"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: integer of 5000 digits is too long (at position 2)\n"
+
+
 def test_usage_error_exit_code(capsys):
     for argv, message in (
         (["analyze"], "one of the arguments --group --corpus is required"),
@@ -208,6 +215,22 @@ def test_corpus_batch(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "Z(6): FULL-VERIFIED" in out
     assert "Z(4): FULL-VERIFIED" in out
+
+
+def test_corpus_errors_name_line_and_spec(tmp_path, capsys):
+    corpus = tmp_path / "groups.txt"
+    corpus.write_text("Z(6)\nZ(0)\nZ(10)\n")
+    assert run(["analyze", "--corpus", str(corpus)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 2, Z(0): parameters must be positive (at position 2)\n"
+    # line numbers count comment and blank lines; caps name the spec too
+    corpus.write_text("# corpus\n\n  Z(12)  \n")
+    assert run(["verify", "--corpus", str(corpus), "--max-nodes", "2"]) == 3
+    assert capsys.readouterr().err.startswith("unknown: line 3, Z(12): ")
+    # --group messages carry no prefix
+    assert run(["analyze", "--group", "Z(0)"]) == 1
+    assert capsys.readouterr().err == "error: parameters must be positive (at position 2)\n"
 
 
 def test_outputs_are_deterministic(tmp_path, capsys):

@@ -195,6 +195,13 @@ def test_verify_full_and_quotient_modes():
     assert v.oracle_order == v.structural_order == 3_745_618_329_600
 
 
+def test_verify_counts_the_full_graph_of_z1999():
+    # a complete graph on 1,998 nodes: every chain level is a twin level
+    v = verify("Z(1999)", OracleCaps(max_nodes=2000)).verification
+    assert v.status == "full-verified"
+    assert v.oracle_order == v.structural_order == math.factorial(1998)
+
+
 @pytest.mark.parametrize("spec", ["Dih(13)", "Z(2)^5", "Sym(5)"])
 def test_full_graph_counts_match_analyze(spec):
     # the oracle counts their whole power graphs, 25-119 nodes, directly, and

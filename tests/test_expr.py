@@ -69,6 +69,13 @@ def test_parse_rejects_garbage():
         assert err.value.position is not None, text
 
 
+def test_parse_long_integer_is_a_positioned_error():
+    with pytest.raises(SpecError) as err:
+        parse_expr("[" + "1" * 5000 + "]")
+    assert err.value.position == 1
+    assert str(err.value) == "integer of 5000 digits is too long (at position 1)"
+
+
 @pytest.mark.parametrize(
     "spec", tuple(dict.fromkeys(GOLDEN_SPECS + WORKLOAD_SPECS + ("Z(1999)", "Dih(1000)")))
 )

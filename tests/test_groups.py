@@ -95,6 +95,15 @@ def test_parse_errors_carry_position(text):
     assert str(err.value) == SPEC_ERRORS[text]
 
 
+def test_parse_long_integer_is_a_positioned_error():
+    # int() refuses more than 4,300 digits; the error names where the run starts
+    for text, position in (("Z(" + "1" * 5000 + ")", 2), ("Ab[2, " + "1" * 5000 + "]", 6)):
+        with pytest.raises(SpecError) as err:
+            parse_group_spec(text)
+        assert err.value.position == position
+        assert str(err.value) == f"integer of 5000 digits is too long (at position {position})"
+
+
 @pytest.mark.parametrize("text", list(CORPUS) + ["Ab[2,2]", "P(P(Z(2),Z(3)),Q8)", "Dih(7)", "Sym(5)"])
 def test_spec_round_trip(text):
     spec = parse_group_spec(text)

@@ -286,6 +286,16 @@ def test_moved_rows_check_equals_full_check(wg, data):
     assert oracle._is_automorphism(wg, tuple(perm)) == full
 
 
+@given(weighted_graphs(6))
+@settings(max_examples=60, deadline=None)
+def test_two_row_transposition_check_equals_full_check(wg):
+    for p in range(wg.n):
+        for u in range(wg.n):
+            swap = list(range(wg.n))
+            swap[p], swap[u] = u, p
+            assert oracle._transposes(wg, p, u) == oracle._is_automorphism(wg, tuple(swap))
+
+
 @st.composite
 def graphs_with_twins(draw):
     """A random graph with some nodes cloned: each clone has its original's
@@ -462,3 +472,92 @@ def test_component_classes_check_forced_maps_without_search(monkeypatch):
     calls = _count_calls(monkeypatch, "_search_mapping")
     assert _described(component_classes(wg)) == [(1, (1,), [], 10), (1, (2,), [], 10)]
     assert calls == []
+
+
+@st.composite
+def planted_twins(draw):
+    """A random weighted graph of up to 9 nodes with classes of open twins
+    (independent) and closed twins (a clique) planted in it, the nodes
+    shuffled. Each class has its own weight and is joined to a random set
+    of the earlier nodes, taking each earlier class whole so that it stays
+    a twin class."""
+    base = draw(weighted_graphs(4))
+    edges, weights = base.edges(), list(base.weights)
+    blocks = [[v] for v in range(base.n)]
+    for _ in range(draw(st.integers(1, 3))):
+        if len(weights) > 7:
+            break
+        size = draw(st.integers(2, min(4, 9 - len(weights))))
+        closed = draw(st.booleans())
+        joined = [v for block in blocks if draw(st.booleans()) for v in block]
+        new = list(range(len(weights), len(weights) + size))
+        weights += [draw(st.integers(1, 3))] * size
+        edges += [(v, w) for v in new for w in joined]
+        if closed:
+            edges += [(v, w) for v in new for w in new if v < w]
+        blocks.append(new)
+    perm = draw(st.permutations(range(len(weights))))
+    return WeightedGraph(len(weights), edges, weights).relabel(perm)
+
+
+@given(planted_twins())
+@settings(max_examples=30, deadline=None)
+def test_count_matches_naive_with_planted_twins(wg):
+    assert count_automorphisms(wg) == naive_count(wg)
+
+
+def _twin_levels(wg):
+    """Walk the counting chain with _individualize; at each level whose cell
+    lies inside the pivot's twin mask, check that _detach gives the same
+    partition and undo log. The number of such levels."""
+    twins = oracle._twins(wg.adj, wg.weights)
+    for v in range(wg.n):
+        assert twins[v] == sum(
+            1 << w
+            for w in range(wg.n)
+            if wg.weights[w] == wg.weights[v]
+            and (wg.adj[w] == wg.adj[v] or wg.closed_mask(w) == wg.closed_mask(v))
+        )
+    cells, cell_of = oracle._equitable(wg.adj, wg.weights)
+    levels = 0
+    while target := next((c for c in cells if c & (c - 1)), 0):
+        pivot = (target & -target).bit_length() - 1
+        refined, log = (list(cells), list(cell_of)), {}
+        oracle._individualize(wg.adj, *refined, pivot, log)
+        if not target & ~twins[pivot]:
+            detached, detached_log = (list(cells), list(cell_of)), {}
+            oracle._detach(*detached, pivot, detached_log)
+            assert (detached, detached_log) == (refined, log)
+            levels += 1
+        cells, cell_of = refined
+    return levels
+
+
+@given(planted_twins())
+@settings(max_examples=60, deadline=None)
+def test_twin_step_equals_individualize(wg):
+    _twin_levels(wg)
+
+
+@pytest.mark.parametrize("spec", ["Z(12)", "Q8", "Sym(4)"])
+def test_twin_step_equals_individualize_on_power_graphs(spec):
+    assert _twin_levels(bundle(spec).pg) > 0
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: bundle("Z(1999)").pg, lambda: empty(600)], ids=["Z(1999)", "empty(600)"]
+)
+def test_twin_levels_need_no_refinement(build, monkeypatch):
+    # the complete graph on 1,998 nodes and the empty one on 600: every
+    # level's cell is a twin class, so only the first partition is refined,
+    # and each level joins its orbit with one checked transposition
+    wg = build()
+    splits = _count_calls(monkeypatch, "_split")
+    witnesses = _count_calls(monkeypatch, "_witness")
+    guesses = _count_calls(monkeypatch, "_guess")
+    searches = _count_calls(monkeypatch, "_search_mapping")
+    assert count_automorphisms(wg, OracleCaps(max_nodes=wg.n)) == math.factorial(wg.n)
+    assert len(splits) <= 2
+    assert guesses == [] and searches == []
+    assert 0 < len(witnesses) <= wg.n - 1
+    assert None not in witnesses
