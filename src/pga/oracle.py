@@ -37,17 +37,19 @@ The machinery is classic individualization-refinement:
     pivot's rule it out) and one guess read off the two refinements,
     fixing every node its cell allows, as most symmetries move few nodes
     (Darga, Sakallah and Markov, "Faster Symmetry Discovery using Sparsity
-    of Symmetries", 2008); and only then an exhaustive backtracking search
-    with bitmask forward-checking, run on an explicit stack. A witness
-    hands back only the pairs its map moves;
+    of Symmetries", 2008); and only then the one search (_search), which
+    also finds isomorphisms and lists automorphisms: depth first down the
+    individualization-refinement tree, each node's own image tried first and
+    every leaf's map checked in full. A witness hands back only its moved
+    pairs;
   * components are grouped by isomorphism after one refinement of the whole
     graph, comparing only components with equal colour multisets.
 
 Every guess and every found map is checked before it is trusted. An
 automorphism check compares only the rows of the nodes the map moves; an
 edge between two fixed nodes is its own image, so that is complete. Only a
-refinement mismatch or a failed exhaustive search rules a candidate out, so
-a bad guess never lowers a count. No level is counted by a formula: each
+refinement mismatch or an exhausted search rules a candidate out, so a bad
+guess never lowers a count. No level is counted by a formula: each
 orbit it joins comes from one checked map, a twin level's from its
 transposition. Caps produce an explicit CapExceeded, never a guess.
 """
@@ -359,115 +361,71 @@ def stable_colors(wg: WeightedGraph) -> list[int]:
 # core search
 
 
-def _restrict(groups: dict[int, int], row: int, near: int, far: int) -> dict[int, int] | None:
-    """Forward-check after mapping a node whose row is `row` onto one whose
-    row is `near`: the nodes of each group (mask -> nodes) in `row` keep the
-    candidates in `near`, the others those in `far`. Groups that end with
-    equal masks merge; None when a mask has fewer candidates than nodes."""
-    out: dict[int, int] = {}
-    for mask, nodes in groups.items():
-        for part, m in ((nodes & row, mask & near), (nodes & ~row, mask & far)):
-            if part:
-                part |= out.get(m, 0)
-                if m.bit_count() < part.bit_count():
-                    return None
-                out[m] = part
-    return out
-
-
-def _search_mapping(
+def _search(
     src: WeightedGraph,
     dst: WeightedGraph,
-    allowed: list[int],
+    pside: tuple[list[int], list[int]],
+    uside: tuple[list[int], list[int]],
     found: Callable[[tuple[int, ...]], None] | None = None,
 ) -> tuple[int, ...] | None:
-    """Find one bijection src -> dst respecting adjacency and the allowed masks.
+    """The first checked bijection src -> dst that maps each cell of pside,
+    an equitable partition of src, onto uside's cell of the same index, or
+    None.
 
-    allowed[v] is a bitmask of permitted images for src node v (already
-    restricted to compatible colors). The unmapped nodes are grouped by
-    their mask. All nodes with a single candidate are mapped in one pass;
-    then the search picks the least node among those with the fewest
-    candidates and tries its candidates in ascending order. Each step
-    forward-checks with one AND per group and side (_restrict). The search
-    runs as a loop with an explicit stack, so its depth is not bounded by
-    Python's recursion limit.
-
-    With `found`, every bijection is passed to it and the search goes on to
-    the next one; the return value is then None.
+    Depth first down the individualization-refinement tree: each level
+    individualizes x, the least node of pside's first non-singleton cell,
+    and tries the nodes y of uside's cell of that index, x itself first (most
+    symmetries move few nodes), then the rest in ascending order. A map
+    sending x to y sends x's refinement onto y's cell by cell, so y is cut
+    when a cell that either step changed or appended differs in size. When
+    pside is discrete, the map is checked in full. The stack is explicit, so
+    the depth is not bounded by Python's recursion limit. With `found`,
+    every map that passes goes to it and the search goes on, returning None.
+    pside is left as it came in; uside is consumed.
     """
-    src_adj, dst_adj = src.adj, dst.adj
-    mapping = [-1] * src.n
-
-    def settle(groups: dict[int, int] | None, assigned: list[int]) -> dict[int, int] | None:
-        # map every group with one candidate (one node, by _restrict's count
-        # check) at once, until none is left
-        while groups:
-            forced = [m for m in groups if not m & (m - 1)]
-            if not forced:
-                break
-            sources = taken = 0
-            for m in forced:
-                v = groups.pop(m).bit_length() - 1
-                mapping[v] = m.bit_length() - 1
-                assigned.append(v)
-                sources |= 1 << v
-                taken |= m
-            for v in _iter_bits(sources):  # the forced pairs among themselves
-                image = 0
-                for w in _iter_bits(src_adj[v] & sources):
-                    image |= 1 << mapping[w]
-                if image != dst_adj[mapping[v]] & taken:
-                    return None
-            groups = _restrict(groups, 0, 0, ~taken)
-            free_src = free_dst = 0
-            for m, nodes in (groups or {}).items():
-                free_src |= nodes
-                free_dst |= m
-            for v in _iter_bits(sources):
-                near = dst_adj[mapping[v]]
-                if groups is not None and (src_adj[v] & free_src or near & free_dst):
-                    groups = _restrict(groups, src_adj[v], near, ~near)
-        return groups
-
-    groups: dict[int, int] | None = {}
-    for v, m in enumerate(allowed):
-        groups[m] = groups.get(m, 0) | 1 << v
-    groups = _restrict(groups, 0, 0, -1)
-    groups = settle(groups, [])
-    stack: list[list] = []  # [groups without v, v, untried candidates, nodes mapped]
+    pcells, pcell_of = pside
+    ucells, ucell_of = uside
+    if [c.bit_count() for c in pcells] != [c.bit_count() for c in ucells]:
+        return None
+    # per level: [first, cells before it, x, x's log, untried ys, y's log]
+    stack: list[list] = []
+    first = 0  # cells before it are singletons, and stay so deeper down
     while True:
-        if groups:
-            mask = min(groups, key=lambda m: (m.bit_count(), groups[m] & -groups[m]))
-            nodes = groups[mask]
-            low = nodes & -nodes
-            rest = dict(groups)
-            if nodes == low:
-                del rest[mask]
-            else:
-                rest[mask] = nodes ^ low
-            stack.append([rest, low.bit_length() - 1, mask, []])
-        elif groups is not None:
-            if found is None:
-                return tuple(mapping)
-            found(tuple(mapping))
-        groups = None
-        while groups is None:
+        while first < len(pcells) and not pcells[first] & (pcells[first] - 1):
+            first += 1
+        if first < len(pcells):
+            cell = pcells[first]
+            x = (cell & -cell).bit_length() - 1
+            plog: dict[int, int] = {}
+            stack.append([first, len(pcells), x, plog, ucells[first], {}])
+            _individualize(src.adj, pcells, pcell_of, x, plog)
+        else:
+            perm = tuple(ucells[i].bit_length() - 1 for i in pcell_of)
+            if _is_automorphism(src, perm) if src is dst else _is_isomorphism(src, dst, perm):
+                if found is None:
+                    for _, base, _, plog, _, _ in reversed(stack):
+                        _undo(pcells, pcell_of, base, plog)
+                    return perm
+                found(perm)
+        while True:  # to the next y that survives the cut, backtracking
             if not stack:
                 return None
             frame = stack[-1]
-            rest, v, cands, assigned = frame
-            for w in assigned:
-                mapping[w] = -1
-            assigned.clear()
-            if not cands:
+            first, base, x, plog, untried, ulog = frame
+            _undo(ucells, ucell_of, base, ulog)
+            if not untried:
+                _undo(pcells, pcell_of, base, plog)
                 stack.pop()
                 continue
-            low = cands & -cands
-            frame[2] = cands ^ low
-            mapping[v] = low.bit_length() - 1
-            assigned.append(v)
-            near = dst_adj[mapping[v]]
-            groups = settle(_restrict(rest, src_adj[v], near, ~(near | low)), assigned)
+            y = x if untried >> x & 1 else (untried & -untried).bit_length() - 1
+            ulog = {}
+            frame[4:] = untried ^ 1 << y, ulog
+            _individualize(dst.adj, ucells, ucell_of, y, ulog)
+            if len(ucells) == len(pcells) and all(
+                pcells[i].bit_count() == ucells[i].bit_count()
+                for i in (*plog, *ulog, *range(base, len(pcells)))
+            ):
+                break
 
 
 def _preserves(a: WeightedGraph, b: WeightedGraph, pairs: dict[int, int]) -> bool:
@@ -522,13 +480,6 @@ def _is_automorphism(wg: WeightedGraph, perm: Sequence[int]) -> bool:
         if image != adj[w]:
             return False
     return True
-
-
-def _checked(wg: WeightedGraph, perm: tuple[int, ...]) -> tuple[int, ...]:
-    # independent re-check of anything the search produces
-    if not _is_automorphism(wg, perm):
-        raise RuntimeError(f"search produced an invalid automorphism: {perm}")
-    return perm
 
 
 class _Orbits:
@@ -601,23 +552,23 @@ def _witness(
     The steps run in order and stop at the first map that passes its check:
     the transposition (p u), which two rows decide (_transposes); u's
     refinement of the level, whose cell sizes must equal those of p's
-    (pivot_side) or u is ruled out, and one guess from the two; the
-    exhaustive search with the u-side cells as masks. An automorphism
-    that maps p to u maps p's refinement onto u's cell by cell, so only a
-    size mismatch or a failed search rules u out.
+    (pivot_side) or u is ruled out, and one guess from the two; the search
+    from p's refinement onto u's (_search), each node's own image first. An
+    automorphism that maps p to u maps p's refinement onto u's cell by cell,
+    so only a size mismatch or an exhausted search rules u out.
     """
     if _transposes(wg, p, u):
         return (p, u), (u, p)
-    pcells, pcell_of = pivot_side
-    ucells = list(level[0])
-    _individualize(wg.adj, ucells, list(level[1]), u)
+    pcells = pivot_side[0]
+    ucells, ucell_of = list(level[0]), list(level[1])
+    _individualize(wg.adj, ucells, ucell_of, u)
     if [c.bit_count() for c in ucells] != [c.bit_count() for c in pcells]:
         return None
     perm = _guess(wg.n, pcells, ucells)
     if _is_automorphism(wg, perm):
         return _moved(perm)
-    perm = _search_mapping(wg, wg, [ucells[i] for i in pcell_of])
-    return None if perm is None else _moved(_checked(wg, perm))
+    perm = _search(wg, wg, pivot_side, (ucells, ucell_of))
+    return None if perm is None else _moved(perm)
 
 
 def _aut_order(wg: WeightedGraph, cells: list[int], cell_of: list[int]) -> tuple[int, _Orbits]:
@@ -641,8 +592,9 @@ def _aut_order(wg: WeightedGraph, cells: list[int], cell_of: list[int]) -> tuple
 
     The chain refines (cells, cell_of) in place and keeps, per level, only
     an undo log of the cells it changed; going up, each level's partition is
-    a copy of the one below with that level's log undone, so at most two
-    levels' partitions are alive at a time.
+    the one below with that level's log undone, so at most two levels'
+    partitions are alive at a time. A twin level is undone in place, as its
+    witnesses are all transpositions and never read the one below.
     """
     twins = _twins(wg.adj, wg.weights)
     chain: list[tuple[int, dict[int, int], int, int]] = []  # per level
@@ -665,7 +617,8 @@ def _aut_order(wg: WeightedGraph, cells: list[int], cell_of: list[int]) -> tuple
     order = 1
     pivot_side = (cells, cell_of)
     for base, log, target, pivot in reversed(chain):
-        cells, cell_of = list(cells), list(cell_of)
+        if target & ~twins[pivot]:
+            cells, cell_of = list(cells), list(cell_of)
         _undo(cells, cell_of, base, log)
         dead = 0  # the orbits known to hold no image
         while candidates := target & ~(orbits.orbit(pivot) | dead):
@@ -713,9 +666,7 @@ def enumerate_automorphisms(
         )
     cells, cell_of = _equitable(wg.adj, wg.weights)
     out: list[tuple[int, ...]] = []
-    _search_mapping(
-        wg, wg, [cells[i] for i in cell_of], lambda perm: out.append(_checked(wg, perm))
-    )
+    _search(wg, wg, (cells, cell_of), (list(cells), list(cell_of)), out.append)
     out.sort()
     if len(out) != total:
         raise RuntimeError(
@@ -739,12 +690,9 @@ def find_isomorphism(
     a_side = (1 << a.n) - 1
     if any(2 * (c & a_side).bit_count() != c.bit_count() for c in cells):
         return None
-    perm = _search_mapping(a, b, [cells[i] >> a.n for i in cell_of[: a.n]])
-    if perm is None:
-        return None
-    if not _is_isomorphism(a, b, perm):
-        raise RuntimeError(f"search produced an invalid isomorphism: {perm}")
-    return perm
+    a_cells = [c & a_side for c in cells], cell_of[: a.n]
+    b_cells = [c >> a.n for c in cells], cell_of[a.n :]
+    return _search(a, b, a_cells, b_cells)
 
 
 class _ComponentClass:

@@ -134,10 +134,11 @@ def naive_count(wg: WeightedGraph) -> int:
 
 
 def reference_search(src, dst, allowed, found=None):
-    """Per-node backtracking with the oracle's rule: branch on the least node
-    among those with the fewest candidates, try them in ascending order, and
-    forward-check every unmapped node. The first bijection, or with `found`
-    every bijection passed to it in order and None."""
+    """Per-node backtracking, independent of the oracle's search: branch on
+    the least node among those with the fewest candidates, try them in
+    ascending order, and forward-check every unmapped node. The first
+    bijection, or with `found` every bijection passed to it in order and
+    None."""
     mapping = [-1] * src.n
 
     def dfs(masks, free):

@@ -230,7 +230,7 @@ def test_orbit_pruning_bounds_the_searches(build, monkeypatch):
     wg = build()
     witnesses = _count_calls(monkeypatch, "_witness")
     guesses = _count_calls(monkeypatch, "_guess")
-    searches = _count_calls(monkeypatch, "_search_mapping")
+    searches = _count_calls(monkeypatch, "_search")
     assert count_automorphisms(wg, OracleCaps(max_nodes=wg.n)) == math.factorial(63)
     assert 0 < len(witnesses) <= wg.n - 1
     assert None not in witnesses
@@ -255,7 +255,7 @@ def test_one_failed_search_rules_out_a_whole_orbit(monkeypatch):
     wg = WeightedGraph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (6, 3)])
     witnesses = _count_calls(monkeypatch, "_witness")
     guesses = _count_calls(monkeypatch, "_guess")
-    searches = _count_calls(monkeypatch, "_search_mapping")
+    searches = _count_calls(monkeypatch, "_search")
     assert count_automorphisms(wg) == 6 * 8 == naive_count(wg)
     assert witnesses.count(None) == 1
     assert searches == []
@@ -266,7 +266,7 @@ def test_one_failed_search_rules_out_a_whole_orbit(monkeypatch):
 @pytest.mark.parametrize("spec", ["Sym(5)", "Dih(50)", "Z(2)^6"])
 def test_full_power_graphs_count_without_exhaustive_search(spec, monkeypatch):
     wg = bundle(spec).pg
-    searches = _count_calls(monkeypatch, "_search_mapping")
+    searches = _count_calls(monkeypatch, "_search")
     assert count_automorphisms(wg, OracleCaps(max_nodes=wg.n)) == report(spec).order
     assert searches == []
 
@@ -320,46 +320,81 @@ def test_count_matches_enumeration_with_twins(wg):
         assert count == naive_count(wg)
 
 
-@given(weighted_graphs(6), st.randoms(use_true_random=False))
+def _same_weight(a, b):
+    """Per node of a, the mask of b's nodes of its weight."""
+    return [sum(1 << w for w in range(b.n) if b.weights[w] == a.weights[v]) for v in range(a.n)]
+
+
+@given(weighted_graphs(6), st.permutations(range(6)))
 @settings(max_examples=60, deadline=None)
-def test_search_matches_per_node_reference(wg, rng):
-    # the first isomorphism onto a shuffled copy, and every automorphism in
-    # the order found, equal those of a per-node search with the same rule
-    perm = list(range(wg.n))
-    rng.shuffle(perm)
-    other = wg.relabel(perm)
-    union = WeightedGraph(
-        2 * wg.n, wg.edges() + [(u + wg.n, v + wg.n) for u, v in other.edges()],
-        wg.weights + other.weights,
-    )
-    colors = stable_colors(union)
-    allowed = [
-        sum(1 << w for w in range(wg.n) if colors[wg.n + w] == colors[v]) for v in range(wg.n)
-    ]
-    assert find_isomorphism(wg, other) == reference_search(wg, other, allowed)
-    own = stable_colors(wg)
-    allowed = [sum(1 << w for w in range(wg.n) if own[w] == own[v]) for v in range(wg.n)]
-    found, expected = [], []
-    oracle._search_mapping(wg, wg, allowed, found.append)
-    reference_search(wg, wg, allowed, expected.append)
-    assert found == expected
+def test_search_matches_reference_on_shuffled_copies(wg, perm):
+    # a shuffled copy is isomorphic, and the automorphisms listed are those
+    # of a per-node search
+    other = wg.relabel([v for v in perm if v < wg.n])
+    assert oracle._is_isomorphism(wg, other, find_isomorphism(wg, other))
+    expected = []
+    reference_search(wg, wg, _same_weight(wg, wg), expected.append)
     assert enumerate_automorphisms(wg) == sorted(expected)
 
 
-@given(weighted_graphs(6), st.data())
+@given(weighted_graphs(6), st.permutations(range(6)), st.data())
 @settings(max_examples=100, deadline=None)
-def test_search_matches_per_node_reference_on_any_masks(src, data):
-    # arbitrary masks and a second graph force conflicting single candidates
-    n = src.n
-    dst = WeightedGraph(
-        n, [(i, j) for i in range(n) for j in range(i + 1, n) if data.draw(st.booleans())]
-    )
-    allowed = data.draw(st.lists(st.integers(0, 2**n - 1), min_size=n, max_size=n))
-    assert oracle._search_mapping(src, dst, allowed) == reference_search(src, dst, allowed)
-    found, expected = [], []
-    oracle._search_mapping(src, dst, allowed, found.append)
-    reference_search(src, dst, allowed, expected.append)
-    assert found == expected
+def test_search_decides_isomorphism_as_the_reference(wg, perm, data):
+    # a shuffled copy with up to two node pairs toggled may or may not be
+    # isomorphic; both searches must agree on which
+    shuffled = wg.relabel([v for v in perm if v < wg.n])
+    edges = set(shuffled.edges())
+    pairs = [(i, j) for i in range(wg.n) for j in range(i + 1, wg.n)]
+    for pair in data.draw(st.lists(st.sampled_from(pairs), max_size=2)) if pairs else ():
+        edges ^= {pair}
+    other = WeightedGraph(wg.n, edges, shuffled.weights)
+    found = find_isomorphism(wg, other)
+    assert (found is None) == (reference_search(wg, other, _same_weight(wg, other)) is None)
+    assert found is None or oracle._is_isomorphism(wg, other, found)
+
+
+def test_search_leaves_the_pivot_side_as_it_came(monkeypatch):
+    # Z(4)^3's count falls back to the search after each guess that fails;
+    # every witness reuses pivot_side for the next level up
+    wg, order, calls = bundle("Z(4)^3").pg, report("Z(4)^3").order, []
+    real = oracle._search
+
+    def checked(src, dst, pside, uside, found=None):
+        before = list(pside[0]), list(pside[1])
+        calls.append(real(src, dst, pside, uside, found))
+        assert (pside[0], pside[1]) == before
+        return calls[-1]
+
+    monkeypatch.setattr(oracle, "_search", checked)
+    assert count_automorphisms(wg, OracleCaps(max_nodes=wg.n)) == order
+    assert len(calls) == 6 and None not in calls
+
+
+def test_exhausted_search_leaves_the_pivot_side_as_it_came():
+    # K(3,3) and the prism: 3-regular on 6 nodes, one joint colour cell, and
+    # not isomorphic, so the search is exhausted
+    a = _complete_bipartite(3, 3)
+    b = WeightedGraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)])
+    cells, cell_of = oracle._equitable(a.adj + tuple(m << 6 for m in b.adj), a.weights + b.weights)
+    pside = [c & 63 for c in cells], cell_of[:6]
+    before = list(pside[0]), list(pside[1])
+    assert oracle._search(a, b, pside, ([c >> 6 for c in cells], cell_of[6:])) is None
+    assert pside == before
+
+
+def test_search_tries_each_node_itself_first(monkeypatch):
+    # the path and its reversal: mapping every node to itself is the first
+    # leaf, so one map is checked on 1,100 nodes
+    path = WeightedGraph(1100, [(i, i + 1) for i in range(1099)])
+    leaves = _count_calls(monkeypatch, "_is_isomorphism")
+    reversal = path.relabel(range(1099, -1, -1))
+    assert find_isomorphism(path, reversal, OracleCaps(max_nodes=1100)) == tuple(range(1100))
+    assert leaves == [True]
+    # with nodes 0 and 2 swapped, each other node is its own first image, so
+    # the swap itself is found; ascending order alone would move three nodes
+    swapped = (2, 1, 0, 3, 4, 5)
+    edgeless = WeightedGraph(6, [], (2, 1, 1, 1, 1, 1))
+    assert find_isomorphism(edgeless, edgeless.relabel(swapped)) == swapped
 
 
 def test_deep_search_has_no_recursion_limit():
@@ -469,7 +504,7 @@ def test_component_classes_cap_only_compared_components():
 def test_component_classes_check_forced_maps_without_search(monkeypatch):
     # 20 isolated nodes of two weights: two classes and no search at all
     wg = WeightedGraph(20, [], [1 + v % 2 for v in range(20)])
-    calls = _count_calls(monkeypatch, "_search_mapping")
+    calls = _count_calls(monkeypatch, "_search")
     assert _described(component_classes(wg)) == [(1, (1,), [], 10), (1, (2,), [], 10)]
     assert calls == []
 
@@ -555,7 +590,7 @@ def test_twin_levels_need_no_refinement(build, monkeypatch):
     splits = _count_calls(monkeypatch, "_split")
     witnesses = _count_calls(monkeypatch, "_witness")
     guesses = _count_calls(monkeypatch, "_guess")
-    searches = _count_calls(monkeypatch, "_search_mapping")
+    searches = _count_calls(monkeypatch, "_search")
     assert count_automorphisms(wg, OracleCaps(max_nodes=wg.n)) == math.factorial(wg.n)
     assert len(splits) <= 2
     assert guesses == [] and searches == []
