@@ -6,7 +6,9 @@ One flat parser, built at import and reused by every `run` call, takes the
 mode and the options in any order; `--dot` is accepted only with `export`.
 
 Exit codes: 0 success, 1 bad spec or usage, 2 internal assertion failure or a
-verification mismatch, 3 oracle caps exceeded (result unknown).
+verification mismatch, 3 oracle caps exceeded (result unknown). A corpus runs
+every spec, writes the finished results in input order and exits with the
+most severe code: 2, then 3, then 1.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ EXIT_OK = 0
 EXIT_SPEC_ERROR = 1
 EXIT_INTERNAL = 2
 EXIT_UNKNOWN = 3
+_SEVERITY = (EXIT_OK, EXIT_SPEC_ERROR, EXIT_UNKNOWN, EXIT_INTERNAL)  # least severe first
 
 
 # ---------------------------------------------------------------------------
@@ -248,15 +251,18 @@ def run(argv: list[str] | None = None) -> int:
             code, out = handler(spec, args, caps)
         except (ValueError, OSError) as exc:  # SpecError is a ValueError
             print(f"error: {where}{exc}", file=sys.stderr)
-            return EXIT_SPEC_ERROR
+            code = EXIT_SPEC_ERROR
         except CapExceeded as exc:  # a RuntimeError, so it must come first
             print(f"unknown: {where}{exc}", file=sys.stderr)
-            return EXIT_UNKNOWN
+            code = EXIT_UNKNOWN
         except RuntimeError as exc:  # InternalCheckError and oracle self-checks
             print(f"internal check failed: {where}{exc}", file=sys.stderr)
-            return EXIT_INTERNAL
-        worst = max(worst, code)
-        outputs.append(out)
+            code = EXIT_INTERNAL
+        else:
+            outputs.append(out)
+        worst = max(worst, code, key=_SEVERITY.index)
+    if not outputs:
+        return worst
     if args.mode == "export":
         # export writes its own files; stdout only names them
         sys.stdout.write("".join(outputs))
@@ -271,7 +277,7 @@ def run(argv: list[str] | None = None) -> int:
             Path(args.out).write_text(output, encoding="utf-8")
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return EXIT_SPEC_ERROR
+            return max(worst, EXIT_SPEC_ERROR, key=_SEVERITY.index)
     else:
         sys.stdout.write(output)
     return worst

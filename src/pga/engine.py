@@ -11,33 +11,33 @@ weighted graphs:
   * inside a component, every node alone in its cell of the stable colour
     refinement is fixed by every automorphism (equitable-partition cells are
     Aut-invariant). Those nodes are stripped, the rest are re-weighted by
-    (weight, adjacency to the stripped nodes), and the recursion goes on;
+    their stable colour, and the recursion goes on;
   * only a component with no singleton cell is brute-forced by the oracle and
     contributes a factor known by its order alone (`Opaque`).
 
 `analyze` classifies the spec once. Cyclic, homocyclic and coprime-product
 specs take a closed form for the quotient part, which is cross-checked
 against the generic recursion; every other spec takes the recursion. A
-coprime product's quotient part multiplies over its primes: the cyclic
-subgroups of p-power order form the Sylow p-subgroup's own cyclic-subgroup
-graph, so each factor is the recursion on that subgraph's quotient. `verify`
-compares against the brute-force oracle.
+coprime product's quotient part multiplies over its primes: the quotient's
+classes of p-power order span the Sylow p-subgroup's own cyclic-subgroup
+graph, some closed twins already merged, so each factor is the recursion on
+that subgraph's MEN quotient. `verify` compares against the brute-force
+oracle.
 
-Each spec realizes one group, and its pipeline is built once, by `pipeline`,
-and passed to every route; the report carries it, so `verify` and the CLI
-export reuse it. Its MEN partition and quotient come from the graph of cyclic
-subgroups; the power graph is built on first use of `Pipeline.pg` and must
-give the same partition.
+Each spec realizes one group, and its pipeline, the group and its weighted
+MEN quotient, is built once, by `pipeline`, and passed to every route; the
+report carries it, so `verify` and the CLI export reuse it. The quotient comes
+from the graph of cyclic subgroups; the power graph is built on first use of
+`Pipeline.pg` and must give the same classes and weights.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -82,7 +82,6 @@ from .oracle import (
 from .powergraph import PowerGraph, build_power_graph, cyclic_subgroup_graph
 from .quotient import (
     GENERATOR_CLASS,
-    MenPartition,
     QuotientGraph,
     build_quotient,
     classify_men_class,
@@ -101,24 +100,22 @@ class Pipeline:
     """One group and everything derived from it that the engine reads."""
 
     g: FiniteGroup
-    sg: QuotientGraph  # one node per nontrivial cyclic subgroup
-    mp: MenPartition
-    q: QuotientGraph
+    q: QuotientGraph  # one node per MEN class, its members power-graph vertices
 
     @cached_property
     def pg(self) -> PowerGraph:
-        """The power graph, built on first use; its MEN partition must be `mp`."""
+        """The power graph, built on first use; its MEN classes and weights must be `q`'s."""
         pg = build_power_graph(self.g)
-        if men_partition(pg) != self.mp:
+        mp = men_partition(pg)
+        if (mp.classes, mp.weights) != (self.q.members, self.q.weights):
             raise InternalCheckError("power-graph and cyclic-subgroup MEN partitions differ")
         return pg
 
 
 def pipeline(g: FiniteGroup) -> Pipeline:
-    """MEN partition and weighted quotient of a group, from its cyclic subgroups."""
+    """A group and its weighted MEN quotient, from its cyclic subgroups."""
     sg = cyclic_subgroup_graph(g)
-    q = build_quotient(sg, men_partition(sg))
-    return Pipeline(g, sg, MenPartition.of(q.members, q.weights), q)
+    return Pipeline(g, build_quotient(sg, men_partition(sg)))
 
 
 class ClassSummary(NamedTuple):
@@ -217,13 +214,11 @@ def _component_aut(cg: WeightedGraph, caps: OracleCaps) -> GroupExpr:
     rest = [v for v in range(cg.n) if cell_size[colors[v]] > 1]
     if not rest:
         return Trivial()
-    # every automorphism fixes the singleton cells, so it maps each remaining
-    # node to one with the same weight and the same fixed neighbours
-    fixed_mask = sum(1 << v for v in fixed)
-    keys = [(cg.weights[v], cg.adj[v] & fixed_mask) for v in rest]
-    rank = {k: i for i, k in enumerate(sorted(set(keys)), start=1)}
+    # every automorphism keeps the stable colours, and a colour fixes a node's
+    # weight and its adjacency to each singleton cell; weighted by colour, the
+    # rest refines to the same cells and has the same automorphisms
     sub = cg.subgraph(rest)
-    return quotient_aut(WeightedGraph(sub.n, sub.edges(), [rank[k] for k in keys]), caps)
+    return quotient_aut(WeightedGraph(sub.n, sub.edges(), [colors[v] + 1 for v in rest]), caps)
 
 
 # ---------------------------------------------------------------------------
@@ -231,26 +226,23 @@ def _component_aut(cg: WeightedGraph, caps: OracleCaps) -> GroupExpr:
 
 
 def _summarize_classes(p: Pipeline) -> tuple[ClassSummary, ...]:
-    g, classes = p.g, p.mp.classes
-    # each class merges the generator sets of some cyclic subgroups, the
-    # nodes of p.sg; their least generators classify it, and a class of one
-    # subgroup is that subgroup's generator set
-    least = [members[0] + 1 for members in p.sg.members]
-    node_class = [p.mp.class_of[x - 1] for x in least]
-    class_order = np.zeros(len(classes), dtype=np.intp)
-    class_order[node_class] = g.orders[least]  # a merged class's is set below
-    kinds = [GENERATOR_CLASS] * len(classes)
-    merged = {c: [] for c in np.flatnonzero(np.bincount(node_class) > 1).tolist()}
-    for x, c in zip(least, node_class):
-        if c in merged:
-            merged[c].append(x)
-    for c, gens in merged.items():
-        class_order[c] = g.orders[gens].max()
-        kinds[c] = classify_men_class(g, classes[c], gens).kind
-    labels = g.labels
-    flat = [labels[v + 1] for members in classes for v in members]
+    g, classes = p.g, p.q.members
+    # a class is pairwise adjacent, and two elements of one order are adjacent
+    # only when they generate one subgroup: so a class is a union of generator
+    # sets of pairwise distinct orders. A class of one order is a generator
+    # set; a mixed class's least member of each order is that subgroup's least
+    # generator, and those classify it
     ends = list(accumulate(map(len, classes)))
-    members = map(tuple, map(flat.__getitem__, map(slice, [0, *ends], ends)))
+    starts = [0, *ends[:-1]]
+    elements = np.fromiter(chain.from_iterable(classes), np.intp, ends[-1]) + 1
+    orders = g.orders[elements]
+    class_order = np.maximum.reduceat(orders, starts)
+    kinds = [GENERATOR_CLASS] * len(classes)
+    for c in np.flatnonzero(np.minimum.reduceat(orders, starts) != class_order).tolist():
+        first = np.unique(orders[starts[c]:ends[c]], return_index=True)[1]
+        kinds[c] = classify_men_class(g, classes[c], elements[starts[c] + first].tolist()).kind
+    flat = list(map(g.labels.__getitem__, elements.tolist()))
+    members = map(tuple, map(flat.__getitem__, map(slice, starts, ends)))
     return tuple(map(ClassSummary._make, zip(members, map(len, classes), class_order.tolist(), kinds)))
 
 
@@ -259,17 +251,11 @@ def _make_report(
 ) -> AutReport:
     """The quotient part times one symmetric group per class, checked and summarized."""
     qe = expr_normalize(quotient_expr)
-    full = Product((qe, *(Sym(w) for w in p.mp.weights if w > 1)))  # Sym(1) is trivial
+    full = Product((qe, *(Sym(w) for w in p.q.weights if w > 1)))  # Sym(1) is trivial
     expression = expr_normalize(full)
     order = expr_order(expression)
     if order != expr_order(full):
         raise InternalCheckError("normalization changed the expression order")
-    factorial_part = math.prod(math.factorial(w) for w in p.mp.weights)
-    if order != expr_order(qe) * factorial_part:
-        raise InternalCheckError(
-            f"order {decimal(order)} does not factor as quotient part "
-            f"{decimal(expr_order(qe))} times class factorials {decimal(factorial_part)}"
-        )
     return AutReport(
         spec=p.g.description,
         group_order=p.g.size,
@@ -309,12 +295,6 @@ def _cross_check(
         "cross-check: recursive quotient decomposition agrees "
         f"(order {decimal(expected_quotient_order)})"
     )
-
-
-def aut_full(p: Pipeline, caps: OracleCaps | None = None) -> AutReport:
-    """Quotient automorphisms from the generic recursion times one symmetric
-    group per class."""
-    return _make_report(p, quotient_aut(p.q, caps), METHOD_GENERIC, ())
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +347,15 @@ def _closed_form(
     primes = _coprime_primes(gspec)
     if primes is None:
         return None
-    # the cyclic subgroups whose order is a power of one prime, with their
-    # containments and phi(order) weights, are that Sylow subgroup's own
-    # cyclic-subgroup graph; the quotient part multiplies over the primes
-    node_primes = [factorize(int(p.g.orders[m[0] + 1])).keys() for m in p.sg.members]
+    # a class's orders are powers of one prime or a single order, so its least
+    # member tells whether it has p-power order. Those classes span the Sylow
+    # p-subgroup's own cyclic-subgroup graph with some closed twins merged;
+    # twins stay twins in an induced subgraph, so the MEN quotient is the
+    # Sylow subgroup's. The quotient part multiplies over the primes
+    node_primes = [factorize(int(p.g.orders[m[0] + 1])).keys() for m in p.q.members]
     parts = []
     for prime in primes:
-        sub = p.sg.subgraph([i for i, ps in enumerate(node_primes) if ps == {prime}])
+        sub = p.q.subgraph([i for i, ps in enumerate(node_primes) if ps == {prime}])
         parts.append(quotient_aut(build_quotient(sub, men_partition(sub)), caps))
     return METHOD_COPRIME, Product(tuple(parts)), None
 
@@ -392,11 +374,11 @@ def analyze(
     p = pipeline(realize(gspec, max_order=max_order))
     closed = _closed_form(gspec, p, caps)
     if closed is None:
-        return aut_full(p, caps)
+        return _make_report(p, quotient_aut(p.q, caps), METHOD_GENERIC, ())
     method, quotient_expr, weights = closed
-    if weights is not None and sorted(p.mp.weights) != sorted(weights):
+    if weights is not None and sorted(p.q.weights) != sorted(weights):
         raise InternalCheckError(
-            f"class weights {sorted(p.mp.weights)} do not match the {method} "
+            f"class weights {sorted(p.q.weights)} do not match the {method} "
             f"closed form {sorted(weights)}"
         )
     notes: list[str] = []

@@ -118,6 +118,32 @@ def weighted_graphs(draw, max_nodes: int) -> WeightedGraph:
     return WeightedGraph(n, edges, weights)
 
 
+@st.composite
+def planted_twins(draw):
+    """A random weighted graph of up to 9 nodes with classes of open twins
+    (independent) and closed twins (a clique) planted in it, the nodes
+    shuffled. Each class has its own weight and is joined to a random set
+    of the earlier nodes, taking each earlier class whole so that it stays
+    a twin class."""
+    base = draw(weighted_graphs(4))
+    edges, weights = base.edges(), list(base.weights)
+    blocks = [[v] for v in range(base.n)]
+    for _ in range(draw(st.integers(1, 3))):
+        if len(weights) > 7:
+            break
+        size = draw(st.integers(2, min(4, 9 - len(weights))))
+        closed = draw(st.booleans())
+        joined = [v for block in blocks if draw(st.booleans()) for v in block]
+        new = list(range(len(weights), len(weights) + size))
+        weights += [draw(st.integers(1, 3))] * size
+        edges += [(v, w) for v in new for w in joined]
+        if closed:
+            edges += [(v, w) for v in new for w in new if v < w]
+        blocks.append(new)
+    perm = draw(st.permutations(range(len(weights))))
+    return WeightedGraph(len(weights), edges, weights).relabel(perm)
+
+
 def naive_count(wg: WeightedGraph) -> int:
     """Reference count by filtering all node permutations; only for tiny graphs."""
     total = 0

@@ -20,6 +20,7 @@ from pga import (
     enumerate_automorphisms,
     expr_normalize,
     expr_order,
+    men_partition,
     reconstruct_order,
     vertex_orbits,
 )
@@ -91,7 +92,7 @@ def test_criterion_04_quotient_times_factorials_for_all_corpus_groups():
         b = bundle(spec)
         r = report(spec)
         quotient_oracle = count_automorphisms(b.q)
-        factorial_part = math.prod(math.factorial(w) for w in b.mp.weights)
+        factorial_part = math.prod(math.factorial(w) for w in men_partition(b.pg).weights)
         assert r.order == quotient_oracle * factorial_part, spec
         feasible = (
             b.pg.n_vertices <= FULL_ORACLE_NODE_CAP and r.order <= FULL_ORACLE_COUNT_CAP
@@ -137,7 +138,7 @@ def test_criterion_07_every_class_classifies():
     total = 0
     for spec in CORPUS:
         b = bundle(spec)
-        for members in b.mp.classes:
+        for members in men_partition(b.pg).classes:
             total += 1
             record = classify_men_class(b.g, members)  # raises on NEITHER
             assert record.kind in (GENERATOR_CLASS, CYCLIC_INTERVAL)
@@ -148,7 +149,7 @@ def test_criterion_08_generator_class_properties():
     violations = []
     for spec in CORPUS:
         b = bundle(spec)
-        class_sets = {frozenset(v + 1 for v in c) for c in b.mp.classes}
+        class_sets = {frozenset(v + 1 for v in c) for c in men_partition(b.pg).classes}
         # non-prime-power centralizer order forces the generator set to be a class
         for x in range(1, b.g.size):
             size = b.g.centralizer_size(x)
@@ -186,9 +187,10 @@ def test_criterion_09_order_reconstruction():
     checked = 0
     for spec in CORPUS:
         b = bundle(spec)
-        for cid, members in enumerate(b.mp.classes):
+        mp = men_partition(b.pg)
+        for cid, members in enumerate(mp.classes):
             expected = max(b.g.element_order(v + 1) for v in members)
-            assert reconstruct_order(b.g, b.mp, cid) == expected, (spec, cid)
+            assert reconstruct_order(b.g, mp, cid) == expected, (spec, cid)
             checked += 1
     _report_line(9, True, f"{checked} classes reconstructed exactly")
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import pga
-from pga import expr_order, parse_expr
+from pga import InternalCheckError, expr_order, parse_expr
 from pga.cli import run
 
 
@@ -222,7 +222,11 @@ def test_corpus_errors_name_line_and_spec(tmp_path, capsys):
     corpus.write_text("Z(6)\nZ(0)\nZ(10)\n")
     assert run(["analyze", "--corpus", str(corpus)]) == 1
     captured = capsys.readouterr()
-    assert captured.out == ""
+    # the specs on either side of the bad one still run and print
+    assert [ln for ln in captured.out.splitlines() if ln.startswith("group: ")] == [
+        "group: Z(6)  (order 6, 5 vertices)",
+        "group: Z(10)  (order 10, 9 vertices)",
+    ]
     assert captured.err == "error: line 2, Z(0): parameters must be positive (at position 2)\n"
     # line numbers count comment and blank lines; caps name the spec too
     corpus.write_text("# corpus\n\n  Z(12)  \n")
@@ -231,6 +235,43 @@ def test_corpus_errors_name_line_and_spec(tmp_path, capsys):
     # --group messages carry no prefix
     assert run(["analyze", "--group", "Z(0)"]) == 1
     assert capsys.readouterr().err == "error: parameters must be positive (at position 2)\n"
+
+
+def test_corpus_runs_every_spec_and_exits_with_the_most_severe_code(tmp_path, capsys, monkeypatch):
+    # Z(6)'s 5 vertices and 3-node quotient are above a node cap of 2
+    corpus = tmp_path / "groups.txt"
+    good, bad, capped = "Z(3)\nZ(2)\n", "Z(0)\n", "Z(6)\n"
+    for text, code in (
+        (good, 0), (bad + good, 1), (good + capped, 3), (capped + bad + good, 3),
+    ):
+        corpus.write_text(text)
+        assert run(["verify", "--corpus", str(corpus), "--max-nodes", "2"]) == code, text
+        out = capsys.readouterr().out
+        assert out == (
+            "Z(3): FULL-VERIFIED  2 = 2  (full power graph on 2 vertices)\n\n"
+            "Z(2): FULL-VERIFIED  1 = 1  (full power graph on 1 vertices)\n"
+        ), text
+    # an internal failure outranks an unknown result and a spec error
+    original = pga.cli.verify
+
+    def failing(spec, caps):
+        if spec == "Z(2)":
+            raise InternalCheckError("planted failure")
+        return original(spec, caps)
+
+    monkeypatch.setattr(pga.cli, "verify", failing)
+    corpus.write_text(bad + capped + good)
+    assert run(["verify", "--corpus", str(corpus), "--max-nodes", "2", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["spec"] == "Z(3)"
+    assert captured.err.splitlines()[0].startswith("error: line 1, Z(0): ")
+    assert captured.err.splitlines()[1].startswith("unknown: line 2, Z(6): ")
+    assert captured.err.splitlines()[2] == "internal check failed: line 4, Z(2): planted failure"
+    # a run where no spec finishes writes nothing, to stdout or --out
+    corpus.write_text(bad + capped)
+    target = tmp_path / "out.txt"
+    assert run(["verify", "--corpus", str(corpus), "--max-nodes", "2", "--out", str(target)]) == 3
+    assert capsys.readouterr().out == "" and not target.exists()
 
 
 def test_outputs_are_deterministic(tmp_path, capsys):

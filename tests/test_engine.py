@@ -11,24 +11,28 @@ from pga import (
     Sym,
     Trivial,
     Wreath,
+    WeightedGraph,
     analyze,
-    aut_full,
     build_power_graph,
     count_automorphisms,
     expr_normalize,
     expr_order,
+    men_partition,
     pipeline,
     quotient_aut,
     realize,
+    stable_colors,
     verify,
 )
 from pga.cli import run
 
-from _support import CORPUS, EXPECTED_ORDER, SMALL_GROUP_SPECS, bundle, report, weighted_graphs
+from _support import (
+    CORPUS, EXPECTED_ORDER, SMALL_GROUP_SPECS, bundle, planted_twins, report, weighted_graphs,
+)
 
 
 def _class_weights(spec: str) -> list[int]:
-    return sorted(report(spec).pipeline.mp.weights)
+    return sorted(men_partition(report(spec).pipeline.pg).weights)
 
 
 def test_cyclic_formula_values():
@@ -81,12 +85,26 @@ def test_quotient_aut_order_matches_oracle_count(wg):
     assert expr_order(quotient_aut(wg)) == count_automorphisms(wg)
 
 
-def test_aut_full_examples():
-    r = aut_full(bundle("Z(6)"))
+@given(st.one_of(planted_twins(), weighted_graphs(9)))
+@settings(max_examples=200, deadline=None)
+def test_quotient_aut_is_unchanged_by_stable_colour_weights(wg):
+    # the recursion re-weights a stripped component by stable colour; the
+    # same re-weighting of a whole graph keeps its group and its expression
+    recoloured = WeightedGraph(wg.n, wg.edges(), [c + 1 for c in stable_colors(wg)])
+    assert quotient_aut(recoloured) == quotient_aut(wg)
+
+
+def test_generic_route_examples():
+    # the recursion's quotient part, and the report analyze builds on it
+    assert quotient_aut(bundle("Z(6)").q) == Trivial()
+    r = analyze("Z(6)")
     assert r.order == 4 and r.quotient_expr == Trivial()
-    r = aut_full(bundle("Z(2)^2"))
+    assert quotient_aut(bundle("Z(2)^2").q) == Sym(3)
+    r = analyze("Z(2)^2")
     assert r.order == 6 and r.expression == Sym(3)
-    r = aut_full(bundle("Dih(4)"))
+    assert quotient_aut(bundle("Dih(4)").q) == Sym(4)  # four isolated reflections
+    r = analyze("Dih(4)")
+    assert r.method == "quotient-recursion"
     assert r.order == 144 and r.expression == Product((Sym(4), Sym(3)))
 
 
@@ -134,7 +152,7 @@ def test_closed_forms_agree_with_generic_recursion():
         b = bundle(spec)
         r = report(spec)
         generic = quotient_aut(b.q)
-        factorial_part = math.prod(math.factorial(w) for w in b.mp.weights)
+        factorial_part = math.prod(math.factorial(w) for w in men_partition(b.pg).weights)
         assert expr_order(generic) * factorial_part == r.order, spec
         assert generic == r.quotient_expr, spec
 

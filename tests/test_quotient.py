@@ -7,6 +7,7 @@ from pga import (
     InternalCheckError,
     MenPartition,
     Pipeline,
+    QuotientGraph,
     analyze,
     build_power_graph,
     build_quotient,
@@ -18,7 +19,12 @@ from pga import (
 )
 from pga.powergraph import cyclic_subgroup_graph
 
-from _support import CORPUS, GOLDEN_SPECS, bundle
+from _support import CORPUS, GOLDEN_SPECS, bundle, report
+
+
+def _power_partition(spec):
+    # the power graph's own MEN partition, independent of the pipeline's quotient
+    return men_partition(bundle(spec).pg)
 
 
 def _class_sets(mp):
@@ -26,19 +32,19 @@ def _class_sets(mp):
 
 
 def test_men_partition_z6():
-    b = bundle("Z(6)")
+    mp = _power_partition("Z(6)")
     # vertices are elements 1..5; generators {1,5}, order-3 {2,4}, involution {3}
-    assert _class_sets(b.mp) == [frozenset({0, 4}), frozenset({1, 3}), frozenset({2})]
-    assert b.mp.weights == (2, 2, 1)
+    assert _class_sets(mp) == [frozenset({0, 4}), frozenset({1, 3}), frozenset({2})]
+    assert mp.weights == (2, 2, 1)
 
 
 def test_men_partition_klein_is_singletons():
-    mp = bundle("Z(2)^2").mp
+    mp = _power_partition("Z(2)^2")
     assert mp.weights == (1, 1, 1)
 
 
 def test_men_partition_complete_graph_is_single_class():
-    mp = bundle("Z(4)").mp
+    mp = _power_partition("Z(4)")
     assert mp.classes == ((0, 1, 2),)
 
 
@@ -60,9 +66,9 @@ def _partition(classes):
 
 def test_quotient_rows_are_representative_rows_and_checked():
     for spec in CORPUS:
-        b = bundle(spec)
-        for i, ci in enumerate(b.mp.classes):
-            for j, cj in enumerate(b.mp.classes):
+        b, classes = bundle(spec), _power_partition(spec).classes
+        for i, ci in enumerate(classes):
+            for j, cj in enumerate(classes):
                 if i != j:
                     assert b.q.has_edge(i, j) == b.pg.has_edge(ci[0], cj[0]), spec
     # Z(6): vertices 0, 4 are generators, 1, 3 have order 3, 2 is the involution
@@ -87,18 +93,25 @@ def test_cyclic_subgroup_route_matches_power_graph_route():
         pg = build_power_graph(p.g)
         mp = men_partition(pg)
         q = build_quotient(pg, mp)
-        assert (p.mp.classes, p.mp.class_of, p.mp.weights) == (mp.classes, mp.class_of, mp.weights), spec
         assert (p.q.members, p.q.weights, p.q.edges()) == (q.members, q.weights, q.edges()), spec
         assert p.pg.adj == pg.adj, spec
         # an all-singleton partition of the subgroup graph returns that graph
-        assert (p.q is p.sg) == (p.q.n == p.sg.n), spec
-    b = bundle("Z(6)")
-    with pytest.raises(InternalCheckError, match="MEN partitions differ"):
-        Pipeline(b.g, b.sg, _partition(((0, 4), (1, 2, 3))), b.q).pg
+        sg = cyclic_subgroup_graph(p.g)
+        sq = build_quotient(sg, men_partition(sg))
+        assert (sq is sg) == (sq.n == sg.n), spec
+    # a quotient whose members are not the MEN classes, or whose weights are
+    # not theirs, fails the power graph's check
+    g = bundle("Z(6)").g
+    for q in (
+        QuotientGraph(((0, 4), (1, 2, 3)), [(0, 1)], (2, 3)),
+        QuotientGraph(((0, 4), (1, 3), (2,)), [(0, 1), (0, 2)], (2, 1, 2)),
+    ):
+        with pytest.raises(InternalCheckError, match="MEN partitions differ"):
+            Pipeline(g, q).pg
 
 
 def test_all_singleton_partition_returns_its_quotient_graph():
-    sg = bundle("Sym(3)").sg
+    sg = cyclic_subgroup_graph(bundle("Sym(3)").g)
     mp = men_partition(sg)
     assert all(len(c) == 1 for c in mp.classes)
     assert build_quotient(sg, mp) is sg
@@ -132,28 +145,28 @@ def test_quotient_q8_apex_pattern():
 
 def test_classify_generator_class_z6():
     b = bundle("Z(6)")
-    rec = classify_men_class(b.g, b.mp.classes[0])
+    rec = classify_men_class(b.g, _power_partition("Z(6)").classes[0])
     assert rec.kind == GENERATOR_CLASS
     assert rec.generator == 1
 
 
 def test_classify_interval_z4():
     b = bundle("Z(4)")
-    rec = classify_men_class(b.g, b.mp.classes[0])
+    rec = classify_men_class(b.g, _power_partition("Z(4)").classes[0])
     assert rec.kind == CYCLIC_INTERVAL
     assert rec.interval == (1, 2, 2, 2)  # whole chain <g> minus the identity
 
 
 def test_classify_interval_z8():
     b = bundle("Z(8)")
-    rec = classify_men_class(b.g, b.mp.classes[0])
+    rec = classify_men_class(b.g, _power_partition("Z(8)").classes[0])
     assert rec.kind == CYCLIC_INTERVAL
     assert rec.interval == (1, 2, 3, 3)
 
 
 def test_classify_gen_class_q8():
     b = bundle("Q8")
-    i_class = next(c for c in b.mp.classes if b.g.labels[c[0] + 1] == "i")
+    i_class = next(c for c in _power_partition("Q8").classes if b.g.labels[c[0] + 1] == "i")
     rec = classify_men_class(b.g, i_class)
     assert rec.kind == GENERATOR_CLASS
     assert b.g.labels[rec.generator] == "i"
@@ -170,25 +183,28 @@ def test_classify_rejects_other_unions():
             classify_men_class(g, members)
 
 
-def test_classes_classify_from_subgroup_nodes(monkeypatch):
-    # the least generators of a class's cyclic-subgroup nodes give the same
-    # record as peeling generator sets off its members
-    for spec in CORPUS + ("Dih(6)", "Sym(4)"):
-        b = bundle(spec)
-        gens = {c: [] for c in range(len(b.mp.classes))}
-        for members in b.sg.members:
-            gens[b.mp.class_of[members[0]]].append(members[0] + 1)
-        for cid, members in enumerate(b.mp.classes):
-            assert classify_men_class(b.g, members, gens[cid]) == classify_men_class(b.g, members)
-    # and the report's summaries take that route, with no generator-set reads
+def test_class_summaries_match_peeling(monkeypatch):
+    # each summary's kind is the one peeling generator sets off its members
+    # gives, and its order is the largest among them
+    for spec in GOLDEN_SPECS:
+        b, classes = bundle(spec), _power_partition(spec).classes
+        summaries = report(spec).classes
+        assert [c.members for c in summaries] == [
+            tuple(b.g.labels[v + 1] for v in members) for members in classes
+        ], spec
+        for summary, members in zip(summaries, classes):
+            assert summary.kind == classify_men_class(b.g, members).kind, spec
+            assert summary.element_order == max(b.g.element_order(v + 1) for v in members), spec
+    # and the report's summaries read orders, with no generator-set reads
     monkeypatch.setattr(FiniteGroup, "gen_set", lambda self, x: pytest.fail("gen_set called"))
     assert [c.kind for c in analyze("Z(8)").classes] == [CYCLIC_INTERVAL]
+    assert [c.kind for c in analyze("Dih(4)").classes] == [CYCLIC_INTERVAL] + [GENERATOR_CLASS] * 4
 
 
 def test_every_corpus_class_classifies():
     for spec in CORPUS:
         b = bundle(spec)
-        for members in b.mp.classes:
+        for members in _power_partition(spec).classes:
             rec = classify_men_class(b.g, members)
             assert rec.kind in (GENERATOR_CLASS, CYCLIC_INTERVAL)
 
@@ -196,7 +212,7 @@ def test_every_corpus_class_classifies():
 def test_mixed_order_classes_are_intervals():
     for spec in CORPUS:
         b = bundle(spec)
-        for members in b.mp.classes:
+        for members in _power_partition(spec).classes:
             orders = {b.g.element_order(v + 1) for v in members}
             if len(orders) > 1:
                 rec = classify_men_class(b.g, members)
@@ -204,28 +220,27 @@ def test_mixed_order_classes_are_intervals():
 
 
 def test_reconstruct_order_examples():
-    b = bundle("Z(6)")
-    assert reconstruct_order(b.g, b.mp, 0) == 6
-    assert reconstruct_order(bundle("Z(4)").g, bundle("Z(4)").mp, 0) == 4
-    q8 = bundle("Q8")
+    assert reconstruct_order(bundle("Z(6)").g, _power_partition("Z(6)"), 0) == 6
+    assert reconstruct_order(bundle("Z(4)").g, _power_partition("Z(4)"), 0) == 4
+    q8, q8_mp = bundle("Q8"), _power_partition("Q8")
     minus_one_class = next(
-        i for i, c in enumerate(q8.mp.classes) if q8.g.labels[c[0] + 1] == "-1"
+        i for i, c in enumerate(q8_mp.classes) if q8.g.labels[c[0] + 1] == "-1"
     )
-    assert reconstruct_order(q8.g, q8.mp, minus_one_class) == 2
+    assert reconstruct_order(q8.g, q8_mp, minus_one_class) == 2
 
 
 def test_reconstruct_order_equals_max_order_everywhere():
     for spec in CORPUS:
-        b = bundle(spec)
-        for cid, members in enumerate(b.mp.classes):
+        b, mp = bundle(spec), _power_partition(spec)
+        for cid, members in enumerate(mp.classes):
             expected = max(b.g.element_order(v + 1) for v in members)
-            assert reconstruct_order(b.g, b.mp, cid) == expected
+            assert reconstruct_order(b.g, mp, cid) == expected
 
 
 def test_closed_neighborhoods_equal_within_classes():
     for spec in CORPUS:
         b = bundle(spec)
-        for members in b.mp.classes:
+        for members in _power_partition(spec).classes:
             hoods = {b.pg.closed_mask(v) for v in members}
             assert len(hoods) == 1
 
@@ -234,14 +249,13 @@ def test_classes_are_maximal():
     # vertices in different classes have different closed neighborhoods
     for spec in CORPUS:
         b = bundle(spec)
-        reps = [b.pg.closed_mask(c[0]) for c in b.mp.classes]
+        reps = [b.pg.closed_mask(c[0]) for c in _power_partition(spec).classes]
         assert len(set(reps)) == len(reps)
 
 
 def test_weights_cover_all_vertices():
     for spec in CORPUS:
-        b = bundle(spec)
-        assert sum(b.mp.weights) == b.g.size - 1
+        assert sum(_power_partition(spec).weights) == bundle(spec).g.size - 1
 
 
 def test_quotient_nodes_have_distinct_closed_neighborhoods():
