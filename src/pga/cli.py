@@ -7,8 +7,9 @@ mode and the options in any order; `--dot` is accepted only with `export`.
 
 Exit codes: 0 success, 1 bad spec or usage, 2 internal assertion failure or a
 verification mismatch, 3 oracle caps exceeded (result unknown). A corpus runs
-every spec, writes the finished results in input order and exits with the
-most severe code: 2, then 3, then 1.
+every spec, writes the finished results in input order (with --format json,
+as one list however many finish) and exits with the most severe code: 2,
+then 3, then 1.
 """
 
 from __future__ import annotations
@@ -268,10 +269,11 @@ def run(argv: list[str] | None = None) -> int:
         sys.stdout.write("".join(outputs))
         return worst
     if args.format == "json":
-        payload = outputs[0] if len(outputs) == 1 else outputs
+        # a corpus prints a list however many of its specs finish
+        payload = outputs if args.corpus is not None else outputs[0]
         output = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        output = "\n".join(outputs) if len(outputs) > 1 else outputs[0]
+        output = "\n".join(outputs)
     if args.out:
         try:
             Path(args.out).write_text(output, encoding="utf-8")

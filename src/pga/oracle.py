@@ -11,8 +11,11 @@ The machinery is classic individualization-refinement:
     neighbours its nodes have in a splitter cell until the partition is
     equitable, starting from cells of equal weight; automorphisms can never
     map across its cells, and its cell order does not depend on how the
-    nodes are numbered. A splitter of one node splits each cell it touches
-    with one AND, into the nodes outside its row and those inside;
+    nodes are numbered. It finds the cells a splitter touches one cell per
+    step, clearing the whole cell from the touched mask, so its cost follows
+    the touched cells, not the touched nodes. A splitter of one node splits
+    each cell it touches with one AND, into the nodes outside its row and
+    those inside;
   * the group order is the product, down an individualization chain (each
     level fixing one pivot vertex and refining with it as the only
     splitter), of the size of each pivot's orbit under the maps that fix the
@@ -37,11 +40,12 @@ The machinery is classic individualization-refinement:
     pivot's rule it out) and one guess read off the two refinements,
     fixing every node its cell allows, as most symmetries move few nodes
     (Darga, Sakallah and Markov, "Faster Symmetry Discovery using Sparsity
-    of Symmetries", 2008); and only then the one search (_search), which
-    also finds isomorphisms and lists automorphisms: depth first down the
-    individualization-refinement tree, each node's own image tried first and
-    every leaf's map checked in full. A witness hands back only its moved
-    pairs;
+    of Symmetries", 2008), and pairing the rest twin class by twin class,
+    so that twins which move together stay together; and only then the one
+    search (_search), which also finds isomorphisms and lists
+    automorphisms: depth first down the individualization-refinement tree,
+    each node's own image tried first and every leaf's map checked in full.
+    A witness hands back only its moved pairs;
   * components are grouped by isomorphism after one refinement of the whole
     graph, comparing only components with equal colour multisets.
 
@@ -225,9 +229,12 @@ def _split(
     fragments but the first largest one. With `log`, the first previous mask
     of every cell that splits is recorded under its index.
 
-    A splitter of one node gives counts of 0 and 1 only, so a cell it
-    touches splits into `cell & ~row` and `cell & row` with no count per
-    node.
+    The touched cells are found one per step: the least touched node names
+    a cell, and the whole cell leaves the touched mask. A cell that cannot
+    split (a singleton, or for a one-node splitter a cell inside its row) is
+    passed over there. A splitter of one node gives counts of 0 and 1 only,
+    so a cell it touches splits into `cell & ~row` and `cell & row` with no
+    count per node.
     """
     queued = [False] * len(cells)
     for s in queue:
@@ -240,19 +247,32 @@ def _split(
             touched = adj[splitter.bit_length() - 1]
         else:
             touched = 0
-            for x in _iter_bits(splitter):
-                touched |= adj[x]
-        for i in sorted({cell_of[v] for v in _iter_bits(touched)}):
+            rest = splitter
+            while rest:
+                low = rest & -rest
+                touched |= adj[low.bit_length() - 1]
+                rest ^= low
+        hit = []
+        rest = touched
+        while rest:
+            i = cell_of[(rest & -rest).bit_length() - 1]
             cell = cells[i]
-            if not cell & (cell - 1) or single and not cell & ~touched:
-                continue
+            rest &= ~cell
+            if cell & ~touched if single else cell & (cell - 1):
+                hit.append(i)
+        hit.sort()
+        for i in hit:
+            cell = cells[i]
             if single:  # counts are 0 or 1: one AND per fragment
                 parts = [cell & ~touched, cell & touched]
             else:
                 by_count = {0: cell & ~touched} if cell & ~touched else {}
-                for v in _iter_bits(cell & touched):
-                    k = (adj[v] & splitter).bit_count()
-                    by_count[k] = by_count.get(k, 0) | 1 << v
+                rest = cell & touched
+                while rest:
+                    low = rest & -rest
+                    k = (adj[low.bit_length() - 1] & splitter).bit_count()
+                    by_count[k] = by_count.get(k, 0) | low
+                    rest ^= low
                 if len(by_count) == 1:
                     continue
                 parts = [by_count[k] for k in sorted(by_count)]
@@ -261,9 +281,13 @@ def _split(
                 log.setdefault(i, cell)
             cells[i] = parts[0]
             for part in parts[1:]:
-                indices.append(len(cells))
-                for v in _iter_bits(part):
-                    cell_of[v] = len(cells)
+                j = len(cells)
+                indices.append(j)
+                rest = part
+                while rest:
+                    low = rest & -rest
+                    cell_of[low.bit_length() - 1] = j
+                    rest ^= low
                 cells.append(part)
                 queued.append(False)
             if not queued[i]:
@@ -514,17 +538,34 @@ class _Orbits:
                 self.mask[ra] |= self.mask[rb]
 
 
-def _guess(n: int, pcells: list[int], ucells: list[int]) -> tuple[int, ...]:
+def _guess(n: int, pcells: list[int], ucells: list[int], twins: Sequence[int]) -> tuple[int, ...]:
     """The map that sends each pivot-side cell onto the u-side cell of the same
-    index, fixing every node both cells share and pairing the rest in
-    increasing order; a singleton cell's node is forced."""
+    index, fixing every node both cells share and pairing the rest in twin
+    block order; a singleton cell's node is forced.
+
+    Twin block order lists a mask's least node, then the rest of its twin
+    class (_twins) inside the mask, and repeats. Pairing block with block
+    keeps twins together: a twin class that must move as a whole, such as
+    the pair {x, x^-1} of Z(4)^3, lands on one class rather than on the
+    halves of two, where increasing order would split it."""
     perm = list(range(n))
     for a, b in zip(pcells, ucells):
         if a != b:
             common = a & b
-            for v, w in zip(_iter_bits(a ^ common), _iter_bits(b ^ common)):
+            for v, w in zip(_twin_blocks(a ^ common, twins), _twin_blocks(b ^ common, twins)):
                 perm[v] = w
     return tuple(perm)
+
+
+def _twin_blocks(mask: int, twins: Sequence[int]) -> Iterator[int]:
+    """The nodes of mask in twin block order (_guess)."""
+    while mask:
+        block = twins[(mask & -mask).bit_length() - 1] & mask
+        mask ^= block
+        while block:
+            low = block & -block
+            yield low.bit_length() - 1
+            block ^= low
 
 
 def _transposes(wg: WeightedGraph, p: int, u: int) -> bool:
@@ -545,6 +586,7 @@ def _witness(
     pivot_side: tuple[list[int], list[int]],
     p: int,
     u: int,
+    twins: Sequence[int],
 ) -> tuple[tuple[int, int], ...] | None:
     """The moved (node, image) pairs of a checked automorphism that preserves
     the level's partition and maps p to u, or None when there is none.
@@ -552,10 +594,12 @@ def _witness(
     The steps run in order and stop at the first map that passes its check:
     the transposition (p u), which two rows decide (_transposes); u's
     refinement of the level, whose cell sizes must equal those of p's
-    (pivot_side) or u is ruled out, and one guess from the two; the search
-    from p's refinement onto u's (_search), each node's own image first. An
-    automorphism that maps p to u maps p's refinement onto u's cell by cell,
-    so only a size mismatch or an exhausted search rules u out.
+    (pivot_side) or u is ruled out, and one guess from the two, its nodes
+    paired in the twin block order of `twins`, each node's twin mask
+    (_twins, _guess); the search from p's refinement onto u's (_search),
+    each node's own image first. An automorphism that maps p to u maps p's
+    refinement onto u's cell by cell, so only a size mismatch or an
+    exhausted search rules u out.
     """
     if _transposes(wg, p, u):
         return (p, u), (u, p)
@@ -564,7 +608,7 @@ def _witness(
     _individualize(wg.adj, ucells, ucell_of, u)
     if [c.bit_count() for c in ucells] != [c.bit_count() for c in pcells]:
         return None
-    perm = _guess(wg.n, pcells, ucells)
+    perm = _guess(wg.n, pcells, ucells, twins)
     if _is_automorphism(wg, perm):
         return _moved(perm)
     perm = _search(wg, wg, pivot_side, (ucells, ucell_of))
@@ -627,7 +671,7 @@ def _aut_order(wg: WeightedGraph, cells: list[int], cell_of: list[int]) -> tuple
             if orbit & dead:  # joined to a dead orbit since it was ruled out
                 dead |= orbit
                 continue
-            pairs = _witness(wg, (cells, cell_of), pivot_side, pivot, u)
+            pairs = _witness(wg, (cells, cell_of), pivot_side, pivot, u, twins)
             if pairs is None:
                 dead |= orbit
             else:

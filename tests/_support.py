@@ -189,6 +189,62 @@ def reference_search(src, dst, allowed, found=None):
     return tuple(mapping) if dfs(list(allowed), list(range(src.n))) else None
 
 
+def _bits(mask: int) -> list[int]:
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def reference_split(adj, cells, cell_of, queue, log=None) -> None:
+    """Reference for the oracle's refinement step (_split), written node by
+    node: the touched cells are read off every touched node's cell_of entry.
+    It refines (cells, cell_of) in place to an equitable partition, extends
+    queue with every cell it queues and records in log the first previous
+    mask of every cell that splits."""
+    queued = [False] * len(cells)
+    for s in queue:
+        queued[s] = True
+    for s in queue:
+        queued[s] = False
+        splitter = cells[s]
+        single = not splitter & (splitter - 1)
+        if single:
+            touched = adj[splitter.bit_length() - 1]
+        else:
+            touched = 0
+            for x in _bits(splitter):
+                touched |= adj[x]
+        for i in sorted({cell_of[v] for v in _bits(touched)}):
+            cell = cells[i]
+            if not cell & (cell - 1) or single and not cell & ~touched:
+                continue
+            if single:
+                parts = [cell & ~touched, cell & touched]
+            else:
+                by_count = {0: cell & ~touched} if cell & ~touched else {}
+                for v in _bits(cell & touched):
+                    k = (adj[v] & splitter).bit_count()
+                    by_count[k] = by_count.get(k, 0) | 1 << v
+                if len(by_count) == 1:
+                    continue
+                parts = [by_count[k] for k in sorted(by_count)]
+            indices = [i]
+            if log is not None:
+                log.setdefault(i, cell)
+            cells[i] = parts[0]
+            for part in parts[1:]:
+                indices.append(len(cells))
+                for v in _bits(part):
+                    cell_of[v] = len(cells)
+                cells.append(part)
+                queued.append(False)
+            if not queued[i]:
+                sizes = [part.bit_count() for part in parts]
+                del indices[sizes.index(max(sizes))]
+            for j in indices:
+                if not queued[j]:
+                    queued[j] = True
+                    queue.append(j)
+
+
 def table_of(g: FiniteGroup) -> np.ndarray:
     """The reference multiplication table: g's product on the full n x n grid."""
     idx = np.arange(g.size, dtype=np.int32)

@@ -217,6 +217,19 @@ def test_corpus_batch(tmp_path, capsys):
     assert "Z(4): FULL-VERIFIED" in out
 
 
+def test_corpus_json_is_a_list_however_many_specs_finish(tmp_path, capsys):
+    corpus = tmp_path / "groups.txt"
+    for text, specs in (
+        ("Z(6)\n", ["Z(6)"]), ("Z(6)\nZ(0)\n", ["Z(6)"]), ("Z(6)\nZ(4)\n", ["Z(6)", "Z(4)"]),
+    ):
+        corpus.write_text(text)
+        run(["analyze", "--corpus", str(corpus), "--format", "json"])
+        assert [d["spec"] for d in json.loads(capsys.readouterr().out)] == specs, text
+    # --group prints the report itself
+    assert run(["analyze", "--group", "Z(6)", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["spec"] == "Z(6)"
+
+
 def test_corpus_errors_name_line_and_spec(tmp_path, capsys):
     corpus = tmp_path / "groups.txt"
     corpus.write_text("Z(6)\nZ(0)\nZ(10)\n")
@@ -263,7 +276,7 @@ def test_corpus_runs_every_spec_and_exits_with_the_most_severe_code(tmp_path, ca
     corpus.write_text(bad + capped + good)
     assert run(["verify", "--corpus", str(corpus), "--max-nodes", "2", "--format", "json"]) == 2
     captured = capsys.readouterr()
-    assert json.loads(captured.out)["spec"] == "Z(3)"
+    assert [d["spec"] for d in json.loads(captured.out)] == ["Z(3)"]
     assert captured.err.splitlines()[0].startswith("error: line 1, Z(0): ")
     assert captured.err.splitlines()[1].startswith("unknown: line 2, Z(6): ")
     assert captured.err.splitlines()[2] == "internal check failed: line 4, Z(2): planted failure"
