@@ -15,6 +15,14 @@ weighted graphs:
   * only a component with no singleton cell is brute-forced by the oracle and
     contributes a factor known by its order alone (`Opaque`).
 
+The recursion colour-refines its graph once, at the top, and no deeper level
+refines again. The restriction of that colouring to a component is the
+component's own stable colouring, because a node's stable colour depends only
+on the weights and degrees met on walks from it, and walks stay inside its
+component. The re-weighted rest of a component is already equitable (each of
+its cells meets each other cell as it did before the singletons went), so its
+colour cells are its stable colouring as they stand.
+
 `analyze` classifies the spec once. Cyclic, homocyclic and coprime-product
 specs take a closed form for the quotient part, which is cross-checked
 against the generic recursion; every other spec takes the recursion. A
@@ -75,16 +83,19 @@ from .oracle import (
     CapExceeded,
     OracleCaps,
     WeightedGraph,
-    component_classes,
+    _component_classes,
+    _induced,
     count_automorphisms,
     stable_colors,
 )
 from .powergraph import PowerGraph, build_power_graph, cyclic_subgroup_graph
 from .quotient import (
+    CYCLIC_INTERVAL,
     GENERATOR_CLASS,
     QuotientGraph,
+    _intervals,
+    _unclassifiable,
     build_quotient,
-    classify_men_class,
     men_partition,
 )
 
@@ -190,35 +201,41 @@ def quotient_aut(wg: WeightedGraph, caps: OracleCaps | None = None) -> GroupExpr
 
     Components are grouped by isomorphism (certified by the oracle); each
     group of m isomorphic components contributes the wreath product of one
-    component's group by Sym(m), and distinct groups multiply directly.
+    component's group by Sym(m), and distinct groups multiply directly. The
+    graph is colour-refined once, here; no deeper level refines again.
     """
-    caps = caps or OracleCaps()
+    return _quotient_aut(wg, stable_colors(wg), caps or OracleCaps())
+
+
+def _quotient_aut(wg: WeightedGraph, colors: Sequence[int], caps: OracleCaps) -> GroupExpr:
+    """quotient_aut for a graph whose stable colouring is `colors`."""
     factors = tuple(
-        Wreath(_component_aut(rep, caps), Sym(count))
-        for rep, count in component_classes(wg, caps)
+        Wreath(_component_aut(rep, cs, caps), Sym(count))
+        for rep, cs, count in _component_classes(wg, colors, caps)
     )
     return expr_normalize(Product(factors))
 
 
-def _component_aut(cg: WeightedGraph, caps: OracleCaps) -> GroupExpr:
-    colors = stable_colors(cg)
+def _component_aut(cg: WeightedGraph, colors: Sequence[int], caps: OracleCaps) -> GroupExpr:
+    """The group of a connected graph whose stable colouring is `colors`."""
     cell_size = Counter(colors)
-    fixed = [v for v in range(cg.n) if cell_size[colors[v]] == 1]
-    if not fixed:
+    rest = [v for v, c in enumerate(colors) if cell_size[c] > 1]
+    if len(rest) == cg.n:  # no singleton cell: nothing is known to be fixed
         try:
             return Opaque(count_automorphisms(cg, caps))
         except CapExceeded as exc:
             raise CapExceeded(
                 f"order-only unavailable: a {cg.n}-node component needs brute force ({exc})"
             ) from exc
-    rest = [v for v in range(cg.n) if cell_size[colors[v]] > 1]
     if not rest:
         return Trivial()
     # every automorphism keeps the stable colours, and a colour fixes a node's
     # weight and its adjacency to each singleton cell; weighted by colour, the
-    # rest refines to the same cells and has the same automorphisms
-    sub = cg.subgraph(rest)
-    return quotient_aut(WeightedGraph(sub.n, sub.edges(), [colors[v] + 1 for v in rest]), caps)
+    # rest has the same automorphisms. Its colour cells are still equitable
+    # (each cell meets each other cell as it did, and the singletons are
+    # gone), so they are its stable colouring and need no refinement
+    stripped = _induced(cg, rest, [colors[v] + 1 for v in rest])
+    return _quotient_aut(stripped, stripped.weights, caps)
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +255,15 @@ def _summarize_classes(p: Pipeline) -> tuple[ClassSummary, ...]:
     orders = g.orders[elements]
     class_order = np.maximum.reduceat(orders, starts)
     kinds = [GENERATOR_CLASS] * len(classes)
-    for c in np.flatnonzero(np.minimum.reduceat(orders, starts) != class_order).tolist():
+    mixed = np.flatnonzero(np.minimum.reduceat(orders, starts) != class_order).tolist()
+    chains = []
+    for c in mixed:  # each one's least members by decreasing order
         first = np.unique(orders[starts[c]:ends[c]], return_index=True)[1]
-        kinds[c] = classify_men_class(g, classes[c], elements[starts[c] + first].tolist()).kind
+        chains.append(elements[starts[c] + first[::-1]].tolist())
+    for c, interval in zip(mixed, _intervals(g, chains)):
+        if interval is None:
+            raise _unclassifiable(classes[c])
+        kinds[c] = CYCLIC_INTERVAL
     flat = list(map(g.labels.__getitem__, elements.tolist()))
     members = map(tuple, map(flat.__getitem__, map(slice, starts, ends)))
     return tuple(map(ClassSummary._make, zip(members, map(len, classes), class_order.tolist(), kinds)))

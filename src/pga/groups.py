@@ -629,10 +629,12 @@ def _cycle_label(p: tuple[int, ...]) -> str:
 def _symmetric_group(n: int) -> FiniteGroup:
     perm_list = list(permutations(range(n)))  # lexicographic; identity first
     perms = np.array(perm_list, dtype=np.int64).reshape(len(perm_list), n)
-    # base-n codes increase with the lexicographic order, so a code's rank is
-    # its element index; perms[:, perms][i, j] is the composition p_i(p_j(x))
+    # a permutation's base-n code indexes a lookup of its element index;
+    # perms[:, perms][i, j] is the composition p_i(p_j(x))
     place = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    table = np.searchsorted(perms @ place, perms[:, perms] @ place)
+    rank = np.zeros(n**n, dtype=np.int32)
+    rank[perms @ place] = np.arange(len(perm_list), dtype=np.int32)
+    table = rank[perms[:, perms] @ place]
     labels = tuple(_cycle_label(p) for p in perm_list)
     # the transposition (0 1) and the n-cycle (0 1 ... n-1)
     moves = [(1, 0, *range(2, n)), (*range(1, n), 0)] if n > 1 else []

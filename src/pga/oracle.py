@@ -47,7 +47,12 @@ The machinery is classic individualization-refinement:
     each node's own image tried first and every leaf's map checked in full.
     A witness hands back only its moved pairs;
   * components are grouped by isomorphism after one refinement of the whole
-    graph, comparing only components with equal colour multisets.
+    graph, comparing only components with equal colour multisets. That
+    refinement, restricted to a component, is the component's own stable
+    colouring: a node's colour depends only on the weights and degrees met
+    on walks from it, which never leave its component. So the engine's
+    quotient recursion refines its graph once and hands each component its
+    share of the colouring (_component_classes).
 
 Every guess and every found map is checked before it is trusted. An
 automorphism check compares only the rows of the nodes the map moves; an
@@ -114,17 +119,17 @@ class WeightedGraph:
             raise ValueError("a weighted graph needs at least one node")
         if weights is None:
             weights = (1,) * n
-        weights = tuple(int(w) for w in weights)
+        weights = tuple(map(int, weights))
         if len(weights) != n:
             raise ValueError("one weight per node is required")
-        if any(w < 1 for w in weights):
+        if min(weights) < 1:
             raise ValueError("weights must be positive")
         adj = [0] * n
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                if u == v and 0 <= u < n:
+                    raise ValueError(f"loop at node {u} is not allowed")
                 raise ValueError(f"edge ({u}, {v}) out of range")
-            if u == v:
-                raise ValueError(f"loop at node {u} is not allowed")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         object.__setattr__(self, "n", n)
@@ -155,14 +160,7 @@ class WeightedGraph:
 
     def subgraph(self, nodes: Sequence[int]) -> "WeightedGraph":
         nodes = sorted(nodes)
-        index = {old: new for new, old in enumerate(nodes)}
-        edges = [
-            (index[u], index[v])
-            for u in nodes
-            for v in _iter_bits(self.adj[u])
-            if v in index and v > u
-        ]
-        return WeightedGraph(len(nodes), edges, [self.weights[v] for v in nodes])
+        return _induced(self, nodes, [self.weights[v] for v in nodes])
 
     def relabel(self, perm: Sequence[int]) -> "WeightedGraph":
         """New graph with node i renamed to perm[i]."""
@@ -173,6 +171,21 @@ class WeightedGraph:
             weights[perm[i]] = w
         edges = [(perm[u], perm[v]) for u, v in self.edges()]
         return WeightedGraph(self.n, edges, weights)
+
+
+def _induced(wg: WeightedGraph, nodes: Sequence[int], weights: Sequence[int]) -> WeightedGraph:
+    """The subgraph on the ascending `nodes`, node i standing for nodes[i],
+    with the given weights. Each row is masked to the later nodes first, so
+    only the subgraph's own edges are looked up."""
+    index = {old: new for new, old in enumerate(nodes)}
+    inside = 0
+    for v in nodes:
+        inside |= 1 << v
+    edges = []
+    for i, u in enumerate(nodes):
+        inside ^= 1 << u  # now the nodes after u
+        edges += [(i, index[v]) for v in _iter_bits(wg.adj[u] & inside)]
+    return WeightedGraph(len(nodes), edges, weights)
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
@@ -745,7 +758,7 @@ class _ComponentClass:
 
     __slots__ = ("nodes", "at", "sub", "count")
 
-    def __init__(self, nodes: list[int], at: dict[int, int], sub: WeightedGraph | None) -> None:
+    def __init__(self, nodes: list[int], at: dict[int, int] | None, sub: WeightedGraph | None) -> None:
         self.nodes, self.at, self.sub, self.count = nodes, at, sub, 1
 
 
@@ -754,7 +767,7 @@ def component_classes(
 ) -> list[tuple[WeightedGraph, int]]:
     """Connected components grouped by isomorphism: one (representative, count)
     per class, in order of first appearance; the representative is the class's
-    first component as a subgraph.
+    first component as a subgraph, or the graph itself when it is connected.
 
     The whole graph is colour-refined once. Isomorphic components have equal
     multisets of stable colours, which also fix their sizes, weights and edge
@@ -764,18 +777,40 @@ def component_classes(
     and is checked directly; otherwise find_isomorphism decides, so the node
     cap applies only to components it compares.
     """
+    return [(rep, count) for rep, _, count in _component_classes(wg, stable_colors(wg), caps)]
+
+
+def _component_classes(
+    wg: WeightedGraph, colors: Sequence[int], caps: OracleCaps | None
+) -> list[tuple[WeightedGraph, Sequence[int], int]]:
+    """component_classes for a graph whose stable colouring is `colors`, each
+    representative with that colouring restricted to its nodes.
+
+    The restriction is the component's own stable colouring, up to the
+    numbering of the colours: a node's stable colour is decided by the
+    weights and degrees met on walks from it, which never leave its
+    component, so two nodes of one component share a colour in the whole
+    graph exactly when they share one in the component alone. Colours are
+    only compared for equality, so the numbering does not matter.
+    """
     comps = connected_components(wg)
-    colors = stable_colors(wg)
+    if len(comps) == 1:
+        return [(wg, colors, 1)]
     classes: list[_ComponentClass] = []
+    singles: dict[int, _ComponentClass] = {}  # an isolated node's class, by its colour
     buckets: dict[tuple[int, ...], list[_ComponentClass]] = {}
     for comp in comps:
+        if len(comp) == 1:
+            # equal colour means equal weight, and neither node has an edge
+            cls = singles.get(colors[comp[0]])
+            if cls is None:
+                cls = singles[colors[comp[0]]] = _ComponentClass(comp, None, None)
+                classes.append(cls)
+            else:
+                cls.count += 1
+            continue
         cs = [colors[v] for v in comp]
         bucket = buckets.setdefault(tuple(sorted(cs)), [])
-        if len(comp) == 1 and bucket:
-            # an isolated node: equal colour means equal weight, and neither
-            # node has an edge
-            bucket[0].count += 1
-            continue
         forced = len(set(cs)) == len(cs)
         sub = None
         for cls in bucket:
@@ -791,7 +826,10 @@ def component_classes(
         else:
             bucket.append(_ComponentClass(comp, dict(zip(cs, comp)), sub))
             classes.append(bucket[-1])
-    return [(cls.sub or wg.subgraph(cls.nodes), cls.count) for cls in classes]
+    return [
+        (cls.sub or wg.subgraph(cls.nodes), [colors[v] for v in cls.nodes], cls.count)
+        for cls in classes
+    ]
 
 
 def are_isomorphic(

@@ -106,13 +106,18 @@ def cyclic_subgroup_graph(g: FiniteGroup) -> QuotientGraph:
     # (the lcm of the element orders), and those maps are generated by the
     # ones for unit_generators, so least is the minimum over an orbit: one
     # cycle minimum per generator, by pointer doubling, as a cycle is shorter
-    # than the exponent.
+    # than the exponent. A round that lowers nothing leaves least[x] <=
+    # least[f(x)] for the round's map f, and so for every later round's map,
+    # a power of f: no later round changes anything, and the doubling stops.
     exponent = math.lcm(*set(orders.tolist()))
     least = np.arange(n, dtype=np.int32)
     for u in unit_generators(exponent):
         step = g.power(np.arange(n, dtype=np.int32), u)
         for _ in range(exponent.bit_length()):
-            np.minimum(least, least[step], out=least)
+            lower = least[step]
+            if not (lower < least).any():
+                break
+            np.minimum(least, lower, out=least)
             step = step[step]
     reps = np.flatnonzero(least == np.arange(n))[1:].astype(np.int32)
     node_of, node_orders = np.searchsorted(reps, least), orders[reps]

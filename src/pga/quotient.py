@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import InternalCheckError
 from .groups import FiniteGroup, is_prime_power
 from .oracle import WeightedGraph
@@ -32,8 +34,11 @@ class MenPartition:
 
     @classmethod
     def of(cls, classes: tuple[tuple[int, ...], ...], weights: Iterable[int]) -> "MenPartition":
-        class_of = {v: cid for cid, members in enumerate(classes) for v in members}
-        return cls(classes, tuple(class_of[v] for v in range(len(class_of))), tuple(weights))
+        class_of = [0] * sum(map(len, classes))
+        for cid, members in enumerate(classes):
+            for v in members:
+                class_of[v] = cid
+        return cls(classes, tuple(class_of), tuple(weights))
 
 
 class QuotientGraph(WeightedGraph):
@@ -59,12 +64,23 @@ class QuotientGraph(WeightedGraph):
 
 def men_partition(wg: WeightedGraph) -> MenPartition:
     """Group nodes by their closed neighborhoods (as bitmask rows)."""
-    groups: dict[int, list[int]] = {}
-    for v in range(wg.n):
-        groups.setdefault(wg.closed_mask(v), []).append(v)
+    # closed twins are adjacent, so an isolated node is alone in its class:
+    # its key ~v is unique, and cheaper to hash than a long row
+    first: dict[int, int] = {}
+    least = [first.setdefault(row | 1 << v if row else ~v, v) for v, row in enumerate(wg.adj)]
+    n = wg.n
+    if len(first) == n:  # every class is a single node
+        return MenPartition(tuple((v,) for v in range(n)), tuple(range(n)), wg.weights)
     # dict preserves first-seen order, so classes come out sorted by least member
-    classes = tuple(tuple(vs) for vs in groups.values())
-    return MenPartition.of(classes, (sum(wg.weights[v] for v in c) for c in classes))
+    groups: dict[int, list[int]] = {}
+    for v, u in enumerate(least):
+        if u in groups:
+            groups[u].append(v)
+        else:
+            groups[u] = [v]
+    classes = tuple(map(tuple, groups.values()))
+    weight = wg.weights.__getitem__
+    return MenPartition.of(classes, [sum(map(weight, c)) for c in classes])
 
 
 def build_quotient(wg: WeightedGraph, mp: MenPartition) -> QuotientGraph:
@@ -135,14 +151,44 @@ def classify_men_class(
     chain = sorted(generators, key=g.element_order, reverse=True)
     if len(chain) == 1:
         return MenClassRecord(GENERATOR_CLASS, generator=chain[0])
-    # t >= 2 subgroups of orders p**n, ..., p**(n-t+1), each of index p in the one before
-    pp = is_prime_power(g.element_order(chain[0])) if chain else None
-    if pp is not None and all(
-        g.element_order(a) == pp[0] * g.element_order(b) and b in g.cyclic_subgroup(a)
-        for a, b in zip(chain, chain[1:])
-    ):
-        return MenClassRecord(CYCLIC_INTERVAL, interval=(chain[0], pp[0], len(chain), pp[1]))
-    raise InternalCheckError(
+    interval = _intervals(g, [chain])[0] if chain else None
+    if interval is None:
+        raise _unclassifiable(members)
+    return MenClassRecord(CYCLIC_INTERVAL, interval=interval)
+
+
+def _intervals(
+    g: FiniteGroup, chains: Sequence[Sequence[int]]
+) -> list[tuple[int, int, int, int] | None]:
+    """Each chain's cyclic interval (a, p, t, n), or None where it is none.
+
+    A chain lists the least generators of t >= 2 subgroups by decreasing
+    order; it is an interval when the orders are p**n, ..., p**(n-t+1), each
+    of index p in the one before, and every member is a power of the head
+    a. Subgroups of the cyclic p-group <a> form a chain, so each member is
+    then a power of the one before. One table of the powers of all heads
+    decides every containment."""
+    if not chains:
+        return []
+    heads = np.array([c[0] for c in chains], dtype=np.int32)
+    rows = g.power_rows(heads, int(g.orders[heads].max()))
+    owner = np.repeat(np.arange(len(chains)), list(map(len, chains)))
+    inside = (rows[:, owner] == np.concatenate(chains)).any(axis=0).tolist()
+    out: list[tuple[int, int, int, int] | None] = []
+    end = 0
+    for c in chains:
+        start, end = end, end + len(c)
+        orders = list(map(g.element_order, c))
+        pp = is_prime_power(orders[0])
+        ok = pp is not None and all(inside[start:end]) and all(
+            a == pp[0] * b for a, b in zip(orders, orders[1:])
+        )
+        out.append((c[0], pp[0], len(c), pp[1]) if ok else None)
+    return out
+
+
+def _unclassifiable(members: Iterable[int]) -> InternalCheckError:
+    return InternalCheckError(
         f"MEN class {sorted(members)} fits neither classification form; "
         "this falsifies a structural assumption the engine relies on"
     )

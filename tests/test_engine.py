@@ -94,6 +94,29 @@ def test_quotient_aut_is_unchanged_by_stable_colour_weights(wg):
     assert quotient_aut(recoloured) == quotient_aut(wg)
 
 
+@pytest.mark.parametrize(
+    "spec, refinements",
+    [("P(Sym(5),Z(7))", 1), ("Dih(500)", 1), ("Sym(5)", 1), ("Z(2)^10", 1), ("P(Sym(4),Sym(3))", 4)],
+)
+def test_quotient_recursion_refines_each_graph_once(spec, refinements, monkeypatch):
+    # the top level refines; every deeper level restricts its colouring.
+    # P(Sym(4),Sym(3)) also makes two isomorphism tests and one brute-force
+    # count, and each of those refines its own graph
+    from pga import oracle
+
+    calls = []
+    real = oracle._equitable
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    q = bundle(spec).q
+    monkeypatch.setattr(oracle, "_equitable", counted)
+    quotient_aut(q)
+    assert 1 <= len(calls) <= refinements
+
+
 def test_generic_route_examples():
     # the recursion's quotient part, and the report analyze builds on it
     assert quotient_aut(bundle("Z(6)").q) == Trivial()

@@ -485,15 +485,9 @@ def _described(classes):
     return [(rep.n, rep.weights, rep.edges(), count) for rep, count in classes]
 
 
-@given(
-    st.lists(weighted_graphs(4), min_size=1, max_size=5),
-    st.lists(st.integers(1, 3), max_size=30),
-    st.randoms(use_true_random=False),
-)
-@settings(max_examples=60, deadline=None)
-def test_component_classes_match_pairwise_grouping(parts, isolated, rng):
-    # disjoint union of the parts, some repeated, and of isolated nodes of
-    # mixed weights, with the nodes shuffled
+def _shuffled_union(parts, isolated, rng):
+    """The disjoint union of the parts, some repeated, and of isolated nodes
+    of the weights in `isolated`, with the nodes shuffled."""
     parts = parts + [rng.choice(parts) for _ in range(rng.randrange(4))]
     parts += [WeightedGraph(1, [], [w]) for w in isolated]
     edges, weights = [], []
@@ -502,7 +496,50 @@ def test_component_classes_match_pairwise_grouping(parts, isolated, rng):
         weights += part.weights
     perm = list(range(len(weights)))
     rng.shuffle(perm)
-    wg = WeightedGraph(len(weights), edges, weights).relabel(perm)
+    return WeightedGraph(len(weights), edges, weights).relabel(perm)
+
+
+def _cells(colors):
+    """The partition a colouring makes of its indices, free of colour numbers."""
+    cells = {}
+    for v, c in enumerate(colors):
+        cells.setdefault(c, set()).add(v)
+    return sorted(map(sorted, cells.values()))
+
+
+@given(
+    st.lists(weighted_graphs(6), min_size=1, max_size=5),
+    st.lists(st.integers(1, 3), max_size=10),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=100, deadline=None)
+def test_stable_colours_restrict_to_each_component(parts, isolated, rng):
+    # a node's stable colour is decided inside its component, so refining the
+    # whole graph once gives every component its own stable colouring
+    wg = _shuffled_union(parts, isolated, rng)
+    colors = stable_colors(wg)
+    for comp in connected_components(wg):
+        sub = wg.subgraph(comp)
+        restricted = [colors[v] for v in comp]
+        assert _cells(restricted) == _cells(stable_colors(sub))
+        # the cells of two or more nodes, re-weighted by colour, are already
+        # equitable: their stable colouring is that re-weighting
+        size = Counter(restricted)
+        rest = [i for i, c in enumerate(restricted) if size[c] > 1]
+        if rest:
+            reweighted = [restricted[i] + 1 for i in rest]
+            stripped = WeightedGraph(len(rest), sub.subgraph(rest).edges(), reweighted)
+            assert _cells(stable_colors(stripped)) == _cells(reweighted)
+
+
+@given(
+    st.lists(weighted_graphs(4), min_size=1, max_size=5),
+    st.lists(st.integers(1, 3), max_size=30),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=60, deadline=None)
+def test_component_classes_match_pairwise_grouping(parts, isolated, rng):
+    wg = _shuffled_union(parts, isolated, rng)
     expected = _pairwise_classes(wg, OracleCaps(max_nodes=wg.n))
     # a search is needed only for a component with a repeated colour that
     # meets an earlier one of its colour multiset; only it meets the cap

@@ -17,6 +17,7 @@ from pga import (
     realize,
     reconstruct_order,
 )
+from pga.engine import _summarize_classes
 from pga.powergraph import cyclic_subgroup_graph
 
 from _support import CORPUS, GOLDEN_SPECS, bundle, report
@@ -86,8 +87,13 @@ def test_quotient_rows_are_representative_rows_and_checked():
 
 
 def test_cyclic_subgroup_route_matches_power_graph_route():
-    # the power graph is no QuotientGraph, so its route always projects
-    for spec in GOLDEN_SPECS:
+    # the power graph is no QuotientGraph, so its route always projects. The
+    # subgroup graph's pointer doubling stops after a round that lowers
+    # nothing: the last six groups need several rounds, Z(343) and Dih(251)
+    # all but the last (their generators form orbits of 294 and 250 under one
+    # power map)
+    long_orbits = ("Z(720)", "Ab[2,4,60]", "Dih(360)", "P(Sym(5),Z(7))", "Z(343)", "Dih(251)")
+    for spec in GOLDEN_SPECS + long_orbits:
         p = pipeline(realize(spec))
         assert "pg" not in vars(p), spec  # not built yet
         pg = build_power_graph(p.g)
@@ -181,6 +187,20 @@ def test_classify_rejects_other_unions():
     ):
         with pytest.raises(InternalCheckError, match="fits neither"):
             classify_men_class(g, members)
+
+
+def test_report_rejects_the_unions_classify_rejects():
+    # a report decides all its classes' chains from one table of powers; a
+    # union that fits neither form fails there too. Ab[2,4]'s orders fit an
+    # interval, but (1, 0) is no power of (0, 1)
+    for spec, members in (("Z(6)", (1, 2, 3)), ("Z(8)", (0, 2, 3, 4, 6)), ("Ab[2,4]", (0, 2, 3))):
+        g = bundle(spec).g
+        with pytest.raises(InternalCheckError, match="fits neither"):
+            classify_men_class(g, members)
+        rest = tuple(v for v in range(g.size - 1) if v not in members)
+        q = QuotientGraph((members, rest), [], (len(members), len(rest)))
+        with pytest.raises(InternalCheckError, match=rf"MEN class \[{', '.join(map(str, members))}\] fits neither"):
+            _summarize_classes(Pipeline(g, q))
 
 
 def test_class_summaries_match_peeling(monkeypatch):
