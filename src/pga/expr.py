@@ -52,10 +52,11 @@ class Product(GroupExpr):
 
 
 def expr_order(e: GroupExpr) -> int:
-    if isinstance(e, Trivial):
-        return 1
+    # the kinds are disjoint; Sym, the most common factor, is tested first
     if isinstance(e, Sym):
         return math.factorial(e.n)
+    if isinstance(e, Trivial):
+        return 1
     if isinstance(e, Opaque):
         return e.order
     if isinstance(e, Wreath):
@@ -68,14 +69,14 @@ def expr_order(e: GroupExpr) -> int:
 
 def _sort_key(e: GroupExpr):
     # wreaths first, then opaque orders, then symmetric groups by size descending
+    if isinstance(e, Sym):
+        return (3, -e.n)
     if isinstance(e, Wreath):
         return (0, _sort_key(e.base), -e.top.n)
     if isinstance(e, Product):
         return (1, tuple(_sort_key(f) for f in e.factors))
     if isinstance(e, Opaque):
         return (2, -e.order)
-    if isinstance(e, Sym):
-        return (3, -e.n)
     return (4,)
 
 

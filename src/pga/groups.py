@@ -13,12 +13,16 @@ Element 0 is always the identity. Groups are built from a small spec grammar:
 
 A group supplies `mul(a, b)` and `power(x, k)` on int32 index arrays, and
 everything else is built on those two. Sym(n), Q8 and any table passed to
-`FiniteGroup` are table groups, which read an n x n multiplication table.
-Z(n), Dih(n) and direct products (Ab[...], Z(q)^k, P(A,B)) are arithmetic
-groups: residues mod n, (flip, rotation) pairs, and mixed-radix digits over
-the factors, with a closed-form power each; they store no table, so no
-n x n array is built for them. Element orders come from repeated powers
-(each divides the group order); cyclic subgroups and generator sets are read
+`FiniteGroup` are table groups, which read an n x n multiplication table and
+read powers and element orders off rows of powers built once, by products,
+up to the largest element order. Z(n), Dih(n) and direct products (Ab[...],
+Z(q)^k, P(A,B)) are arithmetic groups: residues mod n, (flip, rotation)
+pairs, and mixed-radix digits over the factors, each digit read from a table
+of every element's digits built once; they store no multiplication table,
+so no n x n array is built for them. Z(n) and Dih(n) find element orders
+from a few closed-form powers (each order divides the group order); a direct
+product takes the lcm of its factors' orders, digit by digit, and checks it
+with one power of the product. Cyclic subgroups and generator sets are read
 off a few rows of powers. Instances are immutable and thread-safe.
 
 Every group is checked when it is built: element 0 must be a two-sided
@@ -45,7 +49,7 @@ import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations, product
+from itertools import chain, groupby, permutations
 from typing import Union
 
 import numpy as np
@@ -301,10 +305,12 @@ class FiniteGroup:
     supply them:
 
     - a table group, this class built from its n x n multiplication table
-      (table[a, b] is the index of a*b): Sym(n), Q8 and any table passed in;
+      (table[a, b] is the index of a*b): Sym(n), Q8 and any table passed in.
+      Its powers are read off rows of powers built once (_table_powers);
     - an arithmetic group, one of the subclasses below, which computes each
-      product and each power in closed form and stores no table: Z(n),
-      Dih(n), and direct products (Ab[...], Z(q)^k, P(A,B)), componentwise.
+      product and each power in closed form and stores no multiplication
+      table: Z(n), Dih(n), and direct products (Ab[...], Z(q)^k, P(A,B)),
+      componentwise.
 
     `generators`, when given, are element indices that generate the group.
 
@@ -398,8 +404,9 @@ class FiniteGroup:
             reached = np.zeros(n, dtype=bool)
             reached[0] = reached[gens] = True
             span = np.flatnonzero(reached)
+            flat = t.ravel()
             while span.size < n:
-                reached[t[np.ix_(span, span)]] = True
+                reached[flat.take(span[:, None] * n + span)] = True
                 grown = np.flatnonzero(reached)
                 if grown.size == span.size:
                     raise ValueError(f"the generators span {span.size} of the {n} elements")
@@ -425,15 +432,38 @@ class FiniteGroup:
         return self._flat.take(a * self.size + b)
 
     def power(self, x: np.ndarray, k: int) -> np.ndarray:
-        """x**k for the int32 elements x and k >= 1, by repeated squaring."""
-        out = None
+        """x**k for the int32 elements x and k >= 0, read off the table
+        group's rows of powers: x**k is x**(k mod order(x))."""
+        rows, orders, exponent = self._table_powers
+        return rows.take(k % exponent % orders.take(x) * self.size + x)
+
+    @cached_property
+    def _table_powers(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """A table group's rows of powers, flat (row k holds every x**k, for
+        0 <= k <= the largest element order), its element orders and its
+        exponent, the lcm of the orders.
+
+        The rows are built by products (power_rows) for twice as many powers
+        each round until every element has met the identity. An element that
+        has not met it by the n-th power, or whose order does not divide n,
+        is a ValueError: a group's orders divide its order (Lagrange)."""
+        n = self.size
+        x = np.arange(n, dtype=np.int32)
+        m = 1
         while True:
-            if k & 1:
-                out = x if out is None else self.mul(out, x)
-            k >>= 1
-            if not k:
-                return out
-            x = self.mul(x, x)
+            m = min(2 * m, n)
+            rows = self.power_rows(x, m)
+            met = rows[1:] == 0
+            if met.any(axis=0).all():
+                break
+            if m == n:
+                raise ValueError("some element's order does not divide the group order")
+        orders = met.argmax(axis=0) + 1
+        if (n % orders).any():
+            raise ValueError("some element's order does not divide the group order")
+        rows = rows[: orders.max() + 1].ravel()
+        rows.flags.writeable = False
+        return rows, orders, math.lcm(*set(orders.tolist()))
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -446,10 +476,13 @@ class FiniteGroup:
     def orders(self) -> np.ndarray:
         """orders[x]: the least k >= 1 with x**k the identity.
 
-        It divides the group order n (Lagrange), so it is the product, over
-        the prime powers p**e exactly dividing n, of the order p**a of x's
-        p-part x**(n / p**e); a counts the p-th powers that part takes to
-        reach the identity, at most e."""
+        A table group reads them off its rows of powers. For an arithmetic
+        group the order divides the group order n (Lagrange), so it is the
+        product, over the prime powers p**e exactly dividing n, of the order
+        p**a of x's p-part x**(n / p**e); a counts the p-th powers that part
+        takes to reach the identity, at most e."""
+        if self.table is not None:
+            return self._table_powers[1]
         n = self.size
         orders = np.ones(n, dtype=np.intp)
         for p, e in factorize(n).items():
@@ -554,45 +587,76 @@ class _DihedralGroup(FiniteGroup):
 class _ProductGroup(FiniteGroup):
     """A direct product, element index the mixed-radix number of the factors'
     indices with the first factor most significant; products and powers are
-    the factors', digit by digit."""
+    the factors', digit by digit.
+
+    The digits of every element are built once, as an n x k table with one
+    column per factor, so the digits of x are row x. A run of equal factors
+    (Z(q)^k) takes its columns in one call to the factor, and its digits
+    become a number with one product by their strides within the run."""
 
     def __init__(self, factors: list[FiniteGroup], description: str) -> None:
         self.factors = tuple(factors)
+        sizes = [g.size for g in factors]
+        # a factor's stride is the product of the later factors' orders
+        strides = [math.prod(sizes[i + 1 :]) for i in range(len(sizes))]
+        n = strides[0] * sizes[0]
         generators: list[int] = []
-        stride = 1
-        for g in reversed(factors):
-            # a factor's element x, the others at the identity, is x times
-            # the product of the later factors' orders
+        for g, stride in zip(reversed(factors), reversed(strides)):
+            # a factor's element x, the others at the identity, is x * stride
             own = range(g.size) if g.generators is None else g.generators
             generators += [x * stride for x in own]
-            stride *= g.size
-        labels = (
-            "(" + ",".join(parts) + ")" for parts in product(*(g.labels for g in factors))
-        )
-        self._setup(stride, labels, description, generators, True)
+        self._digit_table = np.arange(n, dtype=np.int32)[:, None] // np.array(
+            strides, dtype=np.int32
+        ) % np.array(sizes, dtype=np.int32)
+        # per run of equal factors: the factor, its column (one factor) or
+        # columns, their strides within the run (None for one factor), and
+        # the run's order
+        self._runs = []
+        lo = 0
+        for _, run in groupby(factors, key=id):
+            g, width = factors[lo], len(list(run))
+            if width == 1:
+                self._runs.append((g, lo, None, g.size))
+            else:
+                local = g.size ** np.arange(width - 1, -1, -1, dtype=np.int32)
+                self._runs.append((g, slice(lo, lo + width), local, g.size**width))
+            lo += width
+        # labels factor by factor, from the last: "(a,b,...,z)"
+        tail = [f"{label})" for label in factors[-1].labels]
+        for g in reversed(factors[1:-1]):
+            tail = [f"{a},{b}" for a in g.labels for b in tail]
+        labels = [f"({a},{b}" for a in factors[0].labels for b in tail]
+        self._setup(n, labels, description, generators, True)
 
-    def _digits(self, x):
-        """The factors' indices of x, first factor first."""
-        out = []
-        for g in reversed(self.factors[1:]):
-            x, digit = divmod(x, g.size)
-            out.append(digit)
-        out.append(x)
-        return out[::-1]
-
-    def _number(self, digits):
-        out = digits[0]
-        for g, digit in zip(self.factors[1:], digits[1:]):
-            out = out * g.size + digit
+    def _number(self, parts: list[np.ndarray]):
+        """The element indices whose digits `parts`, one block per run, hold."""
+        out = None
+        for (_, _, local, order), part in zip(self._runs, parts):
+            if local is not None:
+                part = part @ local
+            out = part if out is None else out * order + part
         return out
 
     def mul(self, a, b):
-        return self._number(
-            [g.mul(x, y) for g, x, y in zip(self.factors, self._digits(a), self._digits(b))]
-        )
+        da, db = self._digit_table.take(a, axis=0), self._digit_table.take(b, axis=0)
+        return self._number([g.mul(da[..., cols], db[..., cols]) for g, cols, _, _ in self._runs])
 
     def power(self, x: np.ndarray, k: int) -> np.ndarray:
-        return self._number([g.power(d, k) for g, d in zip(self.factors, self._digits(x))])
+        digits = self._digit_table.take(x, axis=0)
+        return self._number([g.power(digits[..., cols], k) for g, cols, _, _ in self._runs])
+
+    @cached_property
+    def orders(self) -> np.ndarray:
+        """The lcm of the factors' orders of each element's digits, confirmed
+        by one product power: x**e must be the identity for the exponent e."""
+        orders = 1
+        for g, cols, local, _ in self._runs:
+            own = g.orders.take(self._digit_table[:, cols])
+            orders = np.lcm(orders, own if local is None else np.lcm.reduce(own, axis=1))
+        exponent = math.lcm(*set(orders.tolist()))
+        if self.power(np.arange(self.size, dtype=np.int32), exponent).any():
+            raise ValueError("a power of the product differs from its factors' orders")
+        return orders
 
 
 # ---------------------------------------------------------------------------
@@ -611,30 +675,33 @@ def direct_product(factors: list[FiniteGroup], description: str) -> FiniteGroup:
 
 
 def _cycle_label(p: tuple[int, ...]) -> str:
-    seen: set[int] = set()
-    parts: list[str] = []
-    for i in range(len(p)):
-        if i in seen or p[i] == i:
+    out = ""
+    for i, j in enumerate(p):
+        if j <= i:  # i is fixed, or not the least node of its cycle
             continue
-        cycle = [i]
-        j = p[i]
-        while j != i:
-            seen.add(j)
-            cycle.append(j)
+        cycle = f"({i}"
+        while j > i:
+            cycle += f" {j}"
             j = p[j]
-        parts.append("(" + " ".join(map(str, cycle)) + ")")
-    return "".join(parts) if parts else "e"
+        if j == i:  # the walk closed the cycle, so i is its least node
+            out += cycle + ")"
+    return out or "e"
 
 
 def _symmetric_group(n: int) -> FiniteGroup:
     perm_list = list(permutations(range(n)))  # lexicographic; identity first
-    perms = np.array(perm_list, dtype=np.int64).reshape(len(perm_list), n)
-    # a permutation's base-n code indexes a lookup of its element index;
-    # perms[:, perms][i, j] is the composition p_i(p_j(x))
-    place = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    m = len(perm_list)
+    perms = np.fromiter(chain.from_iterable(perm_list), np.intp, m * n).reshape(m, n)
+    # a permutation's base-n code indexes a lookup of its element index. The
+    # code of the composition p_i(p_j(x)) is sum_x place[x] p_i[p_j[x]], which
+    # is sum_y p_i[y] place[p_j^-1(y)]: one matrix product over all i and j,
+    # exact in float64 (codes are below n**n <= 3125)
+    place = n ** np.arange(n - 1, -1, -1)
     rank = np.zeros(n**n, dtype=np.int32)
-    rank[perms @ place] = np.arange(len(perm_list), dtype=np.int32)
-    table = rank[perms[:, perms] @ place]
+    rank[perms @ place] = np.arange(m, dtype=np.int32)
+    inverse_place = np.empty((m, n))
+    inverse_place[np.arange(m)[:, None], perms] = place
+    table = rank.take((perms.astype(float) @ inverse_place.T).astype(np.intp))
     labels = tuple(_cycle_label(p) for p in perm_list)
     # the transposition (0 1) and the n-cycle (0 1 ... n-1)
     moves = [(1, 0, *range(2, n)), (*range(1, n), 0)] if n > 1 else []

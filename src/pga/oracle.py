@@ -65,6 +65,7 @@ transposition. Caps produce an explicit CapExceeded, never a guess.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -135,7 +136,7 @@ class WeightedGraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "adj", tuple(adj))
-        object.__setattr__(self, "edge_count", sum(m.bit_count() for m in adj) // 2)
+        object.__setattr__(self, "edge_count", sum(map(int.bit_count, adj)) // 2)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("WeightedGraph is immutable")
@@ -184,7 +185,11 @@ def _induced(wg: WeightedGraph, nodes: Sequence[int], weights: Sequence[int]) ->
     edges = []
     for i, u in enumerate(nodes):
         inside ^= 1 << u  # now the nodes after u
-        edges += [(i, index[v]) for v in _iter_bits(wg.adj[u] & inside)]
+        rest = wg.adj[u] & inside
+        while rest:
+            low = rest & -rest
+            edges.append((i, index[low.bit_length() - 1]))
+            rest ^= low
     return WeightedGraph(len(nodes), edges, weights)
 
 
@@ -197,21 +202,24 @@ def _iter_bits(mask: int) -> Iterator[int]:
 
 def connected_components(wg: WeightedGraph) -> list[list[int]]:
     """Connected node sets, each sorted, ordered by smallest node."""
+    adj = wg.adj
     seen = 0
     out: list[list[int]] = []
-    for start in range(wg.n):
-        if seen >> start & 1:
-            continue
-        if not wg.adj[start]:  # an isolated node; no later start reaches it
+    for start, row in enumerate(adj):
+        if not row:  # an isolated node; no other start reaches it
             out.append([start])
+            continue
+        if seen >> start & 1:
             continue
         frontier = 1 << start
         comp = 0
         while frontier:
             comp |= frontier
             nxt = 0
-            for v in _iter_bits(frontier):
-                nxt |= wg.adj[v]
+            while frontier:
+                low = frontier & -frontier
+                nxt |= adj[low.bit_length() - 1]
+                frontier ^= low
             frontier = nxt & ~comp
         seen |= comp
         out.append(list(_iter_bits(comp)))
@@ -314,13 +322,15 @@ def _split(
 
 def _equitable(adj: Sequence[int], weights: Sequence[int]) -> tuple[list[int], list[int]]:
     """The coarsest equitable partition with cells of equal weight, as
-    (cells, cell_of); cells start in increasing weight order."""
+    (cells, cell_of); cells start in increasing weight order. With no edge
+    every neighbour count is 0, so the weight cells are equitable already."""
     rank = {w: i for i, w in enumerate(sorted(set(weights)))}
     cells = [0] * len(rank)
     cell_of = [rank[w] for w in weights]
     for v, i in enumerate(cell_of):
         cells[i] |= 1 << v
-    _split(adj, cells, cell_of, list(range(len(cells))))
+    if any(adj):
+        _split(adj, cells, cell_of, list(range(len(cells))))
     return cells, cell_of
 
 
@@ -792,7 +802,17 @@ def _component_classes(
     component, so two nodes of one component share a colour in the whole
     graph exactly when they share one in the component alone. Colours are
     only compared for equality, so the numbering does not matter.
+
+    In a graph of two or more nodes and no edge, every node is a component,
+    and nodes of one colour (so of one weight) are isomorphic: one class per
+    colour, with no component visited on its own.
     """
+    if wg.n > 1 and not any(wg.adj):
+        first: dict[int, int] = {}
+        for v, c in enumerate(colors):
+            first.setdefault(c, v)
+        count = Counter(colors)
+        return [(wg.subgraph([v]), [c], count[c]) for c, v in first.items()]
     comps = connected_components(wg)
     if len(comps) == 1:
         return [(wg, colors, 1)]

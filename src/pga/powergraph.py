@@ -15,7 +15,7 @@ blown up to a clique of its generators; `cyclic_subgroup_graph` skips the blow-u
 from __future__ import annotations
 
 import math
-from itertools import chain, starmap
+from itertools import accumulate, chain, starmap
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -122,13 +122,22 @@ def cyclic_subgroup_graph(g: FiniteGroup) -> QuotientGraph:
     reps = np.flatnonzero(least == np.arange(n))[1:].astype(np.int32)
     node_of, node_orders = np.searchsorted(reps, least), orders[reps]
     # the nontrivial subgroups of <r> other than itself are the <r**d> for the
-    # divisors 1 < d < order(r): one power of the nodes per such divisor
-    pairs = [np.empty((2, 0), dtype=np.intp)]
-    for d in sorted({d for o in set(node_orders.tolist()) for d in divisors(o)[1:-1]}):
-        block = np.flatnonzero((node_orders % d == 0) & (node_orders > d))
-        pairs.append(np.stack([block, node_of[g.power(reps[block], d)]]))
-    edges = zip(*np.concatenate(pairs, axis=1).tolist())
-    vertices = np.argsort(node_of[1:], kind="stable").tolist()  # grouped by node, ascending
-    ends = np.cumsum(np.bincount(node_of[1:])).tolist()
-    members = tuple(tuple(vertices[a:b]) for a, b in zip([0, *ends], ends))
-    return QuotientGraph(members, edges, list(map(len, members)))
+    # divisors 1 < d < order(r), read off one table of powers of the nodes
+    # that have such a divisor
+    divs = sorted({d for o in set(node_orders.tolist()) for d in divisors(o)[1:-1]})
+    edges: Iterable[tuple[int, int]] = ()
+    if divs:
+        d = np.array(divs, dtype=np.intp)[:, None]
+        has = (node_orders % d == 0) & (node_orders > d)  # has[i, r]: divs[i] is such a d for r
+        inner = np.flatnonzero(has.any(axis=0))
+        i, at = np.nonzero(has[:, inner])
+        powers = g.power_rows(reps[inner], divs[-1])
+        edges = zip(inner[at].tolist(), node_of[powers[d[i, 0], at]].tolist())
+    vertices = tuple(np.argsort(node_of[1:], kind="stable").tolist())  # grouped by node, ascending
+    sizes = np.bincount(node_of[1:]).tolist()
+    if len(sizes) == n - 1:  # exponent 2: each node has its one generator
+        members = tuple(zip(vertices))
+    else:
+        ends = list(accumulate(sizes))
+        members = tuple(map(vertices.__getitem__, map(slice, [0, *ends], ends)))
+    return QuotientGraph(members, edges, sizes)

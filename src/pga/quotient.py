@@ -65,12 +65,16 @@ class QuotientGraph(WeightedGraph):
 def men_partition(wg: WeightedGraph) -> MenPartition:
     """Group nodes by their closed neighborhoods (as bitmask rows)."""
     # closed twins are adjacent, so an isolated node is alone in its class:
-    # its key ~v is unique, and cheaper to hash than a long row
-    first: dict[int, int] = {}
-    least = [first.setdefault(row | 1 << v if row else ~v, v) for v, row in enumerate(wg.adj)]
+    # its key ~v is unique, and cheaper to hash than a long row. A graph
+    # with no edge has nothing but such classes
     n = wg.n
-    if len(first) == n:  # every class is a single node
-        return MenPartition(tuple((v,) for v in range(n)), tuple(range(n)), wg.weights)
+    singletons = not any(wg.adj)
+    if not singletons:
+        first: dict[int, int] = {}
+        least = [first.setdefault(row | 1 << v if row else ~v, v) for v, row in enumerate(wg.adj)]
+        singletons = len(first) == n
+    if singletons:  # every class is a single node
+        return MenPartition(tuple(zip(range(n))), tuple(range(n)), wg.weights)
     # dict preserves first-seen order, so classes come out sorted by least member
     groups: dict[int, list[int]] = {}
     for v, u in enumerate(least):
@@ -92,14 +96,16 @@ def build_quotient(wg: WeightedGraph, mp: MenPartition) -> QuotientGraph:
     adjacent or all apart (a in class i and u in class j see each other
     exactly when the two first members do), so the projection is exact.
 
-    A `QuotientGraph` whose partition is all singletons, node i alone in class
-    i with its own weight, is returned as it is: the projection is then the
-    identity and no class has a second member to check.
+    A `QuotientGraph` whose partition is all singletons (one class per node,
+    so node i alone in class i) with their own weights is returned as it is:
+    the projection is then the identity and no class has a second member to
+    check.
     """
     if (
         isinstance(wg, QuotientGraph)
+        and len(mp.classes) == wg.n
         and mp.weights == wg.weights
-        and mp.classes == tuple((v,) for v in range(wg.n))
+        and mp.class_of == tuple(range(wg.n))
     ):
         return wg
     edges: list[tuple[int, int]] = []

@@ -74,8 +74,16 @@ SMALL_GROUP_SPECS = _small_group_specs()
 # coprime products whose Sylow factors are not all abelian
 COPRIME_NONABELIAN_SPECS = ("P(Q8,Z(3))", "P(Dih(4),Z(3))", "P(Q8,Z(9))", "P(Dih(4),Z(5))", "Ab[4,6,9]")
 
+# large groups, the benchmark's analyze-large specs: their groups take the
+# product, table-power and edgeless-graph paths at full size
+LARGE_SPECS = (
+    "Z(1000)", "Dih(500)", "Z(2)^10", "Z(3)^5", "Sym(5)", "P(Sym(4),Sym(3))", "P(Sym(5),Z(7))",
+)
+
 # the specs whose reports tests/golden_reports.json freezes
-GOLDEN_SPECS = tuple(dict.fromkeys(CORPUS + SMALL_GROUP_SPECS + COPRIME_NONABELIAN_SPECS))
+GOLDEN_SPECS = tuple(
+    dict.fromkeys(CORPUS + SMALL_GROUP_SPECS + COPRIME_NONABELIAN_SPECS + LARGE_SPECS)
+)
 
 
 def _workload_specs() -> tuple[str, ...]:

@@ -33,6 +33,7 @@ from pga.powergraph import cyclic_subgroup_graph
 
 from _support import (
     CORPUS,
+    GOLDEN_SPECS,
     SMALL_GROUP_SPECS,
     WORKLOAD_SPECS,
     bundle,
@@ -473,3 +474,75 @@ def test_power_graph_of_an_arithmetic_group_builds_no_square_matrix():
     # built from an n x n membership matrix, this graph peaked at 6 MB
     g = realize("Dih(500)")
     assert traced_peak(lambda: build_power_graph(g)) < 2**20
+
+
+def _is_product(text: str) -> bool:
+    spec = parse_group_spec(text)
+    return isinstance(spec, (ProductSpec, HomocyclicSpec)) or (
+        isinstance(spec, AbelianSpec) and len(spec.orders) > 1
+    )
+
+
+PRODUCT_SPECS = tuple(
+    dict.fromkeys(
+        [s for s in GOLDEN_SPECS if _is_product(s)]
+        + ["Z(2)^10", "Z(3)^5", "P(Sym(4),Sym(3))", "P(Sym(5),Z(7))", "Ab[1,4]", "P(Z(1),Sym(3))"]
+    )
+)
+
+
+@pytest.mark.parametrize("spec", PRODUCT_SPECS)
+def test_product_orders_and_digits_match_the_table_route(spec):
+    g, ref = realize(spec), reference_group(spec)
+    assert np.array_equal(g.orders, ref.orders)
+    # the digits of x, read through the factors' labels, give the label the
+    # table route composed for x: "(" + the factors' labels + ")"
+    digits = g._digit_table.tolist()
+    names = [
+        "(" + ",".join(f.labels[d] for f, d in zip(g.factors, row)) + ")" for row in digits
+    ]
+    assert names == list(ref.labels)
+    # and x is the mixed-radix number of its digits, first factor most significant
+    number = np.zeros(g.size, dtype=np.int64)
+    for f, column in zip(g.factors, g._digit_table.T):
+        number = number * f.size + column
+    assert np.array_equal(number, np.arange(g.size))
+
+
+@pytest.mark.parametrize("spec", ["P(Sym(3),Z(4))", "Z(2)^10", "Ab[1,4]"])
+def test_product_orders_are_confirmed_by_a_product_power(spec, monkeypatch):
+    g = realize(spec)
+    monkeypatch.setattr(g, "power", lambda x, k: x)  # every power a wrong answer
+    with pytest.raises(ValueError, match="factors' orders"):
+        g.orders
+
+
+def _table_groups():
+    groups = [realize(f"Sym({n})") for n in range(1, 6)] + [realize("Q8")]
+    return groups + [reference_group("Z(12)"), reference_group("Dih(6)")]
+
+
+@pytest.mark.parametrize("g", _table_groups(), ids=lambda g: g.description)
+def test_table_powers_equal_repeated_products(g):
+    assert g.table is not None
+    x = np.arange(g.size, dtype=np.int32)
+    exponent = math.lcm(*g.orders.tolist())
+    step = x
+    for k in range(1, 2 * exponent + 1):
+        assert np.array_equal(g.power(x, k), step), (g.description, k)
+        step = g.mul(step, x)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        # element 1 has order 3, which does not divide 4
+        [[0, 1, 2, 3], [1, 2, 0, 3], [2, 0, 1, 3], [3, 3, 3, 0]],
+        # element 3 never meets the identity: 3 * 3 = 3
+        [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 3]],
+    ],
+)
+def test_unchecked_table_with_a_bad_order_fails_on_its_first_power(table):
+    g = FiniteGroup(np.array(table), tuple("abcd"), "bad", check=False)
+    with pytest.raises(ValueError, match="does not divide the group order"):
+        g.power(np.arange(4, dtype=np.int32), 2)

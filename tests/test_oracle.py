@@ -578,6 +578,34 @@ def test_component_classes_check_forced_maps_without_search(monkeypatch):
     assert calls == []
 
 
+def _isolated_nodes():
+    # 1,023 isolated nodes of two weights, as in the quotient of Z(2)^10
+    return WeightedGraph(1023, [], [2 if v % 3 == 0 else 5 for v in range(1023)])
+
+
+def test_edgeless_graph_needs_no_split(monkeypatch):
+    wg = _isolated_nodes()
+    calls = _count_calls(monkeypatch, "_split")
+    cells, cell_of = oracle._equitable(wg.adj, wg.weights)
+    assert calls == []
+    light, heavy = [v for v in range(1023) if v % 3 == 0], [v for v in range(1023) if v % 3]
+    assert cells == [sum(1 << v for v in light), sum(1 << v for v in heavy)]
+    assert cell_of == [0 if v % 3 == 0 else 1 for v in range(1023)]
+    # the colours are the weight ranks, and the components one class per weight
+    assert stable_colors(wg) == cell_of
+    assert _described(component_classes(wg)) == [(1, (2,), [], 341), (1, (5,), [], 682)]
+    assert calls == []
+
+
+def test_isolated_nodes_and_one_edge_components():
+    wg = _isolated_nodes()
+    edged = WeightedGraph(wg.n, [(700, 5)], wg.weights)
+    expected = [[v] for v in range(5)] + [[5, 700]]
+    expected += [[v] for v in range(6, 1023) if v != 700]
+    assert connected_components(wg) == [[v] for v in range(1023)]
+    assert connected_components(edged) == expected
+
+
 @given(planted_twins())
 @settings(max_examples=30, deadline=None)
 def test_count_matches_naive_with_planted_twins(wg):
