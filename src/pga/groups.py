@@ -49,7 +49,7 @@ import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, groupby, permutations
+from itertools import chain, permutations
 from typing import Union
 
 import numpy as np
@@ -462,7 +462,7 @@ class FiniteGroup:
         if (n % orders).any():
             raise ValueError("some element's order does not divide the group order")
         rows = rows[: orders.max() + 1].ravel()
-        rows.flags.writeable = False
+        rows.flags.writeable = orders.flags.writeable = False
         return rows, orders, math.lcm(*set(orders.tolist()))
 
     @cached_property
@@ -495,6 +495,7 @@ class FiniteGroup:
             else:
                 if part.any():
                     raise ValueError("some element's order does not divide the group order")
+        orders.flags.writeable = False
         return orders
 
     @cached_property
@@ -590,9 +591,8 @@ class _ProductGroup(FiniteGroup):
     the factors', digit by digit.
 
     The digits of every element are built once, as an n x k table with one
-    column per factor, so the digits of x are row x. A run of equal factors
-    (Z(q)^k) takes its columns in one call to the factor, and its digits
-    become a number with one product by their strides within the run."""
+    column per factor, so the digits of x are row x, and each factor's
+    digits of a batch of elements are one column of one `take`."""
 
     def __init__(self, factors: list[FiniteGroup], description: str) -> None:
         self.factors = tuple(factors)
@@ -605,22 +605,10 @@ class _ProductGroup(FiniteGroup):
             # a factor's element x, the others at the identity, is x * stride
             own = range(g.size) if g.generators is None else g.generators
             generators += [x * stride for x in own]
+        self._strides = strides
         self._digit_table = np.arange(n, dtype=np.int32)[:, None] // np.array(
             strides, dtype=np.int32
         ) % np.array(sizes, dtype=np.int32)
-        # per run of equal factors: the factor, its column (one factor) or
-        # columns, their strides within the run (None for one factor), and
-        # the run's order
-        self._runs = []
-        lo = 0
-        for _, run in groupby(factors, key=id):
-            g, width = factors[lo], len(list(run))
-            if width == 1:
-                self._runs.append((g, lo, None, g.size))
-            else:
-                local = g.size ** np.arange(width - 1, -1, -1, dtype=np.int32)
-                self._runs.append((g, slice(lo, lo + width), local, g.size**width))
-            lo += width
         # labels factor by factor, from the last: "(a,b,...,z)"
         tail = [f"{label})" for label in factors[-1].labels]
         for g in reversed(factors[1:-1]):
@@ -628,34 +616,28 @@ class _ProductGroup(FiniteGroup):
         labels = [f"({a},{b}" for a in factors[0].labels for b in tail]
         self._setup(n, labels, description, generators, True)
 
-    def _number(self, parts: list[np.ndarray]):
-        """The element indices whose digits `parts`, one block per run, hold."""
-        out = None
-        for (_, _, local, order), part in zip(self._runs, parts):
-            if local is not None:
-                part = part @ local
-            out = part if out is None else out * order + part
-        return out
+    def _number(self, digits):
+        """The element indices whose digits are `digits`, one array per factor."""
+        return sum(d * stride for d, stride in zip(digits, self._strides))
 
     def mul(self, a, b):
         da, db = self._digit_table.take(a, axis=0), self._digit_table.take(b, axis=0)
-        return self._number([g.mul(da[..., cols], db[..., cols]) for g, cols, _, _ in self._runs])
+        return self._number([g.mul(da[..., i], db[..., i]) for i, g in enumerate(self.factors)])
 
     def power(self, x: np.ndarray, k: int) -> np.ndarray:
         digits = self._digit_table.take(x, axis=0)
-        return self._number([g.power(digits[..., cols], k) for g, cols, _, _ in self._runs])
+        return self._number([g.power(digits[..., i], k) for i, g in enumerate(self.factors)])
 
     @cached_property
     def orders(self) -> np.ndarray:
         """The lcm of the factors' orders of each element's digits, confirmed
         by one product power: x**e must be the identity for the exponent e."""
-        orders = 1
-        for g, cols, local, _ in self._runs:
-            own = g.orders.take(self._digit_table[:, cols])
-            orders = np.lcm(orders, own if local is None else np.lcm.reduce(own, axis=1))
+        digits = self._digit_table.T
+        orders = np.lcm.reduce([g.orders.take(d) for g, d in zip(self.factors, digits)])
         exponent = math.lcm(*set(orders.tolist()))
         if self.power(np.arange(self.size, dtype=np.int32), exponent).any():
             raise ValueError("a power of the product differs from its factors' orders")
+        orders.flags.writeable = False
         return orders
 
 

@@ -65,7 +65,6 @@ transposition. Caps produce an explicit CapExceeded, never a guess.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -802,17 +801,7 @@ def _component_classes(
     component, so two nodes of one component share a colour in the whole
     graph exactly when they share one in the component alone. Colours are
     only compared for equality, so the numbering does not matter.
-
-    In a graph of two or more nodes and no edge, every node is a component,
-    and nodes of one colour (so of one weight) are isomorphic: one class per
-    colour, with no component visited on its own.
     """
-    if wg.n > 1 and not any(wg.adj):
-        first: dict[int, int] = {}
-        for v, c in enumerate(colors):
-            first.setdefault(c, v)
-        count = Counter(colors)
-        return [(wg.subgraph([v]), [c], count[c]) for c, v in first.items()]
     comps = connected_components(wg)
     if len(comps) == 1:
         return [(wg, colors, 1)]

@@ -135,9 +135,6 @@ def cyclic_subgroup_graph(g: FiniteGroup) -> QuotientGraph:
         edges = zip(inner[at].tolist(), node_of[powers[d[i, 0], at]].tolist())
     vertices = tuple(np.argsort(node_of[1:], kind="stable").tolist())  # grouped by node, ascending
     sizes = np.bincount(node_of[1:]).tolist()
-    if len(sizes) == n - 1:  # exponent 2: each node has its one generator
-        members = tuple(zip(vertices))
-    else:
-        ends = list(accumulate(sizes))
-        members = tuple(map(vertices.__getitem__, map(slice, [0, *ends], ends)))
+    ends = list(accumulate(sizes))
+    members = tuple(map(vertices.__getitem__, map(slice, [0, *ends], ends)))
     return QuotientGraph(members, edges, sizes)

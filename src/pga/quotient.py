@@ -65,15 +65,11 @@ class QuotientGraph(WeightedGraph):
 def men_partition(wg: WeightedGraph) -> MenPartition:
     """Group nodes by their closed neighborhoods (as bitmask rows)."""
     # closed twins are adjacent, so an isolated node is alone in its class:
-    # its key ~v is unique, and cheaper to hash than a long row. A graph
-    # with no edge has nothing but such classes
+    # its key ~v is unique, and cheaper to hash than a long row
+    first: dict[int, int] = {}
+    least = [first.setdefault(row | 1 << v if row else ~v, v) for v, row in enumerate(wg.adj)]
     n = wg.n
-    singletons = not any(wg.adj)
-    if not singletons:
-        first: dict[int, int] = {}
-        least = [first.setdefault(row | 1 << v if row else ~v, v) for v, row in enumerate(wg.adj)]
-        singletons = len(first) == n
-    if singletons:  # every class is a single node
+    if len(first) == n:  # every class is a single node
         return MenPartition(tuple(zip(range(n))), tuple(range(n)), wg.weights)
     # dict preserves first-seen order, so classes come out sorted by least member
     groups: dict[int, list[int]] = {}
