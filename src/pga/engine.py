@@ -24,13 +24,17 @@ its cells meets each other cell as it did before the singletons went), so its
 colour cells are its stable colouring as they stand.
 
 `analyze` classifies the spec once. Cyclic, homocyclic and coprime-product
-specs take a closed form for the quotient part, which is cross-checked
-against the generic recursion; every other spec takes the recursion. A
-coprime product's quotient part multiplies over its primes: the quotient's
-classes of p-power order span the Sylow p-subgroup's own cyclic-subgroup
-graph, some closed twins already merged, so each factor is the recursion on
-that subgraph's MEN quotient. `verify` compares against the brute-force
-oracle.
+specs take a closed form for the quotient part; every other spec takes the
+recursion. A closed form is checked in `analyze` itself: the class weights
+it predicts must be the quotient's, and its quotient order must be the
+generic recursion's (a recursion that meets a cap skips this comparison and
+says so in a note). On every route, `_make_report` checks that normalizing
+keeps the order, against the quotient order `analyze` evaluated. A coprime
+product's quotient part multiplies over the prime powers p**e exactly
+dividing |G|: the quotient's classes whose order divides p**e span the Sylow
+p-subgroup's own cyclic-subgroup graph, some closed twins already merged, so
+each factor is the recursion on that subgraph's MEN quotient. `verify`
+compares against the brute-force oracle.
 
 Each spec realizes one group, and its pipeline, the group and its weighted
 MEN quotient, is built once, by `pipeline`, and passed to every route; the
@@ -42,6 +46,7 @@ from the graph of cyclic subgroups; the power graph is built on first use of
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -270,14 +275,16 @@ def _summarize_classes(p: Pipeline) -> tuple[ClassSummary, ...]:
 
 
 def _make_report(
-    p: Pipeline, quotient_expr: GroupExpr, method: str, notes: Sequence[str]
+    p: Pipeline, quotient_expr: GroupExpr, quotient_order: int, method: str,
+    notes: Sequence[str],
 ) -> AutReport:
-    """The quotient part times one symmetric group per class, checked and summarized."""
+    """The quotient part, of order `quotient_order`, times one symmetric group
+    per class, checked and summarized."""
     qe = expr_normalize(quotient_expr)
-    full = Product((qe, *(Sym(w) for w in p.q.weights if w > 1)))  # Sym(1) is trivial
-    expression = expr_normalize(full)
+    weights = [w for w in p.q.weights if w > 1]  # Sym(1) is trivial
+    expression = expr_normalize(Product((qe, *map(Sym, weights))))
     order = expr_order(expression)
-    if order != expr_order(full):
+    if order != quotient_order * math.prod(map(math.factorial, weights)):
         raise InternalCheckError("normalization changed the expression order")
     return AutReport(
         spec=p.g.description,
@@ -300,26 +307,6 @@ def _make_report(
     )
 
 
-def _cross_check(
-    p: Pipeline, caps: OracleCaps, expected_quotient_order: int, notes: list[str]
-) -> None:
-    """Every closed form must agree with the generic quotient recursion."""
-    try:
-        generic = quotient_aut(p.q, caps)
-    except CapExceeded as exc:
-        notes.append(f"cross-check skipped: {exc}")
-        return
-    if expr_order(generic) != expected_quotient_order:
-        raise InternalCheckError(
-            f"closed form gives quotient order {decimal(expected_quotient_order)} but the "
-            f"recursive decomposition gives {decimal(expr_order(generic))}"
-        )
-    notes.append(
-        "cross-check: recursive quotient decomposition agrees "
-        f"(order {decimal(expected_quotient_order)})"
-    )
-
-
 # ---------------------------------------------------------------------------
 # spec-driven dispatch
 
@@ -332,21 +319,6 @@ def _leaf_specs(spec: GroupSpec) -> list[GroupSpec]:
     if isinstance(spec, HomocyclicSpec):
         return [CyclicSpec(spec.q)] * spec.copies
     return [spec]
-
-
-def _coprime_primes(spec: GroupSpec) -> list[int] | None:
-    """The primes of a spec that is a direct product of at least two Sylow
-    subgroups (every leaf cyclic or of prime-power order), or None."""
-    primes: set[int] = set()
-    for leaf in _leaf_specs(spec):
-        if isinstance(leaf, CyclicSpec):
-            primes.update(factorize(leaf.n))
-            continue
-        pp = is_prime_power(spec_order(leaf))
-        if pp is None:
-            return None
-        primes.add(pp[0])
-    return sorted(primes) if len(primes) >= 2 else None
 
 
 def _closed_form(
@@ -365,22 +337,25 @@ def _closed_form(
         if len(orders) == 1:
             return METHOD_CYCLIC, Trivial(), [totient(d) for d in divisors(n) if d > 1]
         if len(set(orders)) == 1 and pp is not None:
-            nested, weights = _homocyclic_parts(*pp, len(orders))
-            return METHOD_HOMOCYCLIC, nested, weights
-    primes = _coprime_primes(gspec)
-    if primes is None:
+            return METHOD_HOMOCYCLIC, *_homocyclic_parts(*pp, len(orders))
+    # the coprime route: every leaf cyclic or of prime-power order makes the
+    # group the direct product of its Sylow subgroups, one per prime power
+    # p**e exactly dividing |G|
+    prime_powers = [prime**e for prime, e in factorize(p.g.size).items()]
+    if len(prime_powers) < 2 or not all(
+        isinstance(leaf, CyclicSpec) or is_prime_power(spec_order(leaf)) for leaf in leaves
+    ):
         return None
     # a class's orders are powers of one prime or a single order, so its least
-    # member tells whether it has p-power order. Those classes span the Sylow
-    # p-subgroup's own cyclic-subgroup graph with some closed twins merged;
-    # twins stay twins in an induced subgraph, so the MEN quotient is the
-    # Sylow subgroup's. The quotient part multiplies over the primes
-    node_primes = [factorize(int(p.g.orders[m[0] + 1])).keys() for m in p.q.members]
-    parts = []
-    for prime in primes:
-        sub = p.q.subgraph([i for i, ps in enumerate(node_primes) if ps == {prime}])
-        parts.append(quotient_aut(build_quotient(sub, men_partition(sub)), caps))
-    return METHOD_COPRIME, Product(tuple(parts)), None
+    # member's order divides p**e just when the class lies in the Sylow
+    # p-subgroup. Those classes span that subgroup's own cyclic-subgroup graph
+    # with some closed twins merged; twins stay twins in an induced subgraph,
+    # so the MEN quotient is the Sylow subgroup's. The quotient part
+    # multiplies over the primes
+    node_orders = p.g.orders[[m[0] + 1 for m in p.q.members]]
+    subs = [p.q.subgraph(np.flatnonzero(pe % node_orders == 0).tolist()) for pe in prime_powers]
+    parts = tuple(quotient_aut(build_quotient(s, men_partition(s)), caps) for s in subs)
+    return METHOD_COPRIME, Product(parts), None
 
 
 def analyze(
@@ -390,23 +365,40 @@ def analyze(
 ) -> AutReport:
     """Full structural analysis of the power graph of the group a spec names.
 
-    A spec with a closed form takes it and has it cross-checked against the
-    generic recursion; every other spec gets the generic recursion."""
+    A spec with a closed form takes it, and the checks on it run here: the
+    class weights it predicts must be the quotient's, and its quotient order
+    must be the generic recursion's, unless the recursion meets a cap, which
+    skips the comparison with a note. The coprime route recurses, for each
+    prime power p**e exactly dividing |G|, on the quotient's classes whose
+    order divides p**e. Every other spec gets the generic recursion. Either
+    way the quotient order is evaluated once, and `_make_report` checks the
+    normalized expression against it."""
     gspec = parse_group_spec(spec) if isinstance(spec, str) else spec
     caps = caps or OracleCaps()
     p = pipeline(realize(gspec, max_order=max_order))
     closed = _closed_form(gspec, p, caps)
     if closed is None:
-        return _make_report(p, quotient_aut(p.q, caps), METHOD_GENERIC, ())
+        generic = quotient_aut(p.q, caps)
+        return _make_report(p, generic, expr_order(generic), METHOD_GENERIC, ())
     method, quotient_expr, weights = closed
     if weights is not None and sorted(p.q.weights) != sorted(weights):
         raise InternalCheckError(
             f"class weights {sorted(p.q.weights)} do not match the {method} "
             f"closed form {sorted(weights)}"
         )
-    notes: list[str] = []
-    _cross_check(p, caps, expr_order(quotient_expr), notes)
-    return _make_report(p, quotient_expr, method, notes)
+    order = expr_order(quotient_expr)
+    try:
+        generic_order = expr_order(quotient_aut(p.q, caps))
+    except CapExceeded as exc:
+        note = f"cross-check skipped: {exc}"
+    else:
+        if generic_order != order:
+            raise InternalCheckError(
+                f"closed form gives quotient order {decimal(order)} but the "
+                f"recursive decomposition gives {decimal(generic_order)}"
+            )
+        note = f"cross-check: recursive quotient decomposition agrees (order {decimal(order)})"
+    return _make_report(p, quotient_expr, order, method, (note,))
 
 
 def verify(

@@ -134,22 +134,18 @@ class MenClassRecord:
     interval: tuple[int, int, int, int] | None = None  # (a, p, t, n): class = <a> minus <a**(p**t)>, order(a) = p**n
 
 
-def classify_men_class(
-    g: FiniteGroup, members: tuple[int, ...], generators: Sequence[int] | None = None
-) -> MenClassRecord:
+def classify_men_class(g: FiniteGroup, members: tuple[int, ...]) -> MenClassRecord:
     """Classify one MEN class of power-graph vertices by the cyclic subgroups
     whose generator sets it merges; every class must fit one of the forms.
 
-    `generators`, the least generator of each merged subgroup, may be given
-    where they are known (a class of the cyclic-subgroup graph's quotient);
-    otherwise generator sets are peeled off the class one at a time."""
-    if generators is None:
-        rest, generators = {v + 1 for v in members}, []
-        while rest and (gens := g.gen_set(min(rest))) <= rest:
-            generators.append(min(gens))
-            rest -= gens
-        if rest:  # not a union of generator sets
-            generators = []
+    Generator sets are peeled off the class one at a time, least member
+    first, and the least generator of each is kept."""
+    rest, generators = {v + 1 for v in members}, []
+    while rest and (gens := g.gen_set(min(rest))) <= rest:
+        generators.append(min(gens))
+        rest -= gens
+    if rest:  # not a union of generator sets
+        generators = []
     chain = sorted(generators, key=g.element_order, reverse=True)
     if len(chain) == 1:
         return MenClassRecord(GENERATOR_CLASS, generator=chain[0])

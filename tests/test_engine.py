@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from pga import (
     CapExceeded,
+    InternalCheckError,
     Opaque,
     OracleCaps,
     Product,
@@ -205,6 +206,70 @@ def test_cross_check_note_present_for_closed_forms():
         assert any("cross-check" in note for note in report(spec).notes), spec
 
 
+def test_closed_form_weights_are_checked(monkeypatch):
+    # a wrong phi(d) predicts class weights the quotient does not have
+    import pga.engine
+
+    monkeypatch.setattr(pga.engine, "totient", lambda n: n)
+    with pytest.raises(InternalCheckError, match="cyclic-divisors"):
+        analyze("Z(6)")
+
+
+def test_closed_form_order_is_cross_checked(monkeypatch):
+    # a wrong tower for Z(4)^2 (S3 instead of S2 wr S3) keeps the right weights
+    import pga.engine
+
+    real = pga.engine._homocyclic_parts
+    monkeypatch.setattr(pga.engine, "_homocyclic_parts", lambda *a: (Sym(3), real(*a)[1]))
+    with pytest.raises(
+        InternalCheckError, match="quotient order 6 but the recursive decomposition gives 48"
+    ):
+        analyze("Z(4)^2")
+
+
+def test_capped_cross_check_is_skipped_with_a_note():
+    # the coprime route answers Ab[12,18]; the generic recursion meets a
+    # 44-node component with no fixed node, above the default cap of 40
+    r = analyze("Ab[12,18]")
+    assert r.method == "coprime-factors"
+    assert r.quotient_expr == expr_normalize(Product((Sym(3), Sym(3), Sym(2), Sym(2))))
+    assert r.notes == (
+        "cross-check skipped: order-only unavailable: a 44-node component needs brute "
+        "force (graph has 44 nodes, above the cap of 40)",
+    )
+
+
+def test_normalization_is_checked(monkeypatch):
+    # a normal form that loses a factor of the final product changes the order
+    import pga.engine
+
+    real = pga.engine.expr_normalize
+
+    def lossy(e):
+        e = real(e)
+        return Product(e.factors[1:]) if isinstance(e, Product) else e
+
+    monkeypatch.setattr(pga.engine, "expr_normalize", lossy)
+    with pytest.raises(InternalCheckError, match="normalization changed the expression order"):
+        analyze("Z(6)")
+
+
+def test_homocyclic_z2_10_evaluates_its_largest_factorial_three_times(monkeypatch):
+    # S1023 is the closed form's quotient part, the recursion's and the whole
+    # expression; each of those orders is evaluated once
+    real = math.factorial
+    calls = []
+
+    def counted(n):
+        if n == 1023:
+            calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(math, "factorial", counted)
+    analyze("Z(2)^10")
+    assert len(calls) <= 3
+
+
 def test_expression_strings():
     assert report("Z(6)").expression_str == "S2^2"
     assert report("Z(4)^2").expression_str == "(S2 wr S3) x S2^6"
@@ -341,6 +406,9 @@ def test_coprime_route_realizes_only_the_spec(spec, monkeypatch):
         ("P(Q8,Z(9))", ["Q8", "Z(9)"]),
         ("P(Dih(4),Z(5))", ["Dih(4)", "Z(5)"]),
         ("Ab[4,6,9]", ["Ab[2,4]", "Ab[3,9]"]),
+        ("Ab[2,3,5,7]", ["Z(2)", "Z(3)", "Z(5)", "Z(7)"]),  # four primes
+        ("P(Q8,Z(15))", ["Q8", "Z(3)", "Z(5)"]),  # a cyclic leaf of two primes
+        ("Ab[12,18]", ["Ab[2,4]", "Ab[3,9]"]),  # its cross-check is skipped
     ],
 )
 def test_coprime_route_matches_realized_sylow_subgroups(spec, sylows):
