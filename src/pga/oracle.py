@@ -44,7 +44,7 @@ The machinery is classic individualization-refinement:
     so that twins which move together stay together; and only then the one
     search (_search), which also finds isomorphisms and lists
     automorphisms: depth first down the individualization-refinement tree,
-    each node's own image tried first and every leaf's map checked in full.
+    each node's own image tried first and every leaf's map checked.
     A witness hands back only its moved pairs;
   * components are grouped by isomorphism after one refinement of the whole
     graph, comparing only components with equal colour multisets. That
@@ -54,13 +54,17 @@ The machinery is classic individualization-refinement:
     quotient recursion refines its graph once and hands each component its
     share of the colouring (_component_classes).
 
-Every guess and every found map is checked before it is trusted. An
-automorphism check compares only the rows of the nodes the map moves; an
-edge between two fixed nodes is its own image, so that is complete. Only a
-refinement mismatch or an exhausted search rules a candidate out, so a bad
-guess never lowers a count. No level is counted by a formula: each
-orbit it joins comes from one checked map, a twin level's from its
-transposition. Caps produce an explicit CapExceeded, never a guess.
+Every guess, every search leaf and every colour-forced component match is
+checked by one function (_carries) before it is trusted. A map is a dict of
+(node, image) pairs that fixes every other node; it passes when no two keys
+share an image and each key's weight and row are carried onto its image's.
+An automorphism must also be a permutation, its values being its keys, and
+is handed over as the pairs it moves: an edge between two fixed nodes is its
+own image, so comparing the moved rows is complete. Only a refinement
+mismatch or an exhausted search rules a candidate out, so a bad guess never
+lowers a count. No level is counted by a formula: each orbit it joins comes
+from one checked map, a twin level's from its transposition. Caps produce an
+explicit CapExceeded, never a guess.
 """
 
 from __future__ import annotations
@@ -424,8 +428,10 @@ def _search(
     symmetries move few nodes), then the rest in ascending order. A map
     sending x to y sends x's refinement onto y's cell by cell, so y is cut
     when a cell that either step changed or appended differs in size. When
-    pside is discrete, the map is checked in full. The stack is explicit, so
-    the depth is not bounded by Python's recursion limit. With `found`,
+    pside is discrete, the map is checked (_carries): the whole map between
+    two graphs, or only its moved pairs when src is dst, and in both cases
+    its values must be its keys, which makes it a permutation. The stack is
+    explicit, so the depth is not bounded by Python's recursion limit. With `found`,
     every map that passes goes to it and the search goes on, returning None.
     pside is left as it came in; uside is consumed.
     """
@@ -447,7 +453,8 @@ def _search(
             _individualize(src.adj, pcells, pcell_of, x, plog)
         else:
             perm = tuple(ucells[i].bit_length() - 1 for i in pcell_of)
-            if _is_automorphism(src, perm) if src is dst else _is_isomorphism(src, dst, perm):
+            pairs = _moved(perm) if src is dst else dict(enumerate(perm))
+            if pairs.keys() == set(pairs.values()) and _carries(src, dst, pairs):
                 if found is None:
                     for _, base, _, plog, _, _ in reversed(stack):
                         _undo(pcells, pcell_of, base, plog)
@@ -474,56 +481,32 @@ def _search(
                 break
 
 
-def _preserves(a: WeightedGraph, b: WeightedGraph, pairs: dict[int, int]) -> bool:
-    """True when the node map `pairs` from a to b is injective, keeps weights,
-    and carries each key's neighbourhood onto its image's neighbourhood, which
-    makes it an isomorphism between the unions of components it covers."""
-    if len(set(pairs.values())) != len(pairs):
-        return False
-    for u, w in pairs.items():
-        if a.weights[u] != b.weights[w]:
-            return False
-        image = 0
-        for v in _iter_bits(a.adj[u]):
-            if v not in pairs:
-                return False
-            image |= 1 << pairs[v]
-        if image != b.adj[w]:
-            return False
-    return True
+def _carries(a: WeightedGraph, b: WeightedGraph, pairs: dict[int, int]) -> bool:
+    """True when the node map that sends each key of `pairs` to its value, and
+    every other node of a to itself, gives no two keys one image and carries
+    each key's weight and row onto its image's in b.
 
-
-def _is_isomorphism(a: WeightedGraph, b: WeightedGraph, perm: Sequence[int]) -> bool:
-    if len(perm) != a.n or sorted(perm) != list(range(b.n)):
-        return False
-    return _preserves(a, b, dict(enumerate(perm)))
-
-
-def _is_automorphism(wg: WeightedGraph, perm: Sequence[int]) -> bool:
-    """True when perm is a weight- and adjacency-preserving bijection of wg.
-
-    Only the rows of moved nodes are compared. That is complete: an edge
-    between two fixed nodes is its own image, and every other edge or
-    non-edge lies in a moved row."""
-    if len(perm) != wg.n:
-        return False
-    moved = [v for v, w in enumerate(perm) if v != w]
+    Only the keys' rows are compared. For an automorphism, whose keys are the
+    nodes it moves and whose values are those keys again, that is complete:
+    an edge between two fixed nodes is its own image, and every other edge or
+    non-edge lies in a key's row. For a total map it is the whole check, and
+    for a map between components, whose rows never leave them, it decides
+    whether the map is an isomorphism between them."""
     support = images = 0
-    for v in moved:
+    for v, w in pairs.items():
         support |= 1 << v
-        images |= 1 << perm[v]
-    if images != support or images.bit_count() != len(moved):
+        images |= 1 << w
+    if images.bit_count() != len(pairs):
         return False
-    adj, weights = wg.adj, wg.weights
-    for v in moved:
-        w = perm[v]
-        if weights[v] != weights[w]:
+    adj, weights = a.adj, a.weights
+    for v, w in pairs.items():
+        if weights[v] != b.weights[w]:
             return False
         row = adj[v]
         image = row & ~support
         for x in _iter_bits(row & support):
-            image |= 1 << perm[x]
-        if image != adj[w]:
+            image |= 1 << pairs[x]
+        if image != b.adj[w]:
             return False
     return True
 
@@ -549,9 +532,9 @@ class _Orbits:
     def orbit(self, x: int) -> int:
         return self.mask[self.find(x)]
 
-    def join(self, pairs: Iterable[tuple[int, int]]) -> None:
+    def join(self, pairs: dict[int, int]) -> None:
         """Merge the classes of each moved node v and its image w."""
-        for v, w in pairs:
+        for v, w in pairs.items():
             ra, rb = self.find(v), self.find(w)
             if ra != rb:
                 if rb < ra:
@@ -560,23 +543,23 @@ class _Orbits:
                 self.mask[ra] |= self.mask[rb]
 
 
-def _guess(n: int, pcells: list[int], ucells: list[int], twins: Sequence[int]) -> tuple[int, ...]:
-    """The map that sends each pivot-side cell onto the u-side cell of the same
-    index, fixing every node both cells share and pairing the rest in twin
-    block order; a singleton cell's node is forced.
+def _guess(pcells: list[int], ucells: list[int], twins: Sequence[int]) -> dict[int, int]:
+    """The moved (node, image) pairs of the map that sends each pivot-side
+    cell onto the u-side cell of the same index, fixing every node both cells
+    share and pairing the rest in twin block order; a singleton cell's node
+    is forced. Every key leaves its cell, so none is its own image.
 
     Twin block order lists a mask's least node, then the rest of its twin
     class (_twins) inside the mask, and repeats. Pairing block with block
     keeps twins together: a twin class that must move as a whole, such as
     the pair {x, x^-1} of Z(4)^3, lands on one class rather than on the
     halves of two, where increasing order would split it."""
-    perm = list(range(n))
+    pairs: dict[int, int] = {}
     for a, b in zip(pcells, ucells):
         if a != b:
             common = a & b
-            for v, w in zip(_twin_blocks(a ^ common, twins), _twin_blocks(b ^ common, twins)):
-                perm[v] = w
-    return tuple(perm)
+            pairs.update(zip(_twin_blocks(a ^ common, twins), _twin_blocks(b ^ common, twins)))
+    return pairs
 
 
 def _twin_blocks(mask: int, twins: Sequence[int]) -> Iterator[int]:
@@ -598,8 +581,8 @@ def _transposes(wg: WeightedGraph, p: int, u: int) -> bool:
     return wg.weights[p] == wg.weights[u] and not (adj[p] ^ adj[u]) & ~(1 << p | 1 << u)
 
 
-def _moved(perm: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    return tuple((v, w) for v, w in enumerate(perm) if v != w)
+def _moved(perm: Sequence[int]) -> dict[int, int]:
+    return {v: w for v, w in enumerate(perm) if v != w}
 
 
 def _witness(
@@ -609,7 +592,7 @@ def _witness(
     p: int,
     u: int,
     twins: Sequence[int],
-) -> tuple[tuple[int, int], ...] | None:
+) -> dict[int, int] | None:
     """The moved (node, image) pairs of a checked automorphism that preserves
     the level's partition and maps p to u, or None when there is none.
 
@@ -618,21 +601,22 @@ def _witness(
     refinement of the level, whose cell sizes must equal those of p's
     (pivot_side) or u is ruled out, and one guess from the two, its nodes
     paired in the twin block order of `twins`, each node's twin mask
-    (_twins, _guess); the search from p's refinement onto u's (_search),
-    each node's own image first. An automorphism that maps p to u maps p's
+    (_twins, _guess), whose moved pairs must permute their keys and pass
+    _carries, so no fixed node's row is read; the search from p's refinement
+    onto u's (_search), each node's own image first. An automorphism that maps p to u maps p's
     refinement onto u's cell by cell, so only a size mismatch or an
     exhausted search rules u out.
     """
     if _transposes(wg, p, u):
-        return (p, u), (u, p)
+        return {p: u, u: p}
     pcells = pivot_side[0]
     ucells, ucell_of = list(level[0]), list(level[1])
     _individualize(wg.adj, ucells, ucell_of, u)
     if [c.bit_count() for c in ucells] != [c.bit_count() for c in pcells]:
         return None
-    perm = _guess(wg.n, pcells, ucells, twins)
-    if _is_automorphism(wg, perm):
-        return _moved(perm)
+    pairs = _guess(pcells, ucells, twins)
+    if pairs.keys() == set(pairs.values()) and _carries(wg, wg, pairs):
+        return pairs
     perm = _search(wg, wg, pivot_side, (ucells, ucell_of))
     return None if perm is None else _moved(perm)
 
@@ -824,7 +808,7 @@ def _component_classes(
         sub = None
         for cls in bucket:
             if forced:
-                same = _preserves(wg, wg, {v: cls.at[c] for v, c in zip(comp, cs)})
+                same = _carries(wg, wg, {v: cls.at[c] for v, c in zip(comp, cs)})
             else:
                 cls.sub = cls.sub or wg.subgraph(cls.nodes)
                 sub = sub or wg.subgraph(comp)

@@ -1,5 +1,7 @@
+import ast
 import math
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -249,6 +251,18 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _is_automorphism(wg, pairs):
+    """The oracle's automorphism check: (node, image) pairs that permute
+    their keys and pass the one map check."""
+    return pairs.keys() == set(pairs.values()) and oracle._carries(wg, wg, pairs)
+
+
+def _is_isomorphism(a, b, perm):
+    """The oracle's isomorphism check: a bijection that passes the one map
+    check as a total map."""
+    return sorted(perm) == list(range(b.n)) and oracle._carries(a, b, dict(enumerate(perm)))
+
+
 @pytest.mark.parametrize(
     "build", [lambda: empty(63), lambda: bundle("Z(2)^6").pg], ids=["empty(63)", "Z(2)^6"]
 )
@@ -289,7 +303,7 @@ def test_one_failed_search_rules_out_a_whole_orbit(monkeypatch):
     assert witnesses.count(None) == 1
     assert searches == []
     # every guess made was a witness, so the refinement ruled the candidate out
-    assert all(oracle._is_automorphism(wg, perm) for perm in guesses)
+    assert all(_is_automorphism(wg, pairs) for pairs in guesses)
 
 
 @pytest.mark.parametrize("spec", ["Sym(5)", "Dih(50)", "Z(2)^6", "Z(4)^3"])
@@ -315,7 +329,98 @@ def test_moved_rows_check_equals_full_check(wg, data):
         for v in range(wg.n)
         if u != v
     )
-    assert oracle._is_automorphism(wg, tuple(perm)) == full
+    assert _is_automorphism(wg, {v: w for v, w in enumerate(perm) if v != w}) == full
+
+
+@pytest.mark.parametrize("spec, count", [("Sym(5)", 28), ("Z(4)^3", 23)])
+def test_guesses_hand_back_only_moved_pairs(spec, count, monkeypatch):
+    # a guess names only the nodes it moves, so checking it reads no row of
+    # a fixed node and builds no map of every node
+    wg = bundle(spec).pg
+    guesses = _count_calls(monkeypatch, "_guess")
+    assert count_automorphisms(wg, OracleCaps(max_nodes=wg.n)) == report(spec).order
+    assert len(guesses) == count
+    assert all(v != w for pairs in guesses for v, w in pairs.items())
+
+
+def _carries_by_definition(a, b, pairs):
+    """The one map check from its definition: the map sends each key to its
+    value and every other node of a to itself; no two keys share an image,
+    and each key's weight and neighbour set go onto its image's in b."""
+    return len(set(pairs.values())) == len(pairs) and all(
+        a.weights[v] == b.weights[w]
+        and {pairs.get(x, x) for x in a.neighbors(v)} == set(b.neighbors(w))
+        for v, w in pairs.items()
+    )
+
+
+def _maps_onto(a, b, nodes, image):
+    """Brute force: image, on `nodes`, keeps every weight and every edge and
+    non-edge between two of them."""
+    return all(a.weights[v] == b.weights[image[v]] for v in nodes) and all(
+        a.has_edge(u, v) == b.has_edge(image[u], image[v]) for u in nodes for v in nodes if u != v
+    )
+
+
+@given(weighted_graphs(6), st.permutations(range(6)), st.data())
+@settings(max_examples=100, deadline=None)
+def test_one_map_check_matches_its_definition(wg, perm, data):
+    n = wg.n
+    # the moved pairs of a permutation, as a guess or a self-search leaf
+    # hands them over; automorphisms are drawn too, so both answers occur
+    autos = enumerate_automorphisms(wg)
+    auto = data.draw(st.one_of(st.permutations(range(n)), st.sampled_from(autos)))
+    moved = {v: w for v, w in enumerate(auto) if v != w}
+    full = _maps_onto(wg, wg, range(n), auto)
+    assert oracle._carries(wg, wg, moved) == _carries_by_definition(wg, wg, moved) == full
+    # any partial map, where two keys may share an image
+    nodes = st.integers(0, n - 1)
+    partial = data.draw(st.dictionaries(nodes, nodes, max_size=n))
+    assert oracle._carries(wg, wg, partial) == _carries_by_definition(wg, wg, partial)
+    # the total map onto a relabelled copy with up to two node pairs toggled,
+    # as an isomorphism leaf hands it over
+    relabel = [v for v in perm if v < n]
+    shuffled = wg.relabel(relabel)
+    edges = set(shuffled.edges())
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for pair in data.draw(st.lists(st.sampled_from(pairs), max_size=2)) if pairs else ():
+        edges ^= {pair}
+    other = WeightedGraph(n, edges, shuffled.weights)
+    total = data.draw(st.one_of(st.just(relabel), st.permutations(range(n))))
+    full = _maps_onto(wg, other, range(n), total)
+    total = dict(enumerate(total))
+    assert oracle._carries(wg, other, total) == _carries_by_definition(wg, other, total) == full
+    # one component onto another inside the disjoint union of the two, by
+    # stable colour: the colour-forced map where the colours are distinct
+    union = WeightedGraph(
+        2 * n, wg.edges() + [(u + n, v + n) for u, v in other.edges()], wg.weights + other.weights
+    )
+    colors = stable_colors(union)
+    comps = connected_components(union)
+    matches = [
+        (c, d)
+        for c in comps
+        for d in comps
+        if c != d and sorted(map(colors.__getitem__, c)) == sorted(map(colors.__getitem__, d))
+    ]
+    if matches:
+        c, d = data.draw(st.sampled_from(matches))
+        forced = dict(zip(sorted(c, key=colors.__getitem__), sorted(d, key=colors.__getitem__)))
+        full = _maps_onto(union, union, c, forced)
+        assert (
+            oracle._carries(union, union, forced)
+            == _carries_by_definition(union, union, forced)
+            == full
+        )
+
+
+def test_one_map_check_gives_no_two_keys_one_image():
+    # every row and weight agrees here, so only the image count rules it out
+    wg = WeightedGraph(4, [(0, 3), (1, 3), (2, 3)])
+    assert not oracle._carries(wg, wg, {0: 2, 1: 2})
+    assert oracle._carries(wg, wg, {0: 1, 1: 0})
+    assert _carries_by_definition(wg, wg, {0: 1, 1: 0})
+    assert not _carries_by_definition(wg, wg, {0: 2, 1: 2})
 
 
 @given(weighted_graphs(6))
@@ -323,9 +428,7 @@ def test_moved_rows_check_equals_full_check(wg, data):
 def test_two_row_transposition_check_equals_full_check(wg):
     for p in range(wg.n):
         for u in range(wg.n):
-            swap = list(range(wg.n))
-            swap[p], swap[u] = u, p
-            assert oracle._transposes(wg, p, u) == oracle._is_automorphism(wg, tuple(swap))
+            assert oracle._transposes(wg, p, u) == _is_automorphism(wg, {p: u, u: p})
 
 
 @st.composite
@@ -363,7 +466,7 @@ def test_search_matches_reference_on_shuffled_copies(wg, perm):
     # a shuffled copy is isomorphic, and the automorphisms listed are those
     # of a per-node search
     other = wg.relabel([v for v in perm if v < wg.n])
-    assert oracle._is_isomorphism(wg, other, find_isomorphism(wg, other))
+    assert _is_isomorphism(wg, other, find_isomorphism(wg, other))
     expected = []
     reference_search(wg, wg, _same_weight(wg, wg), expected.append)
     assert enumerate_automorphisms(wg) == sorted(expected)
@@ -382,7 +485,7 @@ def test_search_decides_isomorphism_as_the_reference(wg, perm, data):
     other = WeightedGraph(wg.n, edges, shuffled.weights)
     found = find_isomorphism(wg, other)
     assert (found is None) == (reference_search(wg, other, _same_weight(wg, other)) is None)
-    assert found is None or oracle._is_isomorphism(wg, other, found)
+    assert found is None or _is_isomorphism(wg, other, found)
 
 
 def test_search_leaves_the_pivot_side_as_it_came(monkeypatch):
@@ -418,7 +521,7 @@ def test_search_tries_each_node_itself_first(monkeypatch):
     # the path and its reversal: mapping every node to itself is the first
     # leaf, so one map is checked on 1,100 nodes
     path = WeightedGraph(1100, [(i, i + 1) for i in range(1099)])
-    leaves = _count_calls(monkeypatch, "_is_isomorphism")
+    leaves = _count_calls(monkeypatch, "_carries")
     reversal = path.relabel(range(1099, -1, -1))
     assert find_isomorphism(path, reversal, OracleCaps(max_nodes=1100)) == tuple(range(1100))
     assert leaves == [True]
@@ -667,3 +770,14 @@ def test_twin_levels_need_no_refinement(build, monkeypatch):
     assert guesses == [] and searches == []
     assert 0 < len(witnesses) <= wg.n - 1
     assert None not in witnesses
+
+
+def test_oracle_imports_nothing_from_pga():
+    # the oracle is the second route to every order the engine computes, so
+    # it must not lean on the first: no relative import and no pga module
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and node.module.split(".")[0] != "pga"
+        elif isinstance(node, ast.Import):
+            assert all(alias.name.split(".")[0] != "pga" for alias in node.names)
