@@ -25,22 +25,30 @@ product takes the lcm of its factors' orders, digit by digit, and checks it
 with one power of the product. Cyclic subgroups and generator sets are read
 off a few rows of powers. Instances are immutable and thread-safe.
 
-Every group is checked when it is built: element 0 must be a two-sided
-identity and every element must have a two-sided inverse, and power(x, 2)
-must equal mul(x, x). For orders up to 200 the product, on its full n x n
-grid, must also be associative. The check is Light's test (Clifford and
-Preston, *The Algebraic Theory of Semigroups* I, 1961, section 1.2): the
-elements a with (ab)c = a(bc) for all b and c are closed under products, so
-it suffices that they include a generating set. Each constructor passes the
-generators it knows (1 for Z(n); r and s for Dih(n); (0 1) and (0 1 ... n-1)
-for Sym(n); i and j for Q8; each factor's, embedded, for a direct product);
-the check first proves, by closure under products, that they generate the
-group, and then tests them against every pair b, c, about |S| n**2 products
-where the exhaustive test takes n**3. A table given without generators, or
-a group small enough for one block of the test (n**3 <= 2**16), has every
-element tested. Larger groups only arise here as Z(n), Dih(n) or direct
-products of checked factors; above 200 elements an arithmetic group checks
-identity and inverses on its n elements alone.
+Every leaf group, Z(n), Dih(n), Sym(n) or Q8, is built and checked once per
+process: within the default order cap, `realize` takes it from a small cache
+keyed by its spec, so the factors of every product share one checked
+instance (a leaf whose check fails is not cached). A leaf's check: element 0
+must be a two-sided identity and every element must have a two-sided
+inverse, and power(x, 2) must equal mul(x, x). For orders up to 200 the
+product, on its full n x n grid, must also be associative. The check is
+Light's test (Clifford and Preston, *The Algebraic Theory of Semigroups* I,
+1961, section 1.2): the elements a with (ab)c = a(bc) for all b and c are
+closed under products, so it suffices that they include a generating set.
+Each constructor passes the generators it knows (1 for Z(n); r and s for
+Dih(n); (0 1) and (0 1 ... n-1) for Sym(n); i and j for Q8); the check first
+proves, by closure under products, that they generate the group, and then
+tests them against every pair b, c, about |S| n**2 products where the
+exhaustive test takes n**3. A table given without generators, or a group
+small enough for one block of the test (n**3 <= 2**16), has every element
+tested. Above 200 elements, Z(n) and Dih(n) check identity and inverses on
+their n elements alone.
+
+A direct product is checked through its factors: they were checked when
+they were built (a factor built unchecked is checked by the product), so it
+suffices that its digit table numbers the elements one to one, and that
+power(x, 2) equals mul(x, x) on its n elements. Its product is then the
+factors' products carried through a bijection, which is a group.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, permutations
 from typing import Union
 
@@ -140,12 +148,6 @@ class CyclicSpec:
 class HomocyclicSpec:
     q: int  # prime power p**m
     copies: int  # >= 2; Z(q)^1 normalizes to CyclicSpec(q)
-
-    @property
-    def prime_power(self) -> tuple[int, int]:
-        pp = is_prime_power(self.q)
-        assert pp is not None
-        return pp
 
 
 @dataclass(frozen=True)
@@ -314,16 +316,19 @@ class FiniteGroup:
 
     `generators`, when given, are element indices that generate the group.
 
-    Every group is checked when it is built. For orders up to 200, and for
-    every table, the product on the full n x n grid (the table itself) must
-    have element 0 as a two-sided identity and a two-sided inverse for every
-    element. For orders up to 200 it must also be associative, by Light's
-    test: for n**3 > 2**16 and given generators S, a closure under products
-    first proves that S generates the grid (a ValueError otherwise), and then
-    (sb)c = s(bc) is checked for every s in S and all b, c; otherwise every
-    element is checked as s, which is the exhaustive test. An arithmetic group
-    above 200 elements checks identity and inverses on its n elements through
-    `mul`, x**(n-1) being x's inverse. Every group also checks
+    Every group is checked when it is built, unless built with check=False;
+    `realize` builds each leaf (Z(n), Dih(n), Sym(n), Q8) once per process.
+    For orders up to 200, and for every table, the product on the full n x n
+    grid (the table itself) must have element 0 as a two-sided identity and a
+    two-sided inverse for every element. For orders up to 200 it must also be
+    associative, by Light's test: for n**3 > 2**16 and given generators S, a
+    closure under products first proves that S generates the grid (a
+    ValueError otherwise), and then (sb)c = s(bc) is checked for every s in S
+    and all b, c; otherwise every element is checked as s, which is the
+    exhaustive test. Z(n) and Dih(n) above 200 elements check identity and
+    inverses on their n elements through `mul`, x**(n-1) being x's inverse.
+    A direct product is checked through its factors and its numbering of the
+    elements instead (_ProductGroup._validate). Every group also checks
     power(x, 2) == mul(x, x) for every x, so that a closed-form power cannot
     drift away from the checked product.
     """
@@ -358,6 +363,7 @@ class FiniteGroup:
         self.generators = None if generators is None else tuple(generators)
         if len(self.labels) != self.size:
             raise ValueError("one label per element is required")
+        self._checked = check
         if check:
             self._validate()
 
@@ -372,6 +378,10 @@ class FiniteGroup:
                 raise ValueError("some element has no two-sided inverse")
         else:
             self._validate_grid(self.table if self.table is not None else self.mul(idx[:, None], idx))
+        self._validate_square()
+
+    def _validate_square(self) -> None:
+        idx = np.arange(self.size, dtype=np.int32)
         if (self.power(idx, 2) != self.mul(idx, idx)).any():
             raise ValueError("power(x, 2) differs from the product x * x")
 
@@ -616,6 +626,20 @@ class _ProductGroup(FiniteGroup):
         labels = [f"({a},{b}" for a in factors[0].labels for b in tail]
         self._setup(n, labels, description, generators, True)
 
+    def _validate(self) -> None:
+        """The factors are groups, each checked when it was built or here if
+        it was built unchecked; if the digit table numbers the elements one
+        to one (digits in range, and x the number of its own digits), `mul`
+        is the factors' product carried through that bijection, a group."""
+        for g in self.factors:
+            if not g._checked:
+                g._validate()
+        digits = self._digit_table
+        in_range = ((digits >= 0) & (digits < [g.size for g in self.factors])).all()
+        if not in_range or not np.array_equal(self._number(digits.T), np.arange(self.size)):
+            raise ValueError("the digit table does not number the elements one to one")
+        self._validate_square()
+
     def _number(self, digits):
         """The element indices whose digits are `digits`, one array per factor."""
         return sum(d * stride for d, stride in zip(digits, self._strides))
@@ -713,6 +737,25 @@ def _quaternion_group() -> FiniteGroup:
     return FiniteGroup(table, labels, "Q8", generators=(2, 4))  # i and j
 
 
+@lru_cache(maxsize=64)
+def _leaf(spec: CyclicSpec | DihedralSpec | SymmetricSpec | QuaternionSpec) -> FiniteGroup:
+    """The group of a leaf spec, built and checked on its first use in a
+    process. Groups are immutable, so every later use shares the instance,
+    its check and its lazily built orders and power rows; a spec whose check
+    raises is not cached, and raises again on its next use. 64 leaves hold
+    a corpus of small groups (Z(2)-Z(28), Dih(1)-Dih(14), Sym(n) and Q8 are
+    45). realize keeps only the leaves of groups within the default order
+    cap, so a kept leaf holds at most 2,000 labels and orders, or Sym(5)'s
+    120 x 120 table."""
+    if isinstance(spec, CyclicSpec):
+        return _CyclicGroup(spec.n)
+    if isinstance(spec, DihedralSpec):
+        return _DihedralGroup(spec.n)
+    if isinstance(spec, SymmetricSpec):
+        return _symmetric_group(spec.n)
+    return _quaternion_group()
+
+
 def realize(spec: GroupSpec | str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     """Build the group a spec describes; rejects orders above max_order."""
     if isinstance(spec, str):
@@ -722,19 +765,14 @@ def realize(spec: GroupSpec | str, max_order: int = DEFAULT_MAX_ORDER) -> Finite
         raise SpecError(
             f"group order {order} exceeds the configured maximum {max_order}"
         )
+    leaf = _leaf if order <= DEFAULT_MAX_ORDER else _leaf.__wrapped__
+    if isinstance(spec, (CyclicSpec, DihedralSpec, SymmetricSpec, QuaternionSpec)):
+        return leaf(spec)
     description = render_group_spec(spec)
-    if isinstance(spec, CyclicSpec):
-        return _CyclicGroup(spec.n)
     if isinstance(spec, HomocyclicSpec):
-        return direct_product([_CyclicGroup(spec.q)] * spec.copies, description)
+        return direct_product([leaf(CyclicSpec(spec.q))] * spec.copies, description)
     if isinstance(spec, AbelianSpec):
-        return direct_product([_CyclicGroup(d) for d in spec.orders], description)
-    if isinstance(spec, SymmetricSpec):
-        return _symmetric_group(spec.n)
-    if isinstance(spec, DihedralSpec):
-        return _DihedralGroup(spec.n)
-    if isinstance(spec, QuaternionSpec):
-        return _quaternion_group()
+        return direct_product([leaf(CyclicSpec(d)) for d in spec.orders], description)
     if isinstance(spec, ProductSpec):
         left = realize(spec.left, max_order)
         right = realize(spec.right, max_order)

@@ -150,9 +150,6 @@ class WeightedGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def neighbors(self, v: int) -> Iterator[int]:
         return _iter_bits(self.adj[v])
 

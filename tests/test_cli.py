@@ -12,6 +12,7 @@ import pytest
 import pga
 from pga import InternalCheckError, expr_order, parse_expr
 from pga.cli import run
+from pga.groups import _leaf
 
 
 def test_analyze_text(capsys):
@@ -285,6 +286,27 @@ def test_corpus_runs_every_spec_and_exits_with_the_most_severe_code(tmp_path, ca
     target = tmp_path / "out.txt"
     assert run(["verify", "--corpus", str(corpus), "--max-nodes", "2", "--out", str(target)]) == 3
     assert capsys.readouterr().out == "" and not target.exists()
+
+
+SHARED_LEAF_SPECS = ["Z(12)", "Ab[12]", "P(Z(12),Sym(3))", "Sym(3)", "P(Sym(3),Sym(3))", "Z(2)^3", "Ab[2,2,2]"]
+
+
+@pytest.mark.parametrize("specs", [SHARED_LEAF_SPECS, SHARED_LEAF_SPECS[::-1]])
+def test_shared_leaf_groups_never_change_an_answer(specs, tmp_path, capsys):
+    # a corpus reuses the leaf groups of earlier specs; each separate run
+    # starts with none cached
+    corpus = tmp_path / "groups.txt"
+    corpus.write_text("\n".join(specs) + "\n")
+    _leaf.cache_clear()
+    assert run(["analyze", "--corpus", str(corpus), "--format", "json"]) == 0
+    together = json.loads(capsys.readouterr().out)
+    apart = []
+    for spec in specs:
+        _leaf.cache_clear()
+        assert run(["analyze", "--group", spec, "--format", "json"]) == 0
+        apart.append(json.loads(capsys.readouterr().out))
+    assert together == apart
+    assert [d["spec"] for d in together] == specs
 
 
 def test_outputs_are_deterministic(tmp_path, capsys):

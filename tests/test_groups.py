@@ -27,6 +27,9 @@ from pga.groups import (
     HomocyclicSpec,
     ProductSpec,
     QuaternionSpec,
+    _CyclicGroup,
+    _leaf,
+    _ProductGroup,
     unit_generators,
 )
 from pga.powergraph import cyclic_subgroup_graph
@@ -51,7 +54,7 @@ def test_parse_cyclic():
 def test_parse_homocyclic():
     spec = parse_group_spec("Z(4)^2")
     assert spec == HomocyclicSpec(4, 2)
-    assert spec.prime_power == (2, 2)
+    assert is_prime_power(spec.q) == (2, 2)
 
 
 def test_parse_rejects_non_prime_power_base():
@@ -320,7 +323,7 @@ def test_constructor_generators_generate_the_group(spec):
 def test_product_embeds_every_element_of_a_factor_without_generators():
     z7, dih4 = realize("Z(7)"), realize("Dih(4)")
     bare = FiniteGroup(table_of(z7), z7.labels, "Z(7)")
-    g = direct_product([bare, dih4], "P(Z(7),Dih(4))")  # 56 elements: generators checked
+    g = direct_product([bare, dih4], "P(Z(7),Dih(4))")  # the factors' generators, embedded
     assert sorted(g.generators) == sorted([8 * x for x in range(7)] + list(dih4.generators))
 
 
@@ -515,6 +518,113 @@ def test_product_orders_are_confirmed_by_a_product_power(spec, monkeypatch):
     monkeypatch.setattr(g, "power", lambda x, k: x)  # every power a wrong answer
     with pytest.raises(ValueError, match="factors' orders"):
         g.orders
+
+
+def test_a_product_is_checked_through_its_leaves_once(monkeypatch):
+    calls = {"_validate": [], "_validate_grid": [], "product": []}
+
+    def count(cls, name, log):
+        original = getattr(cls, name)
+
+        def counted(self, *args):
+            log.append(self.description)
+            return original(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    count(FiniteGroup, "_validate", calls["_validate"])
+    count(FiniteGroup, "_validate_grid", calls["_validate_grid"])
+    count(_ProductGroup, "_validate", calls["product"])
+    first, second = analyze("Ab[2,2,3]"), analyze("Ab[2,2,3]")
+    assert first == second
+    assert calls == {
+        "_validate": ["Z(2)", "Z(3)"],
+        "_validate_grid": ["Z(2)", "Z(3)"],
+        "product": ["Ab[2,2,3]", "Ab[2,2,3]"],
+    }
+
+
+def _plant_reversed_strides(g):
+    g._strides = g._strides[::-1]
+
+
+def _plant_swapped_digits(g):
+    g._digit_table = g._digit_table[[0, 2, 1, *range(3, len(g._digit_table))]]
+
+
+def _plant_digit_out_of_range(g):
+    # (0, 3) numbers 3 like (1, 1) does, but 3 is not an element of Z(2)
+    table = g._digit_table.copy()
+    table[3] = (0, 3)
+    g._digit_table = table
+
+
+@pytest.mark.parametrize(
+    "plant", [_plant_reversed_strides, _plant_swapped_digits, _plant_digit_out_of_range]
+)
+def test_a_product_whose_digits_misnumber_its_elements_is_rejected(plant):
+    class Planted(_ProductGroup):
+        def _setup(self, *args):
+            plant(self)
+            super()._setup(*args)
+
+    z2, z3 = realize("Z(2)"), realize("Z(3)")
+    factors = [z2, z2] if plant is _plant_digit_out_of_range else [z2, z3]
+    with pytest.raises(ValueError, match="one to one"):
+        Planted(factors, "planted")
+    assert direct_product(factors, "fine").size == 2 * factors[1].size
+
+
+def test_a_product_checks_an_unchecked_factor():
+    # a latin square with an identity that is not associative
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    bare = FiniteGroup(np.array(loop), tuple("eabcd"), "loop5", check=False)
+    with pytest.raises(ValueError, match="associative"):
+        direct_product([bare, realize("Z(2)")], "P(loop5,Z(2))")
+    with pytest.raises(ValueError, match="associative"):
+        direct_product([realize("Z(3)"), bare], "P(Z(3),loop5)")
+    z5 = FiniteGroup(table_of(realize("Z(5)")), realize("Z(5)").labels, "Z(5)", check=False)
+    assert direct_product([z5, realize("Z(2)")], "P(Z(5),Z(2))").size == 10
+
+
+def test_equal_leaf_specs_give_one_group():
+    for text in ("Z(12)", "Dih(6)", "Sym(4)", "Q8"):
+        assert realize(text) is realize(parse_group_spec(text)) is realize(text)
+    z2 = realize("Z(2)")
+    assert realize("Z(2)^3").factors == (z2, z2, z2)
+    assert realize("Ab[2,3]").factors[0] is z2
+    assert realize("P(Z(2),Q8)").factors == (z2, realize("Q8"))
+
+
+@pytest.mark.parametrize("order", [("Ab[12]", "Z(12)"), ("Z(12)", "Ab[12]")])
+def test_a_one_factor_product_renames_a_copy_of_the_cached_leaf(order):
+    groups = [realize(text) for text in order]
+    assert [g.description for g in groups] == list(order)
+    assert groups[0] is not groups[1]
+    assert [realize(text).description for text in order] == list(order)
+
+
+def test_a_leaf_whose_check_raises_is_not_cached(monkeypatch):
+    monkeypatch.setattr(_CyclicGroup, "mul", lambda self, a, b: (a + b + 1) % self.size)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="identity"):
+            realize("Z(5)")
+    assert _leaf.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert realize("Z(5)").size == 5
+
+
+def test_the_leaf_cache_is_bounded():
+    assert _leaf.cache_info().maxsize == 64
+    for n in range(1, 81):
+        realize(f"Z({n})")
+    assert _leaf.cache_info().currsize == 64
+    # a group above the default order cap keeps none of its leaves
+    _leaf.cache_clear()
+    for text in ("Z(2100)", "Z(2100)", "Ab[2,1050]", "Z(2)^12"):
+        assert realize(text, max_order=4096).size > 2000
+    assert _leaf.cache_info().currsize == 0
+    assert realize("Z(2100)", max_order=2100) is not realize("Z(2100)", max_order=2100)
 
 
 def _table_groups():
