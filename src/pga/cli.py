@@ -10,12 +10,18 @@ verification mismatch, 3 oracle caps exceeded (result unknown). A corpus runs
 every spec, writes the finished results in input order (with --format json,
 as one list however many finish) and exits with the most severe code: 2,
 then 3, then 1.
+
+Every file the CLI writes (export's JSON and DOT files, the --out file of
+analyze and verify) is written as UTF-8 text. An existing file is overwritten
+in place and cut to the new length; a new file is created as before. A write
+that fails exits 1 and may leave the new bytes followed by old ones.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -140,6 +146,20 @@ def _slug(spec: str) -> str:
     return out.strip("_")
 
 
+def _write_text(path: Path | str, text: str) -> None:
+    """Path.write_text without O_TRUNC: cutting a file that holds data to zero
+    before writing costs a discard on a volume mounted with `discard`, so the
+    file is overwritten in place and cut at the end of the new bytes when it
+    was longer. A new file, a device or a pipe has size 0 and is never cut (a
+    device or a pipe could not be)."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8") as f:
+        old_size = os.fstat(fd).st_size
+        f.write(text)
+        if old_size and old_size > (end := f.tell()):
+            os.ftruncate(fd, end)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -171,15 +191,15 @@ def cmd_export(spec: str, args: argparse.Namespace, caps: OracleCaps) -> tuple[i
     written = []
     json_path = out_dir / f"{slug}.json"
     payload = json.dumps(report_to_json_dict(report), indent=2, sort_keys=True)
-    json_path.write_text(payload + "\n", encoding="utf-8")
+    _write_text(json_path, payload + "\n")
     written.append(json_path)
     if "power-graph" in targets:
         p = out_dir / f"{slug}.power.dot"
-        p.write_text(power_graph_dot(report.pipeline.pg), encoding="utf-8")
+        _write_text(p, power_graph_dot(report.pipeline.pg))
         written.append(p)
     if "quotient" in targets:
         p = out_dir / f"{slug}.quotient.dot"
-        p.write_text(quotient_dot(report.pipeline.q, report), encoding="utf-8")
+        _write_text(p, quotient_dot(report.pipeline.q, report))
         written.append(p)
     return EXIT_OK, "".join(f"wrote {p}\n" for p in written)
 
@@ -276,7 +296,7 @@ def run(argv: list[str] | None = None) -> int:
         output = "\n".join(outputs)
     if args.out:
         try:
-            Path(args.out).write_text(output, encoding="utf-8")
+            _write_text(args.out, output)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return max(worst, EXIT_SPEC_ERROR, key=_SEVERITY.index)

@@ -329,6 +329,49 @@ def test_out_file_for_analyze(tmp_path, capsys):
     assert json.loads(target.read_text())["order_decimal"] == "4"
 
 
+_Q8_EXPORT = ("Q8.json", "Q8.power.dot", "Q8.quotient.dot")
+
+
+@pytest.mark.parametrize("stale", ["longer", "shorter"])
+def test_export_over_stale_files_equals_a_fresh_export(tmp_path, capsys, stale):
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+    assert run(["export", "--group", "Q8", "--out", str(fresh)]) == 0
+    old.mkdir()
+    for name in _Q8_EXPORT:
+        size = (fresh / name).stat().st_size
+        junk = b"junk\n" * size if stale == "longer" else b"{}\n"
+        assert (len(junk) > size) == (stale == "longer")
+        (old / name).write_bytes(junk)
+    assert run(["export", "--group", "Q8", "--out", str(old)]) == 0
+    capsys.readouterr()
+    for name in _Q8_EXPORT:
+        assert (old / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_out_file_over_a_longer_report_is_cut(tmp_path, capsys):
+    target = tmp_path / "report.txt"
+    assert run(["analyze", "--group", "Sym(4)", "--out", str(target)]) == 0
+    old_size = target.stat().st_size
+    assert run(["analyze", "--group", "Z(6)", "--out", str(target)]) == 0
+    assert run(["analyze", "--group", "Z(6)"]) == 0
+    expected = capsys.readouterr().out
+    assert len(expected.encode()) < old_size
+    assert target.read_text(encoding="utf-8") == expected
+
+
+def test_out_to_a_device_is_written_uncut(capsys):
+    assert run(["analyze", "--group", "Z(6)", "--out", os.devnull]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_export_onto_a_directory_is_a_spec_error(tmp_path, capsys):
+    (tmp_path / "Z_6.json").mkdir()
+    assert run(["export", "--group", "Z(6)", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_module_entry_point():
     # run the same pga the tests import, installed or not
     src = str(Path(pga.__file__).resolve().parents[1])
