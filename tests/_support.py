@@ -21,6 +21,7 @@ from pga import (
     parse_group_spec,
     pipeline,
     realize,
+    spec_order,
 )
 from pga.groups import AbelianSpec, CyclicSpec, DihedralSpec, HomocyclicSpec, ProductSpec
 
@@ -83,6 +84,21 @@ LARGE_SPECS = (
 # the specs whose reports tests/golden_reports.json freezes
 GOLDEN_SPECS = tuple(
     dict.fromkeys(CORPUS + SMALL_GROUP_SPECS + COPRIME_NONABELIAN_SPECS + LARGE_SPECS)
+)
+
+
+# the product sweep, frozen by tests/golden_sweep.json: every P(A,B) of order
+# <= 2000 over these 21 small groups, 438 specs
+SWEEP_GROUPS = (
+    "Z(2)", "Z(3)", "Z(4)", "Z(5)", "Z(6)", "Z(7)", "Z(8)", "Z(9)", "Z(12)",
+    "Z(2)^2", "Z(3)^2", "Z(2)^3", "Z(4)^2", "Sym(3)", "Sym(4)", "Sym(5)",
+    "Dih(4)", "Dih(5)", "Dih(6)", "Q8", "Ab[2,4]",
+)
+PRODUCT_SPECS = tuple(
+    f"P({a},{b})"
+    for a in SWEEP_GROUPS
+    for b in SWEEP_GROUPS
+    if spec_order(parse_group_spec(f"P({a},{b})")) <= 2000
 )
 
 
