@@ -8,7 +8,6 @@ them, so a weighted K2 with distinct weights is rigid.
 
 from pga import (
     WeightedGraph,
-    are_isomorphic,
     count_automorphisms,
     enumerate_automorphisms,
     find_isomorphism,
@@ -29,7 +28,7 @@ print(f"\nK2 with weights (1,2): {enumerate_automorphisms(rigid)} (weights block
 path_a = WeightedGraph(4, [(0, 1), (1, 2), (2, 3)], weights=(1, 2, 2, 1))
 path_b = WeightedGraph(4, [(3, 2), (2, 1), (1, 0)], weights=(1, 2, 2, 1))
 witness = find_isomorphism(path_a, path_b)
-print(f"\nweighted paths isomorphic: {are_isomorphic(path_a, path_b)}, witness {witness}")
+print(f"\nweighted paths isomorphic: {witness is not None}, witness {witness}")
 
 star = WeightedGraph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
 print(f"\nstar K(1,4) orbits: {vertex_orbits(star)}  (center fixed, leaves one orbit)")

@@ -10,7 +10,6 @@ from pga import (
     analyze,
     build_power_graph,
     build_quotient,
-    classify_men_class,
     men_partition,
     realize,
     render_expr,
@@ -25,19 +24,17 @@ for v in range(pg.n_vertices):
     nbrs = ", ".join(g.labels[u + 1] for u in pg.neighbors(v))
     print(f"  {g.labels[v + 1]:>2} -- {nbrs}")
 
-mp = men_partition(pg)
+# the report names how each class arises in the group
+report = analyze("Q8")
 print("\nclasses with one shared closed neighborhood each:")
-for members in mp.classes:
-    record = classify_men_class(g, members)
-    names = ", ".join(g.labels[v + 1] for v in members)
-    print(f"  {{{names}}}  ({record.kind})")
+for c in report.classes:
+    print(f"  {{{', '.join(c.members)}}}  ({c.kind})")
 
-q = build_quotient(pg, mp)
+q = build_quotient(pg, men_partition(pg))
 print(f"\nquotient: {q.n_nodes} nodes, {q.edge_count} edges")
 print("the weight-1 node {-1} is adjacent to all three weight-2 nodes,")
 print("which are pairwise nonadjacent: a star whose leaves can be permuted.")
 
-report = analyze("Q8")
 print(f"\nquotient automorphisms: {render_expr(report.quotient_expr)}")
 print(f"full expression:        {report.expression_str}")
 print(f"exact order:            {report.order}")

@@ -9,6 +9,8 @@ brute-force search oracle for vertex-weighted graphs.
 """
 
 from .engine import (
+    CYCLIC_INTERVAL,
+    GENERATOR_CLASS,
     AutReport,
     ClassSummary,
     Pipeline,
@@ -50,8 +52,6 @@ from .oracle import (
     CapExceeded,
     OracleCaps,
     WeightedGraph,
-    are_isomorphic,
-    component_classes,
     connected_components,
     count_automorphisms,
     enumerate_automorphisms,
@@ -60,17 +60,7 @@ from .oracle import (
     vertex_orbits,
 )
 from .powergraph import PowerGraph, build_power_graph
-from .quotient import (
-    CYCLIC_INTERVAL,
-    GENERATOR_CLASS,
-    MenClassRecord,
-    MenPartition,
-    QuotientGraph,
-    build_quotient,
-    classify_men_class,
-    men_partition,
-    reconstruct_order,
-)
+from .quotient import MenPartition, QuotientGraph, build_quotient, men_partition
 
 __all__ = [
     "AutReport",
@@ -83,7 +73,6 @@ __all__ = [
     "GroupExpr",
     "GroupSpec",
     "InternalCheckError",
-    "MenClassRecord",
     "MenPartition",
     "Opaque",
     "OracleCaps",
@@ -98,11 +87,8 @@ __all__ = [
     "WeightedGraph",
     "Wreath",
     "analyze",
-    "are_isomorphic",
     "build_power_graph",
     "build_quotient",
-    "classify_men_class",
-    "component_classes",
     "connected_components",
     "count_automorphisms",
     "decimal",
@@ -120,7 +106,6 @@ __all__ = [
     "pipeline",
     "quotient_aut",
     "realize",
-    "reconstruct_order",
     "render_expr",
     "render_group_spec",
     "spec_order",

@@ -6,7 +6,7 @@ class are interchangeable). The quotient part is computed by one recursion on
 weighted graphs:
 
   * connected components are grouped by weighted-graph isomorphism (the
-    oracle's `component_classes`); each group of m copies contributes the
+    oracle's `_component_classes`); each group of m copies contributes the
     wreath product of one copy's group by Sym(m);
   * inside a component, every node alone in its cell of the stable colour
     refinement is fixed by every automorphism (equitable-partition cells are
@@ -41,6 +41,11 @@ MEN quotient, is built once, by `pipeline`, and passed to every route; the
 report carries it, so `verify` and the CLI export reuse it. The quotient comes
 from the graph of cyclic subgroups; the power graph is built on first use of
 `Pipeline.pg` and must give the same classes and weights.
+
+Every report says how each MEN class arises (`_summarize_classes`): as the
+generator set of one cyclic subgroup, or as an interval of the subgroup
+chain of a cyclic p-group. A class of neither form fails the report with an
+InternalCheckError.
 """
 
 from __future__ import annotations
@@ -94,15 +99,7 @@ from .oracle import (
     stable_colors,
 )
 from .powergraph import PowerGraph, build_power_graph, cyclic_subgroup_graph
-from .quotient import (
-    CYCLIC_INTERVAL,
-    GENERATOR_CLASS,
-    QuotientGraph,
-    _intervals,
-    _unclassifiable,
-    build_quotient,
-    men_partition,
-)
+from .quotient import QuotientGraph, build_quotient, men_partition
 
 METHOD_COMPLETE = "complete-graph"
 METHOD_CYCLIC = "cyclic-divisors"
@@ -246,6 +243,38 @@ def _component_aut(cg: WeightedGraph, colors: Sequence[int], caps: OracleCaps) -
 # ---------------------------------------------------------------------------
 # report assembly
 
+# how a MEN class arises: as the generator set of one cyclic subgroup, or as
+# an interval of the subgroup chain of a cyclic group of prime-power order
+GENERATOR_CLASS = "generator-class"
+CYCLIC_INTERVAL = "cyclic-interval"
+
+
+def _intervals(g: FiniteGroup, chains: Sequence[Sequence[int]]) -> list[bool]:
+    """Whether each chain is a cyclic interval.
+
+    A chain lists the least generators of t >= 2 subgroups by decreasing
+    order; it is an interval when the orders are p**n, ..., p**(n-t+1), each
+    of index p in the one before, and every member is a power of the head
+    a, the class then being <a> minus <a**(p**t)>. Subgroups of the cyclic
+    p-group <a> form a chain, so each member is then a power of the one
+    before. One table of the powers of all heads decides every containment."""
+    if not chains:
+        return []
+    heads = np.array([c[0] for c in chains], dtype=np.int32)
+    rows = g.power_rows(heads, int(g.orders[heads].max()))
+    owner = np.repeat(np.arange(len(chains)), list(map(len, chains)))
+    inside = (rows[:, owner] == np.concatenate(chains)).any(axis=0).tolist()
+    out = []
+    end = 0
+    for c in chains:
+        start, end = end, end + len(c)
+        orders = list(map(g.element_order, c))
+        pp = is_prime_power(orders[0])
+        out.append(pp is not None and all(inside[start:end]) and all(
+            a == pp[0] * b for a, b in zip(orders, orders[1:])
+        ))
+    return out
+
 
 def _summarize_classes(p: Pipeline) -> tuple[ClassSummary, ...]:
     g, classes = p.g, p.q.members
@@ -266,8 +295,11 @@ def _summarize_classes(p: Pipeline) -> tuple[ClassSummary, ...]:
         first = np.unique(orders[starts[c]:ends[c]], return_index=True)[1]
         chains.append(elements[starts[c] + first[::-1]].tolist())
     for c, interval in zip(mixed, _intervals(g, chains)):
-        if interval is None:
-            raise _unclassifiable(classes[c])
+        if not interval:
+            raise InternalCheckError(
+                f"MEN class {sorted(classes[c])} fits neither classification form; "
+                "this falsifies a structural assumption the engine relies on"
+            )
         kinds[c] = CYCLIC_INTERVAL
     flat = list(map(g.labels.__getitem__, elements.tolist()))
     members = map(tuple, map(flat.__getitem__, map(slice, starts, ends)))

@@ -69,7 +69,8 @@ class InternalCheckError(RuntimeError):
     """A structural self-check failed.
 
     Raised when two routes that must agree (a closed form and the recursive
-    decomposition, a partition and its quotient, a reconstructed order and a
-    computed one) disagree. This always means a bug or a falsified structural
-    assumption, never bad user input.
+    decomposition, a partition and its quotient, the power graph's classes
+    and the cyclic-subgroup graph's) disagree, or when a MEN class fits
+    neither classification form. This always means a bug or a falsified
+    structural assumption, never bad user input.
     """

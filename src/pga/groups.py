@@ -22,8 +22,7 @@ of every element's digits built once; they store no multiplication table,
 so no n x n array is built for them. Z(n) and Dih(n) find element orders
 from a few closed-form powers (each order divides the group order); a direct
 product takes the lcm of its factors' orders, digit by digit, and checks it
-with one power of the product. Cyclic subgroups and generator sets are read
-off a few rows of powers. Instances are immutable and thread-safe.
+with one power of the product. Instances are immutable and thread-safe.
 
 Every leaf group, Z(n), Dih(n), Sym(n) or Q8, is built and checked once per
 process: within the default order cap, `realize` takes it from a small cache
@@ -302,9 +301,8 @@ class FiniteGroup:
 
     Everything is read through two vectorized operations on int32 index
     arrays: `mul(a, b)`, the elementwise (broadcast) product, and
-    `power(x, k)`. Element orders, power rows, cyclic subgroups, generator
-    sets, commutativity and centralizers are built on those two. Two forms
-    supply them:
+    `power(x, k)`. Element orders and rows of powers are built on those two.
+    Two forms supply them:
 
     - a table group, this class built from its n x n multiplication table
       (table[a, b] is the index of a*b): Sym(n), Q8 and any table passed in.
@@ -476,13 +474,6 @@ class FiniteGroup:
         return rows, orders, math.lcm(*set(orders.tolist()))
 
     @cached_property
-    def is_abelian(self) -> bool:
-        # abelian exactly when every generator commutes with every element
-        x = np.arange(self.size, dtype=np.int32)
-        s = (x if self.generators is None else np.array(self.generators, dtype=np.int32))[:, None]
-        return bool((self.mul(s, x) == self.mul(x, s)).all())
-
-    @cached_property
     def orders(self) -> np.ndarray:
         """orders[x]: the least k >= 1 with x**k the identity.
 
@@ -508,13 +499,6 @@ class FiniteGroup:
         orders.flags.writeable = False
         return orders
 
-    @cached_property
-    def powers(self) -> np.ndarray:
-        """powers[k, x] = x**k for 0 <= k <= m, the largest element order."""
-        out = self.power_rows(np.arange(self.size, dtype=np.int32), int(self.orders.max()))
-        out.flags.writeable = False
-        return out
-
     def power_rows(self, x: np.ndarray, m: int) -> np.ndarray:
         """Rows 0..m (m >= 1) of the powers of the int32 elements x:
         out[k, i] = x[i]**k.
@@ -533,24 +517,6 @@ class FiniteGroup:
 
     def element_order(self, x: int) -> int:
         return int(self.orders[x])
-
-    def _own_powers(self, x: int) -> np.ndarray:
-        """x**k for 0 <= k <= order(x)."""
-        return self.power_rows(np.array([x], dtype=np.int32), int(self.orders[x]))[:, 0]
-
-    def cyclic_subgroup(self, x: int) -> frozenset[int]:
-        """All powers of x, identity included."""
-        return frozenset(self._own_powers(x).tolist())
-
-    def gen_set(self, x: int) -> frozenset[int]:
-        """The generators of the cyclic subgroup of x; size totient(order(x))."""
-        powers = self._own_powers(x)
-        ks = np.arange(1, len(powers))
-        return frozenset(powers[ks[np.gcd(ks, ks[-1]) == 1]].tolist())
-
-    def centralizer_size(self, x: int) -> int:
-        y = np.arange(self.size, dtype=np.int32)
-        return int((self.mul(x, y) == self.mul(y, x)).sum())
 
 
 class _CyclicGroup(FiniteGroup):

@@ -147,14 +147,8 @@ class WeightedGraph:
     def __repr__(self) -> str:
         return f"WeightedGraph(n={self.n}, edges={self.edge_count}, weights={self.weights})"
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
     def neighbors(self, v: int) -> Iterator[int]:
         return _iter_bits(self.adj[v])
-
-    def closed_mask(self, v: int) -> int:
-        return self.adj[v] | (1 << v)
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in _iter_bits(self.adj[u]) if v > u]
@@ -162,16 +156,6 @@ class WeightedGraph:
     def subgraph(self, nodes: Sequence[int]) -> "WeightedGraph":
         nodes = sorted(nodes)
         return _induced(self, nodes, [self.weights[v] for v in nodes])
-
-    def relabel(self, perm: Sequence[int]) -> "WeightedGraph":
-        """New graph with node i renamed to perm[i]."""
-        if sorted(perm) != list(range(self.n)):
-            raise ValueError("relabeling must be a permutation of the nodes")
-        weights = [0] * self.n
-        for i, w in enumerate(self.weights):
-            weights[perm[i]] = w
-        edges = [(perm[u], perm[v]) for u, v in self.edges()]
-        return WeightedGraph(self.n, edges, weights)
 
 
 def _induced(wg: WeightedGraph, nodes: Sequence[int], weights: Sequence[int]) -> WeightedGraph:
@@ -752,29 +736,14 @@ class _ComponentClass:
         self.nodes, self.at, self.sub, self.count = nodes, at, sub, 1
 
 
-def component_classes(
-    wg: WeightedGraph, caps: OracleCaps | None = None
-) -> list[tuple[WeightedGraph, int]]:
-    """Connected components grouped by isomorphism: one (representative, count)
-    per class, in order of first appearance; the representative is the class's
-    first component as a subgraph, or the graph itself when it is connected.
-
-    The whole graph is colour-refined once. Isomorphic components have equal
-    multisets of stable colours, which also fix their sizes, weights and edge
-    counts (colours refine weight and degree), so a component is compared
-    only with the representatives of its multiset. When its colours are
-    pairwise distinct, the colour-matching bijection is the only candidate
-    and is checked directly; otherwise find_isomorphism decides, so the node
-    cap applies only to components it compares.
-    """
-    return [(rep, count) for rep, _, count in _component_classes(wg, stable_colors(wg), caps)]
-
-
 def _component_classes(
     wg: WeightedGraph, colors: Sequence[int], caps: OracleCaps | None
 ) -> list[tuple[WeightedGraph, Sequence[int], int]]:
-    """component_classes for a graph whose stable colouring is `colors`, each
-    representative with that colouring restricted to its nodes.
+    """Connected components grouped by isomorphism, for a graph whose stable
+    colouring is `colors`: one (representative, its colours, count) per
+    class, in order of first appearance. The representative is the class's
+    first component as a subgraph, or the graph itself when it is connected,
+    and its colours are `colors` restricted to its nodes.
 
     The restriction is the component's own stable colouring, up to the
     numbering of the colours: a node's stable colour is decided by the
@@ -782,6 +751,14 @@ def _component_classes(
     component, so two nodes of one component share a colour in the whole
     graph exactly when they share one in the component alone. Colours are
     only compared for equality, so the numbering does not matter.
+
+    Isomorphic components have equal multisets of stable colours, which also
+    fix their sizes, weights and edge counts (colours refine weight and
+    degree), so a component is compared only with the representatives of
+    its multiset. When its colours are pairwise distinct, the
+    colour-matching bijection is the only candidate and is checked directly;
+    otherwise find_isomorphism decides, so the node cap applies only to
+    components it compares.
     """
     comps = connected_components(wg)
     if len(comps) == 1:
@@ -820,12 +797,6 @@ def _component_classes(
         (cls.sub or wg.subgraph(cls.nodes), [colors[v] for v in cls.nodes], cls.count)
         for cls in classes
     ]
-
-
-def are_isomorphic(
-    a: WeightedGraph, b: WeightedGraph, caps: OracleCaps | None = None
-) -> bool:
-    return find_isomorphism(a, b, caps) is not None
 
 
 def vertex_orbits(wg: WeightedGraph, caps: OracleCaps | None = None) -> list[list[int]]:

@@ -42,18 +42,8 @@ class PowerGraph(WeightedGraph):
     def n_vertices(self) -> int:
         return self.n
 
-    @property
-    def vertices(self) -> range:
-        """The element indices carried by the vertices (identity excluded)."""
-        return range(1, self.group.size)
-
     def element_of(self, v: int) -> int:
         return v + 1
-
-    def vertex_of(self, element: int) -> int:
-        if element < 1 or element >= self.group.size:
-            raise ValueError(f"element {element} is not a vertex")
-        return element - 1
 
     def to_weighted_graph(self) -> WeightedGraph:
         return self

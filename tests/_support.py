@@ -13,11 +13,14 @@ import numpy as np
 from hypothesis import strategies as st
 
 from pga import (
+    CYCLIC_INTERVAL,
+    GENERATOR_CLASS,
     AutReport,
     FiniteGroup,
     Pipeline,
     WeightedGraph,
     analyze,
+    is_prime_power,
     parse_group_spec,
     pipeline,
     realize,
@@ -165,7 +168,16 @@ def planted_twins(draw):
             edges += [(v, w) for v in new for w in new if v < w]
         blocks.append(new)
     perm = draw(st.permutations(range(len(weights))))
-    return WeightedGraph(len(weights), edges, weights).relabel(perm)
+    return relabel(WeightedGraph(len(weights), edges, weights), perm)
+
+
+def relabel(wg: WeightedGraph, perm) -> WeightedGraph:
+    """The graph with node i renamed to perm[i]."""
+    assert sorted(perm) == list(range(wg.n)), "relabeling must be a permutation of the nodes"
+    weights = [0] * wg.n
+    for i, w in enumerate(wg.weights):
+        weights[perm[i]] = w
+    return WeightedGraph(wg.n, [(perm[u], perm[v]) for u, v in wg.edges()], weights)
 
 
 def naive_count(wg: WeightedGraph) -> int:
@@ -175,7 +187,7 @@ def naive_count(wg: WeightedGraph) -> int:
         if any(wg.weights[perm[v]] != wg.weights[v] for v in range(wg.n)):
             continue
         if all(
-            wg.has_edge(u, v) == wg.has_edge(perm[u], perm[v])
+            (wg.adj[u] >> v & 1) == (wg.adj[perm[u]] >> perm[v] & 1)
             for u in range(wg.n)
             for v in range(u + 1, wg.n)
         ):
@@ -203,7 +215,7 @@ def reference_search(src, dst, allowed, found=None):
             mapping[best] = u
             nxt = list(masks)
             for w in rest:
-                near = src.has_edge(best, w)
+                near = src.adj[best] >> w & 1
                 nxt[w] &= dst.adj[u] if near else ~(dst.adj[u] | 1 << u)
             if all(nxt[w] for w in rest) and dfs(nxt, rest):
                 return True
@@ -347,6 +359,69 @@ def is_group_table(table) -> bool:
     return bool((table[table] == table[:, table]).all())  # [a,b,c]: (ab)c, a(bc)
 
 
+# naive references for the group-theoretic lemmas, built from g.mul alone:
+# repeated products, one at a time, never the group's own rows of powers
+
+
+def naive_powers(g: FiniteGroup, x: int) -> list[int]:
+    """[x**1, x**2, ..., the identity], one product at a time."""
+    out = [x]
+    while out[-1] != 0:
+        out.append(int(g.mul(out[-1], x)))
+    return out
+
+
+def cyclic_subgroup(g: FiniteGroup, x: int) -> frozenset[int]:
+    """All powers of x, identity included."""
+    return frozenset(naive_powers(g, x))
+
+
+def gen_set(g: FiniteGroup, x: int) -> frozenset[int]:
+    """The generators of <x>: the x**k with k coprime to order(x)."""
+    powers = naive_powers(g, x)
+    return frozenset(y for k, y in enumerate(powers, 1) if math.gcd(k, len(powers)) == 1)
+
+
+def centralizer_size(g: FiniteGroup, x: int) -> int:
+    return sum(g.mul(x, y) == g.mul(y, x) for y in range(g.size))
+
+
 def maximal_cyclic_subgroups(g: FiniteGroup) -> list[frozenset[int]]:
-    subs = {g.cyclic_subgroup(x) for x in range(g.size)}
+    subs = {cyclic_subgroup(g, x) for x in range(g.size)}
     return [s for s in subs if not any(s < t for t in subs)]
+
+
+def peel_class(g: FiniteGroup, members) -> str | None:
+    """How a class of power-graph vertices arises, found by peeling generator
+    sets off it, least member first: GENERATOR_CLASS when it is one generator
+    set, CYCLIC_INTERVAL when it is those of a chain of cyclic subgroups of
+    prime-power orders, each of index p in the one before, and None when it
+    is neither."""
+    rest, subgroups = {v + 1 for v in members}, []
+    while rest:
+        x = min(rest)
+        gens = gen_set(g, x)
+        if not gens <= rest:
+            return None
+        subgroups.append(cyclic_subgroup(g, x))
+        rest -= gens
+    if len(subgroups) == 1:
+        return GENERATOR_CLASS
+    chain = sorted(subgroups, key=len, reverse=True)
+    pp = is_prime_power(len(chain[0]))
+    if pp is not None and all(b < a and len(a) == pp[0] * len(b) for a, b in zip(chain, chain[1:])):
+        return CYCLIC_INTERVAL
+    return None
+
+
+def reconstructed_order(g: FiniteGroup, mp, x: int) -> int:
+    """1 plus the weights of the MEN classes of power-graph vertices inside
+    <x>, which must be a union of whole classes once the identity is taken
+    out (it is for an element of largest order in its class)."""
+    inside = {y - 1 for y in cyclic_subgroup(g, x) if y != 0}
+    total = 0
+    for members, weight in zip(mp.classes, mp.weights):
+        hit = inside.intersection(members)
+        assert len(hit) in (0, len(members)), f"class {members} straddles the cyclic subgroup of {x}"
+        total += weight if hit else 0
+    return 1 + total

@@ -10,23 +10,31 @@ import random
 import time
 
 from pga import (
-    CYCLIC_INTERVAL,
-    GENERATOR_CLASS,
     Product,
     Sym,
     Wreath,
-    classify_men_class,
     count_automorphisms,
     enumerate_automorphisms,
     expr_normalize,
     expr_order,
     men_partition,
-    reconstruct_order,
     vertex_orbits,
 )
 from pga.engine import _homocyclic_parts
 
-from _support import CORPUS, EXPECTED_ORDER, bundle, maximal_cyclic_subgroups, report
+from _support import (
+    CORPUS,
+    EXPECTED_ORDER,
+    bundle,
+    centralizer_size,
+    cyclic_subgroup,
+    gen_set,
+    maximal_cyclic_subgroups,
+    peel_class,
+    reconstructed_order,
+    relabel,
+    report,
+)
 
 FULL_ORACLE_NODE_CAP = 40
 FULL_ORACLE_COUNT_CAP = 10_000_000
@@ -134,14 +142,14 @@ def test_criterion_06_coprime_product_route():
 
 
 def test_criterion_07_every_class_classifies():
-    neither = 0
     total = 0
     for spec in CORPUS:
         b = bundle(spec)
-        for members in men_partition(b.pg).classes:
+        # the report's kinds, against peeling generator sets off each class
+        kinds = [c.kind for c in report(spec).classes]
+        for members, kind in zip(men_partition(b.pg).classes, kinds, strict=True):
             total += 1
-            record = classify_men_class(b.g, members)  # raises on NEITHER
-            assert record.kind in (GENERATOR_CLASS, CYCLIC_INTERVAL)
+            assert peel_class(b.g, members) == kind, (spec, members)
     _report_line(7, True, f"{total} classes over {len(CORPUS)} groups, zero unclassified")
 
 
@@ -152,19 +160,19 @@ def test_criterion_08_generator_class_properties():
         class_sets = {frozenset(v + 1 for v in c) for c in men_partition(b.pg).classes}
         # non-prime-power centralizer order forces the generator set to be a class
         for x in range(1, b.g.size):
-            size = b.g.centralizer_size(x)
+            size = centralizer_size(b.g, x)
             if len({p for p in _prime_factors(size)}) >= 2:
-                if b.g.gen_set(x) not in class_sets:
+                if gen_set(b.g, x) not in class_sets:
                     violations.append((spec, "centralizer", x))
         # maximal cyclic subgroup with a larger centralizer: every nontrivial
         # member's generator set is a class
         for sub in maximal_cyclic_subgroups(b.g):
             if len(sub) < 2:
                 continue
-            a = next(x for x in sorted(sub) if b.g.cyclic_subgroup(x) == sub)
-            if b.g.centralizer_size(a) != len(sub):
+            a = next(x for x in sorted(sub) if cyclic_subgroup(b.g, x) == sub)
+            if centralizer_size(b.g, a) != len(sub):
                 for x in sorted(sub - {0}):
-                    if b.g.gen_set(x) not in class_sets:
+                    if gen_set(b.g, x) not in class_sets:
                         violations.append((spec, "maximal-cyclic", x))
     _report_line(8, not violations, f"violations: {violations or 'none'}")
 
@@ -188,9 +196,10 @@ def test_criterion_09_order_reconstruction():
     for spec in CORPUS:
         b = bundle(spec)
         mp = men_partition(b.pg)
-        for cid, members in enumerate(mp.classes):
-            expected = max(b.g.element_order(v + 1) for v in members)
-            assert reconstruct_order(b.g, mp, cid) == expected, (spec, cid)
+        for members in mp.classes:
+            # the cyclic subgroup of a class's element of largest order
+            x = max((v + 1 for v in members), key=b.g.element_order)
+            assert reconstructed_order(b.g, mp, x) == b.g.element_order(x), (spec, members)
             checked += 1
     _report_line(9, True, f"{checked} classes reconstructed exactly")
 
@@ -216,7 +225,7 @@ def test_criterion_11_oracle_self_consistency():
             for _ in range(3):
                 perm = list(range(wg.n))
                 rng.shuffle(perm)
-                assert count_automorphisms(wg.relabel(perm)) == base, spec
+                assert count_automorphisms(relabel(wg, perm)) == base, spec
             if base <= 50_000:
                 assert len(enumerate_automorphisms(wg)) == base, spec
     _report_line(11, True, "counts relabeling-invariant; enumerations match counts")

@@ -10,8 +10,6 @@ from pga import (
     CapExceeded,
     OracleCaps,
     WeightedGraph,
-    are_isomorphic,
-    component_classes,
     connected_components,
     count_automorphisms,
     enumerate_automorphisms,
@@ -22,8 +20,8 @@ from pga import (
 from pga import oracle
 
 from _support import (
-    bundle, naive_count, planted_twins, reference_search, reference_split, report, traced_peak,
-    weighted_graphs,
+    bundle, naive_count, planted_twins, reference_search, reference_split, relabel, report,
+    traced_peak, weighted_graphs,
 )
 
 
@@ -71,9 +69,9 @@ def test_enumerate_deterministic_and_sorted():
 
 
 def test_isomorphism_examples():
-    assert are_isomorphic(K(2, (2, 2)), K(2, (2, 2)))
-    assert not are_isomorphic(K(2), empty(2))
-    assert not are_isomorphic(K(2, (1, 2)), K(2, (1, 1)))
+    assert find_isomorphism(K(2, (2, 2)), K(2, (2, 2))) is not None
+    assert find_isomorphism(K(2), empty(2)) is None
+    assert find_isomorphism(K(2, (1, 2)), K(2, (1, 1))) is None
 
 
 def test_isomorphism_witness_is_valid():
@@ -84,7 +82,7 @@ def test_isomorphism_witness_is_valid():
     for u in range(4):
         assert b.weights[witness[u]] == a.weights[u]
         for v in range(u + 1, 4):
-            assert a.has_edge(u, v) == b.has_edge(witness[u], witness[v])
+            assert (a.adj[u] >> v & 1) == (b.adj[witness[u]] >> witness[v] & 1)
 
 
 def test_quotient_components_of_z4_squared_pairwise_isomorphic():
@@ -93,7 +91,7 @@ def test_quotient_components_of_z4_squared_pairwise_isomorphic():
     assert len(comps) == 3
     for a in comps:
         for b in comps:
-            assert are_isomorphic(a, b)
+            assert find_isomorphism(a, b) is not None
 
 
 def test_vertex_orbits_examples():
@@ -169,7 +167,7 @@ def test_count_matches_naive_and_enumeration(wg):
 def test_count_invariant_under_relabeling(wg, rng):
     perm = list(range(wg.n))
     rng.shuffle(perm)
-    assert count_automorphisms(wg.relabel(perm)) == count_automorphisms(wg)
+    assert count_automorphisms(relabel(wg, perm)) == count_automorphisms(wg)
 
 
 @given(weighted_graphs(6))
@@ -232,10 +230,10 @@ def test_orbits_agree_with_enumeration(wg):
 def test_subgraph_and_relabel():
     wg = WeightedGraph(4, [(0, 1), (2, 3)], (1, 2, 3, 4))
     sub = wg.subgraph([2, 3])
-    assert sub.n == 2 and sub.weights == (3, 4) and sub.has_edge(0, 1)
-    back = wg.relabel([3, 2, 1, 0])
+    assert sub.n == 2 and sub.weights == (3, 4) and sub.adj[0] >> 1 & 1
+    back = relabel(wg, [3, 2, 1, 0])
     assert back.weights == (4, 3, 2, 1)
-    assert back.has_edge(3, 2) and back.has_edge(0, 1)
+    assert back.adj[3] >> 2 & 1 and back.adj[0] >> 1 & 1
 
 
 def _count_calls(monkeypatch, name):
@@ -324,7 +322,7 @@ def test_moved_rows_check_equals_full_check(wg, data):
     autos = enumerate_automorphisms(wg)
     perm = data.draw(st.one_of(st.permutations(range(wg.n)), st.sampled_from(autos)))
     full = all(wg.weights[perm[v]] == wg.weights[v] for v in range(wg.n)) and all(
-        wg.has_edge(u, v) == wg.has_edge(perm[u], perm[v])
+        (wg.adj[u] >> v & 1) == (wg.adj[perm[u]] >> perm[v] & 1)
         for u in range(wg.n)
         for v in range(wg.n)
         if u != v
@@ -358,7 +356,7 @@ def _maps_onto(a, b, nodes, image):
     """Brute force: image, on `nodes`, keeps every weight and every edge and
     non-edge between two of them."""
     return all(a.weights[v] == b.weights[image[v]] for v in nodes) and all(
-        a.has_edge(u, v) == b.has_edge(image[u], image[v]) for u in nodes for v in nodes if u != v
+        (a.adj[u] >> v & 1) == (b.adj[image[u]] >> image[v] & 1) for u in nodes for v in nodes if u != v
     )
 
 
@@ -379,14 +377,14 @@ def test_one_map_check_matches_its_definition(wg, perm, data):
     assert oracle._carries(wg, wg, partial) == _carries_by_definition(wg, wg, partial)
     # the total map onto a relabelled copy with up to two node pairs toggled,
     # as an isomorphism leaf hands it over
-    relabel = [v for v in perm if v < n]
-    shuffled = wg.relabel(relabel)
+    image = [v for v in perm if v < n]
+    shuffled = relabel(wg, image)
     edges = set(shuffled.edges())
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for pair in data.draw(st.lists(st.sampled_from(pairs), max_size=2)) if pairs else ():
         edges ^= {pair}
     other = WeightedGraph(n, edges, shuffled.weights)
-    total = data.draw(st.one_of(st.just(relabel), st.permutations(range(n))))
+    total = data.draw(st.one_of(st.just(image), st.permutations(range(n))))
     full = _maps_onto(wg, other, range(n), total)
     total = dict(enumerate(total))
     assert oracle._carries(wg, other, total) == _carries_by_definition(wg, other, total) == full
@@ -440,7 +438,7 @@ def graphs_with_twins(draw):
     for v in draw(st.lists(st.integers(0, base.n - 1), min_size=1, max_size=4)):
         clone = len(weights)
         weights.append(weights[v])
-        edges += [(clone, w) for w in range(base.n) if base.has_edge(v, w)]
+        edges += [(clone, w) for w in range(base.n) if base.adj[v] >> w & 1]
         if draw(st.booleans()):
             edges.append((v, clone))
     return WeightedGraph(len(weights), edges, weights)
@@ -465,7 +463,7 @@ def _same_weight(a, b):
 def test_search_matches_reference_on_shuffled_copies(wg, perm):
     # a shuffled copy is isomorphic, and the automorphisms listed are those
     # of a per-node search
-    other = wg.relabel([v for v in perm if v < wg.n])
+    other = relabel(wg, [v for v in perm if v < wg.n])
     assert _is_isomorphism(wg, other, find_isomorphism(wg, other))
     expected = []
     reference_search(wg, wg, _same_weight(wg, wg), expected.append)
@@ -477,7 +475,7 @@ def test_search_matches_reference_on_shuffled_copies(wg, perm):
 def test_search_decides_isomorphism_as_the_reference(wg, perm, data):
     # a shuffled copy with up to two node pairs toggled may or may not be
     # isomorphic; both searches must agree on which
-    shuffled = wg.relabel([v for v in perm if v < wg.n])
+    shuffled = relabel(wg, [v for v in perm if v < wg.n])
     edges = set(shuffled.edges())
     pairs = [(i, j) for i in range(wg.n) for j in range(i + 1, wg.n)]
     for pair in data.draw(st.lists(st.sampled_from(pairs), max_size=2)) if pairs else ():
@@ -522,14 +520,14 @@ def test_search_tries_each_node_itself_first(monkeypatch):
     # leaf, so one map is checked on 1,100 nodes
     path = WeightedGraph(1100, [(i, i + 1) for i in range(1099)])
     leaves = _count_calls(monkeypatch, "_carries")
-    reversal = path.relabel(range(1099, -1, -1))
+    reversal = relabel(path, range(1099, -1, -1))
     assert find_isomorphism(path, reversal, OracleCaps(max_nodes=1100)) == tuple(range(1100))
     assert leaves == [True]
     # with nodes 0 and 2 swapped, each other node is its own first image, so
     # the swap itself is found; ascending order alone would move three nodes
     swapped = (2, 1, 0, 3, 4, 5)
     edgeless = WeightedGraph(6, [], (2, 1, 1, 1, 1, 1))
-    assert find_isomorphism(edgeless, edgeless.relabel(swapped)) == swapped
+    assert find_isomorphism(edgeless, relabel(edgeless, swapped)) == swapped
 
 
 def test_deep_search_has_no_recursion_limit():
@@ -537,7 +535,7 @@ def test_deep_search_has_no_recursion_limit():
     caps = OracleCaps(max_nodes=1100)
     assert find_isomorphism(WeightedGraph(1100), WeightedGraph(1100), caps) == tuple(range(1100))
     path = WeightedGraph(1100, [(i, i + 1) for i in range(1099)])
-    assert find_isomorphism(path, path.relabel(range(1099, -1, -1)), caps) == tuple(range(1100))
+    assert find_isomorphism(path, relabel(path, range(1099, -1, -1)), caps) == tuple(range(1100))
 
 
 def _disjoint_copies(wg, copies):
@@ -588,6 +586,11 @@ def _described(classes):
     return [(rep.n, rep.weights, rep.edges(), count) for rep, count in classes]
 
 
+def component_classes(wg, caps=None):
+    """The engine's component grouping, (representative, count) per class."""
+    return [(rep, count) for rep, _, count in oracle._component_classes(wg, stable_colors(wg), caps)]
+
+
 def _shuffled_union(parts, isolated, rng):
     """The disjoint union of the parts, some repeated, and of isolated nodes
     of the weights in `isolated`, with the nodes shuffled."""
@@ -599,7 +602,7 @@ def _shuffled_union(parts, isolated, rng):
         weights += part.weights
     perm = list(range(len(weights)))
     rng.shuffle(perm)
-    return WeightedGraph(len(weights), edges, weights).relabel(perm)
+    return relabel(WeightedGraph(len(weights), edges, weights), perm)
 
 
 def _cells(colors):
@@ -725,7 +728,7 @@ def _twin_levels(wg):
             1 << w
             for w in range(wg.n)
             if wg.weights[w] == wg.weights[v]
-            and (wg.adj[w] == wg.adj[v] or wg.closed_mask(w) == wg.closed_mask(v))
+            and (wg.adj[w] == wg.adj[v] or (wg.adj[w] | 1 << w) == (wg.adj[v] | 1 << v))
         )
     cells, cell_of = oracle._equitable(wg.adj, wg.weights)
     levels = 0

@@ -3,7 +3,6 @@ import pytest
 from pga import (
     CYCLIC_INTERVAL,
     GENERATOR_CLASS,
-    FiniteGroup,
     InternalCheckError,
     MenPartition,
     Pipeline,
@@ -11,16 +10,16 @@ from pga import (
     analyze,
     build_power_graph,
     build_quotient,
-    classify_men_class,
     men_partition,
     pipeline,
     realize,
-    reconstruct_order,
 )
 from pga.engine import _summarize_classes
 from pga.powergraph import cyclic_subgroup_graph
 
-from _support import CORPUS, GOLDEN_SPECS, bundle, report
+from _support import (
+    CORPUS, GOLDEN_SPECS, bundle, cyclic_subgroup, gen_set, peel_class, reconstructed_order, report,
+)
 
 
 def _power_partition(spec):
@@ -54,8 +53,8 @@ def test_quotient_z6_shape():
     assert b.q.n_nodes == 3
     assert b.q.weights == (2, 2, 1)
     gen_node = 0  # class of the generators
-    assert b.q.closed_mask(gen_node) == 0b111
-    assert not b.q.has_edge(1, 2)
+    assert (b.q.adj[gen_node] | 1 << gen_node) == 0b111
+    assert not (b.q.adj[1] >> 2 & 1)
 
 
 def _partition(classes):
@@ -71,7 +70,7 @@ def test_quotient_rows_are_representative_rows_and_checked():
         for i, ci in enumerate(classes):
             for j, cj in enumerate(classes):
                 if i != j:
-                    assert b.q.has_edge(i, j) == b.pg.has_edge(ci[0], cj[0]), spec
+                    assert (b.q.adj[i] >> j & 1) == (b.pg.adj[ci[0]] >> cj[0] & 1), spec
     # Z(6): vertices 0, 4 are generators, 1, 3 have order 3, 2 is the involution
     pg = bundle("Z(6)").pg
     for classes in (
@@ -141,41 +140,47 @@ def test_quotient_q8_apex_pattern():
     b = bundle("Q8")
     assert sorted(b.q.weights) == [1, 2, 2, 2]
     apex = b.q.weights.index(1)
-    assert b.q.closed_mask(apex) == 0b1111
+    assert (b.q.adj[apex] | 1 << apex) == 0b1111
     others = [i for i in range(4) if i != apex]
     for i in others:
         for j in others:
             if i != j:
-                assert not b.q.has_edge(i, j)
+                assert not (b.q.adj[i] >> j & 1)
 
 
 def test_classify_generator_class_z6():
     b = bundle("Z(6)")
-    rec = classify_men_class(b.g, _power_partition("Z(6)").classes[0])
-    assert rec.kind == GENERATOR_CLASS
-    assert rec.generator == 1
+    members = _power_partition("Z(6)").classes[0]
+    assert report("Z(6)").classes[0].kind == peel_class(b.g, members) == GENERATOR_CLASS
+    assert {v + 1 for v in members} == gen_set(b.g, 1)
 
 
 def test_classify_interval_z4():
     b = bundle("Z(4)")
-    rec = classify_men_class(b.g, _power_partition("Z(4)").classes[0])
-    assert rec.kind == CYCLIC_INTERVAL
-    assert rec.interval == (1, 2, 2, 2)  # whole chain <g> minus the identity
+    members = _power_partition("Z(4)").classes[0]
+    assert report("Z(4)").classes[0].kind == peel_class(b.g, members) == CYCLIC_INTERVAL
+    assert {v + 1 for v in members} == cyclic_subgroup(b.g, 1) - {0}  # whole chain <g> minus the identity
 
 
 def test_classify_interval_z8():
     b = bundle("Z(8)")
-    rec = classify_men_class(b.g, _power_partition("Z(8)").classes[0])
-    assert rec.kind == CYCLIC_INTERVAL
-    assert rec.interval == (1, 2, 3, 3)
+    members = _power_partition("Z(8)").classes[0]
+    assert report("Z(8)").classes[0].kind == peel_class(b.g, members) == CYCLIC_INTERVAL
+    assert {v + 1 for v in members} == cyclic_subgroup(b.g, 1) - {0}
 
 
 def test_classify_gen_class_q8():
     b = bundle("Q8")
-    i_class = next(c for c in _power_partition("Q8").classes if b.g.labels[c[0] + 1] == "i")
-    rec = classify_men_class(b.g, i_class)
-    assert rec.kind == GENERATOR_CLASS
-    assert b.g.labels[rec.generator] == "i"
+    i = b.g.labels.index("i")
+    cid, members = next((k, c) for k, c in enumerate(_power_partition("Q8").classes) if i - 1 in c)
+    assert report("Q8").classes[cid].kind == peel_class(b.g, members) == GENERATOR_CLASS
+    assert {v + 1 for v in members} == gen_set(b.g, i)
+
+
+def _summarize_union(g, members):
+    """The report's summaries of a quotient whose first class is `members`."""
+    rest = tuple(v for v in range(g.size - 1) if v not in members)
+    return _summarize_classes(Pipeline(g, QuotientGraph((members, rest), [], (len(members), len(rest)))))
 
 
 def test_classify_rejects_other_unions():
@@ -185,8 +190,9 @@ def test_classify_rejects_other_unions():
         (z6, (1, 2, 3)),  # <2> and <3>: neither contains the other
         (z8, (0, 2, 3, 4, 6)),  # <1> and <4>: index 4, not 2
     ):
+        assert peel_class(g, members) is None
         with pytest.raises(InternalCheckError, match="fits neither"):
-            classify_men_class(g, members)
+            _summarize_union(g, members)
 
 
 def test_report_rejects_the_unions_classify_rejects():
@@ -195,15 +201,12 @@ def test_report_rejects_the_unions_classify_rejects():
     # interval, but (1, 0) is no power of (0, 1)
     for spec, members in (("Z(6)", (1, 2, 3)), ("Z(8)", (0, 2, 3, 4, 6)), ("Ab[2,4]", (0, 2, 3))):
         g = bundle(spec).g
-        with pytest.raises(InternalCheckError, match="fits neither"):
-            classify_men_class(g, members)
-        rest = tuple(v for v in range(g.size - 1) if v not in members)
-        q = QuotientGraph((members, rest), [], (len(members), len(rest)))
+        assert peel_class(g, members) is None
         with pytest.raises(InternalCheckError, match=rf"MEN class \[{', '.join(map(str, members))}\] fits neither"):
-            _summarize_classes(Pipeline(g, q))
+            _summarize_union(g, members)
 
 
-def test_class_summaries_match_peeling(monkeypatch):
+def test_class_summaries_match_peeling():
     # each summary's kind is the one peeling generator sets off its members
     # gives, and its order is the largest among them
     for spec in GOLDEN_SPECS:
@@ -213,10 +216,8 @@ def test_class_summaries_match_peeling(monkeypatch):
             tuple(b.g.labels[v + 1] for v in members) for members in classes
         ], spec
         for summary, members in zip(summaries, classes):
-            assert summary.kind == classify_men_class(b.g, members).kind, spec
+            assert summary.kind == peel_class(b.g, members), spec
             assert summary.element_order == max(b.g.element_order(v + 1) for v in members), spec
-    # and the report's summaries read orders, with no generator-set reads
-    monkeypatch.setattr(FiniteGroup, "gen_set", lambda self, x: pytest.fail("gen_set called"))
     assert [c.kind for c in analyze("Z(8)").classes] == [CYCLIC_INTERVAL]
     assert [c.kind for c in analyze("Dih(4)").classes] == [CYCLIC_INTERVAL] + [GENERATOR_CLASS] * 4
 
@@ -225,8 +226,7 @@ def test_every_corpus_class_classifies():
     for spec in CORPUS:
         b = bundle(spec)
         for members in _power_partition(spec).classes:
-            rec = classify_men_class(b.g, members)
-            assert rec.kind in (GENERATOR_CLASS, CYCLIC_INTERVAL)
+            assert peel_class(b.g, members) in (GENERATOR_CLASS, CYCLIC_INTERVAL)
 
 
 def test_mixed_order_classes_are_intervals():
@@ -235,33 +235,34 @@ def test_mixed_order_classes_are_intervals():
         for members in _power_partition(spec).classes:
             orders = {b.g.element_order(v + 1) for v in members}
             if len(orders) > 1:
-                rec = classify_men_class(b.g, members)
-                assert rec.kind == CYCLIC_INTERVAL
+                assert peel_class(b.g, members) == CYCLIC_INTERVAL
 
 
 def test_reconstruct_order_examples():
-    assert reconstruct_order(bundle("Z(6)").g, _power_partition("Z(6)"), 0) == 6
-    assert reconstruct_order(bundle("Z(4)").g, _power_partition("Z(4)"), 0) == 4
-    q8, q8_mp = bundle("Q8"), _power_partition("Q8")
-    minus_one_class = next(
-        i for i, c in enumerate(q8_mp.classes) if q8.g.labels[c[0] + 1] == "-1"
-    )
-    assert reconstruct_order(q8.g, q8_mp, minus_one_class) == 2
+    # an element's order is 1 plus the weights of the classes inside its
+    # cyclic subgroup
+    assert reconstructed_order(bundle("Z(6)").g, _power_partition("Z(6)"), 1) == 6
+    assert reconstructed_order(bundle("Z(4)").g, _power_partition("Z(4)"), 1) == 4
+    q8 = bundle("Q8").g
+    assert reconstructed_order(q8, _power_partition("Q8"), q8.labels.index("-1")) == 2
 
 
 def test_reconstruct_order_equals_max_order_everywhere():
+    # for an element of largest order in its class, the nontrivial part of
+    # its cyclic subgroup is a union of whole classes whose weights sum to
+    # its order minus 1 (not so for every element: Z(4)'s <2> is part of a class)
     for spec in CORPUS:
         b, mp = bundle(spec), _power_partition(spec)
-        for cid, members in enumerate(mp.classes):
-            expected = max(b.g.element_order(v + 1) for v in members)
-            assert reconstruct_order(b.g, mp, cid) == expected
+        for members in mp.classes:
+            x = max((v + 1 for v in members), key=b.g.element_order)
+            assert reconstructed_order(b.g, mp, x) == b.g.element_order(x), (spec, x)
 
 
 def test_closed_neighborhoods_equal_within_classes():
     for spec in CORPUS:
         b = bundle(spec)
         for members in _power_partition(spec).classes:
-            hoods = {b.pg.closed_mask(v) for v in members}
+            hoods = {b.pg.adj[v] | 1 << v for v in members}
             assert len(hoods) == 1
 
 
@@ -269,7 +270,7 @@ def test_classes_are_maximal():
     # vertices in different classes have different closed neighborhoods
     for spec in CORPUS:
         b = bundle(spec)
-        reps = [b.pg.closed_mask(c[0]) for c in _power_partition(spec).classes]
+        reps = [b.pg.adj[c[0]] | 1 << c[0] for c in _power_partition(spec).classes]
         assert len(set(reps)) == len(reps)
 
 
@@ -282,7 +283,7 @@ def test_quotient_nodes_have_distinct_closed_neighborhoods():
     # re-partitioning the quotient by closed neighborhoods yields singletons
     for spec in CORPUS:
         q = bundle(spec).q
-        hoods = {q.closed_mask(i) for i in range(q.n_nodes)}
+        hoods = {q.adj[i] | 1 << i for i in range(q.n_nodes)}
         assert len(hoods) == q.n_nodes
 
 
@@ -290,7 +291,7 @@ def test_quotient_wellformedness():
     for spec in CORPUS:
         q = bundle(spec).q
         for i in range(q.n_nodes):
-            assert not q.has_edge(i, i)
+            assert not (q.adj[i] >> i & 1)
             for j in range(q.n_nodes):
-                assert q.has_edge(i, j) == q.has_edge(j, i)
+                assert (q.adj[i] >> j & 1) == (q.adj[j] >> i & 1)
         assert all(w >= 1 for w in q.weights)
