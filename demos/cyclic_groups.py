@@ -1,23 +1,47 @@
-"""Cyclic groups: closed forms against the brute-force oracle.
+"""Cyclic groups: the paper's closed forms against the engine and the oracle.
 
 For a cyclic group of prime-power order the power graph is complete, so its
-automorphism group is one big symmetric group. For any other cyclic order n,
-the vertices split into one class per divisor d > 1 of n (the generators of
-the unique subgroup of order d), each class freely permutable and nothing
-else moving: the group is the direct product of S_phi(d) over those divisors.
-The oracle recounts every value by explicit search.
+automorphism group is one big symmetric group, S_(n-1). For any other cyclic
+order n, the vertices split into one class per divisor d > 1 of n (the
+generators of the unique subgroup of order d), each class freely permutable
+and nothing else moving: the group is the direct product of S_phi(d) over
+those divisors. The demo builds that form itself; the engine, which knows no
+formula, answers by its quotient recursion, and the oracle recounts every
+value by explicit search.
 """
 
-from pga import analyze, build_power_graph, count_automorphisms, realize
+from pga import (
+    Product,
+    Sym,
+    analyze,
+    build_power_graph,
+    count_automorphisms,
+    divisors,
+    expr_normalize,
+    expr_order,
+    is_prime_power,
+    realize,
+    render_expr,
+    totient,
+)
 
-print(f"{'group':>7} {'method':>18} {'expression':>24} {'order':>12} {'oracle':>12}")
+
+def closed_form(n: int):
+    if is_prime_power(n):
+        return Sym(n - 1)
+    return expr_normalize(Product(tuple(Sym(totient(d)) for d in divisors(n) if d > 1)))
+
+
+print(f"{'group':>7} {'closed form':>18} {'expression':>24} {'order':>12} {'oracle':>12}")
 for n in (4, 8, 9, 6, 10, 12, 15, 18, 20):
     spec = f"Z({n})"
+    form = closed_form(n)
     report = analyze(spec)
     oracle = count_automorphisms(build_power_graph(realize(spec)))
-    flag = "" if oracle == report.order else "  <-- DISAGREES"
+    agree = form == report.expression and expr_order(form) == report.order == oracle
+    flag = "" if agree else "  <-- DISAGREES"
     print(
-        f"{spec:>7} {report.method:>18} {report.expression_str:>24} "
+        f"{spec:>7} {render_expr(form):>18} {report.expression_str:>24} "
         f"{report.order:>12} {oracle:>12}{flag}"
     )
 

@@ -23,18 +23,19 @@ component. The re-weighted rest of a component is already equitable (each of
 its cells meets each other cell as it did before the singletons went), so its
 colour cells are its stable colouring as they stand.
 
-`analyze` classifies the spec once. Cyclic, homocyclic and coprime-product
-specs take a closed form for the quotient part; every other spec takes the
-recursion. A closed form is checked in `analyze` itself: the class weights
-it predicts must be the quotient's, and its quotient order must be the
-generic recursion's (a recursion that meets a cap skips this comparison and
-says so in a note). On every route, `_make_report` checks that normalizing
-keeps the order, against the quotient order `analyze` evaluated. A coprime
-product's quotient part multiplies over the prime powers p**e exactly
-dividing |G|: the quotient's classes whose order divides p**e span the Sylow
-p-subgroup's own cyclic-subgroup graph, some closed twins already merged, so
-each factor is the recursion on that subgraph's MEN quotient. `verify`
-compares against the brute-force oracle.
+`analyze` classifies the spec once. A coprime direct product, of at least
+two nontrivial factors, each cyclic or of prime-power order, whose order has
+two or more primes, takes a closed form for the quotient part; every other
+spec, a cyclic or homocyclic one included, takes the recursion. The closed
+form is checked in `analyze` itself: its quotient order must be the generic
+recursion's (a recursion that meets a cap skips this comparison and says so
+in a note). On both routes, `_make_report` checks that normalizing keeps the
+order, against the quotient order `analyze` evaluated. A coprime product's
+quotient part multiplies over the prime powers p**e exactly dividing |G|: the
+quotient's classes whose order divides p**e span the Sylow p-subgroup's own
+cyclic-subgroup graph, some closed twins already merged, so each factor is
+the recursion on that subgraph's MEN quotient. `verify` compares against the
+brute-force oracle.
 
 Each spec realizes one group, and its pipeline, the group and its weighted
 MEN quotient, is built once, by `pipeline`, and passed to every route; the
@@ -81,13 +82,11 @@ from .groups import (
     GroupSpec,
     HomocyclicSpec,
     ProductSpec,
-    divisors,
     factorize,
     is_prime_power,
     parse_group_spec,
     realize,
     spec_order,
-    totient,
 )
 from .oracle import (
     CapExceeded,
@@ -101,9 +100,6 @@ from .oracle import (
 from .powergraph import PowerGraph, build_power_graph, cyclic_subgroup_graph
 from .quotient import QuotientGraph, build_quotient, men_partition
 
-METHOD_COMPLETE = "complete-graph"
-METHOD_CYCLIC = "cyclic-divisors"
-METHOD_HOMOCYCLIC = "homocyclic-wreath"
 METHOD_COPRIME = "coprime-factors"
 METHOD_GENERIC = "quotient-recursion"
 
@@ -162,36 +158,6 @@ class AutReport:
     notes: tuple[str, ...]
     verification: Verification
     pipeline: Pipeline = field(repr=False, compare=False)
-
-
-# ---------------------------------------------------------------------------
-# closed forms
-
-
-def _homocyclic_parts(
-    p: int, m: int, copies: int
-) -> tuple[GroupExpr, list[int]]:
-    """The quotient's wreath tower and the class weights of Z(p**m)^copies."""
-    n = copies
-    r: list[int] = []
-    for t in range(1, m + 1):
-        num = p ** (t * n) - p ** ((t - 1) * n)
-        den = p**t - p ** (t - 1)
-        if num % den:
-            raise InternalCheckError(f"class count r_{t} is not integral for ({p},{m},{n})")
-        r.append(num // den)
-    k = [r[0]]
-    for i in range(1, m):
-        if r[i] % r[i - 1]:
-            raise InternalCheckError(f"branching k_{i + 1} is not integral for ({p},{m},{n})")
-        k.append(r[i] // r[i - 1])
-    nested: GroupExpr = Sym(k[m - 1])
-    for i in range(m - 2, -1, -1):
-        nested = Wreath(nested, Sym(k[i]))
-    weights: list[int] = []
-    for t in range(1, m + 1):
-        weights.extend([p**t - p ** (t - 1)] * r[t - 1])
-    return nested, weights
 
 
 # ---------------------------------------------------------------------------
@@ -353,28 +319,15 @@ def _leaf_specs(spec: GroupSpec) -> list[GroupSpec]:
     return [spec]
 
 
-def _closed_form(
-    gspec: GroupSpec, p: Pipeline, caps: OracleCaps
-) -> tuple[str, GroupExpr, list[int] | None] | None:
-    """The closed-form route for a spec: (method, quotient part, predicted
-    class weights, or None where the form predicts none), or None when only
-    the generic recursion applies."""
+def _coprime_part(gspec: GroupSpec, p: Pipeline, caps: OracleCaps) -> GroupExpr | None:
+    """The coprime route's quotient part, or None when the spec is not a
+    direct product of at least two nontrivial factors, each cyclic or of
+    prime-power order, whose order has two or more primes. Such a group is
+    the direct product of its Sylow subgroups, one per prime power p**e
+    exactly dividing |G|."""
     leaves = _leaf_specs(gspec)
-    if all(isinstance(leaf, CyclicSpec) for leaf in leaves):
-        orders = [leaf.n for leaf in leaves if leaf.n > 1]  # type: ignore[union-attr]
-        n = orders[0]
-        pp = is_prime_power(n)
-        if len(orders) == 1 and pp is not None:
-            return METHOD_COMPLETE, Trivial(), [n - 1]
-        if len(orders) == 1:
-            return METHOD_CYCLIC, Trivial(), [totient(d) for d in divisors(n) if d > 1]
-        if len(set(orders)) == 1 and pp is not None:
-            return METHOD_HOMOCYCLIC, *_homocyclic_parts(*pp, len(orders))
-    # the coprime route: every leaf cyclic or of prime-power order makes the
-    # group the direct product of its Sylow subgroups, one per prime power
-    # p**e exactly dividing |G|
     prime_powers = [prime**e for prime, e in factorize(p.g.size).items()]
-    if len(prime_powers) < 2 or not all(
+    if len(prime_powers) < 2 or sum(spec_order(leaf) > 1 for leaf in leaves) < 2 or not all(
         isinstance(leaf, CyclicSpec) or is_prime_power(spec_order(leaf)) for leaf in leaves
     ):
         return None
@@ -386,8 +339,7 @@ def _closed_form(
     # multiplies over the primes
     node_orders = p.g.orders[[m[0] + 1 for m in p.q.members]]
     subs = [p.q.subgraph(np.flatnonzero(pe % node_orders == 0).tolist()) for pe in prime_powers]
-    parts = tuple(quotient_aut(build_quotient(s, men_partition(s)), caps) for s in subs)
-    return METHOD_COPRIME, Product(parts), None
+    return Product(tuple(quotient_aut(build_quotient(s, men_partition(s)), caps) for s in subs))
 
 
 def analyze(
@@ -397,28 +349,21 @@ def analyze(
 ) -> AutReport:
     """Full structural analysis of the power graph of the group a spec names.
 
-    A spec with a closed form takes it, and the checks on it run here: the
-    class weights it predicts must be the quotient's, and its quotient order
-    must be the generic recursion's, unless the recursion meets a cap, which
-    skips the comparison with a note. The coprime route recurses, for each
-    prime power p**e exactly dividing |G|, on the quotient's classes whose
-    order divides p**e. Every other spec gets the generic recursion. Either
-    way the quotient order is evaluated once, and `_make_report` checks the
-    normalized expression against it."""
+    A coprime product takes the coprime route: it recurses, for each prime
+    power p**e exactly dividing |G|, on the quotient's classes whose order
+    divides p**e, and its quotient order must be the generic recursion's,
+    unless the recursion meets a cap, which skips the comparison with a note.
+    Every other spec gets the generic recursion. Either way the quotient
+    order is evaluated once, and `_make_report` checks the normalized
+    expression against it."""
     gspec = parse_group_spec(spec) if isinstance(spec, str) else spec
     caps = caps or OracleCaps()
     p = pipeline(realize(gspec, max_order=max_order))
-    closed = _closed_form(gspec, p, caps)
-    if closed is None:
+    coprime = _coprime_part(gspec, p, caps)
+    if coprime is None:
         generic = quotient_aut(p.q, caps)
         return _make_report(p, generic, expr_order(generic), METHOD_GENERIC, ())
-    method, quotient_expr, weights = closed
-    if weights is not None and sorted(p.q.weights) != sorted(weights):
-        raise InternalCheckError(
-            f"class weights {sorted(p.q.weights)} do not match the {method} "
-            f"closed form {sorted(weights)}"
-        )
-    order = expr_order(quotient_expr)
+    order = expr_order(coprime)
     try:
         generic_order = expr_order(quotient_aut(p.q, caps))
     except CapExceeded as exc:
@@ -430,7 +375,7 @@ def analyze(
                 f"recursive decomposition gives {decimal(generic_order)}"
             )
         note = f"cross-check: recursive quotient decomposition agrees (order {decimal(order)})"
-    return _make_report(p, quotient_expr, order, method, (note,))
+    return _make_report(p, coprime, order, METHOD_COPRIME, (note,))
 
 
 def verify(

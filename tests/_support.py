@@ -17,14 +17,20 @@ from pga import (
     GENERATOR_CLASS,
     AutReport,
     FiniteGroup,
+    GroupExpr,
     Pipeline,
+    Sym,
+    Trivial,
     WeightedGraph,
+    Wreath,
     analyze,
+    divisors,
     is_prime_power,
     parse_group_spec,
     pipeline,
     realize,
     spec_order,
+    totient,
 )
 from pga.groups import AbelianSpec, CyclicSpec, DihedralSpec, HomocyclicSpec, ProductSpec
 
@@ -35,7 +41,7 @@ CORPUS = (
     "Sym(3)", "Dih(4)", "Q8", "Ab[2,4]", "Ab[2,2,3]", "P(Q8,Z(3))",
 )
 
-# structural orders, frozen from the closed forms and confirmed by the oracle
+# structural orders, frozen and confirmed by the oracle
 EXPECTED_ORDER = {
     "Z(6)": 4,
     "Z(10)": 576,
@@ -130,6 +136,47 @@ def bundle(spec: str) -> Pipeline:
 @lru_cache(maxsize=None)
 def report(spec: str) -> AutReport:
     return analyze(spec)
+
+
+# the paper's closed forms for cyclic and homocyclic groups, the references
+# the quotient recursion is checked against: each gives the quotient part of
+# the automorphism group and the weights of the MEN classes
+
+
+def complete_graph_form(n: int) -> tuple[GroupExpr, list[int]]:
+    """Z(n) for a prime power n: the power graph is complete, one class of
+    all n - 1 vertices, and the quotient part is trivial."""
+    assert is_prime_power(n) is not None, f"{n} is not a prime power"
+    return Trivial(), [n - 1]
+
+
+def cyclic_divisor_form(n: int) -> tuple[GroupExpr, list[int]]:
+    """Z(n) for any other n: one class per divisor d > 1, the phi(d)
+    generators of the subgroup of order d, and a trivial quotient part."""
+    assert is_prime_power(n) is None, f"{n} is a prime power"
+    return Trivial(), [totient(d) for d in divisors(n) if d > 1]
+
+
+def homocyclic_tower(p: int, m: int, copies: int) -> tuple[GroupExpr, list[int]]:
+    """Z(p**m)^copies: r_t = (p**(t*copies) - p**((t-1)*copies)) / phi(p**t)
+    classes of weight phi(p**t), one per cyclic subgroup of order p**t, and
+    a quotient part that is the wreath tower
+    (...(S_k_m wr S_k_(m-1)) ... ) wr S_k_1 with k_1 = r_1, k_t = r_t / r_(t-1)."""
+    phi = [p**t - p ** (t - 1) for t in range(1, m + 1)]
+    r = []
+    for t in range(1, m + 1):
+        count, rest = divmod(p ** (t * copies) - p ** ((t - 1) * copies), phi[t - 1])
+        assert rest == 0, f"class count r_{t} is not integral for Z({p ** m})^{copies}"
+        r.append(count)
+    k = [r[0]]
+    for t in range(1, m):
+        branching, rest = divmod(r[t], r[t - 1])
+        assert rest == 0, f"branching k_{t + 1} is not integral for Z({p ** m})^{copies}"
+        k.append(branching)
+    tower: GroupExpr = Sym(k[-1])
+    for branching in reversed(k[:-1]):
+        tower = Wreath(tower, Sym(branching))
+    return tower, [w for w, count in zip(phi, r) for _ in range(count)]
 
 
 @st.composite

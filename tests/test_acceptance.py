@@ -20,7 +20,6 @@ from pga import (
     men_partition,
     vertex_orbits,
 )
-from pga.engine import _homocyclic_parts
 
 from _support import (
     CORPUS,
@@ -29,6 +28,7 @@ from _support import (
     centralizer_size,
     cyclic_subgroup,
     gen_set,
+    homocyclic_tower,
     maximal_cyclic_subgroups,
     peel_class,
     reconstructed_order,
@@ -78,7 +78,7 @@ def test_criterion_03_homocyclic_formula_oracle_equality_and_shape():
         assert structural == oracle == EXPECTED_ORDER[spec], spec
     # the template for Z(4)^2 must instantiate with r_1 = 3, r_2 = 6, k_2 = 2:
     # the wreath tower plus classes of weight 1 (three) and 2 (six)
-    tower, weights = _homocyclic_parts(2, 2, 2)
+    tower, weights = homocyclic_tower(2, 2, 2)
     assert tower == Wreath(Sym(2), Sym(3))
     assert weights == [1] * 3 + [2] * 6
     emitted = Product((tower, *(Sym(w) for w in weights)))

@@ -20,7 +20,7 @@ def test_analyze_text(capsys):
     out = capsys.readouterr().out
     assert "order: 4" in out
     assert "expression: S2^2" in out
-    assert "method: cyclic-divisors" in out
+    assert "method: quotient-recursion" in out
 
 
 def test_analyze_json_schema(capsys):

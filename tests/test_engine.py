@@ -18,6 +18,7 @@ from pga import (
     count_automorphisms,
     expr_normalize,
     expr_order,
+    is_prime_power,
     men_partition,
     pipeline,
     quotient_aut,
@@ -28,7 +29,17 @@ from pga import (
 from pga.cli import run
 
 from _support import (
-    CORPUS, EXPECTED_ORDER, SMALL_GROUP_SPECS, bundle, planted_twins, report, weighted_graphs,
+    CORPUS,
+    EXPECTED_ORDER,
+    GOLDEN_SPECS,
+    SMALL_GROUP_SPECS,
+    bundle,
+    complete_graph_form,
+    cyclic_divisor_form,
+    homocyclic_tower,
+    planted_twins,
+    report,
+    weighted_graphs,
 )
 
 
@@ -49,7 +60,7 @@ def test_prime_power_cyclic():
     assert report("Z(4)").expression == Sym(3)
     assert report("Z(3)").expression == Sym(2)
     assert report("Z(8)").order == 5040
-    assert report("Z(8)").method == "complete-graph"
+    assert report("Z(8)").method == "quotient-recursion"
 
 
 def test_homocyclic_formula_values():
@@ -60,7 +71,7 @@ def test_homocyclic_formula_values():
 
 def test_homocyclic_formula_structure():
     r = report("Z(4)^2")
-    assert r.method == "homocyclic-wreath"
+    assert r.method == "quotient-recursion"
     assert r.quotient_expr == Wreath(Sym(2), Sym(3))
     assert _class_weights("Z(4)^2") == [1] * 3 + [2] * 6
 
@@ -150,19 +161,64 @@ def test_aut_abelian_dispatch():
     assert report("Ab[2,4]").method == "quotient-recursion"
     homo = report("Ab[3,3]")
     assert homo.order == 384
-    assert homo.method == "homocyclic-wreath"
+    assert homo.method == "quotient-recursion"
     assert report("Ab[2,3]").order == 4
     assert report("Ab[2,3]").method == "coprime-factors"
 
 
 def test_analyze_method_dispatch():
-    assert report("Z(6)").method == "cyclic-divisors"
-    assert report("Z(8)").method == "complete-graph"
-    assert report("Z(4)^2").method == "homocyclic-wreath"
-    assert report("P(Q8,Z(3))").method == "coprime-factors"
-    for spec in ("Sym(3)", "Dih(4)", "Q8", "Ab[2,4]"):
-        assert report(spec).method == "quotient-recursion"
-    assert report("Ab[2,2,3]").method == "coprime-factors"
+    # one cyclic factor, as in Z(12) and Ab[12], takes the recursion
+    recursion = ("Z(6)", "Z(8)", "Z(4)^2", "Ab[12]", "P(Z(12),Z(1))")
+    for spec in recursion + ("Sym(3)", "Dih(4)", "Q8", "Ab[2,4]"):
+        assert report(spec).method == "quotient-recursion", spec
+    for spec in ("P(Q8,Z(3))", "Ab[2,2,3]", "P(Z(4),Z(3))"):
+        assert report(spec).method == "coprime-factors", spec
+
+
+def test_every_golden_spec_takes_one_of_two_routes():
+    # only the coprime route carries a note: its cross-check's outcome
+    for spec in GOLDEN_SPECS:
+        r = report(spec)
+        assert r.method in ("quotient-recursion", "coprime-factors"), spec
+        assert bool(r.notes) == (r.method == "coprime-factors"), spec
+
+
+def _no_oracle(monkeypatch):
+    import pga.engine
+
+    def no_count(*args):
+        raise AssertionError("the recursion called the oracle")
+
+    monkeypatch.setattr(pga.engine, "count_automorphisms", no_count)
+
+
+def _matches_form(spec: str, form) -> None:
+    q = pipeline(realize(spec)).q
+    tower, weights = form
+    assert quotient_aut(q) == expr_normalize(tower), spec
+    assert sorted(q.weights) == sorted(weights), spec
+
+
+def test_recursion_matches_the_cyclic_closed_forms(monkeypatch):
+    # Z(p^m) is a complete graph, and any other Z(n) has one class of weight
+    # phi(d) per divisor d > 1; the quotient part is trivial in both
+    _no_oracle(monkeypatch)
+    for n in range(2, 2001):
+        form = complete_graph_form(n) if is_prime_power(n) else cyclic_divisor_form(n)
+        _matches_form(f"Z({n})", form)
+
+
+def test_recursion_matches_the_homocyclic_tower(monkeypatch):
+    # every Z(q)^k of order <= 2000, q = p^m and k >= 2
+    _no_oracle(monkeypatch)
+    checked = 0
+    for q in range(2, 45):
+        pp = is_prime_power(q)
+        for k in range(2, 11):
+            if pp is not None and q**k <= 2000:
+                _matches_form(f"Z({q})^{k}", homocyclic_tower(*pp, k))
+                checked += 1
+    assert checked == 42
 
 
 def test_analyze_orders_match_frozen_values():
@@ -171,7 +227,7 @@ def test_analyze_orders_match_frozen_values():
 
 
 def test_closed_forms_agree_with_generic_recursion():
-    # the engine cross-checks orders internally; here the expressions must agree too
+    # the engine cross-checks the coprime route's order; here the expressions must agree too
     for spec in CORPUS:
         b = bundle(spec)
         r = report(spec)
@@ -202,29 +258,32 @@ def test_fixed_node_splitting_answers_products(spec, expression, opaque):
 
 
 def test_cross_check_note_present_for_closed_forms():
-    for spec in ("Z(6)", "Z(4)", "Z(4)^2", "Ab[2,2,3]", "P(Q8,Z(3))"):
+    # the coprime route is the one closed form left; the recursion needs no cross-check
+    for spec in ("Ab[2,2,3]", "P(Q8,Z(3))", "P(Z(4),Z(3))"):
         assert any("cross-check" in note for note in report(spec).notes), spec
-
-
-def test_closed_form_weights_are_checked(monkeypatch):
-    # a wrong phi(d) predicts class weights the quotient does not have
-    import pga.engine
-
-    monkeypatch.setattr(pga.engine, "totient", lambda n: n)
-    with pytest.raises(InternalCheckError, match="cyclic-divisors"):
-        analyze("Z(6)")
+    for spec in ("Z(6)", "Z(4)", "Z(4)^2", "Q8"):
+        assert report(spec).notes == (), spec
 
 
 def test_closed_form_order_is_cross_checked(monkeypatch):
-    # a wrong tower for Z(4)^2 (S3 instead of S2 wr S3) keeps the right weights
+    # a wrong Sylow 2-part for P(Q8,Z(3)) (S4 instead of S3): the coprime
+    # route recurses on its Sylow parts first, the 2-part first of all, and
+    # the whole quotient's recursion then disagrees
     import pga.engine
 
-    real = pga.engine._homocyclic_parts
-    monkeypatch.setattr(pga.engine, "_homocyclic_parts", lambda *a: (Sym(3), real(*a)[1]))
+    real = pga.engine.quotient_aut
+    calls = []
+
+    def planted(wg, caps=None):
+        calls.append(wg)
+        return Sym(4) if len(calls) == 1 else real(wg, caps)
+
+    monkeypatch.setattr(pga.engine, "quotient_aut", planted)
     with pytest.raises(
-        InternalCheckError, match="quotient order 6 but the recursive decomposition gives 48"
+        InternalCheckError,
+        match="closed form gives quotient order 24 but the recursive decomposition gives 6",
     ):
-        analyze("Z(4)^2")
+        analyze("P(Q8,Z(3))")
 
 
 def test_capped_cross_check_is_skipped_with_a_note():
@@ -254,9 +313,9 @@ def test_normalization_is_checked(monkeypatch):
         analyze("Z(6)")
 
 
-def test_homocyclic_z2_10_evaluates_its_largest_factorial_three_times(monkeypatch):
-    # S1023 is the closed form's quotient part, the recursion's and the whole
-    # expression; each of those orders is evaluated once
+def test_homocyclic_z2_10_evaluates_its_largest_factorial_twice(monkeypatch):
+    # S1023 is the recursion's quotient part and the whole expression; each
+    # of those orders is evaluated once
     real = math.factorial
     calls = []
 
@@ -267,7 +326,7 @@ def test_homocyclic_z2_10_evaluates_its_largest_factorial_three_times(monkeypatc
 
     monkeypatch.setattr(math, "factorial", counted)
     analyze("Z(2)^10")
-    assert len(calls) <= 3
+    assert len(calls) <= 2
 
 
 def test_expression_strings():
