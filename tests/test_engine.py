@@ -175,14 +175,6 @@ def test_analyze_method_dispatch():
         assert report(spec).method == "coprime-factors", spec
 
 
-def test_every_golden_spec_takes_one_of_two_routes():
-    # only the coprime route carries a note: its cross-check's outcome
-    for spec in GOLDEN_SPECS:
-        r = report(spec)
-        assert r.method in ("quotient-recursion", "coprime-factors"), spec
-        assert bool(r.notes) == (r.method == "coprime-factors"), spec
-
-
 def _no_oracle(monkeypatch):
     import pga.engine
 
@@ -209,7 +201,7 @@ def test_recursion_matches_the_cyclic_closed_forms(monkeypatch):
 
 
 def test_recursion_matches_the_homocyclic_tower(monkeypatch):
-    # every Z(q)^k of order <= 2000, q = p^m and k >= 2
+    # every Z(q)^k of order <= 2000, q = p^m and k >= 2: q <= 44 and k <= 10
     _no_oracle(monkeypatch)
     checked = 0
     for q in range(2, 45):
@@ -258,11 +250,15 @@ def test_fixed_node_splitting_answers_products(spec, expression, opaque):
 
 
 def test_cross_check_note_present_for_closed_forms():
-    # the coprime route is the one closed form left; the recursion needs no cross-check
-    for spec in ("Ab[2,2,3]", "P(Q8,Z(3))", "P(Z(4),Z(3))"):
-        assert any("cross-check" in note for note in report(spec).notes), spec
-    for spec in ("Z(6)", "Z(4)", "Z(4)^2", "Q8"):
-        assert report(spec).notes == (), spec
+    # every golden spec takes one of two routes; the coprime route, the one
+    # closed form left, notes its cross-check, and the recursion has no note
+    for spec in GOLDEN_SPECS:
+        r = report(spec)
+        assert r.method in ("quotient-recursion", "coprime-factors"), spec
+        if r.method == "coprime-factors":
+            assert len(r.notes) == 1 and r.notes[0].startswith("cross-check"), spec
+        else:
+            assert r.notes == (), spec
 
 
 def test_closed_form_order_is_cross_checked(monkeypatch):
