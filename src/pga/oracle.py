@@ -29,23 +29,30 @@ The machinery is classic individualization-refinement:
     popcount;
   * a level whose cell consists of twins of the pivot (nodes of equal weight
     and equal open, or equal closed, neighbourhoods; computed once per
-    count) needs no refinement: every other node is adjacent to all of the
-    cell or to none, and the partition is equitable, so each cell is
-    adjacent to the pivot as a whole or not at all and refining would split
-    nothing. The pivot only moves to a cell of its own;
+    count, enumeration or isomorphism test) needs no refinement: every
+    other node is adjacent to all of the cell or to none, and the partition
+    is equitable, so each cell is adjacent to the pivot as a whole or not at
+    all and refining would split nothing. The pivot only moves to a cell of
+    its own, in the count and on both sides of the search. The count takes
+    such a cell in one step, a twin run: it detaches every node of the cell
+    but the last, and going up joins each level's orbit through the
+    transposition of its pivot and the next node, checked from two rows;
   * a witness attempt tries, in order, the transposition of the pivot and
     the candidate, an automorphism exactly when their weights and their
-    rows outside the two of them are equal, so two rows decide it; the
-    candidate's own refinement of the level (cell sizes unequal to the
-    pivot's rule it out) and one guess read off the two refinements,
+    rows outside the two of them are equal, so two rows decide it; the swap
+    of the pivot's twin class with the candidate's, inside the level's
+    cell; the candidate's own refinement of the level (cell sizes unequal
+    to the pivot's rule it out) and one guess read off the two refinements,
     fixing every node its cell allows, as most symmetries move few nodes
     (Darga, Sakallah and Markov, "Faster Symmetry Discovery using Sparsity
     of Symmetries", 2008), and pairing the rest twin class by twin class,
     so that twins which move together stay together; and only then the one
     search (_search), which also finds isomorphisms and lists
     automorphisms: depth first down the individualization-refinement tree,
-    each node's own image tried first and every leaf's map checked.
-    A witness hands back only its moved pairs;
+    each node's own image tried first and every leaf's map checked. When it
+    looks for one map it tries one image per twin class of a cell, as the
+    transposition of two twins carries one's subtree onto the other's;
+    listing tries every image. A witness hands back only its moved pairs;
   * components are grouped by isomorphism after one refinement of the whole
     graph, comparing only components with equal colour multisets. That
     refinement, restricted to a component, is the component's own stable
@@ -54,16 +61,17 @@ The machinery is classic individualization-refinement:
     quotient recursion refines its graph once and hands each component its
     share of the colouring (_component_classes).
 
-Every guess, every search leaf and every colour-forced component match is
-checked by one function (_carries) before it is trusted. A map is a dict of
+Every twin-class swap, every guess, every search leaf and every
+colour-forced component match is checked by one function (_carries) before
+it is trusted. A map is a dict of
 (node, image) pairs that fixes every other node; it passes when no two keys
 share an image and each key's weight and row are carried onto its image's.
 An automorphism must also be a permutation, its values being its keys, and
 is handed over as the pairs it moves: an edge between two fixed nodes is its
 own image, so comparing the moved rows is complete. Only a refinement
-mismatch or an exhausted search rules a candidate out, so a bad guess never
-lowers a count. No level is counted by a formula: each orbit it joins comes
-from one checked map, a twin level's from its transposition. Caps produce an
+mismatch or an exhausted search rules a candidate out, so a bad swap or guess
+never lowers a count. No level is counted by a formula: each orbit it joins
+comes from one checked map, a twin run's level from its transposition. Caps produce an
 explicit CapExceeded, never a guess.
 """
 
@@ -397,27 +405,36 @@ def _search(
     dst: WeightedGraph,
     pside: tuple[list[int], list[int]],
     uside: tuple[list[int], list[int]],
+    twins: tuple[Sequence[int], Sequence[int]],
     found: Callable[[tuple[int, ...]], None] | None = None,
 ) -> tuple[int, ...] | None:
     """The first checked bijection src -> dst that maps each cell of pside,
     an equitable partition of src, onto uside's cell of the same index, or
-    None.
+    None. twins holds src's and dst's twin masks (_twins).
 
     Depth first down the individualization-refinement tree: each level
     individualizes x, the least node of pside's first non-singleton cell,
     and tries the nodes y of uside's cell of that index, x itself first (most
-    symmetries move few nodes), then the rest in ascending order. A map
-    sending x to y sends x's refinement onto y's cell by cell, so y is cut
-    when a cell that either step changed or appended differs in size. When
-    pside is discrete, the map is checked (_carries): the whole map between
-    two graphs, or only its moved pairs when src is dst, and in both cases
-    its values must be its keys, which makes it a permutation. The stack is
-    explicit, so the depth is not bounded by Python's recursion limit. With `found`,
-    every map that passes goes to it and the search goes on, returning None.
-    pside is left as it came in; uside is consumed.
+    symmetries move few nodes), then the rest in ascending order. On either
+    side, a node whose cell lies inside its twin mask is detached with no
+    refinement (_detach). A map sending x to y sends x's refinement onto y's
+    cell by cell, so y is cut when a cell that either step changed or
+    appended differs in size. When pside is discrete, the map is checked
+    (_carries): the whole map between two graphs, or only its moved pairs
+    when src is dst, and in both cases its values must be its keys, which
+    makes it a permutation. The stack is explicit, so the depth is not
+    bounded by Python's recursion limit. With `found`, every map that
+    passes goes to it and the search goes on, returning None.
+
+    Without `found`, once y is tried its twins are not: the transposition of
+    y and a twin is an automorphism of dst that fixes every node individualized
+    so far, so it carries y's subtree, leaf by leaf, onto the twin's, and one
+    holds a map exactly when the other does. The first map found is the one
+    the full search would find. pside is left as it came in; uside is consumed.
     """
     pcells, pcell_of = pside
     ucells, ucell_of = uside
+    ptwins, utwins = twins
     if [c.bit_count() for c in pcells] != [c.bit_count() for c in ucells]:
         return None
     # per level: [first, cells before it, x, x's log, untried ys, y's log]
@@ -431,7 +448,10 @@ def _search(
             x = (cell & -cell).bit_length() - 1
             plog: dict[int, int] = {}
             stack.append([first, len(pcells), x, plog, ucells[first], {}])
-            _individualize(src.adj, pcells, pcell_of, x, plog)
+            if cell & ~ptwins[x]:
+                _individualize(src.adj, pcells, pcell_of, x, plog)
+            else:
+                _detach(pcells, pcell_of, x, plog)
         else:
             perm = tuple(ucells[i].bit_length() - 1 for i in pcell_of)
             pairs = _moved(perm) if src is dst else dict(enumerate(perm))
@@ -453,8 +473,11 @@ def _search(
                 continue
             y = x if untried >> x & 1 else (untried & -untried).bit_length() - 1
             ulog = {}
-            frame[4:] = untried ^ 1 << y, ulog
-            _individualize(dst.adj, ucells, ucell_of, y, ulog)
+            frame[4:] = untried & ~utwins[y] if found is None else untried ^ 1 << y, ulog
+            if ucells[first] & ~utwins[y]:
+                _individualize(dst.adj, ucells, ucell_of, y, ulog)
+            else:
+                _detach(ucells, ucell_of, y, ulog)
             if len(ucells) == len(pcells) and all(
                 pcells[i].bit_count() == ucells[i].bit_count()
                 for i in (*plog, *ulog, *range(base, len(pcells)))
@@ -578,18 +601,31 @@ def _witness(
     the level's partition and maps p to u, or None when there is none.
 
     The steps run in order and stop at the first map that passes its check:
-    the transposition (p u), which two rows decide (_transposes); u's
-    refinement of the level, whose cell sizes must equal those of p's
-    (pivot_side) or u is ruled out, and one guess from the two, its nodes
-    paired in the twin block order of `twins`, each node's twin mask
-    (_twins, _guess), whose moved pairs must permute their keys and pass
-    _carries, so no fixed node's row is read; the search from p's refinement
-    onto u's (_search), each node's own image first. An automorphism that maps p to u maps p's
-    refinement onto u's cell by cell, so only a size mismatch or an
+    the transposition (p u), which two rows decide (_transposes); the swap
+    of p's twin class with u's, both restricted to the level's cell and of
+    equal size, pairing p with u and the rest in ascending order, its moved
+    pairs checked by _carries; u's refinement of the level, whose cell sizes
+    must equal those of p's (pivot_side) or u is ruled out, and one guess
+    from the two, its nodes paired in the twin block order of `twins`, each
+    node's twin mask (_twins, _guess), whose moved pairs must permute their
+    keys and pass _carries, so no fixed node's row is read; the search from
+    p's refinement onto u's (_search), each node's own image first. Every
+    step moves only nodes of the level's non-singleton cells, so a map that
+    passes fixes the earlier pivots. An automorphism that maps p to u maps
+    p's refinement onto u's cell by cell, so only a size mismatch or an
     exhausted search rules u out.
     """
     if _transposes(wg, p, u):
         return {p: u, u: p}
+    cell = level[0][level[1][p]]
+    pclass, uclass = twins[p] & cell, twins[u] & cell
+    if pclass & (pclass - 1) and pclass.bit_count() == uclass.bit_count():
+        # twin classes are disjoint, so the swap is an involution
+        pairs = {p: u, u: p}
+        for a, b in zip(_iter_bits(pclass ^ 1 << p), _iter_bits(uclass ^ 1 << u)):
+            pairs[a], pairs[b] = b, a
+        if _carries(wg, wg, pairs):
+            return pairs
     pcells = pivot_side[0]
     ucells, ucell_of = list(level[0]), list(level[1])
     _individualize(wg.adj, ucells, ucell_of, u)
@@ -598,7 +634,7 @@ def _witness(
     pairs = _guess(pcells, ucells, twins)
     if pairs.keys() == set(pairs.values()) and _carries(wg, wg, pairs):
         return pairs
-    perm = _search(wg, wg, pivot_side, (ucells, ucell_of))
+    perm = _search(wg, wg, pivot_side, (ucells, ucell_of), (twins, twins))
     return None if perm is None else _moved(perm)
 
 
@@ -608,8 +644,10 @@ def _aut_order(wg: WeightedGraph, cells: list[int], cell_of: list[int]) -> tuple
 
     The individualization chain fixes, level by level, the least node (the
     pivot) of the first non-singleton cell and refines, until every cell is a
-    singleton; a level whose cell lies inside the pivot's twin mask needs no
-    refinement (_detach). Level i's group G_i fixes the earlier pivots, and
+    singleton. A cell that lies inside its pivot's twin mask is one chain
+    entry, a twin run: its levels detach, with no refinement (_detach), every
+    node of the cell but the last, in ascending order. Level i's group G_i
+    fixes the earlier pivots, and
     |G_i| is the size of the pivot's G_i-orbit times |G_(i+1)|. Levels are
     handled from the deepest up, with one union-find over the automorphisms
     found so far: all of them fix the current level's earlier pivots, so
@@ -619,13 +657,16 @@ def _aut_order(wg: WeightedGraph, cells: list[int], cell_of: list[int]) -> tuple
     the whole orbit in the pivot's); both are read off the orbit masks. At
     the end of a level the pivot's known orbit is its full G_i-orbit, so
     the maps found generate the group and the union-find ends with its
-    orbits.
+    orbits. A twin run's level of pivot p has the run's nodes from p on as
+    its cell; going up, the transposition of p and the run's next node is
+    checked (_transposes) and joined, which puts that whole cell in p's
+    orbit, as no map found deeper moves a node of the run.
 
-    The chain refines (cells, cell_of) in place and keeps, per level, only
-    an undo log of the cells it changed; going up, each level's partition is
-    the one below with that level's log undone, so at most two levels'
-    partitions are alive at a time. A twin level is undone in place, as its
-    witnesses are all transpositions and never read the one below.
+    The chain refines (cells, cell_of) in place and keeps, per entry, only
+    an undo log of the cells it changed; going up, each entry's partition is
+    the one below with that entry's log undone, so at most two levels'
+    partitions are alive at a time. A twin run is undone in place and once,
+    as its witnesses are transpositions and never read the partition below.
     """
     twins = _twins(wg.adj, wg.weights)
     chain: list[tuple[int, dict[int, int], int, int]] = []  # per level
@@ -641,29 +682,48 @@ def _aut_order(wg: WeightedGraph, cells: list[int], cell_of: list[int]) -> tuple
         chain.append((len(cells), log, target, pivot))
         if target & ~twins[pivot]:
             _individualize(wg.adj, cells, cell_of, pivot, log)
-        else:
-            _detach(cells, cell_of, pivot, log)
+        else:  # a twin run: every node of the cell but the last, in ascending order
+            rest = target
+            while rest & (rest - 1):
+                low = rest & -rest
+                _detach(cells, cell_of, low.bit_length() - 1, log)
+                rest ^= low
 
     orbits = _Orbits(wg.n)
     order = 1
     pivot_side = (cells, cell_of)
     for base, log, target, pivot in reversed(chain):
-        if target & ~twins[pivot]:
+        twin_run = not target & ~twins[pivot]
+        if not twin_run:
             cells, cell_of = list(cells), list(cell_of)
         _undo(cells, cell_of, base, log)
-        dead = 0  # the orbits known to hold no image
-        while candidates := target & ~(orbits.orbit(pivot) | dead):
-            u = (candidates & -candidates).bit_length() - 1
-            orbit = orbits.orbit(u)
-            if orbit & dead:  # joined to a dead orbit since it was ruled out
-                dead |= orbit
-                continue
-            pairs = _witness(wg, (cells, cell_of), pivot_side, pivot, u, twins)
-            if pairs is None:
-                dead |= orbit
-            else:
-                orbits.join(pairs)
-        order *= (orbits.orbit(pivot) & target).bit_count()
+        if twin_run:
+            # the run's levels from the deepest up: level p's cell is the
+            # nodes from p on, and p's orbit there joins through (p u)
+            u = target.bit_length() - 1
+            rest = target ^ 1 << u
+            while rest:
+                p = rest.bit_length() - 1
+                if not _transposes(wg, p, u):
+                    raise RuntimeError(f"twins {p} and {u} do not transpose")
+                orbits.join({p: u, u: p})
+                order *= (orbits.orbit(p) & target).bit_count()
+                rest ^= 1 << p
+                u = p
+        else:
+            dead = 0  # the orbits known to hold no image
+            while candidates := target & ~(orbits.orbit(pivot) | dead):
+                u = (candidates & -candidates).bit_length() - 1
+                orbit = orbits.orbit(u)
+                if orbit & dead:  # joined to a dead orbit since it was ruled out
+                    dead |= orbit
+                    continue
+                pairs = _witness(wg, (cells, cell_of), pivot_side, pivot, u, twins)
+                if pairs is None:
+                    dead |= orbit
+                else:
+                    orbits.join(pairs)
+            order *= (orbits.orbit(pivot) & target).bit_count()
         pivot_side = (cells, cell_of)
     return order, orbits
 
@@ -696,8 +756,9 @@ def enumerate_automorphisms(
             f"{_magnitude(caps.max_count)}"
         )
     cells, cell_of = _equitable(wg.adj, wg.weights)
+    twins = _twins(wg.adj, wg.weights)
     out: list[tuple[int, ...]] = []
-    _search(wg, wg, (cells, cell_of), (list(cells), list(cell_of)), out.append)
+    _search(wg, wg, (cells, cell_of), (list(cells), list(cell_of)), (twins, twins), out.append)
     out.sort()
     if len(out) != total:
         raise RuntimeError(
@@ -717,13 +778,17 @@ def find_isomorphism(
         return None
     # refine both graphs jointly, as one disjoint union with b's nodes
     # shifted by a.n, so that cells are comparable across them
-    cells, cell_of = _equitable(a.adj + tuple(m << a.n for m in b.adj), a.weights + b.weights)
+    adj, weights = a.adj + tuple(m << a.n for m in b.adj), a.weights + b.weights
+    cells, cell_of = _equitable(adj, weights)
     a_side = (1 << a.n) - 1
     if any(2 * (c & a_side).bit_count() != c.bit_count() for c in cells):
         return None
     a_cells = [c & a_side for c in cells], cell_of[: a.n]
     b_cells = [c >> a.n for c in cells], cell_of[a.n :]
-    return _search(a, b, a_cells, b_cells)
+    # the union's twin masks, each cut to its own side (two isolated nodes
+    # of one weight are twins across the sides)
+    twins = _twins(adj, weights)
+    return _search(a, b, a_cells, b_cells, ([t & a_side for t in twins[: a.n]], [t >> a.n for t in twins[a.n :]]))
 
 
 class _ComponentClass:

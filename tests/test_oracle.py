@@ -4,7 +4,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pga import (
     CapExceeded,
@@ -265,17 +265,25 @@ def _is_isomorphism(a, b, perm):
     "build", [lambda: empty(63), lambda: bundle("Z(2)^6").pg], ids=["empty(63)", "Z(2)^6"]
 )
 def test_orbit_pruning_bounds_the_searches(build, monkeypatch):
-    # each witness attempt either joins two orbits or rules out a whole one,
-    # and on these graphs the transposition is always a witness, so at most
-    # n - 1 attempts run and none needs a guess or an exhaustive search
-    wg = build()
-    witnesses = _count_calls(monkeypatch, "_witness")
+    # each checked map joins two orbits, and on these graphs every level is
+    # in a twin run, whose orbits join through transpositions: at most n - 1
+    # are checked and none needs a guess or an exhaustive search
+    _assert_twin_runs_only(build(), math.factorial(63), monkeypatch)
+
+
+def _assert_twin_runs_only(wg, order, monkeypatch):
+    """Count wg, whose levels all lie in twin runs: at most n - 1 checked
+    transpositions, none failing, no guess, no search, and no refinement
+    beyond the first partition's."""
+    transpositions = _count_calls(monkeypatch, "_transposes")
+    splits = _count_calls(monkeypatch, "_split")
     guesses = _count_calls(monkeypatch, "_guess")
     searches = _count_calls(monkeypatch, "_search")
-    assert count_automorphisms(wg, OracleCaps(max_nodes=wg.n)) == math.factorial(63)
-    assert 0 < len(witnesses) <= wg.n - 1
-    assert None not in witnesses
+    assert count_automorphisms(wg, OracleCaps(max_nodes=wg.n)) == order
+    assert 0 < len(transpositions) <= wg.n - 1
+    assert all(transpositions)
     assert guesses == [] and searches == []
+    assert len(splits) <= 2
 
 
 def test_counting_memory_is_linear_in_the_chain():
@@ -330,15 +338,22 @@ def test_moved_rows_check_equals_full_check(wg, data):
     assert _is_automorphism(wg, {v: w for v, w in enumerate(perm) if v != w}) == full
 
 
-@pytest.mark.parametrize("spec, count", [("Sym(5)", 28), ("Z(4)^3", 23)])
+@pytest.mark.parametrize("spec, count", [("Sym(5)", 9), ("Z(4)^3", 6)])
 def test_guesses_hand_back_only_moved_pairs(spec, count, monkeypatch):
-    # a guess names only the nodes it moves, so checking it reads no row of
-    # a fixed node and builds no map of every node
+    # a guess, and a swap of two twin classes, names only the nodes it moves,
+    # so checking it reads no row of a fixed node and builds no map of every
+    # node; most candidates here are met by a swap, before any refinement
     wg = bundle(spec).pg
     guesses = _count_calls(monkeypatch, "_guess")
+    witnesses = _count_calls(monkeypatch, "_witness")
     assert count_automorphisms(wg, OracleCaps(max_nodes=wg.n)) == report(spec).order
     assert len(guesses) == count
     assert all(v != w for pairs in guesses for v, w in pairs.items())
+    # a swap is a witness of more than two pairs that no guess handed over
+    swaps = [pairs for pairs in witnesses if pairs and len(pairs) > 2 and pairs not in guesses]
+    assert swaps
+    assert all(_is_automorphism(wg, pairs) for pairs in swaps)
+    assert all(v != w for pairs in swaps for v, w in pairs.items())
 
 
 def _carries_by_definition(a, b, pairs):
@@ -492,9 +507,9 @@ def test_search_leaves_the_pivot_side_as_it_came(monkeypatch):
     wg, order, calls = bundle("Z(8)^2").pg, report("Z(8)^2").order, []
     real = oracle._search
 
-    def checked(src, dst, pside, uside, found=None):
+    def checked(src, dst, pside, uside, twins, found=None):
         before = list(pside[0]), list(pside[1])
-        calls.append(real(src, dst, pside, uside, found))
+        calls.append(real(src, dst, pside, uside, twins, found))
         assert (pside[0], pside[1]) == before
         return calls[-1]
 
@@ -511,7 +526,8 @@ def test_exhausted_search_leaves_the_pivot_side_as_it_came():
     cells, cell_of = oracle._equitable(a.adj + tuple(m << 6 for m in b.adj), a.weights + b.weights)
     pside = [c & 63 for c in cells], cell_of[:6]
     before = list(pside[0]), list(pside[1])
-    assert oracle._search(a, b, pside, ([c >> 6 for c in cells], cell_of[6:])) is None
+    twins = oracle._twins(a.adj, a.weights), oracle._twins(b.adj, b.weights)
+    assert oracle._search(a, b, pside, ([c >> 6 for c in cells], cell_of[6:]), twins) is None
     assert pside == before
 
 
@@ -764,15 +780,91 @@ def test_twin_levels_need_no_refinement(build, monkeypatch):
     # level's cell is a twin class, so only the first partition is refined,
     # and each level joins its orbit with one checked transposition
     wg = build()
-    splits = _count_calls(monkeypatch, "_split")
+    _assert_twin_runs_only(wg, math.factorial(wg.n), monkeypatch)
+
+
+def _twin_ring():
+    """Twin classes around a 5-cycle A C B E D, each joined to the classes
+    beside it: A and C are open pairs, B and D closed pairs and E one node.
+    The graph is 4-regular, so refinement keeps one cell, but the open pairs
+    and the closed pairs lie in different orbits."""
+    classes = {"A": [0, 1], "C": [2, 3], "B": [4, 5], "E": [6], "D": [7, 8]}
+    ring = "ACBED"
+    edges = [(u, v) for i in range(5) for u in classes[ring[i]] for v in classes[ring[(i + 1) % 5]]]
+    return WeightedGraph(9, edges + [(4, 5), (7, 8)])
+
+
+def test_twin_class_swap_that_fails_rules_nothing_out(monkeypatch):
+    # node 0's open pair and node 4's closed pair are equal twin classes of
+    # one cell, and their swap is not an automorphism; accepting it would put
+    # the two orbits in one and double the count
+    wg = _twin_ring()
+    witnesses = _count_calls(monkeypatch, "_witness")
+    assert count_automorphisms(wg) == naive_count(wg) == 32
+    assert sorted(vertex_orbits(wg)) == [[0, 1, 2, 3], [4, 5, 7, 8], [6]]
+    assert all(_is_automorphism(wg, pairs) for pairs in witnesses if pairs is not None)
+
+
+def test_twin_class_swap_is_a_witness(monkeypatch):
+    # a hub with two closed-twin pairs and a pendant node: the pairs' swap is
+    # an automorphism, though the transposition of one node from each is not,
+    # so the swap is the witness and no guess is made
+    wg = WeightedGraph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (0, 5)])
     witnesses = _count_calls(monkeypatch, "_witness")
     guesses = _count_calls(monkeypatch, "_guess")
-    searches = _count_calls(monkeypatch, "_search")
-    assert count_automorphisms(wg, OracleCaps(max_nodes=wg.n)) == math.factorial(wg.n)
-    assert len(splits) <= 2
-    assert guesses == [] and searches == []
-    assert 0 < len(witnesses) <= wg.n - 1
-    assert None not in witnesses
+    assert count_automorphisms(wg) == naive_count(wg) == 8
+    assert {1: 3, 3: 1, 2: 4, 4: 2} in witnesses
+    assert guesses == []
+
+
+def _near_copy(wg, data):
+    """wg with its nodes shuffled, and maybe one edge moved to a non-edge or
+    the weights of two nodes swapped, so that it may or may not be
+    isomorphic to wg."""
+    other = relabel(wg, data.draw(st.permutations(range(wg.n))))
+    edges, weights = sorted(other.edges()), list(other.weights)
+    non_edges = [(u, v) for u in range(wg.n) for v in range(u + 1, wg.n) if (u, v) not in edges]
+    change = data.draw(st.sampled_from(["none", "edge", "weight"]))
+    if change == "edge" and edges and non_edges:
+        edges.remove(data.draw(st.sampled_from(edges)))
+        edges.append(data.draw(st.sampled_from(non_edges)))
+    elif change == "weight":
+        i, j = data.draw(st.integers(0, wg.n - 1)), data.draw(st.integers(0, wg.n - 1))
+        weights[i], weights[j] = weights[j], weights[i]
+    return WeightedGraph(wg.n, edges, weights), change == "none"
+
+
+@given(planted_twins(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_one_image_per_twin_class_loses_no_isomorphism(wg, data):
+    # the search for one map tries one image per twin class of a cell; it
+    # must find a map exactly when the per-node reference does
+    other, relabelled = _near_copy(wg, data)
+    found = find_isomorphism(wg, other)
+    assert (found is None) == (reference_search(wg, other, _same_weight(wg, other)) is None)
+    assert found is not None or not relabelled
+    assert found is None or _is_isomorphism(wg, other, found)
+
+
+@given(planted_twins())
+@settings(max_examples=40, deadline=None)
+def test_enumeration_lists_every_map_with_planted_twins(wg):
+    # enumeration tries every image, twins included: it lists exactly the
+    # maps the per-node reference accepts
+    assume(count_automorphisms(wg) <= 5000)
+    expected = []
+    reference_search(wg, wg, _same_weight(wg, wg), expected.append)
+    assert enumerate_automorphisms(wg) == sorted(expected)
+
+
+@pytest.mark.parametrize("wg", [empty(7), K(6)], ids=["empty(7)", "K(6)"])
+def test_enumerating_twin_cells_refines_once_at_most(wg, monkeypatch):
+    # every level of the count and of both sides of the search lies in a
+    # twin cell and is detached, so only the first partition of a graph with
+    # edges is refined, once for the count and once for the enumeration
+    splits = _count_calls(monkeypatch, "_split")
+    assert len(enumerate_automorphisms(wg)) == math.factorial(wg.n)
+    assert len(splits) == (2 if wg.edge_count else 0)
 
 
 def test_oracle_imports_nothing_from_pga():
