@@ -472,8 +472,10 @@ def _search(
                 stack.pop()
                 continue
             y = x if untried >> x & 1 else (untried & -untried).bit_length() - 1
+            # a search for one map tries no twin of y (see above)
+            untried &= ~utwins[y] if found is None else ~(1 << y)
             ulog = {}
-            frame[4:] = untried & ~utwins[y] if found is None else untried ^ 1 << y, ulog
+            frame[4:] = untried, ulog
             if ucells[first] & ~utwins[y]:
                 _individualize(dst.adj, ucells, ucell_of, y, ulog)
             else:
@@ -788,7 +790,8 @@ def find_isomorphism(
     # the union's twin masks, each cut to its own side (two isolated nodes
     # of one weight are twins across the sides)
     twins = _twins(adj, weights)
-    return _search(a, b, a_cells, b_cells, ([t & a_side for t in twins[: a.n]], [t >> a.n for t in twins[a.n :]]))
+    a_twins, b_twins = [t & a_side for t in twins[: a.n]], [t >> a.n for t in twins[a.n :]]
+    return _search(a, b, a_cells, b_cells, (a_twins, b_twins))
 
 
 class _ComponentClass:

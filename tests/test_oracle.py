@@ -790,8 +790,10 @@ def _twin_ring():
     and the closed pairs lie in different orbits."""
     classes = {"A": [0, 1], "C": [2, 3], "B": [4, 5], "E": [6], "D": [7, 8]}
     ring = "ACBED"
-    edges = [(u, v) for i in range(5) for u in classes[ring[i]] for v in classes[ring[(i + 1) % 5]]]
-    return WeightedGraph(9, edges + [(4, 5), (7, 8)])
+    edges = [(4, 5), (7, 8)]
+    for here, there in zip(ring, ring[1:] + ring[0]):
+        edges += [(u, v) for u in classes[here] for v in classes[there]]
+    return WeightedGraph(9, edges)
 
 
 def test_twin_class_swap_that_fails_rules_nothing_out(monkeypatch):
