@@ -5,15 +5,29 @@ quotient automorphism part times one symmetric group per class (elements of a
 class are interchangeable). The quotient part is computed by one recursion on
 weighted graphs:
 
-  * connected components are grouped by weighted-graph isomorphism (the
-    oracle's `_component_classes`); each group of m copies contributes the
-    wreath product of one copy's group by Sym(m);
+  * connected components are grouped by the certificate the recursion
+    computes for each; each group of m copies contributes the wreath
+    product of one copy's group by Sym(m);
   * inside a component, every node alone in its cell of the stable colour
     refinement is fixed by every automorphism (equitable-partition cells are
     Aut-invariant). Those nodes are stripped, the rest are re-weighted by
     their stable colour, and the recursion goes on;
-  * only a component with no singleton cell is brute-forced by the oracle and
-    contributes a factor known by its order alone (`Opaque`).
+  * only a component with no singleton cell, a leaf, is brute-forced by the
+    oracle, once per isomorphism class, and contributes a factor known by
+    its order alone (`Opaque`).
+
+An isolated node's certificate is its colour, a leaf's its sorted colours
+with the index of its isomorphism class among the leaves of those colours
+met so far (the only graphs `find_isomorphism` compares), and any other
+component's the sorted colours of its singleton cells with the certificate
+of its re-weighted rest: the multiset of the rest's components'
+certificates. Two components of one graph with equal certificates are
+isomorphic. Colours fix the weights; a singleton colour occurs once in a
+component and the colouring is equitable, so colours fix every edge at a
+singleton; and the rest's edges lie in its components, which match by
+induction. Every step is isomorphism-invariant, so the converse holds. This
+is the canonical-form test for trees (Aho, Hopcroft and Ullman, 1974), with
+colour refinement in place of rooting.
 
 The recursion colour-refines its graph once, at the top, and no deeper level
 refines again. The restriction of that colouring to a component is the
@@ -92,9 +106,10 @@ from .oracle import (
     CapExceeded,
     OracleCaps,
     WeightedGraph,
-    _component_classes,
     _induced,
+    connected_components,
     count_automorphisms,
+    find_isomorphism,
     stable_colors,
 )
 from .powergraph import PowerGraph, build_power_graph, cyclic_subgroup_graph
@@ -167,43 +182,68 @@ class AutReport:
 def quotient_aut(wg: WeightedGraph, caps: OracleCaps | None = None) -> GroupExpr:
     """Automorphism group of a weighted graph, as an expression.
 
-    Components are grouped by isomorphism (certified by the oracle); each
-    group of m isomorphic components contributes the wreath product of one
-    component's group by Sym(m), and distinct groups multiply directly. The
-    graph is colour-refined once, here; no deeper level refines again.
+    Components are grouped by their certificates; each group of m copies
+    contributes the wreath product of one copy's group by Sym(m), and
+    distinct groups multiply directly. The graph is colour-refined once,
+    here; no deeper level refines again.
     """
-    return _quotient_aut(wg, stable_colors(wg), caps or OracleCaps())
+    return _quotient_aut(wg, stable_colors(wg), caps or OracleCaps(), {})[1]
 
 
-def _quotient_aut(wg: WeightedGraph, colors: Sequence[int], caps: OracleCaps) -> GroupExpr:
-    """quotient_aut for a graph whose stable colouring is `colors`."""
-    factors = tuple(
-        Wreath(_component_aut(rep, cs, caps), Sym(count))
-        for rep, cs, count in _component_classes(wg, colors, caps)
-    )
-    return expr_normalize(Product(factors))
+def _quotient_aut(
+    wg: WeightedGraph, colors: Sequence[int], caps: OracleCaps, leaves: dict
+) -> tuple[object, GroupExpr]:
+    """(certificate, group) of a graph whose stable colouring is `colors`;
+    `leaves` maps sorted colours to the (leaf, group) classes met so far."""
+    groups: dict[object, list] = {}  # certificate -> [one copy's group, copies]
+    trivial = Trivial()
+    for comp in connected_components(wg):
+        if len(comp) == 1:  # an isolated node (most of Z(2)^10's quotient): its colour
+            cert, group = colors[comp[0]], trivial
+        else:
+            cert, group = _component_aut(wg, comp, colors, caps, leaves)
+        if cert in groups:
+            groups[cert][1] += 1
+        else:
+            groups[cert] = [group, 1]
+    factors = tuple(Wreath(group, Sym(copies)) for group, copies in groups.values())
+    cert = frozenset((c, copies) for c, (_, copies) in groups.items())
+    return cert, expr_normalize(Product(factors))
 
 
-def _component_aut(cg: WeightedGraph, colors: Sequence[int], caps: OracleCaps) -> GroupExpr:
-    """The group of a connected graph whose stable colouring is `colors`."""
-    cell_size = Counter(colors)
-    rest = [v for v, c in enumerate(colors) if cell_size[c] > 1]
-    if len(rest) == cg.n:  # no singleton cell: nothing is known to be fixed
+def _component_aut(
+    wg: WeightedGraph, comp: list[int], colors: Sequence[int], caps: OracleCaps, leaves: dict
+) -> tuple[object, GroupExpr]:
+    """(certificate, group) of the component of wg on the ascending nodes
+    `comp`, of two or more nodes."""
+    cs = [colors[v] for v in comp]
+    cell_size = Counter(cs)
+    rest = [v for v, c in zip(comp, cs) if cell_size[c] > 1]
+    if len(rest) == len(comp):  # a leaf: nothing is known to be fixed
+        key = tuple(sorted(cs))
+        seen = leaves.setdefault(key, [])
+        cg = wg if len(comp) == wg.n else wg.subgraph(comp)
+        for i, (other, group) in enumerate(seen):
+            if find_isomorphism(other, cg, caps) is not None:
+                return (key, i), group
         try:
-            return Opaque(count_automorphisms(cg, caps))
+            seen.append((cg, Opaque(count_automorphisms(cg, caps))))
         except CapExceeded as exc:
             raise CapExceeded(
                 f"order-only unavailable: a {cg.n}-node component needs brute force ({exc})"
             ) from exc
+        return (key, len(seen) - 1), seen[-1][1]
+    fixed = tuple(sorted(c for c in cs if cell_size[c] == 1))
     if not rest:
-        return Trivial()
+        return (fixed, frozenset()), Trivial()
     # every automorphism keeps the stable colours, and a colour fixes a node's
     # weight and its adjacency to each singleton cell; weighted by colour, the
     # rest has the same automorphisms. Its colour cells are still equitable
     # (each cell meets each other cell as it did, and the singletons are
     # gone), so they are its stable colouring and need no refinement
-    stripped = _induced(cg, rest, [colors[v] + 1 for v in rest])
-    return _quotient_aut(stripped, stripped.weights, caps)
+    stripped = _induced(wg, rest, [colors[v] + 1 for v in rest])
+    rest_cert, group = _quotient_aut(stripped, stripped.weights, caps, leaves)
+    return (fixed, rest_cert), group
 
 
 # ---------------------------------------------------------------------------

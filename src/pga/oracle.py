@@ -52,26 +52,18 @@ The machinery is classic individualization-refinement:
     each node's own image tried first and every leaf's map checked. When it
     looks for one map it tries one image per twin class of a cell, as the
     transposition of two twins carries one's subtree onto the other's;
-    listing tries every image. A witness hands back only its moved pairs;
-  * components are grouped by isomorphism after one refinement of the whole
-    graph, comparing only components with equal colour multisets. That
-    refinement, restricted to a component, is the component's own stable
-    colouring: a node's colour depends only on the weights and degrees met
-    on walks from it, which never leave its component. So the engine's
-    quotient recursion refines its graph once and hands each component its
-    share of the colouring (_component_classes).
+    listing tries every image. A witness hands back only its moved pairs.
 
-Every twin-class swap, every guess, every search leaf and every
-colour-forced component match is checked by one function (_carries) before
-it is trusted. A map is a dict of
-(node, image) pairs that fixes every other node; it passes when no two keys
-share an image and each key's weight and row are carried onto its image's.
-An automorphism must also be a permutation, its values being its keys, and
-is handed over as the pairs it moves: an edge between two fixed nodes is its
-own image, so comparing the moved rows is complete. Only a refinement
-mismatch or an exhausted search rules a candidate out, so a bad swap or guess
-never lowers a count. No level is counted by a formula: each orbit it joins
-comes from one checked map, a twin run's level from its transposition. Caps produce an
+Every twin-class swap, every guess and every search leaf is checked by one
+function (_carries) before it is trusted. A map is a dict of (node, image)
+pairs that fixes every other node; it passes when no two keys share an image
+and each key's weight and row are carried onto its image's. An automorphism
+must also be a permutation, its values being its keys, and is handed over as
+the pairs it moves: an edge between two fixed nodes is its own image, so
+comparing the moved rows is complete. Only a refinement mismatch or an
+exhausted search rules a candidate out, so a bad swap or guess never lowers
+a count. No level is counted by a formula: each orbit it joins comes from
+one checked map, a twin run's level from its transposition. Caps produce an
 explicit CapExceeded, never a guess.
 """
 
@@ -495,9 +487,7 @@ def _carries(a: WeightedGraph, b: WeightedGraph, pairs: dict[int, int]) -> bool:
     Only the keys' rows are compared. For an automorphism, whose keys are the
     nodes it moves and whose values are those keys again, that is complete:
     an edge between two fixed nodes is its own image, and every other edge or
-    non-edge lies in a key's row. For a total map it is the whole check, and
-    for a map between components, whose rows never leave them, it decides
-    whether the map is an isomorphism between them."""
+    non-edge lies in a key's row. For a total map it is the whole check."""
     support = images = 0
     for v, w in pairs.items():
         support |= 1 << v
@@ -792,79 +782,6 @@ def find_isomorphism(
     twins = _twins(adj, weights)
     a_twins, b_twins = [t & a_side for t in twins[: a.n]], [t >> a.n for t in twins[a.n :]]
     return _search(a, b, a_cells, b_cells, (a_twins, b_twins))
-
-
-class _ComponentClass:
-    """Isomorphic components: the first one's nodes, its node of each stable
-    colour, its subgraph once built, and how many there are."""
-
-    __slots__ = ("nodes", "at", "sub", "count")
-
-    def __init__(self, nodes: list[int], at: dict[int, int] | None, sub: WeightedGraph | None) -> None:
-        self.nodes, self.at, self.sub, self.count = nodes, at, sub, 1
-
-
-def _component_classes(
-    wg: WeightedGraph, colors: Sequence[int], caps: OracleCaps | None
-) -> list[tuple[WeightedGraph, Sequence[int], int]]:
-    """Connected components grouped by isomorphism, for a graph whose stable
-    colouring is `colors`: one (representative, its colours, count) per
-    class, in order of first appearance. The representative is the class's
-    first component as a subgraph, or the graph itself when it is connected,
-    and its colours are `colors` restricted to its nodes.
-
-    The restriction is the component's own stable colouring, up to the
-    numbering of the colours: a node's stable colour is decided by the
-    weights and degrees met on walks from it, which never leave its
-    component, so two nodes of one component share a colour in the whole
-    graph exactly when they share one in the component alone. Colours are
-    only compared for equality, so the numbering does not matter.
-
-    Isomorphic components have equal multisets of stable colours, which also
-    fix their sizes, weights and edge counts (colours refine weight and
-    degree), so a component is compared only with the representatives of
-    its multiset. When its colours are pairwise distinct, the
-    colour-matching bijection is the only candidate and is checked directly;
-    otherwise find_isomorphism decides, so the node cap applies only to
-    components it compares.
-    """
-    comps = connected_components(wg)
-    if len(comps) == 1:
-        return [(wg, colors, 1)]
-    classes: list[_ComponentClass] = []
-    singles: dict[int, _ComponentClass] = {}  # an isolated node's class, by its colour
-    buckets: dict[tuple[int, ...], list[_ComponentClass]] = {}
-    for comp in comps:
-        if len(comp) == 1:
-            # equal colour means equal weight, and neither node has an edge
-            cls = singles.get(colors[comp[0]])
-            if cls is None:
-                cls = singles[colors[comp[0]]] = _ComponentClass(comp, None, None)
-                classes.append(cls)
-            else:
-                cls.count += 1
-            continue
-        cs = [colors[v] for v in comp]
-        bucket = buckets.setdefault(tuple(sorted(cs)), [])
-        forced = len(set(cs)) == len(cs)
-        sub = None
-        for cls in bucket:
-            if forced:
-                same = _carries(wg, wg, {v: cls.at[c] for v, c in zip(comp, cs)})
-            else:
-                cls.sub = cls.sub or wg.subgraph(cls.nodes)
-                sub = sub or wg.subgraph(comp)
-                same = find_isomorphism(cls.sub, sub, caps) is not None
-            if same:
-                cls.count += 1
-                break
-        else:
-            bucket.append(_ComponentClass(comp, dict(zip(cs, comp)), sub))
-            classes.append(bucket[-1])
-    return [
-        (cls.sub or wg.subgraph(cls.nodes), [colors[v] for v in cls.nodes], cls.count)
-        for cls in classes
-    ]
 
 
 def vertex_orbits(wg: WeightedGraph, caps: OracleCaps | None = None) -> list[list[int]]:

@@ -10,7 +10,7 @@ from itertools import combinations_with_replacement, permutations, product
 from pathlib import Path
 
 import numpy as np
-from hypothesis import strategies as st
+from hypothesis import assume, strategies as st
 
 from pga import (
     CYCLIC_INTERVAL,
@@ -216,6 +216,65 @@ def planted_twins(draw):
         blocks.append(new)
     perm = draw(st.permutations(range(len(weights))))
     return relabel(WeightedGraph(len(weights), edges, weights), perm)
+
+
+def _ring_classes(t: int, runs) -> list[tuple[int, bool]]:
+    """(size, closed) of each class of twin_ring(t, runs), in ring order."""
+    classes = []
+    for r in runs:
+        classes += [(t, False)] * r + [(t, True), (1, False), (t, True)]
+    return classes
+
+
+def twin_ring(t: int, runs, hub: bool = False) -> WeightedGraph:
+    """Twin classes around a ring, each joined whole to the two beside it.
+    Per run r: r open classes (independent) of t nodes, then a closed class
+    (a clique) of t nodes, one node and another closed class of t nodes.
+    Every node has degree 2t, so refinement keeps one cell, but an open and
+    a closed class of t nodes lie in different orbits. With `hub`, one more
+    node is joined to every other. twin_ring(2, [2]) is the ring A C B E D
+    of open pairs A and C, closed pairs B and D and one node E."""
+    kinds, classes, start = _ring_classes(t, runs), [], 0
+    for size, _ in kinds:
+        classes.append(range(start, start + size))
+        start += size
+    edges = []
+    for (_, closed), here, there in zip(kinds, classes, classes[1:] + classes[:1]):
+        edges += [(u, v) for u in here for v in there]
+        if closed:
+            edges += [(u, v) for u in here for v in here if u < v]
+    if hub:
+        edges += [(v, start) for v in range(start)]
+    return WeightedGraph(start + hub, edges)
+
+
+def twin_ring_order(t: int, runs) -> int:
+    """The automorphism count of twin_ring(t, runs), with or without its hub,
+    for a ring of five or more classes. Those classes are then its twin
+    classes, which every automorphism permutes as the ring's rotations and
+    reflections do: the count is the product of the class sizes' factorials
+    times the number of rotations and reflections that keep each class's
+    size and kind."""
+    classes = _ring_classes(t, runs)
+    k = len(classes)
+    assert k >= 5, "in a ring of four classes, opposite classes can be twins"
+    symmetries = sum(
+        all(classes[(sign * i + shift) % k] == classes[i] for i in range(k))
+        for shift in range(k)
+        for sign in (1, -1)
+    )
+    return symmetries * math.prod(math.factorial(size) for size, _ in classes)
+
+
+@st.composite
+def twin_rings(draw):
+    """(t, runs) of a twin_ring of five or more classes with an open class:
+    classes of two or three nodes, one to three runs of up to two open
+    classes, at most 39 nodes."""
+    t = draw(st.integers(2, 3))
+    runs = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    assume(sum(runs) >= 1 and 3 * len(runs) + sum(runs) >= 5)
+    return t, runs
 
 
 def relabel(wg: WeightedGraph, perm) -> WeightedGraph:

@@ -1,9 +1,11 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from pga import (
+    DEFAULT_MAX_ORDER,
     CapExceeded,
     InternalCheckError,
     Opaque,
@@ -32,6 +34,7 @@ from _support import (
     CORPUS,
     EXPECTED_ORDER,
     GOLDEN_SPECS,
+    PRODUCT_SPECS,
     SMALL_GROUP_SPECS,
     bundle,
     complete_graph_form,
@@ -184,8 +187,8 @@ def _no_oracle(monkeypatch):
     monkeypatch.setattr(pga.engine, "count_automorphisms", no_count)
 
 
-def _matches_form(spec: str, form) -> None:
-    q = pipeline(realize(spec)).q
+def _matches_form(spec: str, form, max_order: int = DEFAULT_MAX_ORDER) -> None:
+    q = pipeline(realize(spec, max_order=max_order)).q
     tower, weights = form
     assert quotient_aut(q) == expr_normalize(tower), spec
     assert sorted(q.weights) == sorted(weights), spec
@@ -201,7 +204,9 @@ def test_recursion_matches_the_cyclic_closed_forms(monkeypatch):
 
 
 def test_recursion_matches_the_homocyclic_tower(monkeypatch):
-    # every Z(q)^k of order <= 2000, q = p^m and k >= 2: q <= 44 and k <= 10
+    # every Z(q)^k of order <= 2000, q = p^m and k >= 2: q <= 44 and k <= 10;
+    # and, above the default order cap, 13 groups whose quotients hold
+    # identical components of more than 40 nodes, grouped with no search
     _no_oracle(monkeypatch)
     checked = 0
     for q in range(2, 45):
@@ -211,6 +216,35 @@ def test_recursion_matches_the_homocyclic_tower(monkeypatch):
                 _matches_form(f"Z({q})^{k}", homocyclic_tower(*pp, k))
                 checked += 1
     assert checked == 42
+    large = [(4, 7), (4, 8), (8, 4), (8, 5), (9, 5), (16, 3), (16, 4), (27, 3), (32, 3)]
+    for q, k in large + [(64, 2), (128, 2), (243, 2), (256, 2)]:
+        _matches_form(f"Z({q})^{k}", homocyclic_tower(*is_prime_power(q), k), q**k)
+
+
+def test_searches_compare_only_brute_forced_components(monkeypatch):
+    # every isomorphism search of the recursion compares two components with
+    # no singleton colour cell, and over the product sweep at a raised cap
+    # there are no more searches than brute-force counts
+    import pga.engine
+
+    searches, counts = [], []
+
+    def find(a, b, caps, real=pga.engine.find_isomorphism):
+        searches.append((a, b))
+        return real(a, b, caps)
+
+    def count(wg, caps, real=pga.engine.count_automorphisms):
+        counts.append(wg)
+        return real(wg, caps)
+
+    monkeypatch.setattr(pga.engine, "find_isomorphism", find)
+    monkeypatch.setattr(pga.engine, "count_automorphisms", count)
+    caps = OracleCaps(max_nodes=5000)
+    for spec in PRODUCT_SPECS:
+        analyze(spec, caps)
+    for pair in searches:
+        assert all(min(Counter(stable_colors(wg)).values()) > 1 for wg in pair)
+    assert 0 < len(searches) <= len(counts)
 
 
 def test_analyze_orders_match_frozen_values():

@@ -1,27 +1,35 @@
 import ast
 import math
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from pga import (
     CapExceeded,
+    Opaque,
     OracleCaps,
+    Product,
+    Sym,
     WeightedGraph,
+    Wreath,
     connected_components,
     count_automorphisms,
     enumerate_automorphisms,
+    expr_normalize,
     find_isomorphism,
+    quotient_aut,
     stable_colors,
     vertex_orbits,
 )
-from pga import oracle
+from pga import engine, oracle
 
 from _support import (
     bundle, naive_count, planted_twins, reference_search, reference_split, relabel, report,
-    traced_peak, weighted_graphs,
+    traced_peak, twin_ring, twin_ring_order, twin_rings, weighted_graphs,
 )
 
 
@@ -236,16 +244,16 @@ def test_subgraph_and_relabel():
     assert back.adj[3] >> 2 & 1 and back.adj[0] >> 1 & 1
 
 
-def _count_calls(monkeypatch, name):
-    """The list of results of every call of oracle.<name> from now on."""
+def _count_calls(monkeypatch, name, module=oracle):
+    """The list of results of every call of module.<name> from now on."""
     calls = []
-    real = getattr(oracle, name)
+    real = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(real(*args, **kwargs))
         return calls[-1]
 
-    monkeypatch.setattr(oracle, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -584,27 +592,20 @@ def test_count_matches_enumeration_on_symmetric_graphs(wg):
     assert count_automorphisms(wg) == len(enumerate_automorphisms(wg))
 
 
-def _pairwise_classes(wg, caps):
-    """Reference grouping: each component against every earlier class in turn."""
-    classes = []
+def _certificates(wg, caps=None):
+    """The engine's certificate of each component of wg, in component order.
+    Each comes from the engine's recursion on the component alone, with the
+    whole graph's stable colours restricted to it and one leaf registry for
+    all, as the recursion on the whole graph meets them; their multiset is
+    that recursion's certificate."""
+    colors, leaves = stable_colors(wg), {}
+    certs = []
     for comp in connected_components(wg):
         sub = wg.subgraph(comp)
-        for cls in classes:
-            if find_isomorphism(cls[0], sub, caps) is not None:
-                cls[1] += 1
-                break
-        else:
-            classes.append([sub, 1])
-    return _described(classes)
-
-
-def _described(classes):
-    return [(rep.n, rep.weights, rep.edges(), count) for rep, count in classes]
-
-
-def component_classes(wg, caps=None):
-    """The engine's component grouping, (representative, count) per class."""
-    return [(rep, count) for rep, _, count in oracle._component_classes(wg, stable_colors(wg), caps)]
+        ((cert, _),) = engine._quotient_aut(sub, [colors[v] for v in comp], caps, leaves)[0]
+        certs.append(cert)
+    assert engine._quotient_aut(wg, colors, caps, {})[0] == frozenset(Counter(certs).items())
+    return certs
 
 
 def _shuffled_union(parts, isolated, rng):
@@ -654,49 +655,87 @@ def test_stable_colours_restrict_to_each_component(parts, isolated, rng):
             assert _cells(stable_colors(stripped)) == _cells(reweighted)
 
 
+def _moved_open_class(runs, data):
+    """The runs of a twin ring with one open class moved to another run."""
+    runs = list(runs)
+    if len(runs) > 1 and any(runs):
+        source = data.draw(st.sampled_from([i for i, r in enumerate(runs) if r]))
+        runs[source] -= 1
+        runs[data.draw(st.sampled_from([i for i in range(len(runs)) if i != source]))] += 1
+    return runs
+
+
 @given(
-    st.lists(weighted_graphs(4), min_size=1, max_size=5),
-    st.lists(st.integers(1, 3), max_size=30),
-    st.randoms(use_true_random=False),
+    st.lists(st.one_of(weighted_graphs(6), planted_twins()), min_size=1, max_size=4),
+    st.lists(twin_rings(), max_size=2),
+    st.lists(st.integers(1, 3), max_size=10),
+    st.data(),
 )
-@settings(max_examples=60, deadline=None)
-def test_component_classes_match_pairwise_grouping(parts, isolated, rng):
-    wg = _shuffled_union(parts, isolated, rng)
-    expected = _pairwise_classes(wg, OracleCaps(max_nodes=wg.n))
-    # a search is needed only for a component with a repeated colour that
-    # meets an earlier one of its colour multiset; only it meets the cap
-    colors = stable_colors(wg)
-    buckets = Counter(tuple(sorted(colors[v] for v in comp)) for comp in connected_components(wg))
+@settings(max_examples=100, deadline=None)
+def test_component_classes_match_pairwise_grouping(graphs, rings, isolated, data):
+    # copies, relabelled copies and near-copies (a weight or an edge moved)
+    # of random graphs, and twin rings with a hub joined to every node, next
+    # to the same ring with an open class moved: a ring's nodes share one
+    # colour, so two such components differ only below their one singleton
+    # cell, the hub. Two components share a certificate exactly when
+    # find_isomorphism maps one onto the other
+    parts = list(graphs)
+    for wg in graphs:
+        parts += [_near_copy(wg, data)[0] for _ in range(data.draw(st.integers(0, 2)))]
+    for t, runs in rings:
+        moved = _moved_open_class(runs, data)
+        parts += [twin_ring(t, runs, hub=True), twin_ring(t, moved, hub=True)]
+    wg = _shuffled_union(parts, isolated, data.draw(st.randoms(use_true_random=False)))
+    unbounded = OracleCaps(max_nodes=wg.n)
+    with mock.patch.object(engine, "count_automorphisms", wraps=count_automorphisms) as counts:
+        certs = _certificates(wg, unbounded)
+    subs = [wg.subgraph(comp) for comp in connected_components(wg)]
+    for i, j in combinations(range(len(subs)), 2):
+        same = find_isomorphism(subs[i], subs[j], unbounded) is not None
+        assert (certs[i] == certs[j]) == same, (i, j)
+    # only a brute-forced component meets the cap
+    largest = max((call.args[0].n for call in counts.call_args_list), default=0)
     for caps in (OracleCaps(), OracleCaps(max_nodes=2)):
-        if any(
-            k > 1 and len(cs) > caps.max_nodes and len(set(cs)) < len(cs)
-            for cs, k in buckets.items()
-        ):
-            with pytest.raises(CapExceeded):
-                component_classes(wg, caps)
+        if largest > caps.max_nodes:
+            with pytest.raises(CapExceeded, match="component needs brute force"):
+                _certificates(wg, caps)
         else:
-            assert _described(component_classes(wg, caps)) == expected
+            assert _certificates(wg, caps) == certs
 
 
-def test_component_classes_cap_only_compared_components():
-    # a 45-cycle is above the default cap, and its nodes share one colour
+def test_component_classes_cap_only_compared_components(monkeypatch):
+    # a 45-cycle is above the default cap, and its nodes share one colour:
+    # it has no singleton cell, so it is brute-forced, and only then capped
     cycle = [(v, (v + 1) % 45) for v in range(45)]
     wg = WeightedGraph(48, cycle, [1] * 45 + [2, 2, 3])
-    assert _described(component_classes(wg)) == [
-        (45, (1,) * 45, WeightedGraph(45, cycle).edges(), 1),
-        (1, (2,), [], 2),
-        (1, (3,), [], 1),
-    ]
+    expected = expr_normalize(Product((Opaque(90), Sym(2))))
+    assert quotient_aut(wg, OracleCaps(max_nodes=45)) == expected
     two = WeightedGraph(90, cycle + [(u + 45, v + 45) for u, v in cycle])
-    with pytest.raises(CapExceeded, match="graph has 45 nodes, above the cap of 40"):
-        component_classes(two)
+    message = r"a 45-node component needs brute force \(graph has 45 nodes, above the cap of 40\)"
+    for graph in (wg, two):
+        with pytest.raises(CapExceeded, match=message):
+            quotient_aut(graph)
+    # two 45-node paths: the middle node is a singleton cell, and each half
+    # left by it has pairwise distinct colours, so nothing is compared or counted
+    path = [(v, v + 1) for v in range(44)]
+    paths = WeightedGraph(90, path + [(u + 45, v + 45) for u, v in path])
+    counts = _count_calls(monkeypatch, "count_automorphisms", engine)
+    searches = _count_calls(monkeypatch, "find_isomorphism", engine)
+    assert quotient_aut(paths) == expr_normalize(Wreath(Sym(2), Sym(2)))
+    assert counts == searches == []
 
 
 def test_component_classes_check_forced_maps_without_search(monkeypatch):
-    # 20 isolated nodes of two weights: two classes and no search at all
+    # 20 isolated nodes of two weights, and six paths whose colours are
+    # pairwise distinct: three classes, and no search at all
     wg = WeightedGraph(20, [], [1 + v % 2 for v in range(20)])
     calls = _count_calls(monkeypatch, "_search")
-    assert _described(component_classes(wg)) == [(1, (1,), [], 10), (1, (2,), [], 10)]
+    assert _certificates(wg) == [0, 1] * 10
+    assert quotient_aut(wg) == expr_normalize(Product((Sym(10), Sym(10))))
+    edges = [(v, v + 1) for v in range(20, 38) if v % 3 != 1]
+    paths = WeightedGraph(38, edges, wg.weights + (1, 2, 3) * 6)
+    assert len(set(_certificates(paths))) == 3
+    assert quotient_aut(paths) == expr_normalize(Product((Sym(10), Sym(10), Sym(6))))
     assert calls == []
 
 
@@ -715,7 +754,8 @@ def test_edgeless_graph_needs_no_split(monkeypatch):
     assert cell_of == [0 if v % 3 == 0 else 1 for v in range(1023)]
     # the colours are the weight ranks, and the components one class per weight
     assert stable_colors(wg) == cell_of
-    assert _described(component_classes(wg)) == [(1, (2,), [], 341), (1, (5,), [], 682)]
+    assert engine._quotient_aut(wg, cell_of, OracleCaps(), {})[0] == frozenset({(0, 341), (1, 682)})
+    assert quotient_aut(wg) == expr_normalize(Product((Sym(682), Sym(341))))
     assert calls == []
 
 
@@ -783,28 +823,30 @@ def test_twin_levels_need_no_refinement(build, monkeypatch):
     _assert_twin_runs_only(wg, math.factorial(wg.n), monkeypatch)
 
 
-def _twin_ring():
-    """Twin classes around a 5-cycle A C B E D, each joined to the classes
-    beside it: A and C are open pairs, B and D closed pairs and E one node.
-    The graph is 4-regular, so refinement keeps one cell, but the open pairs
-    and the closed pairs lie in different orbits."""
-    classes = {"A": [0, 1], "C": [2, 3], "B": [4, 5], "E": [6], "D": [7, 8]}
-    ring = "ACBED"
-    edges = [(4, 5), (7, 8)]
-    for here, there in zip(ring, ring[1:] + ring[0]):
-        edges += [(u, v) for u in classes[here] for v in classes[there]]
-    return WeightedGraph(9, edges)
-
-
 def test_twin_class_swap_that_fails_rules_nothing_out(monkeypatch):
-    # node 0's open pair and node 4's closed pair are equal twin classes of
-    # one cell, and their swap is not an automorphism; accepting it would put
+    # twin classes around a 5-cycle A C B E D: open pairs A = {0, 1} and
+    # C = {2, 3}, closed pairs B = {4, 5} and D = {7, 8}, and E = {6}. Node
+    # 0's open pair and node 4's closed pair are equal twin classes of one
+    # cell, and their swap is not an automorphism; accepting it would put
     # the two orbits in one and double the count
-    wg = _twin_ring()
+    wg = twin_ring(2, [2])
     witnesses = _count_calls(monkeypatch, "_witness")
     assert count_automorphisms(wg) == naive_count(wg) == 32
     assert sorted(vertex_orbits(wg)) == [[0, 1, 2, 3], [4, 5, 7, 8], [6]]
     assert all(_is_automorphism(wg, pairs) for pairs in witnesses if pairs is not None)
+
+
+@given(twin_rings(), st.permutations(range(39)))
+@settings(max_examples=60, deadline=None)
+def test_twin_class_swaps_across_orbits_are_refused(ring, perm):
+    # the pinned ring, grown: open and closed classes of equal size share the
+    # one refinement cell but not an orbit, on rings of five to fifteen
+    # classes of one to three nodes, numbered at random
+    t, runs = ring
+    wg = twin_ring(t, runs)
+    wg = relabel(wg, [v for v in perm if v < wg.n])
+    assert len(set(stable_colors(wg))) == 1
+    assert count_automorphisms(wg, OracleCaps(max_nodes=wg.n)) == twin_ring_order(t, runs)
 
 
 def test_twin_class_swap_is_a_witness(monkeypatch):
