@@ -3,39 +3,41 @@
 The full automorphism group of a power graph splits over the MEN quotient: a
 quotient automorphism part times one symmetric group per class (elements of a
 class are interchangeable). The quotient part is computed by one recursion on
-weighted graphs:
+node sets of the quotient, under its one stable colouring:
 
-  * connected components are grouped by the certificate the recursion
-    computes for each; each group of m copies contributes the wreath
-    product of one copy's group by Sym(m);
-  * inside a component, every node alone in its cell of the stable colour
-    refinement is fixed by every automorphism (equitable-partition cells are
-    Aut-invariant). Those nodes are stripped, the rest are re-weighted by
-    their stable colour, and the recursion goes on;
-  * only a component with no singleton cell, a leaf, is brute-forced by the
-    oracle, once per isomorphism class, and contributes a factor known by
-    its order alone (`Opaque`).
+  * the connected components of a node set are grouped by the certificate
+    the recursion computes for each; each group of m copies contributes the
+    wreath product of one copy's group by Sym(m);
+  * inside a component, every node alone in its colour cell is fixed by
+    every automorphism (equitable-partition cells are Aut-invariant), and
+    the recursion goes on with the node set of the rest;
+  * only a component with no singleton cell, a leaf, is built as a graph,
+    weighted by colour, and brute-forced by the oracle once per isomorphism
+    class, for a factor known by its order alone (`Opaque`).
 
 An isolated node's certificate is its colour, a leaf's its sorted colours
 with the index of its isomorphism class among the leaves of those colours
 met so far (the only graphs `find_isomorphism` compares), and any other
 component's the sorted colours of its singleton cells with the certificate
-of its re-weighted rest: the multiset of the rest's components'
-certificates. Two components of one graph with equal certificates are
-isomorphic. Colours fix the weights; a singleton colour occurs once in a
-component and the colouring is equitable, so colours fix every edge at a
-singleton; and the rest's edges lie in its components, which match by
-induction. Every step is isomorphism-invariant, so the converse holds. This
-is the canonical-form test for trees (Aho, Hopcroft and Ullman, 1974), with
-colour refinement in place of rooting.
+of its rest: the multiset of the rest's components' certificates. Two
+components of one node set with equal certificates are isomorphic under
+the colours. Each singleton colour occurs once in a component and the
+colouring is equitable, so colours fix every edge at a singleton; and the
+rest's edges lie in its components, which match by induction. Every step is
+isomorphism-invariant, so the converse holds. This is the canonical-form
+test for trees (Aho, Hopcroft and Ullman, 1974), with colour refinement in
+place of rooting.
 
-The recursion colour-refines its graph once, at the top, and no deeper level
-refines again. The restriction of that colouring to a component is the
-component's own stable colouring, because a node's stable colour depends only
-on the weights and degrees met on walks from it, and walks stay inside its
-component. The re-weighted rest of a component is already equitable (each of
-its cells meets each other cell as it did before the singletons went), so its
-colour cells are its stable colouring as they stand.
+Only the top level refines. The colouring restricted to a component is the
+component's own stable colouring, because a node's stable colour depends
+only on the weights and degrees met on walks from it, and walks stay inside
+its component. A component's rest is equitable under the same colours (each
+of its cells meets each other cell as it did before the singletons went), so
+they are its stable colouring as they stand, and they carry what was
+stripped: a colour fixes a node's weight and its adjacency to each singleton
+cell, so under them the rest has the component's automorphisms. At the top,
+a leaf's colours give it the automorphisms and isomorphisms its weights
+give: those extend to automorphisms of the quotient, which keep the colours.
 
 `analyze` classifies the spec once. A coprime direct product, of at least
 two nontrivial factors, each cyclic or of prime-power order, whose order has
@@ -185,19 +187,20 @@ def quotient_aut(wg: WeightedGraph, caps: OracleCaps | None = None) -> GroupExpr
     Components are grouped by their certificates; each group of m copies
     contributes the wreath product of one copy's group by Sym(m), and
     distinct groups multiply directly. The graph is colour-refined once,
-    here; no deeper level refines again.
+    here; every deeper level is a node set of it, under the same colours.
     """
-    return _quotient_aut(wg, stable_colors(wg), caps or OracleCaps(), {})[1]
+    return _quotient_aut(wg, None, stable_colors(wg), caps or OracleCaps(), {})[1]
 
 
 def _quotient_aut(
-    wg: WeightedGraph, colors: Sequence[int], caps: OracleCaps, leaves: dict
+    wg: WeightedGraph, nodes: int | None, colors: Sequence[int], caps: OracleCaps, leaves: dict
 ) -> tuple[object, GroupExpr]:
-    """(certificate, group) of a graph whose stable colouring is `colors`;
-    `leaves` maps sorted colours to the (leaf, group) classes met so far."""
+    """(certificate, group) of the node set `nodes` of wg, a bitmask (None
+    for all of wg), under wg's stable colouring `colors`; `leaves` maps
+    sorted colours to the (leaf, group) classes met so far."""
     groups: dict[object, list] = {}  # certificate -> [one copy's group, copies]
     trivial = Trivial()
-    for comp in connected_components(wg):
+    for comp in connected_components(wg, nodes):
         if len(comp) == 1:  # an isolated node (most of Z(2)^10's quotient): its colour
             cert, group = colors[comp[0]], trivial
         else:
@@ -214,15 +217,15 @@ def _quotient_aut(
 def _component_aut(
     wg: WeightedGraph, comp: list[int], colors: Sequence[int], caps: OracleCaps, leaves: dict
 ) -> tuple[object, GroupExpr]:
-    """(certificate, group) of the component of wg on the ascending nodes
-    `comp`, of two or more nodes."""
+    """(certificate, group) of a connected node set of wg, the ascending
+    `comp` of two or more nodes; its rest is a smaller node set."""
     cs = [colors[v] for v in comp]
     cell_size = Counter(cs)
-    rest = [v for v, c in zip(comp, cs) if cell_size[c] > 1]
-    if len(rest) == len(comp):  # a leaf: nothing is known to be fixed
+    fixed = tuple(sorted(c for c in cs if cell_size[c] == 1))
+    if not fixed:  # a leaf: nothing is known to be fixed
         key = tuple(sorted(cs))
         seen = leaves.setdefault(key, [])
-        cg = wg if len(comp) == wg.n else wg.subgraph(comp)
+        cg = _induced(wg, comp, [c + 1 for c in cs])
         for i, (other, group) in enumerate(seen):
             if find_isomorphism(other, cg, caps) is not None:
                 return (key, i), group
@@ -233,16 +236,10 @@ def _component_aut(
                 f"order-only unavailable: a {cg.n}-node component needs brute force ({exc})"
             ) from exc
         return (key, len(seen) - 1), seen[-1][1]
-    fixed = tuple(sorted(c for c in cs if cell_size[c] == 1))
-    if not rest:
+    rest = sum(1 << v for v, c in zip(comp, cs) if cell_size[c] > 1)  # cells of two or more
+    if not rest:  # every node is fixed (each component of Sym(5)'s quotient)
         return (fixed, frozenset()), Trivial()
-    # every automorphism keeps the stable colours, and a colour fixes a node's
-    # weight and its adjacency to each singleton cell; weighted by colour, the
-    # rest has the same automorphisms. Its colour cells are still equitable
-    # (each cell meets each other cell as it did, and the singletons are
-    # gone), so they are its stable colouring and need no refinement
-    stripped = _induced(wg, rest, [colors[v] + 1 for v in rest])
-    rest_cert, group = _quotient_aut(stripped, stripped.weights, caps, leaves)
+    rest_cert, group = _quotient_aut(wg, rest, colors, caps, leaves)
     return (fixed, rest_cert), group
 
 

@@ -184,29 +184,32 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def connected_components(wg: WeightedGraph) -> list[list[int]]:
-    """Connected node sets, each sorted, ordered by smallest node."""
+def connected_components(wg: WeightedGraph, nodes: int | None = None) -> list[list[int]]:
+    """Connected node sets, each sorted, ordered by smallest node: those of
+    the whole graph, or of its subgraph induced on the bitmask `nodes`."""
     adj = wg.adj
-    seen = 0
+    inside = -1 if nodes is None else nodes  # -1 has every bit set
+    seen = bytearray(wg.n)
     out: list[list[int]] = []
-    for start, row in enumerate(adj):
-        if not row:  # an isolated node; no other start reaches it
+    for start in range(wg.n) if nodes is None else _iter_bits(nodes):
+        if not adj[start] & inside:  # an isolated node; no other start reaches it
             out.append([start])
-            continue
-        if seen >> start & 1:
-            continue
-        frontier = 1 << start
-        comp = 0
-        while frontier:
-            comp |= frontier
-            nxt = 0
+        elif not seen[start]:
+            comp = frontier = 1 << start
+            members = []
             while frontier:
-                low = frontier & -frontier
-                nxt |= adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = nxt & ~comp
-        seen |= comp
-        out.append(list(_iter_bits(comp)))
+                nxt = 0
+                while frontier:
+                    low = frontier & -frontier
+                    v = low.bit_length() - 1
+                    members.append(v)
+                    seen[v] = 1
+                    nxt |= adj[v]
+                    frontier ^= low
+                frontier = nxt & inside & ~comp
+                comp |= frontier
+            members.sort()
+            out.append(members)
     return out
 
 

@@ -103,10 +103,24 @@ def test_quotient_aut_order_matches_oracle_count(wg):
 @given(st.one_of(planted_twins(), weighted_graphs(9)))
 @settings(max_examples=200, deadline=None)
 def test_quotient_aut_is_unchanged_by_stable_colour_weights(wg):
-    # the recursion re-weights a stripped component by stable colour; the
-    # same re-weighting of a whole graph keeps its group and its expression
+    # the recursion reads every node set under the quotient's stable colours,
+    # and weights a leaf by them, at the top level as below it; weighting the
+    # whole graph by its colours keeps its group and its expression
     recoloured = WeightedGraph(wg.n, wg.edges(), [c + 1 for c in stable_colors(wg)])
     assert quotient_aut(recoloured) == quotient_aut(wg)
+
+
+def _count_builds(monkeypatch) -> list:
+    """Record every WeightedGraph built from here on."""
+    builds = []
+    real = WeightedGraph.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(None)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(WeightedGraph, "__init__", counted)
+    return builds
 
 
 @pytest.mark.parametrize(
@@ -114,9 +128,9 @@ def test_quotient_aut_is_unchanged_by_stable_colour_weights(wg):
     [("P(Sym(5),Z(7))", 1), ("Dih(500)", 1), ("Sym(5)", 1), ("Z(2)^10", 1), ("P(Sym(4),Sym(3))", 4)],
 )
 def test_quotient_recursion_refines_each_graph_once(spec, refinements, monkeypatch):
-    # the top level refines; every deeper level restricts its colouring.
-    # P(Sym(4),Sym(3)) also makes two isomorphism tests and one brute-force
-    # count, and each of those refines its own graph
+    # the top level refines; every deeper level is a node set under its
+    # colouring. P(Sym(4),Sym(3)) also brute-forces one leaf, the one graph
+    # the recursion builds, and the count refines it
     from pga import oracle
 
     calls = []
@@ -128,8 +142,10 @@ def test_quotient_recursion_refines_each_graph_once(spec, refinements, monkeypat
 
     q = bundle(spec).q
     monkeypatch.setattr(oracle, "_equitable", counted)
+    builds = _count_builds(monkeypatch)
     quotient_aut(q)
     assert 1 <= len(calls) <= refinements
+    assert len(builds) == (spec == "P(Sym(4),Sym(3))")
 
 
 def test_generic_route_examples():
@@ -187,10 +203,15 @@ def _no_oracle(monkeypatch):
     monkeypatch.setattr(pga.engine, "count_automorphisms", no_count)
 
 
-def _matches_form(spec: str, form, max_order: int = DEFAULT_MAX_ORDER) -> None:
+def _matches_form(spec: str, form, monkeypatch, max_order: int = DEFAULT_MAX_ORDER) -> None:
+    # the recursion builds a graph only for a leaf, and these quotients have
+    # none: every level, Z(4)^8's 255 stripped stars included, is a node set of q
     q = pipeline(realize(spec, max_order=max_order)).q
     tower, weights = form
-    assert quotient_aut(q) == expr_normalize(tower), spec
+    with monkeypatch.context() as m:
+        builds = _count_builds(m)
+        assert quotient_aut(q) == expr_normalize(tower), spec
+    assert builds == [], spec
     assert sorted(q.weights) == sorted(weights), spec
 
 
@@ -200,7 +221,7 @@ def test_recursion_matches_the_cyclic_closed_forms(monkeypatch):
     _no_oracle(monkeypatch)
     for n in range(2, 2001):
         form = complete_graph_form(n) if is_prime_power(n) else cyclic_divisor_form(n)
-        _matches_form(f"Z({n})", form)
+        _matches_form(f"Z({n})", form, monkeypatch)
 
 
 def test_recursion_matches_the_homocyclic_tower(monkeypatch):
@@ -213,12 +234,12 @@ def test_recursion_matches_the_homocyclic_tower(monkeypatch):
         pp = is_prime_power(q)
         for k in range(2, 11):
             if pp is not None and q**k <= 2000:
-                _matches_form(f"Z({q})^{k}", homocyclic_tower(*pp, k))
+                _matches_form(f"Z({q})^{k}", homocyclic_tower(*pp, k), monkeypatch)
                 checked += 1
     assert checked == 42
     large = [(4, 7), (4, 8), (8, 4), (8, 5), (9, 5), (16, 3), (16, 4), (27, 3), (32, 3)]
     for q, k in large + [(64, 2), (128, 2), (243, 2), (256, 2)]:
-        _matches_form(f"Z({q})^{k}", homocyclic_tower(*is_prime_power(q), k), q**k)
+        _matches_form(f"Z({q})^{k}", homocyclic_tower(*is_prime_power(q), k), monkeypatch, q**k)
 
 
 def test_searches_compare_only_brute_forced_components(monkeypatch):

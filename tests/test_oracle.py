@@ -594,17 +594,17 @@ def test_count_matches_enumeration_on_symmetric_graphs(wg):
 
 def _certificates(wg, caps=None):
     """The engine's certificate of each component of wg, in component order.
-    Each comes from the engine's recursion on the component alone, with the
-    whole graph's stable colours restricted to it and one leaf registry for
-    all, as the recursion on the whole graph meets them; their multiset is
-    that recursion's certificate."""
+    Each comes from the engine's recursion on the component's node set, under
+    the whole graph's stable colours and one leaf registry for all, as the
+    recursion on the whole graph meets them; their multiset is that
+    recursion's certificate."""
     colors, leaves = stable_colors(wg), {}
     certs = []
     for comp in connected_components(wg):
-        sub = wg.subgraph(comp)
-        ((cert, _),) = engine._quotient_aut(sub, [colors[v] for v in comp], caps, leaves)[0]
+        nodes = sum(1 << v for v in comp)
+        ((cert, _),) = engine._quotient_aut(wg, nodes, colors, caps, leaves)[0]
         certs.append(cert)
-    assert engine._quotient_aut(wg, colors, caps, {})[0] == frozenset(Counter(certs).items())
+    assert engine._quotient_aut(wg, None, colors, caps, {})[0] == frozenset(Counter(certs).items())
     return certs
 
 
@@ -645,8 +645,8 @@ def test_stable_colours_restrict_to_each_component(parts, isolated, rng):
         sub = wg.subgraph(comp)
         restricted = [colors[v] for v in comp]
         assert _cells(restricted) == _cells(stable_colors(sub))
-        # the cells of two or more nodes, re-weighted by colour, are already
-        # equitable: their stable colouring is that re-weighting
+        # the rest, the cells of two or more nodes, is equitable under the
+        # same colours: weighted by them, its stable colouring is those colours
         size = Counter(restricted)
         rest = [i for i, c in enumerate(restricted) if size[c] > 1]
         if rest:
@@ -754,7 +754,10 @@ def test_edgeless_graph_needs_no_split(monkeypatch):
     assert cell_of == [0 if v % 3 == 0 else 1 for v in range(1023)]
     # the colours are the weight ranks, and the components one class per weight
     assert stable_colors(wg) == cell_of
-    assert engine._quotient_aut(wg, cell_of, OracleCaps(), {})[0] == frozenset({(0, 341), (1, 682)})
+    # the whole graph, and the same nodes as a node set
+    for nodes in (None, (1 << 1023) - 1):
+        cert = engine._quotient_aut(wg, nodes, cell_of, OracleCaps(), {})[0]
+        assert cert == frozenset({(0, 341), (1, 682)})
     assert quotient_aut(wg) == expr_normalize(Product((Sym(682), Sym(341))))
     assert calls == []
 
@@ -766,6 +769,26 @@ def test_isolated_nodes_and_one_edge_components():
     expected += [[v] for v in range(6, 1023) if v != 700]
     assert connected_components(wg) == [[v] for v in range(1023)]
     assert connected_components(edged) == expected
+
+
+@given(
+    st.lists(st.one_of(weighted_graphs(6), planted_twins()), min_size=1, max_size=3),
+    st.lists(st.integers(1, 3), max_size=6),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_node_set_components_are_the_induced_subgraphs(parts, isolated, data):
+    # the components of a node set, read on the whole graph, are those of the
+    # subgraph it induces, mapped back; the full node set gives the whole
+    # graph's components, and the empty one none
+    wg = _shuffled_union(parts, isolated, data.draw(st.randoms(use_true_random=False)))
+    nodes = sorted(data.draw(st.sets(st.integers(0, wg.n - 1))))
+    expected = []
+    if nodes:
+        expected = [[nodes[i] for i in comp] for comp in connected_components(wg.subgraph(nodes))]
+    assert connected_components(wg, sum(1 << v for v in nodes)) == expected
+    assert connected_components(wg, (1 << wg.n) - 1) == connected_components(wg)
+    assert connected_components(wg, 0) == []
 
 
 @given(planted_twins())
