@@ -59,10 +59,13 @@ report carries it, so `verify` and the CLI export reuse it. The quotient comes
 from the graph of cyclic subgroups; the power graph is built on first use of
 `Pipeline.pg` and must give the same classes and weights.
 
-Every report says how each MEN class arises (`_summarize_classes`): as the
-generator set of one cyclic subgroup, or as an interval of the subgroup
-chain of a cyclic p-group. A class of neither form fails the report with an
-InternalCheckError.
+Every report says how each MEN class arises: as the generator set of one
+cyclic subgroup, or as an interval of the subgroup chain of a cyclic
+p-group. `analyze` classifies every class (`_classify_classes`), and a class
+of neither form fails it with an InternalCheckError. The table of classes,
+`AutReport.classes`, is built from those kinds on its first read
+(`_class_table`), and so are a direct product's element labels: a caller
+that reads only the expression and the order builds neither.
 """
 
 from __future__ import annotations
@@ -145,6 +148,11 @@ def pipeline(g: FiniteGroup) -> Pipeline:
 
 
 class ClassSummary(NamedTuple):
+    """How one MEN class arises: its members, weight, largest element order
+    and kind (`GENERATOR_CLASS` or `CYCLIC_INTERVAL`). `analyze` decides
+    every class's kind; a report builds its summaries on the first read of
+    `AutReport.classes`."""
+
     members: tuple[str, ...]  # element labels, ascending element id
     weight: int
     element_order: int  # largest order over the class
@@ -161,10 +169,18 @@ class Verification:
 
 @dataclass(frozen=True)
 class AutReport:
+    """The automorphism group of a spec's power graph, as `expression` and
+    `order`, with the quotient it came from and the pipeline that built it.
+
+    `analyze` classifies every MEN class, so a class of neither form fails
+    the call itself; only the kinds are kept. The class table, `classes`,
+    is built from `pipeline` on its first read, and so are the element
+    labels of a direct product; a caller that reads neither never builds
+    them."""
+
     spec: str
     group_order: int
     vertex_count: int
-    classes: tuple[ClassSummary, ...]
     quotient_nodes: int
     quotient_edges: int
     quotient_expr: GroupExpr
@@ -175,6 +191,12 @@ class AutReport:
     notes: tuple[str, ...]
     verification: Verification
     pipeline: Pipeline = field(repr=False, compare=False)
+    _kinds: tuple[str, ...] = field(repr=False, compare=False)  # each class's kind
+
+    @cached_property
+    def classes(self) -> tuple[ClassSummary, ...]:
+        """One summary per MEN class, in the quotient's node order."""
+        return _class_table(self.pipeline, self._kinds)
 
 
 # ---------------------------------------------------------------------------
@@ -279,20 +301,28 @@ def _intervals(g: FiniteGroup, chains: Sequence[Sequence[int]]) -> list[bool]:
     return out
 
 
-def _summarize_classes(p: Pipeline) -> tuple[ClassSummary, ...]:
+def _class_elements(classes: Sequence[Sequence[int]]) -> tuple[list[int], list[int], np.ndarray]:
+    """(starts, ends, elements): the classes' members as one array of element
+    ids, each class the slice from its start to its end."""
+    ends = list(accumulate(map(len, classes)))
+    starts = [0, *ends[:-1]]
+    return starts, ends, np.fromiter(chain.from_iterable(classes), np.intp, ends[-1]) + 1
+
+
+def _classify_classes(p: Pipeline) -> tuple[str, ...]:
+    """Each MEN class's kind; a class of neither form is an InternalCheckError."""
     g, classes = p.g, p.q.members
     # a class is pairwise adjacent, and two elements of one order are adjacent
     # only when they generate one subgroup: so a class is a union of generator
     # sets of pairwise distinct orders. A class of one order is a generator
     # set; a mixed class's least member of each order is that subgroup's least
     # generator, and those classify it
-    ends = list(accumulate(map(len, classes)))
-    starts = [0, *ends[:-1]]
-    elements = np.fromiter(chain.from_iterable(classes), np.intp, ends[-1]) + 1
+    starts, ends, elements = _class_elements(classes)
     orders = g.orders[elements]
-    class_order = np.maximum.reduceat(orders, starts)
     kinds = [GENERATOR_CLASS] * len(classes)
-    mixed = np.flatnonzero(np.minimum.reduceat(orders, starts) != class_order).tolist()
+    mixed = np.flatnonzero(
+        np.minimum.reduceat(orders, starts) != np.maximum.reduceat(orders, starts)
+    ).tolist()
     chains = []
     for c in mixed:  # each one's least members by decreasing order
         first = np.unique(orders[starts[c]:ends[c]], return_index=True)[1]
@@ -304,9 +334,17 @@ def _summarize_classes(p: Pipeline) -> tuple[ClassSummary, ...]:
                 "this falsifies a structural assumption the engine relies on"
             )
         kinds[c] = CYCLIC_INTERVAL
+    return tuple(kinds)
+
+
+def _class_table(p: Pipeline, kinds: Sequence[str]) -> tuple[ClassSummary, ...]:
+    """One summary per MEN class, of the kinds `_classify_classes` gave."""
+    g, classes = p.g, p.q.members
+    starts, ends, elements = _class_elements(classes)
+    class_order = np.maximum.reduceat(g.orders[elements], starts).tolist()
     flat = list(map(g.labels.__getitem__, elements.tolist()))
     members = map(tuple, map(flat.__getitem__, map(slice, starts, ends)))
-    return tuple(map(ClassSummary._make, zip(members, map(len, classes), class_order.tolist(), kinds)))
+    return tuple(map(ClassSummary._make, zip(members, map(len, classes), class_order, kinds)))
 
 
 def _make_report(
@@ -314,7 +352,7 @@ def _make_report(
     notes: Sequence[str],
 ) -> AutReport:
     """The quotient part, of order `quotient_order`, times one symmetric group
-    per class, checked and summarized."""
+    per class, checked, with every class classified."""
     qe = expr_normalize(quotient_expr)
     weights = [w for w in p.q.weights if w > 1]  # Sym(1) is trivial
     expression = expr_normalize(Product((qe, *map(Sym, weights))))
@@ -325,7 +363,6 @@ def _make_report(
         spec=p.g.description,
         group_order=p.g.size,
         vertex_count=p.g.size - 1,
-        classes=_summarize_classes(p),
         quotient_nodes=p.q.n_nodes,
         quotient_edges=p.q.edge_count,
         quotient_expr=qe,
@@ -339,6 +376,7 @@ def _make_report(
             detail="verification not requested",
         ),
         pipeline=p,
+        _kinds=_classify_classes(p),
     )
 
 

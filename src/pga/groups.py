@@ -350,17 +350,19 @@ class FiniteGroup:
     def _setup(
         self,
         size: int,
-        labels: tuple[str, ...],
+        labels: tuple[str, ...] | None,
         description: str,
         generators: tuple[int, ...] | None,
         check: bool,
     ) -> None:
+        """None for labels leaves them to a subclass's `labels` property."""
         self.size = size
-        self.labels = tuple(labels)
         self.description = description
         self.generators = None if generators is None else tuple(generators)
-        if len(self.labels) != self.size:
-            raise ValueError("one label per element is required")
+        if labels is not None:
+            self.labels = tuple(labels)
+            if len(self.labels) != self.size:
+                raise ValueError("one label per element is required")
         self._checked = check
         if check:
             self._validate()
@@ -585,12 +587,15 @@ class _ProductGroup(FiniteGroup):
         self._digit_table = np.arange(n, dtype=np.int32)[:, None] // np.array(
             strides, dtype=np.int32
         ) % np.array(sizes, dtype=np.int32)
-        # labels factor by factor, from the last: "(a,b,...,z)"
-        tail = [f"{label})" for label in factors[-1].labels]
-        for g in reversed(factors[1:-1]):
+        self._setup(n, None, description, generators, True)
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """"(a,b,...,z)" from the factors' labels, composed on first read."""
+        tail = [f"{label})" for label in self.factors[-1].labels]
+        for g in reversed(self.factors[1:-1]):
             tail = [f"{a},{b}" for a in g.labels for b in tail]
-        labels = [f"({a},{b}" for a in factors[0].labels for b in tail]
-        self._setup(n, labels, description, generators, True)
+        return tuple(f"({a},{b}" for a in self.factors[0].labels for b in tail)
 
     def _validate(self) -> None:
         """The factors are groups, each checked when it was built or here if

@@ -310,12 +310,17 @@ def _split(
 def _equitable(adj: Sequence[int], weights: Sequence[int]) -> tuple[list[int], list[int]]:
     """The coarsest equitable partition with cells of equal weight, as
     (cells, cell_of); cells start in increasing weight order. With no edge
-    every neighbour count is 0, so the weight cells are equitable already."""
+    every neighbour count is 0, so the weight cells are equitable already.
+    One weight (every full power graph, and the quotients of elementary
+    abelian groups) is one cell of all the nodes, built in one step."""
     rank = {w: i for i, w in enumerate(sorted(set(weights)))}
-    cells = [0] * len(rank)
-    cell_of = [rank[w] for w in weights]
-    for v, i in enumerate(cell_of):
-        cells[i] |= 1 << v
+    if len(rank) == 1:
+        cells, cell_of = [(1 << len(weights)) - 1], [0] * len(weights)
+    else:
+        cells = [0] * len(rank)
+        cell_of = [rank[w] for w in weights]
+        for v, i in enumerate(cell_of):
+            cells[i] |= 1 << v
     if any(adj):
         _split(adj, cells, cell_of, list(range(len(cells))))
     return cells, cell_of

@@ -5,6 +5,7 @@ from pga import (
     GENERATOR_CLASS,
     InternalCheckError,
     MenPartition,
+    OracleCaps,
     Pipeline,
     QuotientGraph,
     analyze,
@@ -13,8 +14,9 @@ from pga import (
     men_partition,
     pipeline,
     realize,
+    verify,
 )
-from pga.engine import _summarize_classes
+from pga.engine import _classify_classes
 from pga.powergraph import cyclic_subgroup_graph
 
 from _support import (
@@ -177,10 +179,10 @@ def test_classify_gen_class_q8():
     assert {v + 1 for v in members} == gen_set(b.g, i)
 
 
-def _summarize_union(g, members):
-    """The report's summaries of a quotient whose first class is `members`."""
+def _planted(g, members):
+    """A pipeline of g whose quotient's first class is `members`."""
     rest = tuple(v for v in range(g.size - 1) if v not in members)
-    return _summarize_classes(Pipeline(g, QuotientGraph((members, rest), [], (len(members), len(rest)))))
+    return Pipeline(g, QuotientGraph((members, rest), [], (len(members), len(rest))))
 
 
 def test_classify_rejects_other_unions():
@@ -192,34 +194,53 @@ def test_classify_rejects_other_unions():
     ):
         assert peel_class(g, members) is None
         with pytest.raises(InternalCheckError, match="fits neither"):
-            _summarize_union(g, members)
+            _classify_classes(_planted(g, members))
 
 
-def test_report_rejects_the_unions_classify_rejects():
+def test_report_rejects_the_unions_classify_rejects(monkeypatch):
     # a report decides all its classes' chains from one table of powers; a
-    # union that fits neither form fails there too. Ab[2,4]'s orders fit an
-    # interval, but (1, 0) is no power of (0, 1)
+    # union that fits neither form fails there too, and so does analyze
+    # itself, which classifies before any class table is read. Ab[2,4]'s
+    # orders fit an interval, but (1, 0) is no power of (0, 1)
     for spec, members in (("Z(6)", (1, 2, 3)), ("Z(8)", (0, 2, 3, 4, 6)), ("Ab[2,4]", (0, 2, 3))):
         g = bundle(spec).g
         assert peel_class(g, members) is None
-        with pytest.raises(InternalCheckError, match=rf"MEN class \[{', '.join(map(str, members))}\] fits neither"):
-            _summarize_union(g, members)
+        fits_neither = rf"MEN class \[{', '.join(map(str, members))}\] fits neither"
+        with pytest.raises(InternalCheckError, match=fits_neither):
+            _classify_classes(_planted(g, members))
+        monkeypatch.setattr("pga.engine.pipeline", lambda _, planted=_planted(g, members): planted)
+        with pytest.raises(InternalCheckError, match=fits_neither):
+            analyze(spec)
+
+
+def _reference_summaries(spec):
+    """Each power-graph MEN class's member labels, weight, largest order, and
+    the kind peeling generator sets off its members gives."""
+    g = bundle(spec).g
+    return tuple(
+        (tuple(g.labels[v + 1] for v in members), len(members),
+         max(g.element_order(v + 1) for v in members), peel_class(g, members))
+        for members in _power_partition(spec).classes
+    )
 
 
 def test_class_summaries_match_peeling():
     # each summary's kind is the one peeling generator sets off its members
     # gives, and its order is the largest among them
     for spec in GOLDEN_SPECS:
-        b, classes = bundle(spec), _power_partition(spec).classes
-        summaries = report(spec).classes
-        assert [c.members for c in summaries] == [
-            tuple(b.g.labels[v + 1] for v in members) for members in classes
-        ], spec
-        for summary, members in zip(summaries, classes):
-            assert summary.kind == peel_class(b.g, members), spec
-            assert summary.element_order == max(b.g.element_order(v + 1) for v in members), spec
+        assert report(spec).classes == _reference_summaries(spec), spec
     assert [c.kind for c in analyze("Z(8)").classes] == [CYCLIC_INTERVAL]
     assert [c.kind for c in analyze("Dih(4)").classes] == [CYCLIC_INTERVAL] + [GENERATOR_CLASS] * 4
+
+
+def test_class_table_and_product_labels_are_built_on_first_read():
+    # analyze and verify classify every class but build neither the class
+    # table nor a direct product's labels; a first read builds both
+    for r in (analyze("Z(2)^10"), verify("Z(2)^5", OracleCaps(max_nodes=128))):
+        g = r.pipeline.g
+        assert "classes" not in vars(r) and "labels" not in vars(g), r.spec
+        assert r.classes == _reference_summaries(r.spec), r.spec
+        assert "classes" in vars(r) and "labels" in vars(g), r.spec
 
 
 def test_every_corpus_class_classifies():
