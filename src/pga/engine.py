@@ -55,9 +55,10 @@ brute-force oracle.
 
 Each spec realizes one group, and its pipeline, the group and its weighted
 MEN quotient, is built once, by `pipeline`, and passed to every route; the
-report carries it, so `verify` and the CLI export reuse it. The quotient comes
-from the graph of cyclic subgroups; the power graph is built on first use of
-`Pipeline.pg` and must give the same classes and weights.
+report carries it, so `verify` and the CLI export reuse it. The quotient is
+the graph of cyclic subgroups, its closed twins merged when it has any; the
+power graph is built on first use of `Pipeline.pg` and must give the same
+classes and weights.
 
 Every report says how each MEN class arises: as the generator set of one
 cyclic subgroup, or as an interval of the subgroup chain of a cyclic
@@ -142,9 +143,11 @@ class Pipeline:
 
 
 def pipeline(g: FiniteGroup) -> Pipeline:
-    """A group and its weighted MEN quotient, from its cyclic subgroups."""
+    """A group and its weighted MEN quotient, from its cyclic subgroups: their
+    graph itself when no two subgroups are closed twins."""
     sg = cyclic_subgroup_graph(g)
-    return Pipeline(g, build_quotient(sg, men_partition(sg)))
+    mp = men_partition(sg)
+    return Pipeline(g, sg if len(mp.classes) == sg.n else build_quotient(sg, mp))
 
 
 class ClassSummary(NamedTuple):
@@ -301,14 +304,6 @@ def _intervals(g: FiniteGroup, chains: Sequence[Sequence[int]]) -> list[bool]:
     return out
 
 
-def _class_elements(classes: Sequence[Sequence[int]]) -> tuple[list[int], list[int], np.ndarray]:
-    """(starts, ends, elements): the classes' members as one array of element
-    ids, each class the slice from its start to its end."""
-    ends = list(accumulate(map(len, classes)))
-    starts = [0, *ends[:-1]]
-    return starts, ends, np.fromiter(chain.from_iterable(classes), np.intp, ends[-1]) + 1
-
-
 def _classify_classes(p: Pipeline) -> tuple[str, ...]:
     """Each MEN class's kind; a class of neither form is an InternalCheckError."""
     g, classes = p.g, p.q.members
@@ -316,8 +311,10 @@ def _classify_classes(p: Pipeline) -> tuple[str, ...]:
     # only when they generate one subgroup: so a class is a union of generator
     # sets of pairwise distinct orders. A class of one order is a generator
     # set; a mixed class's least member of each order is that subgroup's least
-    # generator, and those classify it
-    starts, ends, elements = _class_elements(classes)
+    # generator, and those classify it. elements[starts[c]:ends[c]] is class c
+    ends = list(accumulate(map(len, classes)))
+    starts = [0, *ends[:-1]]
+    elements = np.fromiter(chain.from_iterable(classes), np.intp, ends[-1]) + 1
     orders = g.orders[elements]
     kinds = [GENERATOR_CLASS] * len(classes)
     mixed = np.flatnonzero(
@@ -338,13 +335,13 @@ def _classify_classes(p: Pipeline) -> tuple[str, ...]:
 
 
 def _class_table(p: Pipeline, kinds: Sequence[str]) -> tuple[ClassSummary, ...]:
-    """One summary per MEN class, of the kinds `_classify_classes` gave."""
-    g, classes = p.g, p.q.members
-    starts, ends, elements = _class_elements(classes)
-    class_order = np.maximum.reduceat(g.orders[elements], starts).tolist()
-    flat = list(map(g.labels.__getitem__, elements.tolist()))
-    members = map(tuple, map(flat.__getitem__, map(slice, starts, ends)))
-    return tuple(map(ClassSummary._make, zip(members, map(len, classes), class_order, kinds)))
+    """One summary per MEN class, of the kinds `_classify_classes` gave, read
+    straight from its members: vertex v is element v + 1."""
+    order, label = p.g.orders[1:].tolist().__getitem__, p.g.labels[1:].__getitem__
+    return tuple(
+        ClassSummary(tuple(map(label, c)), len(c), max(map(order, c)), kind)
+        for c, kind in zip(p.q.members, kinds)
+    )
 
 
 def _make_report(

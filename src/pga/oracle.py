@@ -410,7 +410,8 @@ def _search(
 ) -> tuple[int, ...] | None:
     """The first checked bijection src -> dst that maps each cell of pside,
     an equitable partition of src, onto uside's cell of the same index, or
-    None. twins holds src's and dst's twin masks (_twins).
+    None. pside and uside have equal cell sizes, as every caller checks.
+    twins holds src's and dst's twin masks (_twins).
 
     Depth first down the individualization-refinement tree: each level
     individualizes x, the least node of pside's first non-singleton cell,
@@ -435,8 +436,6 @@ def _search(
     pcells, pcell_of = pside
     ucells, ucell_of = uside
     ptwins, utwins = twins
-    if [c.bit_count() for c in pcells] != [c.bit_count() for c in ucells]:
-        return None
     # per level: [first, cells before it, x, x's log, untried ys, y's log]
     stack: list[list] = []
     first = 0  # cells before it are singletons, and stay so deeper down

@@ -85,19 +85,7 @@ def build_quotient(wg: WeightedGraph, mp: MenPartition) -> QuotientGraph:
     class; checked for every class, this makes each pair of classes all
     adjacent or all apart (a in class i and u in class j see each other
     exactly when the two first members do), so the projection is exact.
-
-    A `QuotientGraph` whose partition is all singletons (one class per node,
-    so node i alone in class i) with their own weights is returned as it is:
-    the projection is then the identity and no class has a second member to
-    check.
     """
-    if (
-        isinstance(wg, QuotientGraph)
-        and len(mp.classes) == wg.n
-        and mp.weights == wg.weights
-        and mp.class_of == tuple(range(wg.n))
-    ):
-        return wg
     edges: list[tuple[int, int]] = []
     for i, members in enumerate(mp.classes):
         outside = ~sum(1 << v for v in members)

@@ -117,8 +117,11 @@ def test_long_integer_spec_error_has_position(capsys):
     assert captured.err == "error: integer of 5000 digits is too long (at position 2)\n"
 
 
-def test_usage_error_exit_code(capsys):
+def test_usage_error_exit_code(tmp_path, capsys):
+    empty = tmp_path / "groups.txt"
+    empty.write_text("# only comments\n\n   \n# and blank lines\n")
     for argv, message in (
+        (["analyze", "--corpus", str(empty)], "contains no specs"),
         (["analyze"], "one of the arguments --group --corpus is required"),
         (["analyze", "--group", "Z(6)", "--corpus", "groups.txt"], "not allowed with"),
         (["analyze", "--group", "Z(6)", "--dot", "quotient"], "--dot: only allowed with export"),

@@ -157,6 +157,8 @@ def test_realize_product_order_multiplies():
     g = realize("P(Q8,Z(3))")
     assert g.size == 24
     assert (table_of(g) != table_of(g).T).any()  # not abelian
+    with pytest.raises(ValueError, match="at least one factor"):
+        direct_product([], "P()")
 
 
 def test_realize_rejects_large_order():
@@ -249,6 +251,16 @@ def test_bad_table_rejected():
     table[2, 2] = 2
     with pytest.raises(ValueError):
         FiniteGroup(table, ("e", "a", "b"), "broken")
+    z3 = table_of(realize("Z(3)"))
+    for table, labels, message in (
+        (z3, ("e", "a"), "one label per element"),
+        (z3[:2], ("e", "a"), "must be square"),
+        (np.zeros((0, 0)), (), "at least one element"),
+        (np.where(z3 == 2, 3, z3), ("e", "a", "b"), "out of range"),
+        (np.where(z3 == 2, -1, z3), ("e", "a", "b"), "out of range"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            FiniteGroup(table, labels, "broken")
 
 
 def test_non_associative_table_rejected():
@@ -411,6 +423,8 @@ def test_arithmetic_helpers():
     assert totient(12) == 4
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert spec_order(parse_group_spec("P(Q8,Z(3))")) == 24
+    with pytest.raises(ValueError, match="cannot factorize 0"):
+        factorize(0)
 
 
 def test_unit_generators_generate_the_unit_group():
@@ -600,6 +614,27 @@ def test_a_one_factor_product_renames_a_copy_of_the_cached_leaf(order):
     assert [g.description for g in groups] == list(order)
     assert groups[0] is not groups[1]
     assert [realize(text).description for text in order] == list(order)
+
+
+@pytest.mark.parametrize(
+    "n, op, planted, message",
+    [
+        # a square that is not x * x, below and above 200 elements
+        (7, "power", lambda x, k, n: x if k == 2 else x * k % n, "differs from the product"),
+        (211, "power", lambda x, k, n: x if k == 2 else x * k % n, "differs from the product"),
+        # above 200 elements the grid is not built: identity and inverses go through mul
+        (211, "mul", lambda a, b, n: (a + b + 1) % n, "not a two-sided identity"),
+        (211, "power", lambda x, k, n: x if k == n - 1 else x * k % n, "no two-sided inverse"),
+        # x**n is x, so no element meets the identity: the group is built, and
+        # its orders fail on their first read
+        (211, "power", lambda x, k, n: x if k % n == 0 else x * k % n, "does not divide the group order"),
+    ],
+)
+def test_a_cyclic_group_with_planted_arithmetic_is_rejected(n, op, planted, message):
+    Planted = type("Planted", (_CyclicGroup,), {op: lambda self, a, b: planted(a, b, self.size)})
+    with pytest.raises(ValueError, match=message):
+        Planted(n).orders
+    assert _CyclicGroup(n).size == n
 
 
 def test_a_leaf_whose_check_raises_is_not_cached(monkeypatch):

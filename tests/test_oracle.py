@@ -23,12 +23,13 @@ from pga import (
     find_isomorphism,
     quotient_aut,
     stable_colors,
+    verify,
     vertex_orbits,
 )
 from pga import engine, oracle
 
 from _support import (
-    bundle, naive_count, planted_twins, reference_search, reference_split, relabel, report,
+    GOLDEN_SPECS, bundle, naive_count, planted_twins, reference_search, reference_split, relabel, report,
     traced_peak, twin_ring, twin_ring_order, twin_rings, weighted_graphs,
 )
 
@@ -155,6 +156,12 @@ def test_graph_validation():
         WeightedGraph(2, [], (1, 0))
     with pytest.raises(ValueError):
         WeightedGraph(0)
+    with pytest.raises(ValueError, match="one weight per node"):
+        WeightedGraph(2, [], (1,))
+    wg = WeightedGraph(2, [(0, 1)])
+    with pytest.raises(AttributeError, match="immutable"):
+        wg.weights = (1, 2)
+    assert wg.weights == (1, 1)
 
 
 def test_connected_components_order():
@@ -552,6 +559,55 @@ def test_search_tries_each_node_itself_first(monkeypatch):
     swapped = (2, 1, 0, 3, 4, 5)
     edgeless = WeightedGraph(6, [], (2, 1, 1, 1, 1, 1))
     assert find_isomorphism(edgeless, relabel(edgeless, swapped)) == swapped
+
+
+def _sizes_checked_search(calls):
+    """A patch of oracle._search that asserts, on entry, that its two sides
+    have equal cell sizes (the search does not compare them: its callers do),
+    and counts its calls in the list `calls`."""
+    real = oracle._search
+
+    def checked(src, dst, pside, uside, twins, found=None):
+        assert [c.bit_count() for c in pside[0]] == [c.bit_count() for c in uside[0]]
+        calls.append(1)
+        return real(src, dst, pside, uside, twins, found)
+
+    return mock.patch.object(oracle, "_search", checked)
+
+
+@given(st.one_of(weighted_graphs(6), planted_twins()), st.randoms(use_true_random=False), st.data())
+@settings(max_examples=100, deadline=None)
+def test_search_is_entered_with_equal_cell_sizes(wg, rng, data):
+    # a shuffled copy is isomorphic; with one edge moved to a non-adjacent
+    # pair it may not be, and it keeps the edge count and weights, so the
+    # isomorphism test goes on to compare refinements
+    shuffled = relabel(wg, rng.sample(range(wg.n), wg.n))
+    edges = set(shuffled.edges())
+    apart = set(combinations(range(wg.n), 2)) - edges
+    if edges and apart:
+        edges ^= {data.draw(st.sampled_from(sorted(edges))), data.draw(st.sampled_from(sorted(apart)))}
+    toggled = WeightedGraph(wg.n, edges, shuffled.weights)
+    calls = []
+    with _sizes_checked_search(calls):
+        count = count_automorphisms(wg)
+        assert _is_isomorphism(wg, shuffled, find_isomorphism(wg, shuffled))
+        found = find_isomorphism(wg, toggled)
+        assert found is None or _is_isomorphism(wg, toggled, found)
+        assert len(enumerate_automorphisms(wg)) == count
+    assert calls  # the enumeration is one search
+
+
+def test_search_is_entered_with_equal_cell_sizes_on_golden_specs():
+    # every full power graph of the golden specs, counted with the search
+    # wrapped, and the triangle beside the 4-cycle, whose square node's
+    # refinement differs from the pivot's in cell sizes
+    calls = []
+    with _sizes_checked_search(calls):
+        wg = WeightedGraph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (6, 3)])
+        assert count_automorphisms(wg) == 6 * 8
+        for spec in GOLDEN_SPECS:
+            assert verify(spec, OracleCaps(max_nodes=2000)).verification.status == "full-verified", spec
+    assert calls
 
 
 def test_deep_search_has_no_recursion_limit():

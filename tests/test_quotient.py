@@ -1,5 +1,6 @@
 import pytest
 
+import pga.engine
 from pga import (
     CYCLIC_INTERVAL,
     GENERATOR_CLASS,
@@ -87,12 +88,15 @@ def test_quotient_rows_are_representative_rows_and_checked():
         build_quotient(sg, _partition(((0, 1), (2,))))
 
 
-def test_cyclic_subgroup_route_matches_power_graph_route():
-    # the power graph is no QuotientGraph, so its route always projects. The
-    # subgroup graph's pointer doubling stops after a round that lowers
+def test_cyclic_subgroup_route_matches_power_graph_route(monkeypatch):
+    # the subgroup graph's pointer doubling stops after a round that lowers
     # nothing: the last six groups need several rounds, Z(343) and Dih(251)
     # all but the last (their generators form orbits of 294 and 250 under one
     # power map)
+    built = []  # the pipeline's subgroup graphs, as it builds them
+    monkeypatch.setattr(
+        pga.engine, "cyclic_subgroup_graph", lambda g: built.append(cyclic_subgroup_graph(g)) or built[-1]
+    )
     long_orbits = ("Z(720)", "Ab[2,4,60]", "Dih(360)", "P(Sym(5),Z(7))", "Z(343)", "Dih(251)")
     for spec in GOLDEN_SPECS + long_orbits:
         p = pipeline(realize(spec))
@@ -102,10 +106,9 @@ def test_cyclic_subgroup_route_matches_power_graph_route():
         q = build_quotient(pg, mp)
         assert (p.q.members, p.q.weights, p.q.edges()) == (q.members, q.weights, q.edges()), spec
         assert p.pg.adj == pg.adj, spec
-        # an all-singleton partition of the subgroup graph returns that graph
-        sg = cyclic_subgroup_graph(p.g)
-        sq = build_quotient(sg, men_partition(sg))
-        assert (sq is sg) == (sq.n == sg.n), spec
+        # the pipeline keeps the subgroup graph when no two subgroups are closed twins
+        sg = built.pop()
+        assert (p.q is sg) == (p.q.n == sg.n), spec
     # a quotient whose members are not the MEN classes, or whose weights are
     # not theirs, fails the power graph's check
     g = bundle("Z(6)").g
@@ -117,11 +120,20 @@ def test_cyclic_subgroup_route_matches_power_graph_route():
             Pipeline(g, q).pg
 
 
-def test_all_singleton_partition_returns_its_quotient_graph():
+def test_all_singleton_partition_returns_its_quotient_graph(monkeypatch):
+    # the pipeline projects only a subgroup graph that has closed twins
+    calls = []
+    monkeypatch.setattr(pga.engine, "build_quotient", lambda *a: calls.append(a) or build_quotient(*a))
+    for spec, projected in (("Sym(3)", 0), ("Z(2)^10", 0), ("Z(4)", 1), ("Sym(5)", 1)):
+        calls.clear()
+        pipeline(realize(spec))
+        assert len(calls) == projected, spec
+    # an identity partition projects onto an equal graph
     sg = cyclic_subgroup_graph(bundle("Sym(3)").g)
     mp = men_partition(sg)
     assert all(len(c) == 1 for c in mp.classes)
-    assert build_quotient(sg, mp) is sg
+    q = build_quotient(sg, mp)
+    assert (q.members, q.adj, q.weights) == (sg.members, sg.adj, sg.weights)
     # other discrete partitions are projected: doubled weights, reversed classes
     reverse = tuple(reversed(range(sg.n)))
     for classes, weights in (
