@@ -50,20 +50,25 @@ order, against the quotient order `analyze` evaluated. A coprime product's
 quotient part multiplies over the prime powers p**e exactly dividing |G|: the
 quotient's classes whose order divides p**e span the Sylow p-subgroup's own
 cyclic-subgroup graph, some closed twins already merged, so each factor is
-the recursion on that subgraph's MEN quotient. `verify` compares against the
-brute-force oracle.
+the recursion on that subgraph's MEN quotient (the subgraph itself when it
+has no closed twins). `verify` compares against the brute-force oracle.
 
 Each spec realizes one group, and its pipeline, the group and its weighted
 MEN quotient, is built once, by `pipeline`, and passed to every route; the
 report carries it, so `verify` and the CLI export reuse it. The quotient is
 the graph of cyclic subgroups, its closed twins merged when it has any; the
 power graph is built on first use of `Pipeline.pg` and must give the same
-classes and weights.
+classes and weights. The classes travel as one integer array, each
+power-graph vertex's quotient node (`QuotientGraph.node_of`), numbered by
+least member, and every reader here takes them from it: `analyze` and
+`verify` build no tuple of members (`QuotientGraph.members` is built on
+first read, by the class table or a library caller).
 
 Every report says how each MEN class arises: as the generator set of one
 cyclic subgroup, or as an interval of the subgroup chain of a cyclic
-p-group. `analyze` classifies every class (`_classify_classes`), and a class
-of neither form fails it with an InternalCheckError. The table of classes,
+p-group. `analyze` classifies every class (`_classify_classes`, from one
+stable sort of the vertex-to-node array), and a class of neither form fails
+it with an InternalCheckError. The table of classes,
 `AutReport.classes`, is built from those kinds on its first read
 (`_class_table`), and so are a direct product's element labels: a caller
 that reads only the expression and the order builds neither.
@@ -76,7 +81,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -136,18 +140,21 @@ class Pipeline:
     def pg(self) -> PowerGraph:
         """The power graph, built on first use; its MEN classes and weights must be `q`'s."""
         pg = build_power_graph(self.g)
-        mp = men_partition(pg)
-        if (mp.classes, mp.weights) != (self.q.members, self.q.weights):
+        mp = men_partition(pg)  # its classes numbered by least member, as q's nodes are
+        if mp.weights != self.q.weights or not np.array_equal(mp.class_of, self.q.node_of):
             raise InternalCheckError("power-graph and cyclic-subgroup MEN partitions differ")
         return pg
 
 
 def pipeline(g: FiniteGroup) -> Pipeline:
-    """A group and its weighted MEN quotient, from its cyclic subgroups: their
-    graph itself when no two subgroups are closed twins."""
-    sg = cyclic_subgroup_graph(g)
-    mp = men_partition(sg)
-    return Pipeline(g, sg if len(mp.classes) == sg.n else build_quotient(sg, mp))
+    """A group and its weighted MEN quotient, from its cyclic subgroups."""
+    return Pipeline(g, _men_quotient(cyclic_subgroup_graph(g)))
+
+
+def _men_quotient(wg: WeightedGraph) -> WeightedGraph:
+    """wg's MEN quotient: wg itself when no two of its nodes are closed twins."""
+    mp = men_partition(wg)
+    return wg if len(mp.weights) == wg.n else build_quotient(wg, mp)
 
 
 class ClassSummary(NamedTuple):
@@ -218,9 +225,9 @@ def quotient_aut(wg: WeightedGraph, caps: OracleCaps | None = None) -> GroupExpr
 
 
 def _quotient_aut(
-    wg: WeightedGraph, nodes: int | None, colors: Sequence[int], caps: OracleCaps, leaves: dict
+    wg: WeightedGraph, nodes: list[int] | None, colors: Sequence[int], caps: OracleCaps, leaves: dict
 ) -> tuple[object, GroupExpr]:
-    """(certificate, group) of the node set `nodes` of wg, a bitmask (None
+    """(certificate, group) of the node set `nodes` of wg, ascending (None
     for all of wg), under wg's stable colouring `colors`; `leaves` maps
     sorted colours to the (leaf, group) classes met so far."""
     groups: dict[object, list] = {}  # certificate -> [one copy's group, copies]
@@ -261,7 +268,7 @@ def _component_aut(
                 f"order-only unavailable: a {cg.n}-node component needs brute force ({exc})"
             ) from exc
         return (key, len(seen) - 1), seen[-1][1]
-    rest = sum(1 << v for v, c in zip(comp, cs) if cell_size[c] > 1)  # cells of two or more
+    rest = [v for v, c in zip(comp, cs) if cell_size[c] > 1]  # cells of two or more
     if not rest:  # every node is fixed (each component of Sym(5)'s quotient)
         return (fixed, frozenset()), Trivial()
     rest_cert, group = _quotient_aut(wg, rest, colors, caps, leaves)
@@ -306,17 +313,20 @@ def _intervals(g: FiniteGroup, chains: Sequence[Sequence[int]]) -> list[bool]:
 
 def _classify_classes(p: Pipeline) -> tuple[str, ...]:
     """Each MEN class's kind; a class of neither form is an InternalCheckError."""
-    g, classes = p.g, p.q.members
+    g, node_of = p.g, p.q.node_of
     # a class is pairwise adjacent, and two elements of one order are adjacent
     # only when they generate one subgroup: so a class is a union of generator
     # sets of pairwise distinct orders. A class of one order is a generator
     # set; a mixed class's least member of each order is that subgroup's least
-    # generator, and those classify it. elements[starts[c]:ends[c]] is class c
-    ends = list(accumulate(map(len, classes)))
-    starts = [0, *ends[:-1]]
-    elements = np.fromiter(chain.from_iterable(classes), np.intp, ends[-1]) + 1
+    # generator, and those classify it. elements[starts[c]:ends[c]] is class
+    # c, ascending, read off one stable sort of the vertices by node
+    sizes = np.bincount(node_of, minlength=p.q.n)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    vertices = np.argsort(node_of, kind="stable")
+    elements = vertices + 1
     orders = g.orders[elements]
-    kinds = [GENERATOR_CLASS] * len(classes)
+    kinds = [GENERATOR_CLASS] * p.q.n
     mixed = np.flatnonzero(
         np.minimum.reduceat(orders, starts) != np.maximum.reduceat(orders, starts)
     ).tolist()
@@ -327,7 +337,7 @@ def _classify_classes(p: Pipeline) -> tuple[str, ...]:
     for c, interval in zip(mixed, _intervals(g, chains)):
         if not interval:
             raise InternalCheckError(
-                f"MEN class {sorted(classes[c])} fits neither classification form; "
+                f"MEN class {vertices[starts[c]:ends[c]].tolist()} fits neither classification form; "
                 "this falsifies a structural assumption the engine relies on"
             )
         kinds[c] = CYCLIC_INTERVAL
@@ -403,15 +413,17 @@ def _coprime_part(gspec: GroupSpec, p: Pipeline, caps: OracleCaps) -> GroupExpr 
         isinstance(leaf, CyclicSpec) or is_prime_power(spec_order(leaf)) for leaf in leaves
     ):
         return None
-    # a class's orders are powers of one prime or a single order, so its least
-    # member's order divides p**e just when the class lies in the Sylow
-    # p-subgroup. Those classes span that subgroup's own cyclic-subgroup graph
+    # a class's orders are powers of one prime or a single order, so any of
+    # its members' orders divides p**e just when the class lies in the Sylow
+    # p-subgroup, and each node may take whichever member's order lands on
+    # it. Those classes span that subgroup's own cyclic-subgroup graph
     # with some closed twins merged; twins stay twins in an induced subgraph,
     # so the MEN quotient is the Sylow subgroup's. The quotient part
     # multiplies over the primes
-    node_orders = p.g.orders[[m[0] + 1 for m in p.q.members]]
+    node_orders = np.empty(p.q.n, dtype=p.g.orders.dtype)
+    node_orders[p.q.node_of] = p.g.orders[1:]
     subs = [p.q.subgraph(np.flatnonzero(pe % node_orders == 0).tolist()) for pe in prime_powers]
-    return Product(tuple(quotient_aut(build_quotient(s, men_partition(s)), caps) for s in subs))
+    return Product(tuple(quotient_aut(_men_quotient(s), caps) for s in subs))
 
 
 def analyze(

@@ -184,14 +184,26 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def connected_components(wg: WeightedGraph, nodes: int | None = None) -> list[list[int]]:
+def _mask(nodes: Sequence[int]) -> int:
+    """The bitmask of `nodes`, set in a byte buffer: or-ing one bit at a time
+    into an int would copy the whole mask per node."""
+    buf = bytearray(max(nodes, default=0) // 8 + 1)
+    for v in nodes:
+        buf[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(buf, "little")
+
+
+def connected_components(wg: WeightedGraph, nodes: Sequence[int] | None = None) -> list[list[int]]:
     """Connected node sets, each sorted, ordered by smallest node: those of
-    the whole graph, or of its subgraph induced on the bitmask `nodes`."""
+    the whole graph, or of its subgraph induced on the ascending `nodes`."""
     adj = wg.adj
-    inside = -1 if nodes is None else nodes  # -1 has every bit set
+    if nodes is None:
+        nodes, inside = range(wg.n), -1  # -1 has every bit set
+    else:
+        inside = _mask(nodes)
     seen = bytearray(wg.n)
     out: list[list[int]] = []
-    for start in range(wg.n) if nodes is None else _iter_bits(nodes):
+    for start in nodes:
         if not adj[start] & inside:  # an isolated node; no other start reaches it
             out.append([start])
         elif not seen[start]:

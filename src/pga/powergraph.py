@@ -15,7 +15,7 @@ blown up to a clique of its generators; `cyclic_subgroup_graph` skips the blow-u
 from __future__ import annotations
 
 import math
-from itertools import accumulate, chain, starmap
+from itertools import chain, starmap
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -88,7 +88,8 @@ def _power_edge_blocks(g: FiniteGroup) -> Iterator[tuple[list[int], list[int]]]:
 def cyclic_subgroup_graph(g: FiniteGroup) -> QuotientGraph:
     """One node per nontrivial cyclic subgroup, ordered by least generator and
     weighted by phi(order); two nodes are adjacent when one subgroup contains
-    the other. A node's members are its generators as power-graph vertices."""
+    the other. A node's members are its generators as power-graph vertices,
+    passed on as the array `node_of` of each vertex's node."""
     _require_nontrivial(g)
     n, orders = g.size, g.orders
     # least[x]: the least generator of <x>. The generators of <x> are its
@@ -123,8 +124,4 @@ def cyclic_subgroup_graph(g: FiniteGroup) -> QuotientGraph:
         i, at = np.nonzero(has[:, inner])
         powers = g.power_rows(reps[inner], divs[-1])
         edges = zip(inner[at].tolist(), node_of[powers[d[i, 0], at]].tolist())
-    vertices = tuple(np.argsort(node_of[1:], kind="stable").tolist())  # grouped by node, ascending
-    sizes = np.bincount(node_of[1:]).tolist()
-    ends = list(accumulate(sizes))
-    members = tuple(map(vertices.__getitem__, map(slice, [0, *ends], ends)))
-    return QuotientGraph(members, edges, sizes)
+    return QuotientGraph(node_of[1:], edges, np.bincount(node_of[1:]).tolist())

@@ -7,46 +7,90 @@ power graph are exactly quotient automorphisms combined with free permutations
 inside the classes, which is what the engine module exploits. Both functions
 work on any `WeightedGraph`: the pipeline runs them on the cyclic-subgroup
 graph (members stay power-graph vertices) and, as the reference, on the power graph.
+
+Classes travel as one integer array, each node's class (`MenPartition.class_of`)
+or each member vertex's quotient node (`QuotientGraph.node_of`), numbered by
+least member. The tuples of members (`MenPartition.classes`,
+`QuotientGraph.members`) are built from it on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, chain, compress
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import InternalCheckError
-from .oracle import WeightedGraph
+from .oracle import WeightedGraph, _iter_bits
 
 
-@dataclass(frozen=True)
+def _index(groups: Sequence[Sequence[int]]) -> np.ndarray:
+    """The array that maps each member of `groups` to its group's index."""
+    sizes = list(map(len, groups))
+    index = np.empty(sum(sizes), dtype=np.intp)
+    index[np.fromiter(chain.from_iterable(groups), np.intp, len(index))] = np.repeat(
+        np.arange(len(groups)), sizes
+    )
+    return index
+
+
+def _groups(index: np.ndarray, k: int) -> tuple[tuple[int, ...], ...]:
+    """The k groups of an index array, each its members ascending."""
+    members = tuple(np.argsort(index, kind="stable").tolist())
+    ends = list(accumulate(np.bincount(index, minlength=k).tolist()))
+    return tuple(map(members.__getitem__, map(slice, [0, *ends[:-1]], ends)))
+
+
+@dataclass(frozen=True, eq=False)
 class MenPartition:
-    """Disjoint classes covering all nodes, each a maximal equal-N[.] set."""
+    """Disjoint classes covering all nodes, each a maximal equal-N[.] set.
 
-    classes: tuple[tuple[int, ...], ...]
-    class_of: tuple[int, ...]
+    `class_of` is an integer array, each node's class; `classes`, each class's
+    nodes ascending, is built from it on first read."""
+
+    class_of: np.ndarray
     weights: tuple[int, ...]
 
     @classmethod
     def of(cls, classes: tuple[tuple[int, ...], ...], weights: Iterable[int]) -> "MenPartition":
-        class_of = [0] * sum(map(len, classes))
-        for cid, members in enumerate(classes):
-            for v in members:
-                class_of[v] = cid
-        return cls(classes, tuple(class_of), tuple(weights))
+        mp = cls(_index(classes), tuple(weights))
+        mp.__dict__["classes"] = classes
+        return mp
+
+    @cached_property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        return _groups(self.class_of, len(self.weights))
 
 
 class QuotientGraph(WeightedGraph):
     """One node per class, weighted by the class's total weight and ordered
-    by smallest member vertex."""
+    by smallest member vertex.
 
-    __slots__ = ("members",)
+    `node_of` is an integer array, each member vertex's node; `members`, each
+    node's vertices, is built from it on first read. The constructor takes
+    that array, or the members themselves."""
+
+    __slots__ = ("node_of", "__dict__")
 
     def __init__(
-        self, members: tuple[tuple[int, ...], ...], edges: Iterable[tuple[int, int]],
+        self, members: np.ndarray | tuple[tuple[int, ...], ...], edges: Iterable[tuple[int, int]],
         weights: Sequence[int],
     ) -> None:
-        super().__init__(len(members), edges, weights)
-        object.__setattr__(self, "members", members)
+        if isinstance(members, np.ndarray):
+            super().__init__(len(weights), edges, weights)
+            node_of = members
+        else:
+            super().__init__(len(members), edges, weights)
+            self.__dict__["members"] = members
+            node_of = _index(members)
+        object.__setattr__(self, "node_of", node_of)
+
+    @cached_property
+    def members(self) -> tuple[tuple[int, ...], ...]:
+        return _groups(self.node_of, self.n)
 
     @property
     def n_nodes(self) -> int:
@@ -57,24 +101,25 @@ class QuotientGraph(WeightedGraph):
 
 
 def men_partition(wg: WeightedGraph) -> MenPartition:
-    """Group nodes by their closed neighborhoods (as bitmask rows)."""
-    # closed twins are adjacent, so an isolated node is alone in its class:
-    # its key ~v is unique, and cheaper to hash than a long row
+    """Group nodes by their closed neighborhoods (as bitmask rows), the
+    classes numbered by least member."""
+    # closed twins are adjacent, so a node with no neighbour is alone in its class
+    adj = wg.adj
+    linked = list(compress(range(wg.n), adj))
     first: dict[int, int] = {}
-    least = [first.setdefault(row | 1 << v if row else ~v, v) for v, row in enumerate(wg.adj)]
-    n = wg.n
-    if len(first) == n:  # every class is a single node
-        return MenPartition(tuple(zip(range(n))), tuple(range(n)), wg.weights)
-    # dict preserves first-seen order, so classes come out sorted by least member
-    groups: dict[int, list[int]] = {}
-    for v, u in enumerate(least):
-        if u in groups:
-            groups[u].append(v)
-        else:
-            groups[u] = [v]
-    classes = tuple(map(tuple, groups.values()))
-    weight = wg.weights.__getitem__
-    return MenPartition.of(classes, [sum(map(weight, c)) for c in classes])
+    least = [first.setdefault(adj[v] | 1 << v, v) for v in linked]
+    if len(first) == len(linked):  # every class is a single node
+        return MenPartition(np.arange(wg.n), wg.weights)
+    leader = list(range(wg.n))
+    for v, u in zip(linked, least):
+        leader[v] = u
+    # a class's number counts the classes whose least member comes first
+    number: dict[int, int] = {}
+    class_of = [number.setdefault(u, len(number)) for u in leader]
+    weights = [0] * len(number)
+    for c, w in zip(class_of, wg.weights):
+        weights[c] += w
+    return MenPartition(np.array(class_of), tuple(weights))
 
 
 def build_quotient(wg: WeightedGraph, mp: MenPartition) -> QuotientGraph:
@@ -85,22 +130,22 @@ def build_quotient(wg: WeightedGraph, mp: MenPartition) -> QuotientGraph:
     class; checked for every class, this makes each pair of classes all
     adjacent or all apart (a in class i and u in class j see each other
     exactly when the two first members do), so the projection is exact.
+    A quotient of a quotient maps each member vertex through both arrays.
     """
+    class_of = mp.class_of.tolist()
     edges: list[tuple[int, int]] = []
-    for i, members in enumerate(mp.classes):
+    for i, members in enumerate(_groups(mp.class_of, len(mp.weights))):
         outside = ~sum(1 << v for v in members)
         row = wg.adj[members[0]] & outside
         for v in members[1:]:
             diff = (wg.adj[v] & outside) ^ row
             if diff:
-                j = mp.class_of[diff.bit_length() - 1]
+                j = class_of[diff.bit_length() - 1]
                 raise InternalCheckError(
                     f"classes {min(i, j)} and {max(i, j)} have mixed cross adjacency; "
                     "the partition is not a MEN partition"
                 )
-        touched = {mp.class_of[u] for u in wg.neighbors(members[0])}
+        touched = {class_of[u] for u in _iter_bits(row)}
         edges.extend((i, j) for j in touched if j > i)
-    classes = mp.classes
-    if isinstance(wg, QuotientGraph):
-        classes = tuple(tuple(sorted(v for i in c for v in wg.members[i])) for c in classes)
-    return QuotientGraph(classes, edges, mp.weights)
+    node_of = mp.class_of[wg.node_of] if isinstance(wg, QuotientGraph) else mp.class_of
+    return QuotientGraph(node_of, edges, mp.weights)

@@ -17,11 +17,12 @@ from pga import (
     realize,
     verify,
 )
-from pga.engine import _classify_classes
+from pga.engine import METHOD_COPRIME, _classify_classes
 from pga.powergraph import cyclic_subgroup_graph
 
 from _support import (
-    CORPUS, GOLDEN_SPECS, bundle, cyclic_subgroup, gen_set, peel_class, reconstructed_order, report,
+    CORPUS, GOLDEN_SPECS, PRODUCT_SPECS, bundle, cyclic_subgroup, gen_set, peel_class, reconstructed_order,
+    report,
 )
 
 
@@ -61,10 +62,7 @@ def test_quotient_z6_shape():
 
 
 def _partition(classes):
-    class_of = {v: cid for cid, members in enumerate(classes) for v in members}
-    return MenPartition(
-        classes, tuple(class_of[v] for v in sorted(class_of)), tuple(map(len, classes))
-    )
+    return MenPartition.of(classes, map(len, classes))
 
 
 def test_quotient_rows_are_representative_rows_and_checked():
@@ -110,11 +108,16 @@ def test_cyclic_subgroup_route_matches_power_graph_route(monkeypatch):
         sg = built.pop()
         assert (p.q is sg) == (p.q.n == sg.n), spec
     # a quotient whose members are not the MEN classes, or whose weights are
-    # not theirs, fails the power graph's check
+    # not theirs, fails the power graph's check, which compares the two
+    # vertex-to-node arrays: the right classes in another node order fail it
+    # although their weights match, and so do the right classes with one unit
+    # of weight moved
     g = bundle("Z(6)").g
     for q in (
         QuotientGraph(((0, 4), (1, 2, 3)), [(0, 1)], (2, 3)),
         QuotientGraph(((0, 4), (1, 3), (2,)), [(0, 1), (0, 2)], (2, 1, 2)),
+        QuotientGraph(((1, 3), (0, 4), (2,)), [(0, 1), (1, 2)], (2, 2, 1)),
+        QuotientGraph(((0, 4), (1, 3), (2,)), [(0, 1), (0, 2)], (1, 2, 2)),
     ):
         with pytest.raises(InternalCheckError, match="MEN partitions differ"):
             Pipeline(g, q).pg
@@ -143,6 +146,77 @@ def test_all_singleton_partition_returns_its_quotient_graph(monkeypatch):
         q = build_quotient(sg, MenPartition.of(classes, weights))
         assert q is not sg and q.weights == weights
         assert q.members == tuple(sg.members[v] for (v,) in classes)
+
+
+def test_only_closed_twins_are_projected(monkeypatch):
+    # the pipeline and the coprime route's Sylow subgraphs both go through
+    # build_quotient only when two nodes are closed twins: over the golden
+    # specs that is 11 subgroup graphs and 8 Sylow subgraphs
+    calls = []
+    monkeypatch.setattr(
+        pga.engine, "build_quotient", lambda wg, mp: calls.append((wg, mp)) or build_quotient(wg, mp)
+    )
+    coprime = 0
+    for spec in GOLDEN_SPECS:
+        start = len(calls)
+        if analyze(spec).method == METHOD_COPRIME:
+            coprime += len(calls) - start
+    assert all(len(mp.weights) < wg.n for wg, mp in calls)
+    assert (len(calls), coprime) == (19, 8)
+
+
+def _closed_twin_classes(pg):
+    """The power graph's vertices grouped by closed neighbourhood, read off
+    its rows alone: classes by least member, each ascending."""
+    groups = {}
+    for v, row in enumerate(pg.adj):
+        groups.setdefault(row | 1 << v, []).append(v)
+    return tuple(map(tuple, groups.values()))
+
+
+def test_analyze_and_verify_build_no_member_tuples(monkeypatch):
+    # classes travel as the vertex-to-node array: analyze and verify build no
+    # quotient's member tuples and no partition's class tuples, for the kept
+    # subgroup graph (Z(2)^10, Dih(500)), a projected one (Sym(5)), a Sylow
+    # subgraph (P(Dih(4),Z(5))) and the power graph's check in a full verify;
+    # a first read builds them, equal to the power graph's closed-twin classes
+    quotients, partitions = [], []
+
+    def recorded(made, build):
+        return lambda *a: made.append(build(*a)) or made[-1]
+
+    monkeypatch.setattr(pga.engine, "cyclic_subgroup_graph", recorded(quotients, cyclic_subgroup_graph))
+    monkeypatch.setattr(pga.engine, "build_quotient", recorded(quotients, build_quotient))
+    monkeypatch.setattr(pga.engine, "men_partition", recorded(partitions, men_partition))
+    for run in (
+        lambda: analyze("Z(2)^10"), lambda: analyze("Dih(500)"), lambda: analyze("Sym(5)"),
+        lambda: analyze("P(Dih(4),Z(5))"), lambda: verify("Z(2)^5", OracleCaps(max_nodes=128)),
+    ):
+        quotients.clear()
+        partitions.clear()
+        r = run()
+        assert r.pipeline.q in quotients and partitions, r.spec
+        assert not any("members" in vars(q) for q in quotients), r.spec
+        assert not any("classes" in vars(mp) for mp in partitions), r.spec
+        classes = _closed_twin_classes(build_power_graph(r.pipeline.g))
+        assert r.pipeline.q.members == classes == men_partition(r.pipeline.pg).classes, r.spec
+        assert "members" in vars(r.pipeline.q), r.spec
+    # the full verify's own check of the power graph, read first here
+    assert partitions[-1].classes == classes
+
+
+def test_array_classification_matches_peeling():
+    # _classify_classes reads each class's orders off one stable sort of the
+    # vertex-to-node array; its kinds are those peeling generator sets off
+    # the member tuples gives, on the golden specs (against the power graph's
+    # classes) and on the product sweep (against the quotient's)
+    for spec in GOLDEN_SPECS:
+        b = bundle(spec)
+        kinds = tuple(peel_class(b.g, c) for c in _closed_twin_classes(b.pg))
+        assert _classify_classes(b) == kinds, spec
+    for spec in PRODUCT_SPECS:
+        p = pipeline(realize(spec))
+        assert _classify_classes(p) == tuple(peel_class(p.g, c) for c in p.q.members), spec
 
 
 def test_quotient_single_node_for_complete_graph():
