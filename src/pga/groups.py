@@ -29,25 +29,27 @@ process: within the default order cap, `realize` takes it from a small cache
 keyed by its spec, so the factors of every product share one checked
 instance (a leaf whose check fails is not cached). A leaf's check: element 0
 must be a two-sided identity and every element must have a two-sided
-inverse, and power(x, 2) must equal mul(x, x). For orders up to 200 the
-product, on its full n x n grid, must also be associative. The check is
-Light's test (Clifford and Preston, *The Algebraic Theory of Semigroups* I,
-1961, section 1.2): the elements a with (ab)c = a(bc) for all b and c are
-closed under products, so it suffices that they include a generating set.
-Each constructor passes the generators it knows (1 for Z(n); r and s for
-Dih(n); (0 1) and (0 1 ... n-1) for Sym(n); i and j for Q8); the check first
-proves, by closure under products, that they generate the group, and then
-tests them against every pair b, c, about |S| n**2 products where the
-exhaustive test takes n**3. A table given without generators, or a group
-small enough for one block of the test (n**3 <= 2**16), has every element
-tested. Above 200 elements, Z(n) and Dih(n) check identity and inverses on
+inverse, and power(x, 2) must equal mul(x, x). For orders up to 200, and for
+a table given with generators at any order, the product on its full n x n
+grid must also be associative. The check is Light's test (Clifford and
+Preston, *The Algebraic Theory of Semigroups* I, 1961, section 1.2): the
+elements a with (ab)c = a(bc) for all b and c are closed under products, so
+it suffices that they include a generating set. Each constructor passes the
+generators it knows (1 for Z(n); r and s for Dih(n); (0 1) and
+(0 1 ... n-1) for Sym(n); i and j for Q8); the check first proves, by
+closure under products, that they generate the group, and then tests them
+against every pair b, c, about |S| n**2 products where the exhaustive test
+takes n**3. Up to 200 elements, a table given without generators, or a
+group small enough for one block of the test (n**3 <= 2**16), has every
+element tested. Above 200 elements, a table given without generators is not
+tested for associativity, and Z(n) and Dih(n) check identity and inverses on
 their n elements alone.
 
 A direct product is checked through its factors: they were checked when
-they were built (a factor built unchecked is checked by the product), so it
-suffices that its digit table numbers the elements one to one, and that
-power(x, 2) equals mul(x, x) on its n elements. Its product is then the
-factors' products carried through a bijection, which is a group.
+they were built, so it suffices that its digit table numbers the elements
+one to one, and that power(x, 2) equals mul(x, x) on its n elements. Its
+product is then the factors' products carried through a bijection, which is
+a group.
 """
 
 from __future__ import annotations
@@ -314,17 +316,20 @@ class FiniteGroup:
 
     `generators`, when given, are element indices that generate the group.
 
-    Every group is checked when it is built, unless built with check=False;
-    `realize` builds each leaf (Z(n), Dih(n), Sym(n), Q8) once per process.
-    For orders up to 200, and for every table, the product on the full n x n
-    grid (the table itself) must have element 0 as a two-sided identity and a
-    two-sided inverse for every element. For orders up to 200 it must also be
-    associative, by Light's test: for n**3 > 2**16 and given generators S, a
-    closure under products first proves that S generates the grid (a
-    ValueError otherwise), and then (sb)c = s(bc) is checked for every s in S
-    and all b, c; otherwise every element is checked as s, which is the
-    exhaustive test. Z(n) and Dih(n) above 200 elements check identity and
-    inverses on their n elements through `mul`, x**(n-1) being x's inverse.
+    Every group is checked when it is built; `realize` builds each leaf
+    (Z(n), Dih(n), Sym(n), Q8) once per process. For orders up to 200, and
+    for every table, the product on the full n x n grid (the table itself)
+    must have element 0 as a two-sided identity and a two-sided inverse for
+    every element. For orders up to 200, and for a table given with
+    generators at any order, it must also be associative, by Light's test:
+    for n**3 > 2**16 and given generators S, a closure under products first
+    proves that S generates the grid (a ValueError otherwise), and then
+    (sb)c = s(bc) is checked for every s in S and all b, c, |S| n**2
+    products; otherwise every element is checked as s, which is the
+    exhaustive test. A table above 200 elements given without generators is
+    not tested for associativity. Z(n) and Dih(n) above 200 elements check
+    identity and inverses on their n elements through `mul`, x**(n-1) being
+    x's inverse.
     A direct product is checked through its factors and its numbering of the
     elements instead (_ProductGroup._validate). Every group also checks
     power(x, 2) == mul(x, x) for every x, so that a closed-form power cannot
@@ -339,12 +344,11 @@ class FiniteGroup:
         labels: tuple[str, ...],
         description: str,
         *,
-        check: bool = True,
         generators: tuple[int, ...] | None = None,
     ) -> None:
         self.table = np.ascontiguousarray(table, dtype=np.int32)
         self._flat = self.table.ravel()
-        self._setup(int(self.table.shape[0]), labels, description, generators, check)
+        self._setup(int(self.table.shape[0]), labels, description, generators)
         self.table.flags.writeable = False
 
     def _setup(
@@ -353,7 +357,6 @@ class FiniteGroup:
         labels: tuple[str, ...] | None,
         description: str,
         generators: tuple[int, ...] | None,
-        check: bool,
     ) -> None:
         """None for labels leaves them to a subclass's `labels` property."""
         self.size = size
@@ -363,9 +366,7 @@ class FiniteGroup:
             self.labels = tuple(labels)
             if len(self.labels) != self.size:
                 raise ValueError("one label per element is required")
-        self._checked = check
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self) -> None:
         n = self.size
@@ -399,7 +400,7 @@ class FiniteGroup:
         inv = (t == 0).argmax(axis=1)
         if not (t[idx, inv] == 0).all() or not (t[inv, idx] == 0).all():
             raise ValueError("some element has no two-sided inverse")
-        if n > 200:
+        if n > 200 and self.generators is None:
             return
         # the elements s with (sb)c = s(bc) for all b, c are closed under
         # products: ((s1 s2) b) c = (s1 (s2 b)) c = s1 ((s2 b) c) = s1 (s2 (bc))
@@ -526,7 +527,7 @@ class _CyclicGroup(FiniteGroup):
 
     def __init__(self, n: int) -> None:
         generators = (1,) if n > 1 else ()
-        self._setup(n, tuple(map(str, range(n))), f"Z({n})", generators, True)
+        self._setup(n, tuple(map(str, range(n))), f"Z({n})", generators)
 
     def mul(self, a, b):
         return (a + b) % self.size
@@ -548,7 +549,7 @@ class _DihedralGroup(FiniteGroup):
                     labels.append(rot or "e")
                 else:
                     labels.append("s" + rot)
-        self._setup(2 * n, labels, f"Dih({n})", (1, n), True)  # r and s
+        self._setup(2 * n, labels, f"Dih({n})", (1, n))  # r and s
 
     def mul(self, a, b):
         # s^f1 r^a1 * s^f2 r^a2 = s^(f1^f2) r^(a2 +- a1), minus when f2 = 1
@@ -587,7 +588,7 @@ class _ProductGroup(FiniteGroup):
         self._digit_table = np.arange(n, dtype=np.int32)[:, None] // np.array(
             strides, dtype=np.int32
         ) % np.array(sizes, dtype=np.int32)
-        self._setup(n, None, description, generators, True)
+        self._setup(n, None, description, generators)
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
@@ -598,13 +599,10 @@ class _ProductGroup(FiniteGroup):
         return tuple(f"({a},{b}" for a in self.factors[0].labels for b in tail)
 
     def _validate(self) -> None:
-        """The factors are groups, each checked when it was built or here if
-        it was built unchecked; if the digit table numbers the elements one
-        to one (digits in range, and x the number of its own digits), `mul`
-        is the factors' product carried through that bijection, a group."""
-        for g in self.factors:
-            if not g._checked:
-                g._validate()
+        """The factors are groups, each checked when it was built; if the
+        digit table numbers the elements one to one (digits in range, and x
+        the number of its own digits), `mul` is the factors' product carried
+        through that bijection, a group."""
         digits = self._digit_table
         in_range = ((digits >= 0) & (digits < [g.size for g in self.factors])).all()
         if not in_range or not np.array_equal(self._number(digits.T), np.arange(self.size)):

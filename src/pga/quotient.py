@@ -10,7 +10,9 @@ graph (members stay power-graph vertices) and, as the reference, on the power gr
 
 Classes travel as one integer array, each node's class (`MenPartition.class_of`)
 or each member vertex's quotient node (`QuotientGraph.node_of`), numbered by
-least member. The tuples of members (`MenPartition.classes`,
+least member. It is the only form either constructor takes, and each checks it
+(a 1-D integer array whose values are exactly range(k), k the number of
+weights). The tuples of members (`MenPartition.classes`,
 `QuotientGraph.members`) are built from it on first read.
 """
 
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, compress
+from itertools import accumulate, compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,14 +29,16 @@ from .errors import InternalCheckError
 from .oracle import WeightedGraph, _iter_bits
 
 
-def _index(groups: Sequence[Sequence[int]]) -> np.ndarray:
-    """The array that maps each member of `groups` to its group's index."""
-    sizes = list(map(len, groups))
-    index = np.empty(sum(sizes), dtype=np.intp)
-    index[np.fromiter(chain.from_iterable(groups), np.intp, len(index))] = np.repeat(
-        np.arange(len(groups)), sizes
-    )
-    return index
+def _check_classes(index: np.ndarray, k: int, name: str) -> None:
+    """A ValueError unless `index` is a 1-D integer array whose values are exactly range(k)."""
+    if not (isinstance(index, np.ndarray) and index.ndim == 1 and index.dtype.kind in "iu"):
+        raise ValueError(f"{name} must be a 1-D integer array")
+    try:
+        counts = np.bincount(index.astype(np.intp, copy=False))
+    except ValueError:  # a negative value
+        counts = None
+    if counts is None or len(counts) != k or np.count_nonzero(counts) != k:
+        raise ValueError(f"{name}'s values are not exactly range({k})")
 
 
 def _groups(index: np.ndarray, k: int) -> tuple[tuple[int, ...], ...]:
@@ -48,17 +52,15 @@ def _groups(index: np.ndarray, k: int) -> tuple[tuple[int, ...], ...]:
 class MenPartition:
     """Disjoint classes covering all nodes, each a maximal equal-N[.] set.
 
-    `class_of` is an integer array, each node's class; `classes`, each class's
-    nodes ascending, is built from it on first read."""
+    `class_of` is a 1-D integer array, each node's class, its values exactly
+    range(k) for the k weights (a ValueError otherwise); `classes`, each
+    class's nodes ascending, is built from it on first read."""
 
     class_of: np.ndarray
     weights: tuple[int, ...]
 
-    @classmethod
-    def of(cls, classes: tuple[tuple[int, ...], ...], weights: Iterable[int]) -> "MenPartition":
-        mp = cls(_index(classes), tuple(weights))
-        mp.__dict__["classes"] = classes
-        return mp
+    def __post_init__(self) -> None:
+        _check_classes(self.class_of, len(self.weights), "class_of")
 
     @cached_property
     def classes(self) -> tuple[tuple[int, ...], ...]:
@@ -69,23 +71,17 @@ class QuotientGraph(WeightedGraph):
     """One node per class, weighted by the class's total weight and ordered
     by smallest member vertex.
 
-    `node_of` is an integer array, each member vertex's node; `members`, each
-    node's vertices, is built from it on first read. The constructor takes
-    that array, or the members themselves."""
+    `node_of` is a 1-D integer array, each member vertex's node, its values
+    exactly range(n) for the n weights (a ValueError otherwise); `members`,
+    each node's vertices, is built from it on first read."""
 
     __slots__ = ("node_of", "__dict__")
 
     def __init__(
-        self, members: np.ndarray | tuple[tuple[int, ...], ...], edges: Iterable[tuple[int, int]],
-        weights: Sequence[int],
+        self, node_of: np.ndarray, edges: Iterable[tuple[int, int]], weights: Sequence[int]
     ) -> None:
-        if isinstance(members, np.ndarray):
-            super().__init__(len(weights), edges, weights)
-            node_of = members
-        else:
-            super().__init__(len(members), edges, weights)
-            self.__dict__["members"] = members
-            node_of = _index(members)
+        _check_classes(node_of, len(weights), "node_of")
+        super().__init__(len(weights), edges, weights)
         object.__setattr__(self, "node_of", node_of)
 
     @cached_property

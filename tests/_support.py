@@ -400,7 +400,7 @@ def reference_group(spec: str) -> FiniteGroup:
     direct product, with the spec's labels and generators. Sym(n) and Q8 are
     table groups already."""
     table, labels, generators = _reference_parts(parse_group_spec(spec))
-    return FiniteGroup(table, labels, spec, check=False, generators=generators)
+    return FiniteGroup(table, labels, spec, generators=generators)
 
 
 def _reference_parts(spec) -> tuple[np.ndarray, tuple[str, ...], tuple[int, ...]]:

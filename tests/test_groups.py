@@ -587,18 +587,6 @@ def test_a_product_whose_digits_misnumber_its_elements_is_rejected(plant):
     assert direct_product(factors, "fine").size == 2 * factors[1].size
 
 
-def test_a_product_checks_an_unchecked_factor():
-    # a latin square with an identity that is not associative
-    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
-    bare = FiniteGroup(np.array(loop), tuple("eabcd"), "loop5", check=False)
-    with pytest.raises(ValueError, match="associative"):
-        direct_product([bare, realize("Z(2)")], "P(loop5,Z(2))")
-    with pytest.raises(ValueError, match="associative"):
-        direct_product([realize("Z(3)"), bare], "P(Z(3),loop5)")
-    z5 = FiniteGroup(table_of(realize("Z(5)")), realize("Z(5)").labels, "Z(5)", check=False)
-    assert direct_product([z5, realize("Z(2)")], "P(Z(5),Z(2))").size == 10
-
-
 def test_equal_leaf_specs_give_one_group():
     for text in ("Z(12)", "Dih(6)", "Sym(4)", "Q8"):
         assert realize(text) is realize(parse_group_spec(text)) is realize(text)
@@ -679,13 +667,31 @@ def test_table_powers_equal_repeated_products(g):
 @pytest.mark.parametrize(
     "table",
     [
-        # element 1 has order 3, which does not divide 4
+        # element 1 has order 3, which does not divide 4: (1 * 3) * 3 = 0 but
+        # 1 * (3 * 3) = 1, so the table is not associative
         [[0, 1, 2, 3], [1, 2, 0, 3], [2, 0, 1, 3], [3, 3, 3, 0]],
-        # element 3 never meets the identity: 3 * 3 = 3
+        # element 3 never meets the identity: 3 * 3 = 3, so 3 has no inverse
         [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 3]],
+        # a latin square with an identity (a loop): every element has order 2,
+        # which does not divide 5, and the table is not associative
+        [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
     ],
 )
 def test_unchecked_table_with_a_bad_order_fails_on_its_first_power(table):
-    g = FiniteGroup(np.array(table), tuple("abcd"), "bad", check=False)
-    with pytest.raises(ValueError, match="does not divide the group order"):
-        g.power(np.arange(4, dtype=np.int32), 2)
+    # every table is checked when it is built, so neither gets as far as a power
+    with pytest.raises(ValueError, match="not associative|no two-sided inverse"):
+        FiniteGroup(np.array(table), tuple("abcde")[: len(table)], "bad")
+
+
+def test_light_test_runs_at_any_order_on_a_table_with_generators():
+    # Z(202) with one intercalate swapped: 1 * 2 and 1 * 103 trade values, and
+    # so do 102 * 2 and 102 * 103. The table keeps its identity and inverses,
+    # but (1 * 2) * 3 = 107 and 1 * (2 * 3) = 6
+    z = realize("Z(202)")
+    table = table_of(z)
+    table[[1, 1, 102, 102], [2, 103, 2, 103]] = table[[1, 1, 102, 102], [103, 2, 103, 2]]
+    assert table[table[1, 2], 3] == 107 and table[1, table[2, 3]] == 6
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup(table, z.labels, "bad", generators=(1,))
+    # without generators, a table above 200 elements is not tested for associativity
+    assert FiniteGroup(table, z.labels, "bad").size == 202

@@ -110,14 +110,3 @@ def test_cyclic_prime_power_complete():
     for spec, m in (("Z(4)", 3), ("Z(8)", 7), ("Z(9)", 8)):
         pg = bundle(spec).pg
         assert pg.edge_count == m * (m - 1) // 2
-
-
-def test_to_weighted_graph_round_trip():
-    """`to_weighted_graph()` returns the graph itself; it stays, with this test,
-    only because the benchmark's reference generator (`perfbench/freeze.py`)
-    still calls it."""
-    pg = bundle("Q8").pg
-    wg = pg.to_weighted_graph()
-    assert wg.n == pg.n_vertices
-    assert wg.edges() == pg.edges()
-    assert set(wg.weights) == {1}

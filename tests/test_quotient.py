@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import pga.engine
@@ -61,8 +62,16 @@ def test_quotient_z6_shape():
     assert not (b.q.adj[1] >> 2 & 1)
 
 
+def _node_of(classes):
+    """The vertex-to-node array of classes given by their members."""
+    node_of = np.empty(sum(map(len, classes)), dtype=np.intp)
+    for i, members in enumerate(classes):
+        node_of[list(members)] = i
+    return node_of
+
+
 def _partition(classes):
-    return MenPartition.of(classes, map(len, classes))
+    return MenPartition(_node_of(classes), tuple(map(len, classes)))
 
 
 def test_quotient_rows_are_representative_rows_and_checked():
@@ -114,13 +123,34 @@ def test_cyclic_subgroup_route_matches_power_graph_route(monkeypatch):
     # of weight moved
     g = bundle("Z(6)").g
     for q in (
-        QuotientGraph(((0, 4), (1, 2, 3)), [(0, 1)], (2, 3)),
-        QuotientGraph(((0, 4), (1, 3), (2,)), [(0, 1), (0, 2)], (2, 1, 2)),
-        QuotientGraph(((1, 3), (0, 4), (2,)), [(0, 1), (1, 2)], (2, 2, 1)),
-        QuotientGraph(((0, 4), (1, 3), (2,)), [(0, 1), (0, 2)], (1, 2, 2)),
+        QuotientGraph(_node_of(((0, 4), (1, 2, 3))), [(0, 1)], (2, 3)),
+        QuotientGraph(_node_of(((0, 4), (1, 3), (2,))), [(0, 1), (0, 2)], (2, 1, 2)),
+        QuotientGraph(_node_of(((1, 3), (0, 4), (2,))), [(0, 1), (1, 2)], (2, 2, 1)),
+        QuotientGraph(_node_of(((0, 4), (1, 3), (2,))), [(0, 1), (0, 2)], (1, 2, 2)),
     ):
         with pytest.raises(InternalCheckError, match="MEN partitions differ"):
             Pipeline(g, q).pg
+
+
+@pytest.mark.parametrize(
+    "index, message",
+    [
+        (((0, 4), (1, 3), (2,)), "1-D integer array"),  # the members themselves
+        (np.array([[0, 1, 2, 1, 0]]), "1-D integer array"),
+        (np.array([0.0, 1.0, 2.0, 1.0, 0.0]), "1-D integer array"),
+        (np.array([0, 1, 3, 1, 0]), r"not exactly range\(3\)"),
+        (np.array([0, -1, 2, 1, 0]), r"not exactly range\(3\)"),
+        (np.array([0, 2, 2, 2, 0]), r"not exactly range\(3\)"),  # a node with no member
+    ],
+    ids=["members", "2-D", "float", "too-large", "negative", "no-member"],
+)
+def test_classes_must_be_one_index_array(index, message):
+    with pytest.raises(ValueError, match=message):
+        MenPartition(index, (2, 2, 1))
+    with pytest.raises(ValueError, match=message):
+        QuotientGraph(index, [(0, 1), (0, 2)], (2, 2, 1))
+    assert MenPartition(np.array([0, 1, 2, 1, 0]), (2, 2, 1)).classes == ((0, 4), (1, 3), (2,))
+    assert QuotientGraph(np.array([0, 1, 2, 1, 0], np.uint8), [], (2, 2, 1)).members[2] == (2,)
 
 
 def test_all_singleton_partition_returns_its_quotient_graph(monkeypatch):
@@ -143,7 +173,7 @@ def test_all_singleton_partition_returns_its_quotient_graph(monkeypatch):
         (mp.classes, tuple(2 * w for w in sg.weights)),
         (tuple((v,) for v in reverse), tuple(sg.weights[v] for v in reverse)),
     ):
-        q = build_quotient(sg, MenPartition.of(classes, weights))
+        q = build_quotient(sg, MenPartition(_node_of(classes), weights))
         assert q is not sg and q.weights == weights
         assert q.members == tuple(sg.members[v] for (v,) in classes)
 
@@ -268,7 +298,7 @@ def test_classify_gen_class_q8():
 def _planted(g, members):
     """A pipeline of g whose quotient's first class is `members`."""
     rest = tuple(v for v in range(g.size - 1) if v not in members)
-    return Pipeline(g, QuotientGraph((members, rest), [], (len(members), len(rest))))
+    return Pipeline(g, QuotientGraph(_node_of((members, rest)), [], (len(members), len(rest))))
 
 
 def test_classify_rejects_other_unions():

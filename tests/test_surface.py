@@ -2,7 +2,9 @@
 a user in the package itself, in a demo or in the benchmark harness, so a
 function that only tests call is not exported, and not kept, for them."""
 
+import importlib.util
 import io
+import sys
 import tokenize
 from pathlib import Path
 
@@ -35,3 +37,15 @@ def test_every_export_has_a_user():
     used = set().union(*map(_used_names, files))
     unused = [name for name in pga.__all__ if name not in used]
     assert not unused, f"exported, but nothing in src/pga, demos/ or perfbench/ uses {unused}"
+
+
+def test_the_reference_generator_confirms_both_ways(monkeypatch):
+    """`perfbench/freeze.py` confirms each reference order through the power
+    graph's and the quotient's sizes, both `to_weighted_graph` methods,
+    `men_partition`, `build_quotient` and the partition's weights."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # it puts perfbench/ first
+    spec = importlib.util.spec_from_file_location("freeze", ROOT / "perfbench" / "freeze.py")
+    freeze = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(freeze)
+    for group, how in (("Z(6)", "oracle-full"), ("Z(200)", "oracle-quotient")):
+        assert freeze.confirm(group) == {"order": str(pga.analyze(group).order), "confirmed": how}
