@@ -67,8 +67,9 @@ first read, by the class table or a library caller).
 Every report says how each MEN class arises: as the generator set of one
 cyclic subgroup, or as an interval of the subgroup chain of a cyclic
 p-group. `analyze` classifies every class (`_classify_classes`, from one
-stable sort of the vertex-to-node array), and a class of neither form fails
-it with an InternalCheckError. The table of classes,
+stable sort of the vertex-to-node array, and one `lexsort` that gives every
+mixed class's subgroup chain), and a class of neither form fails it with an
+InternalCheckError. The table of classes,
 `AutReport.classes`, is built from those kinds on its first read
 (`_class_table`), and so are a direct product's element labels: a caller
 that reads only the expression and the order builds neither.
@@ -284,31 +285,28 @@ GENERATOR_CLASS = "generator-class"
 CYCLIC_INTERVAL = "cyclic-interval"
 
 
-def _intervals(g: FiniteGroup, chains: Sequence[Sequence[int]]) -> list[bool]:
+def _intervals(
+    g: FiniteGroup, members: np.ndarray, orders: np.ndarray, head: np.ndarray
+) -> np.ndarray:
     """Whether each chain is a cyclic interval.
 
-    A chain lists the least generators of t >= 2 subgroups by decreasing
-    order; it is an interval when the orders are p**n, ..., p**(n-t+1), each
-    of index p in the one before, and every member is a power of the head
-    a, the class then being <a> minus <a**(p**t)>. Subgroups of the cyclic
-    p-group <a> form a chain, so each member is then a power of the one
-    before. One table of the powers of all heads decides every containment."""
-    if not chains:
-        return []
-    heads = np.array([c[0] for c in chains], dtype=np.int32)
-    rows = g.power_rows(heads, int(g.orders[heads].max()))
-    owner = np.repeat(np.arange(len(chains)), list(map(len, chains)))
-    inside = (rows[:, owner] == np.concatenate(chains)).any(axis=0).tolist()
-    out = []
-    end = 0
-    for c in chains:
-        start, end = end, end + len(c)
-        orders = list(map(g.element_order, c))
-        pp = is_prime_power(orders[0])
-        out.append(pp is not None and all(inside[start:end]) and all(
-            a == pp[0] * b for a, b in zip(orders, orders[1:])
-        ))
-    return out
+    `members` lists the chains one after another, head[i] marking the first
+    member of each; a chain holds the least generators of t >= 2 subgroups
+    by decreasing order, and `orders` holds their element orders. A chain
+    is an interval when the orders are p**n, ..., p**(n-t+1), each of index
+    p in the one before, and every member is a power of the head a, the
+    class then being <a> minus <a**(p**t)>. Subgroups of the cyclic p-group
+    <a> form a chain, so each member is then a power of the one before. One
+    table of the powers of all heads decides every containment."""
+    starts = np.flatnonzero(head)
+    owner = np.cumsum(head) - 1
+    rows = g.power_rows(members[starts], int(orders[starts].max()))
+    ok = (rows[:, owner] == members).any(axis=0)
+    # each member's order is p times the next one's in its chain, p the prime
+    # of the head's order (0 when that is no prime power, which fails them all)
+    prime = np.array([(pp or (0,))[0] for pp in map(is_prime_power, orders[starts].tolist())])
+    ok[:-1] &= head[1:] | (orders[:-1] == prime[owner[:-1]] * orders[1:])
+    return np.logical_and.reduceat(ok, starts)
 
 
 def _classify_classes(p: Pipeline) -> tuple[str, ...]:
@@ -318,26 +316,31 @@ def _classify_classes(p: Pipeline) -> tuple[str, ...]:
     # only when they generate one subgroup: so a class is a union of generator
     # sets of pairwise distinct orders. A class of one order is a generator
     # set; a mixed class's least member of each order is that subgroup's least
-    # generator, and those classify it. elements[starts[c]:ends[c]] is class
-    # c, ascending, read off one stable sort of the vertices by node
+    # generator, and those classify it. The vertices by node, ascending within
+    # a class, come from one stable sort
     sizes = np.bincount(node_of, minlength=p.q.n)
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
+    starts = np.cumsum(sizes) - sizes
     vertices = np.argsort(node_of, kind="stable")
-    elements = vertices + 1
-    orders = g.orders[elements]
+    orders = g.orders[vertices + 1]
     kinds = [GENERATOR_CLASS] * p.q.n
-    mixed = np.flatnonzero(
-        np.minimum.reduceat(orders, starts) != np.maximum.reduceat(orders, starts)
-    ).tolist()
-    chains = []
-    for c in mixed:  # each one's least members by decreasing order
-        first = np.unique(orders[starts[c]:ends[c]], return_index=True)[1]
-        chains.append(elements[starts[c] + first[::-1]].tolist())
-    for c, interval in zip(mixed, _intervals(g, chains)):
+    is_mixed = np.minimum.reduceat(orders, starts) != np.maximum.reduceat(orders, starts)
+    if not is_mixed.any():
+        return tuple(kinds)
+    # the mixed classes' members by class, then by decreasing order, each
+    # order's least member first (lexsort is stable): the first of each
+    # (class, order) run is that subgroup's least generator
+    at = np.flatnonzero(np.repeat(is_mixed, sizes))
+    cls, o = node_of[vertices[at]], orders[at]
+    by = np.lexsort((-o, cls))
+    at, cls, o = at[by], cls[by], o[by]
+    head, first = np.ones((2, len(at)), dtype=bool)
+    head[1:] = cls[1:] != cls[:-1]
+    first[1:] = head[1:] | (o[1:] != o[:-1])
+    members = vertices[at[first]] + 1
+    for c, interval in zip(cls[head].tolist(), _intervals(g, members, o[first], head[first]).tolist()):
         if not interval:
             raise InternalCheckError(
-                f"MEN class {vertices[starts[c]:ends[c]].tolist()} fits neither classification form; "
+                f"MEN class {np.flatnonzero(node_of == c).tolist()} fits neither classification form; "
                 "this falsifies a structural assumption the engine relies on"
             )
         kinds[c] = CYCLIC_INTERVAL

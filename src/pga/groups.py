@@ -12,17 +12,21 @@ Element 0 is always the identity. Groups are built from a small spec grammar:
     P(A,B)          external direct product of two specs
 
 A group supplies `mul(a, b)` and `power(x, k)` on int32 index arrays, and
-everything else is built on those two. Sym(n), Q8 and any table passed to
-`FiniteGroup` are table groups, which read an n x n multiplication table and
-read powers and element orders off rows of powers built once, by products,
-up to the largest element order. Z(n), Dih(n) and direct products (Ab[...],
-Z(q)^k, P(A,B)) are arithmetic groups: residues mod n, (flip, rotation)
-pairs, and mixed-radix digits over the factors, each digit read from a table
-of every element's digits built once; they store no multiplication table,
-so no n x n array is built for them. Z(n) and Dih(n) find element orders
-from a few closed-form powers (each order divides the group order); a direct
-product takes the lcm of its factors' orders, digit by digit, and checks it
-with one power of the product. Instances are immutable and thread-safe.
+everything else is built on those two; in every form below, k is an int or
+an integer array broadcast against x, so one call takes many exponents (the
+cyclic-subgroup graph takes every (subgroup, divisor) pair in one). Sym(n),
+Q8 and any table passed to `FiniteGroup` are table groups, which read an
+n x n multiplication table and read powers and element orders off rows of
+powers built once, by products, up to the largest element order. Z(n), Dih(n) and
+direct products (Ab[...], Z(q)^k, P(A,B)) are arithmetic groups: residues
+mod n, (flip, rotation) pairs, and mixed-radix digits over the factors, each
+digit read from a table of every element's digits built once; they store no
+multiplication table, so no n x n array is built for them. Z(n) and Dih(n)
+find element orders from a few closed-form powers (each order divides the
+group order); a direct product takes the lcm of its factors' orders, digit
+by digit, and checks it with one power of the product. The exponent, the lcm
+of the orders, is built once per group as well (a product's from its
+factors'). Instances are immutable and thread-safe.
 
 Every leaf group, Z(n), Dih(n), Sym(n) or Q8, is built and checked once per
 process: within the default order cap, `realize` takes it from a small cache
@@ -30,20 +34,20 @@ keyed by its spec, so the factors of every product share one checked
 instance (a leaf whose check fails is not cached). A leaf's check: element 0
 must be a two-sided identity and every element must have a two-sided
 inverse, and power(x, 2) must equal mul(x, x). For orders up to 200, and for
-a table given with generators at any order, the product on its full n x n
-grid must also be associative. The check is Light's test (Clifford and
-Preston, *The Algebraic Theory of Semigroups* I, 1961, section 1.2): the
-elements a with (ab)c = a(bc) for all b and c are closed under products, so
-it suffices that they include a generating set. Each constructor passes the
-generators it knows (1 for Z(n); r and s for Dih(n); (0 1) and
-(0 1 ... n-1) for Sym(n); i and j for Q8); the check first proves, by
-closure under products, that they generate the group, and then tests them
-against every pair b, c, about |S| n**2 products where the exhaustive test
-takes n**3. Up to 200 elements, a table given without generators, or a
-group small enough for one block of the test (n**3 <= 2**16), has every
-element tested. Above 200 elements, a table given without generators is not
-tested for associativity, and Z(n) and Dih(n) check identity and inverses on
-their n elements alone.
+every table at any order, the product on its full n x n grid must also be
+associative. The check is Light's test (Clifford and Preston, *The Algebraic
+Theory of Semigroups* I, 1961, section 1.2): the elements a with (ab)c =
+a(bc) for all b and c are closed under products, so it suffices that they
+include a generating set. Each constructor passes the generators it knows (1
+for Z(n); r and s for Dih(n); (0 1) and (0 1 ... n-1) for Sym(n); i and j
+for Q8), and the check first proves, by closure under products with them,
+that they generate the group; a table given without generators gets a
+generating set picked greedily, the least element not yet reached each
+time. The check then tests the generators against every pair b, c, about
+|S| n**2 products where the exhaustive test takes n**3. A group small enough
+for one block of the test (n**3 <= 2**16) has every element tested. Above
+200 elements, Z(n) and Dih(n) check identity and inverses on their n
+elements alone.
 
 A direct product is checked through its factors: they were checked when
 they were built, so it suffices that its digit table numbers the elements
@@ -290,8 +294,15 @@ def spec_order(spec: GroupSpec) -> int:
 # the group model
 
 
-def _scale(x: np.ndarray, k: int, n: int) -> np.ndarray:
-    """k * x mod n for the int32 residues x, in int64 where int32 could overflow."""
+def _scale(x: np.ndarray, k, n: int) -> np.ndarray:
+    """k * x mod n for the int32 residues x and k an int or an integer array
+    broadcast against x, in int64 where int32 could overflow (read off the
+    largest k of an array)."""
+    if isinstance(k, np.ndarray):
+        k = (k % n).astype(np.int32)
+        if k.size and int(k.max()) * n >= 2**31:
+            return (x.astype(np.int64) * k % n).astype(np.int32)
+        return x * k % n
     k %= n
     if k * n < 2**31:
         return x * k % n
@@ -303,7 +314,8 @@ class FiniteGroup:
 
     Everything is read through two vectorized operations on int32 index
     arrays: `mul(a, b)`, the elementwise (broadcast) product, and
-    `power(x, k)`. Element orders and rows of powers are built on those two.
+    `power(x, k)`, k an int or an integer array broadcast against x. Element
+    orders, the exponent and rows of powers are built on those two.
     Two forms supply them:
 
     - a table group, this class built from its n x n multiplication table
@@ -320,16 +332,15 @@ class FiniteGroup:
     (Z(n), Dih(n), Sym(n), Q8) once per process. For orders up to 200, and
     for every table, the product on the full n x n grid (the table itself)
     must have element 0 as a two-sided identity and a two-sided inverse for
-    every element. For orders up to 200, and for a table given with
-    generators at any order, it must also be associative, by Light's test:
-    for n**3 > 2**16 and given generators S, a closure under products first
-    proves that S generates the grid (a ValueError otherwise), and then
-    (sb)c = s(bc) is checked for every s in S and all b, c, |S| n**2
-    products; otherwise every element is checked as s, which is the
-    exhaustive test. A table above 200 elements given without generators is
-    not tested for associativity. Z(n) and Dih(n) above 200 elements check
-    identity and inverses on their n elements through `mul`, x**(n-1) being
-    x's inverse.
+    every element. For orders up to 200, and for every table, it must also
+    be associative, by Light's test: for n**3 > 2**16, a closure under
+    products with the given generators S first proves that S generates the
+    grid (a ValueError otherwise), or, with none given, S is picked
+    greedily (_generating_set); then (sb)c = s(bc) is checked for every s in
+    S and all b, c, |S| n**2 products. For n**3 <= 2**16 every element is
+    checked as s, which is the exhaustive test. Z(n) and Dih(n) above 200
+    elements check identity and inverses on their n elements through `mul`,
+    x**(n-1) being x's inverse.
     A direct product is checked through its factors and its numbering of the
     elements instead (_ProductGroup._validate). Every group also checks
     power(x, 2) == mul(x, x) for every x, so that a closed-form power cannot
@@ -400,28 +411,10 @@ class FiniteGroup:
         inv = (t == 0).argmax(axis=1)
         if not (t[idx, inv] == 0).all() or not (t[inv, idx] == 0).all():
             raise ValueError("some element has no two-sided inverse")
-        if n > 200 and self.generators is None:
-            return
         # the elements s with (sb)c = s(bc) for all b, c are closed under
         # products: ((s1 s2) b) c = (s1 (s2 b)) c = s1 ((s2 b) c) = s1 (s2 (bc))
         # = (s1 s2)(bc), so checking a generating set checks every element
-        gens = idx
-        if self.generators is not None and n**3 > 2**16:
-            gens = np.array(sorted(set(self.generators)), dtype=np.intp)
-            if ((gens < 0) | (gens >= n)).any():
-                raise ValueError("generators out of range")
-            # close {identity} + S under products; each round at least
-            # doubles the length of the words reached
-            reached = np.zeros(n, dtype=bool)
-            reached[0] = reached[gens] = True
-            span = np.flatnonzero(reached)
-            flat = t.ravel()
-            while span.size < n:
-                reached[flat.take(span[:, None] * n + span)] = True
-                grown = np.flatnonzero(reached)
-                if grown.size == span.size:
-                    raise ValueError(f"the generators span {span.size} of the {n} elements")
-                span = grown
+        gens = idx if n**3 <= 2**16 else self._generating_set(t)
         # (sb)c against s(bc) for a block of elements s at a time, about 2**16
         # products per block
         step = max(1, 2**16 // (n * n))
@@ -433,6 +426,44 @@ class FiniteGroup:
                     f"multiplication is not associative (element {gens[lo + bad[0]]})"
                 )
 
+    def _generating_set(self, t: np.ndarray) -> np.ndarray:
+        """The constructor's generators, proved to generate the grid t (a
+        ValueError otherwise), or, when none were given, a generating set
+        picked greedily: the least element not reached yet, each time. By
+        Lagrange each pick at least doubles the span, so at most log2(n) are
+        picked.
+
+        The span grows from the identity by rounds: the elements a round
+        reaches are multiplied on the right by the generators and by each
+        other, so the word length doubles each round, and a new pick starts
+        from the span times it alone. No block of the span times itself is
+        formed."""
+        n = self.size
+        flat = t.ravel()
+        gens = [] if self.generators is None else sorted(set(self.generators))
+        if any(x < 0 or x >= n for x in gens):
+            raise ValueError("generators out of range")
+        reached = np.zeros(n, dtype=bool)
+        reached[0] = True
+        s = np.array(gens, dtype=np.intp)
+        products = s  # the identity times the generators
+        while True:
+            while True:
+                grown = reached.copy()
+                grown[products] = True
+                new = np.flatnonzero(grown > reached)
+                reached = grown
+                if not new.size:
+                    break
+                products = flat.take(np.hstack((new[:, None] * n + s, new[:, None] * n + new)))
+            if reached.all():
+                return s
+            if self.generators is not None:
+                raise ValueError(f"the generators span {np.count_nonzero(reached)} of the {n} elements")
+            gens.append(int(reached.argmin()))
+            s = np.array(gens, dtype=np.intp)
+            products = flat.take(np.flatnonzero(reached) * n + gens[-1])
+
     def __repr__(self) -> str:
         return f"FiniteGroup({self.description!r}, order={self.size})"
 
@@ -442,9 +473,11 @@ class FiniteGroup:
         fits in memory."""
         return self._flat.take(a * self.size + b)
 
-    def power(self, x: np.ndarray, k: int) -> np.ndarray:
-        """x**k for the int32 elements x and k >= 0, read off the table
-        group's rows of powers: x**k is x**(k mod order(x))."""
+    def power(self, x: np.ndarray, k) -> np.ndarray:
+        """x**k for the int32 elements x, k >= 0 an int or an integer array
+        broadcast against x (every element of x to its own k: one call takes
+        many exponents at once), read off the table group's rows of powers:
+        x**k is x**(k mod order(x))."""
         rows, orders, exponent = self._table_powers
         return rows.take(k % exponent % orders.take(x) * self.size + x)
 
@@ -475,6 +508,14 @@ class FiniteGroup:
         rows = rows[: orders.max() + 1].ravel()
         rows.flags.writeable = orders.flags.writeable = False
         return rows, orders, math.lcm(*set(orders.tolist()))
+
+    @cached_property
+    def exponent(self) -> int:
+        """The lcm of the element orders, built once per group (and so once
+        per leaf per process, as `orders`)."""
+        if self.table is not None:
+            return self._table_powers[2]
+        return math.lcm(*set(self.orders.tolist()))
 
     @cached_property
     def orders(self) -> np.ndarray:
@@ -532,7 +573,7 @@ class _CyclicGroup(FiniteGroup):
     def mul(self, a, b):
         return (a + b) % self.size
 
-    def power(self, x: np.ndarray, k: int) -> np.ndarray:
+    def power(self, x: np.ndarray, k) -> np.ndarray:
         return _scale(x, k, self.size)
 
 
@@ -558,10 +599,11 @@ class _DihedralGroup(FiniteGroup):
         f2, a2 = divmod(b, n)
         return (f1 ^ f2) * n + (a2 + a1 - 2 * a1 * f2) % n
 
-    def power(self, x: np.ndarray, k: int) -> np.ndarray:
+    def power(self, x: np.ndarray, k) -> np.ndarray:
         # a rotation's exponent is multiplied by k; a reflection is an involution
         n = self.rotations
-        return np.where(x < n, _scale(x, k, n), x * (k & 1))
+        odd = k & 1 if isinstance(k, int) else (k & 1).astype(np.int32)
+        return np.where(x < n, _scale(x, k, n), x * odd)
 
 
 class _ProductGroup(FiniteGroup):
@@ -617,9 +659,14 @@ class _ProductGroup(FiniteGroup):
         da, db = self._digit_table.take(a, axis=0), self._digit_table.take(b, axis=0)
         return self._number([g.mul(da[..., i], db[..., i]) for i, g in enumerate(self.factors)])
 
-    def power(self, x: np.ndarray, k: int) -> np.ndarray:
+    def power(self, x: np.ndarray, k) -> np.ndarray:
         digits = self._digit_table.take(x, axis=0)
         return self._number([g.power(digits[..., i], k) for i, g in enumerate(self.factors)])
+
+    @cached_property
+    def exponent(self) -> int:
+        """The lcm of the factors' exponents."""
+        return math.lcm(*(g.exponent for g in self.factors))
 
     @cached_property
     def orders(self) -> np.ndarray:
@@ -627,8 +674,7 @@ class _ProductGroup(FiniteGroup):
         by one product power: x**e must be the identity for the exponent e."""
         digits = self._digit_table.T
         orders = np.lcm.reduce([g.orders.take(d) for g, d in zip(self.factors, digits)])
-        exponent = math.lcm(*set(orders.tolist()))
-        if self.power(np.arange(self.size, dtype=np.int32), exponent).any():
+        if self.power(np.arange(self.size, dtype=np.int32), self.exponent).any():
             raise ValueError("a power of the product differs from its factors' orders")
         orders.flags.writeable = False
         return orders

@@ -35,8 +35,10 @@ The machinery is classic individualization-refinement:
     all and refining would split nothing. The pivot only moves to a cell of
     its own, in the count and on both sides of the search. The count takes
     such a cell in one step, a twin run: it detaches every node of the cell
-    but the last, and going up joins each level's orbit through the
-    transposition of its pivot and the next node, checked from two rows;
+    but the last, and going up checks each level's transposition of its
+    pivot and the next node from two rows, which puts that level's cell in
+    its pivot's orbit; then it joins the whole run at once and multiplies
+    the order by k!, the product of the run's level orbits k, k-1, ..., 2;
   * a witness attempt tries, in order, the transposition of the pivot and
     the candidate, an automorphism exactly when their weights and their
     rows outside the two of them are equal, so two rows decide it; the swap
@@ -62,13 +64,15 @@ must also be a permutation, its values being its keys, and is handed over as
 the pairs it moves: an edge between two fixed nodes is its own image, so
 comparing the moved rows is complete. Only a refinement mismatch or an
 exhausted search rules a candidate out, so a bad swap or guess never lowers
-a count. No level is counted by a formula: each orbit it joins comes from
-one checked map, a twin run's level from its transposition. Caps produce an
-explicit CapExceeded, never a guess.
+a count. No level is counted unchecked: each orbit it joins comes from
+one checked map, and a twin run's k! from its k - 1 checked
+transpositions, one per level. Caps produce an explicit CapExceeded, never
+a guess.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -670,8 +674,10 @@ def _aut_order(wg: WeightedGraph, cells: list[int], cell_of: list[int]) -> tuple
     the maps found generate the group and the union-find ends with its
     orbits. A twin run's level of pivot p has the run's nodes from p on as
     its cell; going up, the transposition of p and the run's next node is
-    checked (_transposes) and joined, which puts that whole cell in p's
-    orbit, as no map found deeper moves a node of the run.
+    checked (_transposes), which puts that whole cell in p's orbit, as no
+    map found deeper moves a node of the run. With every level of a run of
+    k nodes checked, the run joins as one orbit and its levels' orbit sizes
+    k, k-1, ..., 2 multiply to k!.
 
     The chain refines (cells, cell_of) in place and keeps, per entry, only
     an undo log of the cells it changed; going up, each entry's partition is
@@ -710,17 +716,19 @@ def _aut_order(wg: WeightedGraph, cells: list[int], cell_of: list[int]) -> tuple
         _undo(cells, cell_of, base, log)
         if twin_run:
             # the run's levels from the deepest up: level p's cell is the
-            # nodes from p on, and p's orbit there joins through (p u)
+            # nodes from p on, and (p u), u the next node, puts that cell in
+            # p's orbit. Once every transposition is checked, the run joins as
+            # one class, and its k levels' orbits multiply to k!
             u = target.bit_length() - 1
             rest = target ^ 1 << u
             while rest:
                 p = rest.bit_length() - 1
                 if not _transposes(wg, p, u):
                     raise RuntimeError(f"twins {p} and {u} do not transpose")
-                orbits.join({p: u, u: p})
-                order *= (orbits.orbit(p) & target).bit_count()
                 rest ^= 1 << p
                 u = p
+            orbits.join(dict.fromkeys(_iter_bits(target), pivot))
+            order *= math.factorial(target.bit_count())
         else:
             dead = 0  # the orbits known to hold no image
             while candidates := target & ~(orbits.orbit(pivot) | dead):

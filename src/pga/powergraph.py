@@ -9,12 +9,15 @@ vertex) that also carries its group, so the oracle and the quotient recursion
 read it directly. Graphs are immutable after construction.
 
 It is the containment graph of the nontrivial cyclic subgroups with each one
-blown up to a clique of its generators; `cyclic_subgroup_graph` skips the blow-up.
+blown up to a clique of its generators; `cyclic_subgroup_graph` skips the
+blow-up. It names each subgroup by its least generator and finds every
+containment with one `power` call, on the (subgroup, divisor) pairs drawn
+from the divisors of the group's exponent; only `build_power_graph` reads
+rows of every power.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import chain, starmap
 from typing import Iterable, Iterator
 
@@ -89,18 +92,22 @@ def cyclic_subgroup_graph(g: FiniteGroup) -> QuotientGraph:
     """One node per nontrivial cyclic subgroup, ordered by least generator and
     weighted by phi(order); two nodes are adjacent when one subgroup contains
     the other. A node's members are its generators as power-graph vertices,
-    passed on as the array `node_of` of each vertex's node."""
+    passed on as the array `node_of` of each vertex's node.
+
+    Every containment edge comes from one `power` call over all (subgroup,
+    divisor) pairs: the subgroups inside <r> other than itself are the
+    <r**d> for the divisors 1 < d < order(r), and every order divides the
+    group's exponent, so the divisors of the exponent serve every node."""
     _require_nontrivial(g)
-    n, orders = g.size, g.orders
+    n, orders, exponent = g.size, g.orders, g.exponent
     # least[x]: the least generator of <x>. The generators of <x> are its
-    # images under the maps y -> y**k for the units k modulo the exponent
-    # (the lcm of the element orders), and those maps are generated by the
-    # ones for unit_generators, so least is the minimum over an orbit: one
-    # cycle minimum per generator, by pointer doubling, as a cycle is shorter
-    # than the exponent. A round that lowers nothing leaves least[x] <=
-    # least[f(x)] for the round's map f, and so for every later round's map,
-    # a power of f: no later round changes anything, and the doubling stops.
-    exponent = math.lcm(*set(orders.tolist()))
+    # images under the maps y -> y**k for the units k modulo the exponent,
+    # and those maps are generated by the ones for unit_generators, so least
+    # is the minimum over an orbit: one cycle minimum per generator, by
+    # pointer doubling, as a cycle is shorter than the exponent. A round that
+    # lowers nothing leaves least[x] <= least[f(x)] for the round's map f,
+    # and so for every later round's map, a power of f: no later round
+    # changes anything, and the doubling stops.
     least = np.arange(n, dtype=np.int32)
     for u in unit_generators(exponent):
         step = g.power(np.arange(n, dtype=np.int32), u)
@@ -112,16 +119,11 @@ def cyclic_subgroup_graph(g: FiniteGroup) -> QuotientGraph:
             step = step[step]
     reps = np.flatnonzero(least == np.arange(n))[1:].astype(np.int32)
     node_of, node_orders = np.searchsorted(reps, least), orders[reps]
-    # the nontrivial subgroups of <r> other than itself are the <r**d> for the
-    # divisors 1 < d < order(r), read off one table of powers of the nodes
-    # that have such a divisor
-    divs = sorted({d for o in set(node_orders.tolist()) for d in divisors(o)[1:-1]})
+    # the pairs (r, d) with d such a divisor, divisor by divisor, each one's
+    # r**d the lower end of one edge; a prime exponent leaves no such d
     edges: Iterable[tuple[int, int]] = ()
-    if divs:
-        d = np.array(divs, dtype=np.intp)[:, None]
-        has = (node_orders % d == 0) & (node_orders > d)  # has[i, r]: divs[i] is such a d for r
-        inner = np.flatnonzero(has.any(axis=0))
-        i, at = np.nonzero(has[:, inner])
-        powers = g.power_rows(reps[inner], divs[-1])
-        edges = zip(inner[at].tolist(), node_of[powers[d[i, 0], at]].tolist())
+    if divs := divisors(exponent)[1:-1]:
+        d = np.array(divs, dtype=np.int32)[:, None]
+        i, at = np.nonzero((node_orders % d == 0) & (node_orders > d))
+        edges = zip(at.tolist(), node_of[g.power(reps[at], d[i, 0])].tolist())
     return QuotientGraph(node_of[1:], edges, np.bincount(node_of[1:]).tolist())

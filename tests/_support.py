@@ -32,7 +32,10 @@ from pga import (
     spec_order,
     totient,
 )
-from pga.groups import AbelianSpec, CyclicSpec, DihedralSpec, HomocyclicSpec, ProductSpec
+from pga.groups import (
+    AbelianSpec, CyclicSpec, DihedralSpec, HomocyclicSpec, ProductSpec, unit_generators,
+)
+from pga.quotient import QuotientGraph
 
 CORPUS = (
     "Z(6)", "Z(10)", "Z(12)", "Z(15)", "Z(18)", "Z(20)",
@@ -531,3 +534,35 @@ def reconstructed_order(g: FiniteGroup, mp, x: int) -> int:
         assert len(hit) in (0, len(members)), f"class {members} straddles the cyclic subgroup of {x}"
         total += weight if hit else 0
     return 1 + total
+
+
+def power_table_subgroup_graph(g: FiniteGroup) -> QuotientGraph:
+    """The cyclic-subgroup graph by the earlier containment route, kept as a
+    reference: the exponent from the set of element orders, and the
+    neighbours inside <r> read off one table of the powers of every node
+    with a divisor 1 < d < order(r), up to the largest such d over the
+    divisors of every distinct order. The least generators come from the
+    same doubling as `cyclic_subgroup_graph`."""
+    n, orders = g.size, g.orders
+    exponent = math.lcm(*set(orders.tolist()))
+    least = np.arange(n, dtype=np.int32)
+    for u in unit_generators(exponent):
+        step = g.power(np.arange(n, dtype=np.int32), u)
+        for _ in range(exponent.bit_length()):
+            lower = least[step]
+            if not (lower < least).any():
+                break
+            np.minimum(least, lower, out=least)
+            step = step[step]
+    reps = np.flatnonzero(least == np.arange(n))[1:].astype(np.int32)
+    node_of, node_orders = np.searchsorted(reps, least), orders[reps]
+    divs = sorted({d for o in set(node_orders.tolist()) for d in divisors(o)[1:-1]})
+    edges = []
+    if divs:
+        d = np.array(divs, dtype=np.intp)[:, None]
+        has = (node_orders % d == 0) & (node_orders > d)
+        inner = np.flatnonzero(has.any(axis=0))
+        i, at = np.nonzero(has[:, inner])
+        powers = g.power_rows(reps[inner], divs[-1])
+        edges = list(zip(inner[at].tolist(), node_of[powers[d[i, 0], at]].tolist()))
+    return QuotientGraph(node_of[1:], edges, np.bincount(node_of[1:]).tolist())

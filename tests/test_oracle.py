@@ -901,6 +901,25 @@ def test_twin_levels_need_no_refinement(build, monkeypatch):
     _assert_twin_runs_only(wg, math.factorial(wg.n), monkeypatch)
 
 
+def test_a_twin_run_checks_every_transposition(monkeypatch):
+    # the path 0 - 1 - 2 - 3: its colour cells {0, 3} and {1, 2} hold no
+    # twins. A twin mask that puts 0 and 3 together makes {0, 3} a twin run,
+    # whose k! must not be taken before its transposition is checked
+    path = WeightedGraph(4, [(0, 1), (1, 2), (2, 3)])
+    assert count_automorphisms(path) == 2
+    real = oracle._twins
+
+    def lying(adj, weights):
+        twins = real(adj, weights)
+        twins[0] |= 1 << 3
+        twins[3] |= 1 << 0
+        return twins
+
+    monkeypatch.setattr(oracle, "_twins", lying)
+    with pytest.raises(RuntimeError, match="do not transpose"):
+        count_automorphisms(path)
+
+
 def test_twin_class_swap_that_fails_rules_nothing_out(monkeypatch):
     # twin classes around a 5-cycle A C B E D: open pairs A = {0, 1} and
     # C = {2, 3}, closed pairs B = {4, 5} and D = {7, 8}, and E = {6}. Node

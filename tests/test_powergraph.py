@@ -1,8 +1,19 @@
+import numpy as np
 import pytest
 
 from pga import build_power_graph, connected_components, realize
+from pga.powergraph import cyclic_subgroup_graph
 
-from _support import CORPUS, P_GROUP_SPECS, bundle, cyclic_subgroup
+from _support import (
+    CORPUS,
+    P_GROUP_SPECS,
+    PRODUCT_SPECS,
+    SMALL_GROUP_SPECS,
+    WORKLOAD_SPECS,
+    bundle,
+    cyclic_subgroup,
+    power_table_subgroup_graph,
+)
 
 
 def test_cyclic_prime_power_is_complete():
@@ -110,3 +121,25 @@ def test_cyclic_prime_power_complete():
     for spec, m in (("Z(4)", 3), ("Z(8)", 7), ("Z(9)", 8)):
         pg = bundle(spec).pg
         assert pg.edge_count == m * (m - 1) // 2
+
+
+def _same_subgroup_graph(g):
+    got, ref = cyclic_subgroup_graph(g), power_table_subgroup_graph(g)
+    assert np.array_equal(got.node_of, ref.node_of), g.description
+    assert (got.adj, got.weights) == (ref.adj, ref.weights), g.description
+
+
+def test_subgroup_graph_matches_the_power_table_route():
+    # every containment edge from one power call over (subgroup, divisor)
+    # pairs, against one table of powers up to the largest divisor
+    for spec in dict.fromkeys(CORPUS + SMALL_GROUP_SPECS + WORKLOAD_SPECS + PRODUCT_SPECS):
+        g = realize(spec)
+        if g.size > 1:
+            _same_subgroup_graph(g)
+
+
+def test_subgroup_graph_of_a_large_cyclic_group_matches_the_power_table_route():
+    # Z(100000), whose pairs take the int64 route (50,000 * 100,000 >= 2**31)
+    g = realize("Z(100000)", max_order=100000)
+    _same_subgroup_graph(g)
+    assert cyclic_subgroup_graph(g).n_nodes == 35
