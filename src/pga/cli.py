@@ -240,7 +240,7 @@ def _specs_from_args(args: argparse.Namespace) -> list[tuple[str, str]]:
     names the spec's line number and the spec."""
     if args.corpus is None:
         return [(args.group, "")]
-    lines = Path(args.corpus).read_text(encoding="utf-8").splitlines()
+    lines = Path(args.corpus).read_text(encoding="utf-8-sig").splitlines()
     stripped = [(i, ln.strip()) for i, ln in enumerate(lines, 1)]
     specs = [(s, f"line {i}, {s}: ") for i, s in stripped if s and not s.startswith("#")]
     if not specs:

@@ -57,12 +57,12 @@ Each spec realizes one group, and its pipeline, the group and its weighted
 MEN quotient, is built once, by `pipeline`, and passed to every route; the
 report carries it, so `verify` and the CLI export reuse it. The quotient is
 the graph of cyclic subgroups, its closed twins merged when it has any; the
-power graph is built on first use of `Pipeline.pg` and must give the same
-classes and weights. The classes travel as one integer array, each
-power-graph vertex's quotient node (`QuotientGraph.node_of`), numbered by
-least member, and every reader here takes them from it: `analyze` and
-`verify` build no tuple of members (`QuotientGraph.members` is built on
-first read, by the class table or a library caller).
+power graph is built on first use of `Pipeline.pg`, and the quotient must
+be its MEN quotient, edges included. The classes travel as one integer
+array, each power-graph vertex's quotient node (`QuotientGraph.node_of`),
+numbered by least member, and every reader here takes them from it:
+`analyze` and `verify` build no tuple of members (`QuotientGraph.members` is
+built on first read, by the class table or a library caller).
 
 Every report says how each MEN class arises: as the generator set of one
 cyclic subgroup, or as an interval of the subgroup chain of a cyclic
@@ -118,6 +118,7 @@ from .oracle import (
     OracleCaps,
     WeightedGraph,
     _induced,
+    _iter_bits,
     connected_components,
     count_automorphisms,
     find_isomorphism,
@@ -139,12 +140,34 @@ class Pipeline:
 
     @cached_property
     def pg(self) -> PowerGraph:
-        """The power graph, built on first use; its MEN classes and weights must be `q`'s."""
+        """The power graph, built on first use; `q` must be its MEN quotient."""
         pg = build_power_graph(self.g)
-        mp = men_partition(pg)  # its classes numbered by least member, as q's nodes are
-        if mp.weights != self.q.weights or not np.array_equal(mp.class_of, self.q.node_of):
-            raise InternalCheckError("power-graph and cyclic-subgroup MEN partitions differ")
+        _check_men_quotient(pg, self.q)
         return pg
+
+
+def _check_men_quotient(pg: PowerGraph, q: QuotientGraph) -> None:
+    """An InternalCheckError unless q is pg's MEN quotient, edges included: each node
+    weighs its member count, nodes are numbered by least member, no two are closed twins,
+    and every vertex's closed row in pg is its node's in q, each node replaced by its members."""
+    node_of = q.node_of.tolist()
+    masks = [0] * q.n  # each node's members
+    for v, i in enumerate(node_of):
+        masks[i] |= 1 << v
+    # each node's closed row, blown up (the masks are disjoint: their sum is their union)
+    closed = [m + sum(map(masks.__getitem__, _iter_bits(r))) if r else m for m, r in zip(masks, q.adj)]
+    linked = [row | 1 << i for i, row in enumerate(q.adj) if row]  # closed twins are adjacent
+    if [m.bit_count() for m in masks] != list(q.weights):
+        problem = "a node's weight is not its member count"
+    elif list(dict.fromkeys(node_of)) != list(range(q.n)):
+        problem = "its nodes are not numbered by least member"
+    elif len(set(linked)) != len(linked):
+        problem = "two of its nodes are closed twins"
+    elif any(row | 1 << v != closed[i] for v, (row, i) in enumerate(zip(pg.adj, node_of))):
+        problem = "the power graph is not its blow-up"
+    else:
+        return
+    raise InternalCheckError(f"the quotient is not the power graph's MEN quotient: {problem}")
 
 
 def pipeline(g: FiniteGroup) -> Pipeline:

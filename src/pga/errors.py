@@ -44,8 +44,8 @@ class Cursor:
             raise self.error(f"expected {ch!r}")
 
     def integer(self) -> int:
-        """Read decimal digits; zero too, which only the spec grammar rejects.
-        A run too long for int() is an error at its first digit."""
+        """Read decimal digits, zero too. A run too long for int() is an
+        error at its first digit."""
         self.skip_ws()
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdecimal():
@@ -59,6 +59,14 @@ class Cursor:
                 f"integer of {self.pos - start} digits is too long", position=start
             ) from None
 
+    def positive(self, message: str) -> int:
+        """Read an integer of at least 1; zero is a SpecError with `message`."""
+        self.skip_ws()
+        start, value = self.pos, self.integer()
+        if value < 1:
+            raise SpecError(message, position=start)
+        return value
+
     def end(self) -> None:
         self.skip_ws()
         if self.pos != len(self.text):
@@ -69,8 +77,8 @@ class InternalCheckError(RuntimeError):
     """A structural self-check failed.
 
     Raised when two routes that must agree (a closed form and the recursive
-    decomposition, a partition and its quotient, the power graph's classes
-    and the cyclic-subgroup graph's) disagree, or when a MEN class fits
+    decomposition, a partition and its quotient, the power graph and the
+    cyclic-subgroup graph's MEN quotient) disagree, or when a MEN class fits
     neither classification form. This always means a bug or a falsified
     structural assumption, never bad user input.
     """

@@ -90,8 +90,8 @@ def expr_normalize(e: GroupExpr) -> GroupExpr:
     if isinstance(e, Wreath):
         base = expr_normalize(e.base)
         t = e.top.n
-        if t == 1:
-            return base
+        if t <= 1:  # base**0 x S0 and base**1 x S1
+            return base if t else Trivial()
         if isinstance(base, Trivial):
             return Sym(t)
         return Wreath(base, Sym(t))
@@ -173,7 +173,7 @@ def _atom(c: Cursor) -> GroupExpr:
     if c.literal("("):
         return _group(c)
     if c.literal("["):
-        order = c.integer()
+        order = c.positive("an opaque group's order must be positive")
         c.expect("]")
         return Opaque(order)
     if c.literal("1"):

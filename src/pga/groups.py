@@ -16,17 +16,17 @@ everything else is built on those two; in every form below, k is an int or
 an integer array broadcast against x, so one call takes many exponents (the
 cyclic-subgroup graph takes every (subgroup, divisor) pair in one). Sym(n),
 Q8 and any table passed to `FiniteGroup` are table groups, which read an
-n x n multiplication table and read powers and element orders off rows of
-powers built once, by products, up to the largest element order. Z(n), Dih(n) and
+n x n multiplication table and read x**k off rows of the powers x**0 ...
+x**n, built once by products, as x**(k mod n) (Lagrange). Z(n), Dih(n) and
 direct products (Ab[...], Z(q)^k, P(A,B)) are arithmetic groups: residues
 mod n, (flip, rotation) pairs, and mixed-radix digits over the factors, each
 digit read from a table of every element's digits built once; they store no
-multiplication table, so no n x n array is built for them. Z(n) and Dih(n)
-find element orders from a few closed-form powers (each order divides the
-group order); a direct product takes the lcm of its factors' orders, digit
-by digit, and checks it with one power of the product. The exponent, the lcm
-of the orders, is built once per group as well (a product's from its
-factors'). Instances are immutable and thread-safe.
+multiplication table, so no n x n array is built for them. Every leaf, table
+or arithmetic, finds its element orders from a few powers (each order
+divides the group order); a direct product takes the lcm of its factors'
+orders, digit by digit, and checks it with one power of the product. The
+exponent, the lcm of the orders, is built once per group as well (a
+product's from its factors'). Instances are immutable and thread-safe.
 
 Every leaf group, Z(n), Dih(n), Sym(n) or Q8, is built and checked once per
 process: within the default order cap, `realize` takes it from a small cache
@@ -194,12 +194,7 @@ GroupSpec = Union[
 
 class _SpecParser(Cursor):
     def parameter(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        value = self.integer()
-        if value < 1:
-            raise SpecError("parameters must be positive", position=start)
-        return value
+        return self.positive("parameters must be positive")
 
     def argument(self) -> int:
         """The "(" n ")" after Z, Sym and Dih."""
@@ -320,7 +315,7 @@ class FiniteGroup:
 
     - a table group, this class built from its n x n multiplication table
       (table[a, b] is the index of a*b): Sym(n), Q8 and any table passed in.
-      Its powers are read off rows of powers built once (_table_powers);
+      Its powers are read off rows of powers built once (_power_table);
     - an arithmetic group, one of the subclasses below, which computes each
       product and each power in closed form and stores no multiplication
       table: Z(n), Dih(n), and direct products (Ab[...], Z(q)^k, P(A,B)),
@@ -477,57 +472,30 @@ class FiniteGroup:
         """x**k for the int32 elements x, k >= 0 an int or an integer array
         broadcast against x (every element of x to its own k: one call takes
         many exponents at once), read off the table group's rows of powers:
-        x**k is x**(k mod order(x))."""
-        rows, orders, exponent = self._table_powers
-        return rows.take(k % exponent % orders.take(x) * self.size + x)
+        x**k is x**(k mod n), as every element's order divides the group
+        order n (Lagrange; the table was checked as a group when it was built)."""
+        return self._power_table.take(k % self.size * self.size + x)
 
     @cached_property
-    def _table_powers(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """A table group's rows of powers, flat (row k holds every x**k, for
-        0 <= k <= the largest element order), its element orders and its
-        exponent, the lcm of the orders.
-
-        The rows are built by products (power_rows) for twice as many powers
-        each round until every element has met the identity. An element that
-        has not met it by the n-th power, or whose order does not divide n,
-        is a ValueError: a group's orders divide its order (Lagrange)."""
-        n = self.size
-        x = np.arange(n, dtype=np.int32)
-        m = 1
-        while True:
-            m = min(2 * m, n)
-            rows = self.power_rows(x, m)
-            met = rows[1:] == 0
-            if met.any(axis=0).all():
-                break
-            if m == n:
-                raise ValueError("some element's order does not divide the group order")
-        orders = met.argmax(axis=0) + 1
-        if (n % orders).any():
-            raise ValueError("some element's order does not divide the group order")
-        rows = rows[: orders.max() + 1].ravel()
-        rows.flags.writeable = orders.flags.writeable = False
-        return rows, orders, math.lcm(*set(orders.tolist()))
+    def _power_table(self) -> np.ndarray:
+        """A table group's rows of powers x**0 ... x**n, flat, built once (power_rows)."""
+        rows = self.power_rows(np.arange(self.size, dtype=np.int32), self.size).ravel()
+        rows.flags.writeable = False
+        return rows
 
     @cached_property
     def exponent(self) -> int:
-        """The lcm of the element orders, built once per group (and so once
-        per leaf per process, as `orders`)."""
-        if self.table is not None:
-            return self._table_powers[2]
+        """The lcm of the element orders, built once per group (per leaf per process)."""
         return math.lcm(*set(self.orders.tolist()))
 
     @cached_property
     def orders(self) -> np.ndarray:
         """orders[x]: the least k >= 1 with x**k the identity.
 
-        A table group reads them off its rows of powers. For an arithmetic
-        group the order divides the group order n (Lagrange), so it is the
-        product, over the prime powers p**e exactly dividing n, of the order
-        p**a of x's p-part x**(n / p**e); a counts the p-th powers that part
-        takes to reach the identity, at most e."""
-        if self.table is not None:
-            return self._table_powers[1]
+        The order divides the group order n (Lagrange), so it is the product,
+        over the prime powers p**e exactly dividing n, of the order p**a of
+        x's p-part x**(n / p**e); a counts the p-th powers that part takes to
+        reach the identity, at most e."""
         n = self.size
         orders = np.ones(n, dtype=np.intp)
         for p, e in factorize(n).items():
@@ -756,12 +724,13 @@ def _quaternion_group() -> FiniteGroup:
 def _leaf(spec: CyclicSpec | DihedralSpec | SymmetricSpec | QuaternionSpec) -> FiniteGroup:
     """The group of a leaf spec, built and checked on its first use in a
     process. Groups are immutable, so every later use shares the instance,
-    its check and its lazily built orders and power rows; a spec whose check
-    raises is not cached, and raises again on its next use. 64 leaves hold
-    a corpus of small groups (Z(2)-Z(28), Dih(1)-Dih(14), Sym(n) and Q8 are
-    45). realize keeps only the leaves of groups within the default order
-    cap, so a kept leaf holds at most 2,000 labels and orders, or Sym(5)'s
-    120 x 120 table."""
+    its check and its lazily built orders and exponent (and a table group's
+    rows of powers); a spec whose check raises is not cached, and raises
+    again on its next use. 64 leaves hold a corpus of small groups
+    (Z(2)-Z(28), Dih(1)-Dih(14), Sym(n) and Q8 are 45). realize keeps only
+    the leaves of groups within the default order cap, so a kept leaf holds
+    at most 2,000 labels and orders, or Sym(5)'s 120 x 120 table and its 121
+    rows of 120 powers."""
     if isinstance(spec, CyclicSpec):
         return _CyclicGroup(spec.n)
     if isinstance(spec, DihedralSpec):

@@ -221,6 +221,18 @@ def test_corpus_batch(tmp_path, capsys):
     assert "Z(4): FULL-VERIFIED" in out
 
 
+def test_corpus_saved_with_a_byte_order_mark_answers_every_spec(tmp_path, capsys):
+    # editors on some platforms save UTF-8 with a leading U+FEFF; it is not
+    # part of the first spec
+    corpus = tmp_path / "groups.txt"
+    corpus.write_text("Z(6)\nSym(3)\n", encoding="utf-8-sig")
+    assert corpus.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert run(["analyze", "--corpus", str(corpus), "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert [d["spec"] for d in json.loads(captured.out)] == ["Z(6)", "Sym(3)"]
+    assert captured.err == ""
+
+
 def test_corpus_json_is_a_list_however_many_specs_finish(tmp_path, capsys):
     corpus = tmp_path / "groups.txt"
     for text, specs in (

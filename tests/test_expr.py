@@ -37,6 +37,9 @@ def test_normalize_drops_unit_factors():
 def test_normalize_collapses_degenerate_wreath():
     assert expr_normalize(Wreath(Sym(3), Sym(1))) == Sym(3)
     assert expr_normalize(Wreath(Trivial(), Sym(4))) == Sym(4)
+    # a top of S0 is order 1 whatever the base
+    assert expr_normalize(Wreath(Sym(2), Sym(0))) == Trivial()
+    assert expr_normalize(Wreath(Trivial(), Sym(0))) == Trivial()
     assert expr_normalize(Opaque(1)) == Trivial()
 
 
@@ -67,6 +70,9 @@ def test_parse_rejects_garbage():
         with pytest.raises(SpecError) as err:
             parse_expr(text)
         assert err.value.position is not None, text
+    # an opaque group has at least one element
+    with pytest.raises(SpecError, match=r"must be positive \(at position 6\)"):
+        parse_expr("S2 x [0]")
 
 
 def test_parse_long_integer_is_a_positioned_error():
@@ -96,7 +102,7 @@ def _expr_strategy():
     def compound(sub):
         return st.one_of(
             st.lists(sub, min_size=1, max_size=4).map(lambda fs: Product(tuple(fs))),
-            st.tuples(sub, st.integers(1, 4)).map(lambda t: Wreath(t[0], Sym(t[1]))),
+            st.tuples(sub, st.integers(0, 4)).map(lambda t: Wreath(t[0], Sym(t[1]))),
         )
 
     return st.recursive(leaf, compound, max_leaves=6)

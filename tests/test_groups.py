@@ -691,10 +691,17 @@ def test_table_powers_equal_repeated_products(g):
     assert g.table is not None
     x = np.arange(g.size, dtype=np.int32)
     exponent = math.lcm(*g.orders.tolist())
-    step = x
-    for k in range(1, 2 * exponent + 1):
-        assert np.array_equal(g.power(x, k), step), (g.description, k)
-        step = g.mul(step, x)
+    steps = [np.zeros_like(x)]  # steps[k] = x**k, by repeated products
+    for k in range(1, max(2 * exponent, 3 * g.size) + 1):
+        steps.append(g.mul(steps[-1], x))
+        assert np.array_equal(g.power(x, k), steps[k]), (g.description, k)
+    # exponents far above n: a Python int above 2**64, and one array of every
+    # exponent 0..3n against every element
+    for r in (0, 1, 5, 7, 59, 119, 2**40):
+        k = 2**64 + r
+        assert np.array_equal(g.power(x, k), steps[k % exponent]), (g.description, r)
+    k = np.arange(3 * g.size + 1)
+    assert np.array_equal(g.power(x, k[:, None]), np.stack(steps[: 3 * g.size + 1])), g.description
 
 
 @pytest.mark.parametrize(

@@ -117,10 +117,9 @@ def test_cyclic_subgroup_route_matches_power_graph_route(monkeypatch):
         sg = built.pop()
         assert (p.q is sg) == (p.q.n == sg.n), spec
     # a quotient whose members are not the MEN classes, or whose weights are
-    # not theirs, fails the power graph's check, which compares the two
-    # vertex-to-node arrays: the right classes in another node order fail it
-    # although their weights match, and so do the right classes with one unit
-    # of weight moved
+    # not theirs, fails the power graph's check that q is its MEN quotient:
+    # the right classes in another node order fail it although their weights
+    # match, and so do the right classes with one unit of weight moved
     g = bundle("Z(6)").g
     for q in (
         QuotientGraph(_node_of(((0, 4), (1, 2, 3))), [(0, 1)], (2, 3)),
@@ -128,8 +127,34 @@ def test_cyclic_subgroup_route_matches_power_graph_route(monkeypatch):
         QuotientGraph(_node_of(((1, 3), (0, 4), (2,))), [(0, 1), (1, 2)], (2, 2, 1)),
         QuotientGraph(_node_of(((0, 4), (1, 3), (2,))), [(0, 1), (0, 2)], (1, 2, 2)),
     ):
-        with pytest.raises(InternalCheckError, match="MEN partitions differ"):
+        with pytest.raises(InternalCheckError, match="not the power graph's MEN quotient"):
             Pipeline(g, q).pg
+
+
+@pytest.mark.parametrize("spec", ["Z(6)", "Z(12)"])
+def test_a_quotient_edge_dropped_or_added_fails_the_power_graph_check(spec, monkeypatch):
+    # either keeps the classes and weights, and verify's full-graph count
+    # would still match the quotient's order for these specs
+    q = pipeline(realize(spec)).q
+    edges = q.edges()
+    apart = next((i, j) for i in range(q.n) for j in range(i + 1, q.n) if not q.adj[i] >> j & 1)
+    assert verify(spec).verification.status == "full-verified"
+    for planted in (edges[1:], [*edges, apart]):
+        planted_q = QuotientGraph(q.node_of, planted, q.weights)
+        monkeypatch.setattr(pga.engine, "_men_quotient", lambda wg, planted_q=planted_q: planted_q)
+        with pytest.raises(InternalCheckError, match="not the power graph's MEN quotient"):
+            verify(spec)
+
+
+def test_closed_twins_in_the_quotient_fail_the_power_graph_check():
+    # Z(6)'s generators 1 and 5 (vertices 0 and 4) as two nodes: every
+    # vertex's row is still the blow-up of its node's, but the two nodes are
+    # closed twins, so the quotient is not the MEN quotient
+    g = bundle("Z(6)").g
+    edges = [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]
+    q = QuotientGraph(_node_of(((0,), (1, 3), (2,), (4,))), edges, (1, 2, 1, 1))
+    with pytest.raises(InternalCheckError, match="closed twins"):
+        Pipeline(g, q).pg
 
 
 @pytest.mark.parametrize(
@@ -208,8 +233,8 @@ def test_analyze_and_verify_build_no_member_tuples(monkeypatch):
     # classes travel as the vertex-to-node array: analyze and verify build no
     # quotient's member tuples and no partition's class tuples, for the kept
     # subgroup graph (Z(2)^10, Dih(500)), a projected one (Sym(5)), a Sylow
-    # subgraph (P(Dih(4),Z(5))) and the power graph's check in a full verify;
-    # a first read builds them, equal to the power graph's closed-twin classes
+    # subgraph (P(Dih(4),Z(5))) and a full verify; a first read builds them,
+    # equal to the power graph's closed-twin classes
     quotients, partitions = [], []
 
     def recorded(made, build):
@@ -231,8 +256,9 @@ def test_analyze_and_verify_build_no_member_tuples(monkeypatch):
         classes = _closed_twin_classes(build_power_graph(r.pipeline.g))
         assert r.pipeline.q.members == classes == men_partition(r.pipeline.pg).classes, r.spec
         assert "members" in vars(r.pipeline.q), r.spec
-    # the full verify's own check of the power graph, read first here
-    assert partitions[-1].classes == classes
+    # the full verify's check of the power graph partitions nothing: the one
+    # partition is the subgroup graph's
+    assert len(partitions) == 1 and partitions[0].classes == classes
 
 
 def test_array_classification_matches_peeling():
