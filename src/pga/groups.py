@@ -53,7 +53,9 @@ A direct product is checked through its factors: they were checked when
 they were built, so it suffices that its digit table numbers the elements
 one to one, and that power(x, 2) equals mul(x, x) on its n elements. Its
 product is then the factors' products carried through a bijection, which is
-a group.
+a group, and it carries no generators (`generators` is None). A table
+passed to `FiniteGroup` is checked as given, before its cast to int32, so no
+entry out of range or of a non-integer dtype can wrap or truncate into one.
 """
 
 from __future__ import annotations
@@ -304,6 +306,18 @@ def _scale(x: np.ndarray, k, n: int) -> np.ndarray:
     return (x.astype(np.int64) * k % n).astype(np.int32)
 
 
+def _check_table(t: np.ndarray, n: int) -> None:
+    """A ValueError unless t, as given, is an n x n integer array of entries in range(n), n >= 1."""
+    if t.shape != (n, n):
+        raise ValueError("multiplication table must be square")
+    if n < 1:
+        raise ValueError("a group has at least one element")
+    if t.dtype.kind not in "iu":
+        raise ValueError(f"table entries must be integers, not {t.dtype}")
+    if t.min() < 0 or t.max() >= n:
+        raise ValueError("table entries out of range")
+
+
 class FiniteGroup:
     """A finite group on the element indices 0..n-1, index 0 the identity.
 
@@ -321,7 +335,9 @@ class FiniteGroup:
       table: Z(n), Dih(n), and direct products (Ab[...], Z(q)^k, P(A,B)),
       componentwise.
 
-    `generators`, when given, are element indices that generate the group.
+    `generators`, when given, are element indices in range(n) that generate
+    the group; a direct product has none. A table is checked before its cast
+    to int32 (_check_table).
 
     Every group is checked when it is built; `realize` builds each leaf
     (Z(n), Dih(n), Sym(n), Q8) once per process. For orders up to 200, and
@@ -352,6 +368,8 @@ class FiniteGroup:
         *,
         generators: tuple[int, ...] | None = None,
     ) -> None:
+        table = np.asarray(table)
+        _check_table(table, len(table) if table.ndim else 0)
         self.table = np.ascontiguousarray(table, dtype=np.int32)
         self._flat = self.table.ravel()
         self._setup(int(self.table.shape[0]), labels, description, generators)
@@ -368,6 +386,8 @@ class FiniteGroup:
         self.size = size
         self.description = description
         self.generators = None if generators is None else tuple(generators)
+        if self.generators is not None and not all(0 <= x < size for x in self.generators):
+            raise ValueError("generators out of range")
         if labels is not None:
             self.labels = tuple(labels)
             if len(self.labels) != self.size:
@@ -384,7 +404,11 @@ class FiniteGroup:
             if (self.mul(idx, inv) != 0).any() or (self.mul(inv, idx) != 0).any():
                 raise ValueError("some element has no two-sided inverse")
         else:
-            self._validate_grid(self.table if self.table is not None else self.mul(idx[:, None], idx))
+            grid = self.table  # a table was checked before its cast
+            if grid is None:
+                grid = self.mul(idx[:, None], idx)
+                _check_table(grid, n)
+            self._validate_grid(grid)
         self._validate_square()
 
     def _validate_square(self) -> None:
@@ -394,12 +418,6 @@ class FiniteGroup:
 
     def _validate_grid(self, t: np.ndarray) -> None:
         n = self.size
-        if t.shape != (n, n):
-            raise ValueError("multiplication table must be square")
-        if n < 1:
-            raise ValueError("a group has at least one element")
-        if t.min() < 0 or t.max() >= n:
-            raise ValueError("table entries out of range")
         idx = np.arange(n)
         if not np.array_equal(t[0], idx) or not np.array_equal(t[:, 0], idx):
             raise ValueError("element 0 is not a two-sided identity")
@@ -436,8 +454,6 @@ class FiniteGroup:
         n = self.size
         flat = t.ravel()
         gens = [] if self.generators is None else sorted(set(self.generators))
-        if any(x < 0 or x >= n for x in gens):
-            raise ValueError("generators out of range")
         reached = np.zeros(n, dtype=bool)
         reached[0] = True
         s = np.array(gens, dtype=np.intp)
@@ -589,16 +605,11 @@ class _ProductGroup(FiniteGroup):
         # a factor's stride is the product of the later factors' orders
         strides = [math.prod(sizes[i + 1 :]) for i in range(len(sizes))]
         n = strides[0] * sizes[0]
-        generators: list[int] = []
-        for g, stride in zip(reversed(factors), reversed(strides)):
-            # a factor's element x, the others at the identity, is x * stride
-            own = range(g.size) if g.generators is None else g.generators
-            generators += [x * stride for x in own]
         self._strides = strides
         self._digit_table = np.arange(n, dtype=np.int32)[:, None] // np.array(
             strides, dtype=np.int32
         ) % np.array(sizes, dtype=np.int32)
-        self._setup(n, None, description, generators)
+        self._setup(n, None, description, None)
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
@@ -681,16 +692,12 @@ def _symmetric_group(n: int) -> FiniteGroup:
     perm_list = list(permutations(range(n)))  # lexicographic; identity first
     m = len(perm_list)
     perms = np.fromiter(chain.from_iterable(perm_list), np.intp, m * n).reshape(m, n)
-    # a permutation's base-n code indexes a lookup of its element index. The
-    # code of the composition p_i(p_j(x)) is sum_x place[x] p_i[p_j[x]], which
-    # is sum_y p_i[y] place[p_j^-1(y)]: one matrix product over all i and j,
-    # exact in float64 (codes are below n**n <= 3125)
+    # a permutation's base-n code indexes a lookup of its element index, and
+    # perms[:, perms][i, j] is the composition p_i o p_j, x -> p_i[p_j[x]]
     place = n ** np.arange(n - 1, -1, -1)
     rank = np.zeros(n**n, dtype=np.int32)
     rank[perms @ place] = np.arange(m, dtype=np.int32)
-    inverse_place = np.empty((m, n))
-    inverse_place[np.arange(m)[:, None], perms] = place
-    table = rank.take((perms.astype(float) @ inverse_place.T).astype(np.intp))
+    table = rank.take(perms[:, perms] @ place)
     labels = tuple(_cycle_label(p) for p in perm_list)
     # the transposition (0 1) and the n-cycle (0 1 ... n-1)
     moves = [(1, 0, *range(2, n)), (*range(1, n), 0)] if n > 1 else []
@@ -698,24 +705,13 @@ def _symmetric_group(n: int) -> FiniteGroup:
     return FiniteGroup(table, labels, f"Sym({n})", generators=generators)
 
 
-_Q8_UNIT_MUL = {
-    # (u1, u2) -> (sign, unit) over units 0:1, 1:i, 2:j, 3:k
-    (0, 0): (0, 0), (0, 1): (0, 1), (0, 2): (0, 2), (0, 3): (0, 3),
-    (1, 0): (0, 1), (1, 1): (1, 0), (1, 2): (0, 3), (1, 3): (1, 2),
-    (2, 0): (0, 2), (2, 1): (1, 3), (2, 2): (1, 0), (2, 3): (0, 1),
-    (3, 0): (0, 3), (3, 1): (0, 2), (3, 2): (1, 1), (3, 3): (1, 0),
-}
-
-
 def _quaternion_group() -> FiniteGroup:
-    # index = 2*unit + sign, ordering 1, -1, i, -i, j, -j, k, -k
-    table = np.zeros((8, 8), dtype=np.int32)
-    for u1 in range(4):
-        for s1 in range(2):
-            for u2 in range(4):
-                for s2 in range(2):
-                    sign, unit = _Q8_UNIT_MUL[(u1, u2)]
-                    table[2 * u1 + s1, 2 * u2 + s2] = 2 * unit + (s1 ^ s2 ^ sign)
+    # index 2*unit + sign, ordering 1, -1, i, -i, j, -j, k, -k: the units 1,
+    # i, j, k are 0-3 and multiply as the XOR of their indices (ij = k, jk =
+    # i, ki = j), and flip[u1, u2] is 1 where that product is negated
+    flip = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
+    unit, sign = np.divmod(np.arange(8), 2)
+    table = 2 * (unit[:, None] ^ unit) + (sign[:, None] ^ sign ^ flip[unit[:, None], unit])
     labels = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
     return FiniteGroup(table, labels, "Q8", generators=(2, 4))  # i and j
 

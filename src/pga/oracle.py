@@ -73,6 +73,7 @@ a guess.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -125,9 +126,12 @@ class WeightedGraph:
     ) -> None:
         if n < 1:
             raise ValueError("a weighted graph needs at least one node")
-        if weights is None:
-            weights = (1,) * n
-        weights = tuple(map(int, weights))
+        weights = (1,) * n if weights is None else tuple(weights)
+        try:  # Python and numpy integers only: int() would read 1.5 or "2"
+            weights = tuple(map(operator.index, weights))
+        except TypeError:
+            bad = next(w for w in weights if not hasattr(type(w), "__index__"))
+            raise ValueError(f"weight {bad!r} is not an integer") from None
         if len(weights) != n:
             raise ValueError("one weight per node is required")
         if min(weights) < 1:

@@ -33,11 +33,9 @@ def _check_classes(index: np.ndarray, k: int, name: str) -> None:
     """A ValueError unless `index` is a 1-D integer array whose values are exactly range(k)."""
     if not (isinstance(index, np.ndarray) and index.ndim == 1 and index.dtype.kind in "iu"):
         raise ValueError(f"{name} must be a 1-D integer array")
-    try:
-        counts = np.bincount(index.astype(np.intp, copy=False))
-    except ValueError:  # a negative value
-        counts = None
-    if counts is None or len(counts) != k or np.count_nonzero(counts) != k:
+    # the range first, as bincount sizes its output by the largest value
+    in_range = not index.size or 0 <= index.min() <= index.max() < k
+    if not in_range or np.count_nonzero(np.bincount(index.astype(np.intp, copy=False), minlength=k)) != k:
         raise ValueError(f"{name}'s values are not exactly range({k})")
 
 

@@ -5,6 +5,7 @@ from itertools import combinations
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -162,6 +163,14 @@ def test_graph_validation():
     with pytest.raises(AttributeError, match="immutable"):
         wg.weights = (1, 2)
     assert wg.weights == (1, 1)
+
+
+def test_weights_must_be_integers():
+    # int() would read 1.5 as 1, and the two nodes could then be swapped
+    for weights, bad in (([1.5, 1], "1.5"), (["2", 2], "'2'"), ([1, np.float64(3.0)], "3.0")):
+        with pytest.raises(ValueError, match=f"weight .*{bad}.* is not an integer"):
+            WeightedGraph(2, [], weights)
+    assert WeightedGraph(2, [], (np.int64(2), np.uint8(1))).weights == (2, 1)
 
 
 def test_connected_components_order():

@@ -166,8 +166,9 @@ def test_closed_twins_in_the_quotient_fail_the_power_graph_check():
         (np.array([0, 1, 3, 1, 0]), r"not exactly range\(3\)"),
         (np.array([0, -1, 2, 1, 0]), r"not exactly range\(3\)"),
         (np.array([0, 2, 2, 2, 0]), r"not exactly range\(3\)"),  # a node with no member
+        (np.array([0, 1, 2**40, 1, 0]), r"not exactly range\(3\)"),  # no 8 TiB of counts
     ],
-    ids=["members", "2-D", "float", "too-large", "negative", "no-member"],
+    ids=["members", "2-D", "float", "too-large", "negative", "no-member", "huge"],
 )
 def test_classes_must_be_one_index_array(index, message):
     with pytest.raises(ValueError, match=message):
