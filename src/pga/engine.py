@@ -323,7 +323,7 @@ def _intervals(
     table of the powers of all heads decides every containment."""
     starts = np.flatnonzero(head)
     owner = np.cumsum(head) - 1
-    rows = g.power_rows(members[starts], int(orders[starts].max()))
+    rows = g.power(members[starts], np.arange(int(orders[starts].max()) + 1)[:, None])
     ok = (rows[:, owner] == members).any(axis=0)
     # each member's order is p times the next one's in its chain, p the prime
     # of the head's order (0 when that is no prime power, which fails them all)

@@ -12,21 +12,23 @@ Element 0 is always the identity. Groups are built from a small spec grammar:
     P(A,B)          external direct product of two specs
 
 A group supplies `mul(a, b)` and `power(x, k)` on int32 index arrays, and
-everything else is built on those two; in every form below, k is an int or
-an integer array broadcast against x, so one call takes many exponents (the
-cyclic-subgroup graph takes every (subgroup, divisor) pair in one). Sym(n),
-Q8 and any table passed to `FiniteGroup` are table groups, which read an
-n x n multiplication table and read x**k off rows of the powers x**0 ...
-x**n, built once by products, as x**(k mod n) (Lagrange). Z(n), Dih(n) and
-direct products (Ab[...], Z(q)^k, P(A,B)) are arithmetic groups: residues
-mod n, (flip, rotation) pairs, and mixed-radix digits over the factors, each
-digit read from a table of every element's digits built once; they store no
-multiplication table, so no n x n array is built for them. Every leaf, table
-or arithmetic, finds its element orders from a few powers (each order
-divides the group order); a direct product takes the lcm of its factors'
-orders, digit by digit, and checks it with one power of the product. The
-exponent, the lcm of the orders, is built once per group as well (a
-product's from its factors'). Instances are immutable and thread-safe.
+everything else is built on those two. `power` is the one way to raise
+elements: k is an integer array broadcast against x (or a single int), so
+one call takes many exponents (the cyclic-subgroup graph takes every
+(subgroup, divisor) pair in one, and the power graph every power of a block
+of elements). Sym(n), Q8 and any table passed to `FiniteGroup` are table
+groups, which read an n x n multiplication table and read x**k off rows of
+the powers x**0 ... x**n, built once by products, as x**(k mod n)
+(Lagrange). Z(n), Dih(n) and direct products (Ab[...], Z(q)^k, P(A,B)) are
+arithmetic groups: residues mod n, (flip, rotation) pairs, and mixed-radix
+digits over the factors, each digit read from a table of every element's
+digits built once; they store no multiplication table, so no n x n array is
+built for them. Every leaf, table or arithmetic, finds its element orders
+with one power call per prime power dividing the group order (each order
+divides it); a direct product takes the lcm of its factors' orders, digit
+by digit, and checks it with one power of the product. The exponent, the
+lcm of the orders, is built once per group as well (a product's from its
+factors'). Instances are immutable and thread-safe.
 
 Every leaf group, Z(n), Dih(n), Sym(n) or Q8, is built and checked once per
 process: within the default order cap, `realize` takes it from a small cache
@@ -41,11 +43,10 @@ a(bc) for all b and c are closed under products, so it suffices that they
 include a generating set. Each constructor passes the generators it knows (1
 for Z(n); r and s for Dih(n); (0 1) and (0 1 ... n-1) for Sym(n); i and j
 for Q8), and the check first proves, by closure under products with them,
-that they generate the group; a table given without generators gets a
-generating set picked greedily, the least element not yet reached each
-time. The check then tests the generators against every pair b, c, about
-|S| n**2 products where the exhaustive test takes n**3. A group small enough
-for one block of the test (n**3 <= 2**16) has every element tested. Above
+that they generate the group, at every order; a table given without
+generators gets a generating set picked greedily, the least element not yet
+reached each time. The check then tests the generators against every pair
+b, c, about |S| n**2 products where the exhaustive test takes n**3. Above
 200 elements, Z(n) and Dih(n) check identity and inverses on their n
 elements alone.
 
@@ -62,6 +63,7 @@ from __future__ import annotations
 
 import copy
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, permutations
@@ -292,18 +294,17 @@ def spec_order(spec: GroupSpec) -> int:
 
 
 def _scale(x: np.ndarray, k, n: int) -> np.ndarray:
-    """k * x mod n for the int32 residues x and k an int or an integer array
-    broadcast against x, in int64 where int32 could overflow (read off the
-    largest k of an array)."""
-    if isinstance(k, np.ndarray):
-        k = (k % n).astype(np.int32)
-        if k.size and int(k.max()) * n >= 2**31:
-            return (x.astype(np.int64) * k % n).astype(np.int32)
-        return x * k % n
-    k %= n
-    if k * n < 2**31:
-        return x * k % n
-    return (x.astype(np.int64) * k % n).astype(np.int32)
+    """k * x mod n for the int32 residues x, k broadcast against x; with k
+    reduced mod n first, the int64 product stays below n**2."""
+    return (x.astype(np.int64) * (k % n) % n).astype(np.int32)
+
+
+def _generator(x) -> int:
+    """A generator as a Python int: int() would read 0.5 or "1"."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"generator {x!r} is not an integer") from None
 
 
 def _check_table(t: np.ndarray, n: int) -> None:
@@ -323,9 +324,8 @@ class FiniteGroup:
 
     Everything is read through two vectorized operations on int32 index
     arrays: `mul(a, b)`, the elementwise (broadcast) product, and
-    `power(x, k)`, k an int or an integer array broadcast against x. Element
-    orders, the exponent and rows of powers are built on those two.
-    Two forms supply them:
+    `power(x, k)`, the exponents k broadcast against x. Element orders and
+    the exponent are built on those two. Two forms supply them:
 
     - a table group, this class built from its n x n multiplication table
       (table[a, b] is the index of a*b): Sym(n), Q8 and any table passed in.
@@ -335,23 +335,21 @@ class FiniteGroup:
       table: Z(n), Dih(n), and direct products (Ab[...], Z(q)^k, P(A,B)),
       componentwise.
 
-    `generators`, when given, are element indices in range(n) that generate
-    the group; a direct product has none. A table is checked before its cast
-    to int32 (_check_table).
+    `generators`, when given, are integers in range(n) that generate the
+    group; a direct product has none. A table is checked before its cast to
+    int32 (_check_table), and the cast copies it.
 
     Every group is checked when it is built; `realize` builds each leaf
     (Z(n), Dih(n), Sym(n), Q8) once per process. For orders up to 200, and
     for every table, the product on the full n x n grid (the table itself)
     must have element 0 as a two-sided identity and a two-sided inverse for
-    every element. For orders up to 200, and for every table, it must also
-    be associative, by Light's test: for n**3 > 2**16, a closure under
+    every element, and be associative by Light's test: a closure under
     products with the given generators S first proves that S generates the
     grid (a ValueError otherwise), or, with none given, S is picked
     greedily (_generating_set); then (sb)c = s(bc) is checked for every s in
-    S and all b, c, |S| n**2 products. For n**3 <= 2**16 every element is
-    checked as s, which is the exhaustive test. Z(n) and Dih(n) above 200
-    elements check identity and inverses on their n elements through `mul`,
-    x**(n-1) being x's inverse.
+    S and all b, c, |S| n**2 products. Z(n) and Dih(n) above 200 elements
+    check identity and inverses on their n elements through `mul`, x**(n-1)
+    being x's inverse.
     A direct product is checked through its factors and its numbering of the
     elements instead (_ProductGroup._validate). Every group also checks
     power(x, 2) == mul(x, x) for every x, so that a closed-form power cannot
@@ -370,7 +368,7 @@ class FiniteGroup:
     ) -> None:
         table = np.asarray(table)
         _check_table(table, len(table) if table.ndim else 0)
-        self.table = np.ascontiguousarray(table, dtype=np.int32)
+        self.table = np.array(table, dtype=np.int32, order="C")
         self._flat = self.table.ravel()
         self._setup(int(self.table.shape[0]), labels, description, generators)
         self.table.flags.writeable = False
@@ -385,7 +383,7 @@ class FiniteGroup:
         """None for labels leaves them to a subclass's `labels` property."""
         self.size = size
         self.description = description
-        self.generators = None if generators is None else tuple(generators)
+        self.generators = None if generators is None else tuple(map(_generator, generators))
         if self.generators is not None and not all(0 <= x < size for x in self.generators):
             raise ValueError("generators out of range")
         if labels is not None:
@@ -427,7 +425,7 @@ class FiniteGroup:
         # the elements s with (sb)c = s(bc) for all b, c are closed under
         # products: ((s1 s2) b) c = (s1 (s2 b)) c = s1 ((s2 b) c) = s1 (s2 (bc))
         # = (s1 s2)(bc), so checking a generating set checks every element
-        gens = idx if n**3 <= 2**16 else self._generating_set(t)
+        gens = self._generating_set(t)
         # (sb)c against s(bc) for a block of elements s at a time, about 2**16
         # products per block
         step = max(1, 2**16 // (n * n))
@@ -485,17 +483,28 @@ class FiniteGroup:
         return self._flat.take(a * self.size + b)
 
     def power(self, x: np.ndarray, k) -> np.ndarray:
-        """x**k for the int32 elements x, k >= 0 an int or an integer array
-        broadcast against x (every element of x to its own k: one call takes
-        many exponents at once), read off the table group's rows of powers:
-        x**k is x**(k mod n), as every element's order divides the group
-        order n (Lagrange; the table was checked as a group when it was built)."""
+        """x**k for the int32 elements x and the exponents k >= 0, an integer
+        array (or int) broadcast against x, so one call takes many exponents:
+        a column of them against a row of elements gives a table of powers.
+        A table group reads x**(k mod n) off its rows of powers, as every
+        element's order divides the group order n (Lagrange; the table was
+        checked as a group when it was built)."""
         return self._power_table.take(k % self.size * self.size + x)
 
     @cached_property
     def _power_table(self) -> np.ndarray:
-        """A table group's rows of powers x**0 ... x**n, flat, built once (power_rows)."""
-        rows = self.power_rows(np.arange(self.size, dtype=np.int32), self.size).ravel()
+        """A table group's rows of powers x**0 ... x**n, flat, built once by
+        products: rows j+1..j+s are rows 1..s times row j in one product, as
+        x**(j+k) = x**k * x**j, so the rows take about log2(n) products."""
+        n = self.size
+        rows = np.empty((n + 1, n), dtype=np.int32)
+        rows[0], rows[1] = 0, np.arange(n)
+        j = 1
+        while j < n:
+            s = min(j, n - j)
+            rows[j + 1 : j + s + 1] = self.mul(rows[1 : s + 1], rows[j])
+            j += s
+        rows = rows.ravel()
         rows.flags.writeable = False
         return rows
 
@@ -510,38 +519,19 @@ class FiniteGroup:
 
         The order divides the group order n (Lagrange), so it is the product,
         over the prime powers p**e exactly dividing n, of the order p**a of
-        x's p-part x**(n / p**e); a counts the p-th powers that part takes to
-        reach the identity, at most e."""
+        x's p-part x**(n / p**e): the least a <= e with x**((n / p**e) p**a)
+        the identity, read off one power call per p."""
         n = self.size
+        x = np.arange(n, dtype=np.int32)
         orders = np.ones(n, dtype=np.intp)
         for p, e in factorize(n).items():
-            part = self.power(np.arange(n, dtype=np.int32), n // p**e)
-            for _ in range(e):
-                if not (moving := part != 0).any():
-                    break
-                orders[moving] *= p
-                part = self.power(part, p)
-            else:
-                if part.any():
-                    raise ValueError("some element's order does not divide the group order")
+            steps = p ** np.arange(e + 1)
+            reached = self.power(x, (n // p**e * steps)[:, None]) == 0
+            if not reached[-1].all():
+                raise ValueError("some element's order does not divide the group order")
+            orders *= steps[reached.argmax(axis=0)]
         orders.flags.writeable = False
         return orders
-
-    def power_rows(self, x: np.ndarray, m: int) -> np.ndarray:
-        """Rows 0..m (m >= 1) of the powers of the int32 elements x:
-        out[k, i] = x[i]**k.
-
-        Rows j+1..j+s are rows 1..s times row j in one product, since
-        x**(j+k) = x**k * x**j, so the table takes about log2(m) products; the
-        only other buffer is one product's result, at most half its size."""
-        out = np.empty((m + 1, len(x)), dtype=np.int32)
-        out[0], out[1] = 0, x
-        j = 1
-        while j < m:
-            s = min(j, m - j)
-            out[j + 1 : j + s + 1] = self.mul(out[1 : s + 1], out[j])
-            j += s
-        return out
 
     def element_order(self, x: int) -> int:
         return int(self.orders[x])
@@ -586,8 +576,7 @@ class _DihedralGroup(FiniteGroup):
     def power(self, x: np.ndarray, k) -> np.ndarray:
         # a rotation's exponent is multiplied by k; a reflection is an involution
         n = self.rotations
-        odd = k & 1 if isinstance(k, int) else (k & 1).astype(np.int32)
-        return np.where(x < n, _scale(x, k, n), x * odd)
+        return np.where(x < n, _scale(x, k, n), x * (k % 2 == 1))
 
 
 class _ProductGroup(FiniteGroup):

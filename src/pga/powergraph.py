@@ -82,8 +82,9 @@ def _power_edge_blocks(g: FiniteGroup) -> Iterator[tuple[list[int], list[int]]]:
         cost = sorted_orders[lo:] * np.arange(1, g.size - lo + 1)
         hi = lo + max(1, int(np.searchsorted(cost, 2**12, side="right")))
         x, o, m = by_order[lo:hi], sorted_orders[lo:hi], int(sorted_orders[hi - 1])
-        y = g.power_rows(x, m - 1)[2:]
-        keep = (np.arange(2, m)[:, None] < o) & ((orders[y] < o) | (y > x))
+        k = np.arange(2, m)[:, None]
+        y = g.power(x, k)
+        keep = (k < o) & ((orders[y] < o) | (y > x))
         yield (np.broadcast_to(x, y.shape)[keep] - 1).tolist(), (y[keep] - 1).tolist()
         lo = hi
 

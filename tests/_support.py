@@ -563,6 +563,6 @@ def power_table_subgroup_graph(g: FiniteGroup) -> QuotientGraph:
         has = (node_orders % d == 0) & (node_orders > d)
         inner = np.flatnonzero(has.any(axis=0))
         i, at = np.nonzero(has[:, inner])
-        powers = g.power_rows(reps[inner], divs[-1])
+        powers = g.power(reps[inner], np.arange(divs[-1] + 1)[:, None])
         edges = list(zip(inner[at].tolist(), node_of[powers[d[i, 0], at]].tolist()))
     return QuotientGraph(node_of[1:], edges, np.bincount(node_of[1:]).tolist())

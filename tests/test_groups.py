@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import permutations
 
 import numpy as np
@@ -184,22 +185,28 @@ def test_power_takes_an_exponent_array(spec):
     x = np.arange(g.size, dtype=np.int32)
     e = g.exponent
     assert e == math.lcm(*g.orders.tolist())
+    steps = [np.zeros_like(x)]  # steps[k] = x**k, by repeated products
+    while len(steps) <= max(7, 3 * e + 3):
+        steps.append(g.mul(steps[-1], x))
     ks = [0, 1, 2, 3, 5, 6, 7, e - 1, e, e + 1, 2 * e + 3]
-    scalar = np.stack([g.power(x, k) for k in ks])
+    want = np.stack([steps[k] for k in ks])
     # a column of exponents against every element, in both integer widths
     for dtype in (np.int32, np.int64):
         got = g.power(x, np.array(ks, dtype=dtype)[:, None])
-        assert got.dtype == np.int32 and np.array_equal(got, scalar), (spec, dtype)
+        assert got.dtype == np.int32 and np.array_equal(got, want), (spec, dtype)
+    # one Python int, small or far above 2**64: x**(e * 2**64 + r) is x**r
+    for k, r in [(k, k) for k in ks] + [(e * 2**64 + r, r) for r in (0, 1, e + 2)]:
+        got = g.power(x, k)
+        assert got.dtype == np.int32 and np.array_equal(got, steps[r]), (spec, k)
     # one exponent per element
     k = np.random.default_rng(0).integers(0, 3 * e + 1, size=g.size)
-    want = [g.power(x[i : i + 1], int(k[i]))[0] for i in range(g.size)]
-    assert g.power(x, k).tolist() == want, spec
+    assert g.power(x, k).tolist() == [steps[k[i]][i] for i in range(g.size)], spec
     # no exponent at all
     assert g.power(x[:0], np.zeros(0, dtype=np.int32)).size == 0
 
 
 def test_cyclic_power_with_an_exponent_array_beyond_int32_products():
-    # the int64 guard is read off the largest k: 99999 * 99999 overflows int32
+    # k * x is formed in int64 after k mod n: 99999 * 99999 overflows int32
     g = realize("Z(100000)", max_order=100000)
     x = np.array([99999, 2, 12345], dtype=np.int32)
     k = np.array([[1], [2], [50000], [99999]])
@@ -305,11 +312,17 @@ def test_table_and_generators_checked_before_the_cast():
         (np.array(z2, dtype=bool), None, "must be integers, not bool"),
         (z2, (99, -3), "generators out of range"),  # at any order, not only above 40
         (z2, (2,), "generators out of range"),
+        # a generator is read as an integer, never truncated or parsed
+        *((z2, (bad,), re.escape(f"generator {bad!r} is not an integer")) for bad in (0.5, "1", np.float64(1))),
     ):
         with pytest.raises(ValueError, match=message):
             FiniteGroup(table, ("e", "a"), "Z(2)", generators=generators)
-    for table in (z2, np.array(z2, dtype=np.uint8), np.array(z2, dtype=np.int64)):
-        assert FiniteGroup(table, ("e", "a"), "Z(2)", generators=(1,)).table.dtype == np.int32
+    for table in (z2, np.array(z2, dtype=np.uint8), np.array(z2, dtype=np.int64), np.array(z2, dtype=np.int32)):
+        g = FiniteGroup(table, ("e", "a"), "Z(2)", generators=(np.int64(1),))
+        assert g.table.dtype == np.int32 and g.generators == (1,) and type(g.generators[0]) is int
+    # an int32 C-contiguous table needs no cast, and is copied all the same
+    table[1, 1] = 1
+    assert table.flags.writeable and not g.table.flags.writeable and g.table.tolist() == z2
 
 
 def test_non_associative_table_rejected():
@@ -356,7 +369,7 @@ def test_table_accepted_exactly_when_it_is_a_group(spec, data):
             FiniteGroup(table, g.labels, "perturbed")
 
 
-# orders above 40, where the check tests a generating set only: the
+# orders above 40; at every order the check tests a generating set only: the
 # constructor's, or, for a direct product, which carries none, one picked greedily
 LIGHT_TEST_SPECS = (
     "Z(41)", "Z(64)", "Dih(21)", "Dih(32)", "Z(2)^6", "Z(4)^3", "Ab[2,2,12]",
@@ -381,8 +394,8 @@ def test_table_with_generators_accepted_exactly_when_it_is_a_group(spec, data):
              "Sym(5)", "Q8"]
 )
 def test_constructor_generators_generate_the_group(spec):
-    # they are proved only above 40 elements; a direct product, checked
-    # through its factors, carries none
+    # the check proves them too, by its own closure; a direct product,
+    # checked through its factors, carries none
     g = realize(spec)
     reached = {0, *g.generators}
     while (grown := reached | {g.mul(a, b) for a in reached for b in reached}) != reached:
@@ -396,6 +409,10 @@ def test_non_generating_generators_rejected():
     transposition = g.labels.index("(0 1)")
     with pytest.raises(ValueError, match="span 2 of the 120"):
         FiniteGroup(g.table, g.labels, "Sym(5)", generators=(transposition,))
+    # at every order, 40 elements or fewer included
+    z4 = realize("Z(4)")
+    with pytest.raises(ValueError, match="the generators span 2 of the 4 elements"):
+        FiniteGroup(table_of(z4), z4.labels, "Z(4)", generators=(2,))
     with pytest.raises(ValueError, match="out of range"):
         FiniteGroup(g.table, g.labels, "Sym(5)", generators=(*g.generators, 120))
 
@@ -472,7 +489,7 @@ def test_dihedral_table_matches_loop_reference(n):
 )
 def test_power_table_reads_match_loop_reference(spec):
     g = realize(spec)
-    rows = g.power_rows(np.arange(g.size, dtype=np.int32), int(g.orders.max()))
+    rows = g.power(np.arange(g.size, dtype=np.int32), np.arange(int(g.orders.max()) + 1)[:, None])
     assert rows.dtype == np.int32
     for x in range(g.size):
         powers = naive_powers(g, x)
@@ -518,7 +535,8 @@ def _reference_power_graph(ref):
     """Adjacency of the power graph from the table route's membership matrix."""
     n = ref.size
     member = np.zeros((n, n), dtype=bool)  # member[x, y]: y lies in <x>
-    member[np.arange(n), ref.power_rows(np.arange(n, dtype=np.int32), int(ref.orders.max()))] = True
+    x = np.arange(n, dtype=np.int32)
+    member[x, ref.power(x, np.arange(int(ref.orders.max()) + 1)[:, None])] = True
     upper = np.triu(member | member.T, k=1)[1:, 1:]
     return WeightedGraph(n - 1, zip(*(ends.tolist() for ends in np.nonzero(upper)))).adj
 
@@ -535,9 +553,10 @@ def test_arithmetic_groups_match_the_table_route(specs):
         assert np.array_equal(table_of(g), ref.table), spec
         x = np.arange(g.size, dtype=np.int32)
         m = int(ref.orders.max())
-        rows = ref.power_rows(x, m)
-        assert np.array_equal(g.power_rows(x, m), rows), spec
-        # every closed-form power, against the table's repeated products
+        # every closed-form power, against the reference table's rows of
+        # powers (built by its products), as one column and one int at a time
+        rows = ref.power(x, np.arange(m + 1)[:, None])
+        assert np.array_equal(g.power(x, np.arange(m + 1)[:, None]), rows), spec
         assert all(np.array_equal(g.power(x, k), rows[k]) for k in range(1, m + 1)), spec
         assert np.array_equal(g.orders, ref.orders), spec
         if g.size > 1:
@@ -677,14 +696,14 @@ def test_a_one_factor_product_renames_a_copy_of_the_cached_leaf(order):
     "n, op, planted, message",
     [
         # a square that is not x * x, below and above 200 elements
-        (7, "power", lambda x, k, n: x if k == 2 else x * k % n, "differs from the product"),
-        (211, "power", lambda x, k, n: x if k == 2 else x * k % n, "differs from the product"),
+        (7, "power", lambda x, k, n: np.where(k == 2, x, x * k % n), "differs from the product"),
+        (211, "power", lambda x, k, n: np.where(k == 2, x, x * k % n), "differs from the product"),
         # above 200 elements the grid is not built: identity and inverses go through mul
         (211, "mul", lambda a, b, n: (a + b + 1) % n, "not a two-sided identity"),
-        (211, "power", lambda x, k, n: x if k == n - 1 else x * k % n, "no two-sided inverse"),
+        (211, "power", lambda x, k, n: np.where(k == n - 1, x, x * k % n), "no two-sided inverse"),
         # x**n is x, so no element meets the identity: the group is built, and
         # its orders fail on their first read
-        (211, "power", lambda x, k, n: x if k % n == 0 else x * k % n, "does not divide the group order"),
+        (211, "power", lambda x, k, n: np.where(k % n == 0, x, x * k % n), "does not divide the group order"),
     ],
 )
 def test_a_cyclic_group_with_planted_arithmetic_is_rejected(n, op, planted, message):
