@@ -66,10 +66,11 @@ built on first read, by the class table or a library caller).
 
 Every report says how each MEN class arises: as the generator set of one
 cyclic subgroup, or as an interval of the subgroup chain of a cyclic
-p-group. `analyze` classifies every class (`_classify_classes`, from one
-stable sort of the vertex-to-node array, and one `lexsort` that gives every
-mixed class's subgroup chain), and a class of neither form fails it with an
-InternalCheckError. The table of classes,
+p-group. `analyze` classifies every class (`_classify_classes`, from each
+class's largest and least order, read off the vertex-to-node array: a class
+of two or more orders must be all of <a> above one of its subgroups, for a
+member a of largest order, which one count and one power call decide), and
+a class of neither form fails it with an InternalCheckError. The table of classes,
 `AutReport.classes`, is built from those kinds on its first read
 (`_class_table`), and so are a direct product's element labels: a caller
 that reads only the expression and the order builds neither.
@@ -308,62 +309,34 @@ GENERATOR_CLASS = "generator-class"
 CYCLIC_INTERVAL = "cyclic-interval"
 
 
-def _intervals(
-    g: FiniteGroup, members: np.ndarray, orders: np.ndarray, head: np.ndarray
-) -> np.ndarray:
-    """Whether each chain is a cyclic interval.
-
-    `members` lists the chains one after another, head[i] marking the first
-    member of each; a chain holds the least generators of t >= 2 subgroups
-    by decreasing order, and `orders` holds their element orders. A chain
-    is an interval when the orders are p**n, ..., p**(n-t+1), each of index
-    p in the one before, and every member is a power of the head a, the
-    class then being <a> minus <a**(p**t)>. Subgroups of the cyclic p-group
-    <a> form a chain, so each member is then a power of the one before. One
-    table of the powers of all heads decides every containment."""
-    starts = np.flatnonzero(head)
-    owner = np.cumsum(head) - 1
-    rows = g.power(members[starts], np.arange(int(orders[starts].max()) + 1)[:, None])
-    ok = (rows[:, owner] == members).any(axis=0)
-    # each member's order is p times the next one's in its chain, p the prime
-    # of the head's order (0 when that is no prime power, which fails them all)
-    prime = np.array([(pp or (0,))[0] for pp in map(is_prime_power, orders[starts].tolist())])
-    ok[:-1] &= head[1:] | (orders[:-1] == prime[owner[:-1]] * orders[1:])
-    return np.logical_and.reduceat(ok, starts)
-
-
 def _classify_classes(p: Pipeline) -> tuple[str, ...]:
-    """Each MEN class's kind; a class of neither form is an InternalCheckError."""
-    g, node_of = p.g, p.q.node_of
-    # a class is pairwise adjacent, and two elements of one order are adjacent
-    # only when they generate one subgroup: so a class is a union of generator
-    # sets of pairwise distinct orders. A class of one order is a generator
-    # set; a mixed class's least member of each order is that subgroup's least
-    # generator, and those classify it. The vertices by node, ascending within
-    # a class, come from one stable sort
-    sizes = np.bincount(node_of, minlength=p.q.n)
-    starts = np.cumsum(sizes) - sizes
-    vertices = np.argsort(node_of, kind="stable")
-    orders = g.orders[vertices + 1]
-    kinds = [GENERATOR_CLASS] * p.q.n
-    is_mixed = np.minimum.reduceat(orders, starts) != np.maximum.reduceat(orders, starts)
-    if not is_mixed.any():
-        return tuple(kinds)
-    # the mixed classes' members by class, then by decreasing order, each
-    # order's least member first (lexsort is stable): the first of each
-    # (class, order) run is that subgroup's least generator
-    at = np.flatnonzero(np.repeat(is_mixed, sizes))
-    cls, o = node_of[vertices[at]], orders[at]
-    by = np.lexsort((-o, cls))
-    at, cls, o = at[by], cls[by], o[by]
-    head, first = np.ones((2, len(at)), dtype=bool)
-    head[1:] = cls[1:] != cls[:-1]
-    first[1:] = head[1:] | (o[1:] != o[:-1])
-    members = vertices[at[first]] + 1
-    for c, interval in zip(cls[head].tolist(), _intervals(g, members, o[first], head[first]).tolist()):
-        if not interval:
+    """Each MEN class's kind; a class of neither form is an InternalCheckError.
+
+    A class is pairwise adjacent, and two elements of one order are adjacent
+    only when they generate one subgroup, so a class of one order is a
+    generator set. A mixed class C, of largest order N and least order m,
+    with a a member of order N, is an interval when N is a power of a prime
+    p, every member is a power of a, and |C| = N - m/p: the members lie in
+    <a> with orders p**j >= m, and <a> has exactly N - m/p such elements, so
+    C is all of them, <a> minus its subgroup of order m/p."""
+    g, node_of, n = p.g, p.q.node_of, p.q.n
+    orders = g.orders[1:]  # vertex v is element v + 1
+    top, least = np.zeros(n, dtype=orders.dtype), np.full(n, g.size, dtype=orders.dtype)
+    np.maximum.at(top, node_of, orders)
+    np.minimum.at(least, node_of, orders)
+    kinds = [GENERATOR_CLASS] * n
+    for c in np.flatnonzero(top != least).tolist():  # the mixed classes: few
+        members = np.flatnonzero(node_of == c)
+        big = int(top[c])
+        pp = is_prime_power(big)
+        a = int(members[orders[members].argmax()]) + 1
+        if (
+            pp is None
+            or len(members) != big - int(least[c]) // pp[0]
+            or not set(g.power(a, np.arange(big)).tolist()).issuperset((members + 1).tolist())
+        ):
             raise InternalCheckError(
-                f"MEN class {np.flatnonzero(node_of == c).tolist()} fits neither classification form; "
+                f"MEN class {members.tolist()} fits neither classification form; "
                 "this falsifies a structural assumption the engine relies on"
             )
         kinds[c] = CYCLIC_INTERVAL

@@ -293,10 +293,10 @@ def spec_order(spec: GroupSpec) -> int:
 # the group model
 
 
-def _scale(x: np.ndarray, k, n: int) -> np.ndarray:
-    """k * x mod n for the int32 residues x, k broadcast against x; with k
-    reduced mod n first, the int64 product stays below n**2."""
-    return (x.astype(np.int64) * (k % n) % n).astype(np.int32)
+def _scale(x, k, n: int) -> np.ndarray:
+    """k * x mod n for the int32 residues x (an array or an int), k broadcast
+    against x; with k reduced mod n first, the int64 product stays below n**2."""
+    return (np.asarray(x, dtype=np.int64) * (k % n) % n).astype(np.int32)
 
 
 def _generator(x) -> int:
@@ -483,8 +483,8 @@ class FiniteGroup:
         return self._flat.take(a * self.size + b)
 
     def power(self, x: np.ndarray, k) -> np.ndarray:
-        """x**k for the int32 elements x and the exponents k >= 0, an integer
-        array (or int) broadcast against x, so one call takes many exponents:
+        """x**k for the int32 elements x (or an int) and the exponents k >= 0,
+        an integer array (or int) broadcast against x, so one call takes many exponents:
         a column of them against a row of elements gives a table of powers.
         A table group reads x**(k mod n) off its rows of powers, as every
         element's order divides the group order n (Lagrange; the table was

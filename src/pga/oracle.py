@@ -162,7 +162,14 @@ class WeightedGraph:
         return [(u, v) for u in range(self.n) for v in _iter_bits(self.adj[u]) if v > u]
 
     def subgraph(self, nodes: Sequence[int]) -> "WeightedGraph":
+        """The subgraph induced on `nodes`, distinct nodes of this graph,
+        renumbered in ascending order."""
         nodes = sorted(nodes)
+        for u, v in zip(nodes, nodes[1:] + [None]):
+            if not 0 <= u < self.n:
+                raise ValueError(f"node {u} out of range")
+            if u == v:
+                raise ValueError(f"node {u} is given twice")
         return _induced(self, nodes, [self.weights[v] for v in nodes])
 
 

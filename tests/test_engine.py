@@ -162,35 +162,32 @@ def test_generic_route_examples():
     assert r.order == 144 and r.expression == Product((Sym(4), Sym(3)))
 
 
-def test_aut_nilpotent_z12_agrees_with_cyclic_formula():
+def test_coprime_z4_z3_has_the_order_of_z12():
     r = report("P(Z(4),Z(3))")
     assert r.order == 192 == report("Z(12)").order
     assert r.method == "coprime-factors"
 
 
-def test_aut_nilpotent_q8_z3():
+def test_coprime_q8_z3_order_and_quotient_order():
     r = report("P(Q8,Z(3))")
     assert r.order == 2_654_208
     assert expr_order(r.quotient_expr) == 6
     assert r.method == "coprime-factors"
 
 
-def test_aut_abelian_dispatch():
+def test_abelian_spec_orders():
     assert report("Ab[2,4]").order == 16
-    assert report("Ab[2,4]").method == "quotient-recursion"
-    homo = report("Ab[3,3]")
-    assert homo.order == 384
-    assert homo.method == "quotient-recursion"
+    assert report("Ab[3,3]").order == 384
     assert report("Ab[2,3]").order == 4
-    assert report("Ab[2,3]").method == "coprime-factors"
 
 
 def test_analyze_method_dispatch():
-    # one cyclic factor, as in Z(12) and Ab[12], takes the recursion
+    # one cyclic factor, as in Z(12) and Ab[12], takes the recursion, and so
+    # does a p-group, homocyclic (Ab[3,3]) or not
     recursion = ("Z(6)", "Z(8)", "Z(4)^2", "Ab[12]", "P(Z(12),Z(1))")
-    for spec in recursion + ("Sym(3)", "Dih(4)", "Q8", "Ab[2,4]"):
+    for spec in recursion + ("Sym(3)", "Dih(4)", "Q8", "Ab[2,4]", "Ab[3,3]"):
         assert report(spec).method == "quotient-recursion", spec
-    for spec in ("P(Q8,Z(3))", "Ab[2,2,3]", "P(Z(4),Z(3))"):
+    for spec in ("P(Q8,Z(3))", "Ab[2,2,3]", "Ab[2,3]", "P(Z(4),Z(3))"):
         assert report(spec).method == "coprime-factors", spec
 
 

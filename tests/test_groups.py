@@ -198,6 +198,9 @@ def test_power_takes_an_exponent_array(spec):
     for k, r in [(k, k) for k in ks] + [(e * 2**64 + r, r) for r in (0, 1, e + 2)]:
         got = g.power(x, k)
         assert got.dtype == np.int32 and np.array_equal(got, steps[r]), (spec, k)
+    # one Python int element, as mul takes one
+    for k in (0, 2, e + 1):
+        assert [int(g.power(v, k)) for v in range(g.size)] == steps[k].tolist(), (spec, k)
     # one exponent per element
     k = np.random.default_rng(0).integers(0, 3 * e + 1, size=g.size)
     assert g.power(x, k).tolist() == [steps[k[i]][i] for i in range(g.size)], spec

@@ -260,6 +260,17 @@ def test_subgraph_and_relabel():
     assert back.adj[3] >> 2 & 1 and back.adj[0] >> 1 & 1
 
 
+def test_subgraph_rejects_repeated_and_out_of_range_nodes():
+    # as the constructor names a bad edge, subgraph names a bad node
+    wg = WeightedGraph(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="node 0 is given twice"):
+        wg.subgraph([0, 0, 1])
+    for bad in (5, 3, -1):
+        with pytest.raises(ValueError, match=f"node {bad} out of range"):
+            wg.subgraph([1, bad])
+    assert wg.subgraph([2, 0]).weights == (1, 1) and wg.subgraph([2, 0]).edge_count == 0
+
+
 def _count_calls(monkeypatch, name, module=oracle):
     """The list of results of every call of module.<name> from now on."""
     calls = []

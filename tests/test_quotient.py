@@ -19,6 +19,7 @@ from pga import (
     verify,
 )
 from pga.engine import METHOD_COPRIME, _classify_classes
+from pga.groups import is_prime_power
 from pga.powergraph import cyclic_subgroup_graph
 
 from _support import (
@@ -263,10 +264,11 @@ def test_analyze_and_verify_build_no_member_tuples(monkeypatch):
 
 
 def test_array_classification_matches_peeling():
-    # _classify_classes reads each class's orders off one stable sort of the
-    # vertex-to-node array; its kinds are those peeling generator sets off
-    # the member tuples gives, on the golden specs (against the power graph's
-    # classes) and on the product sweep (against the quotient's)
+    # _classify_classes reads each class's largest and least order off the
+    # vertex-to-node array and counts a mixed class against them; its kinds
+    # are those peeling generator sets off the member tuples gives, on the
+    # golden specs (against the power graph's classes) and on the product
+    # sweep (against the quotient's)
     for spec in GOLDEN_SPECS:
         b = bundle(spec)
         kinds = tuple(peel_class(b.g, c) for c in _closed_twin_classes(b.pg))
@@ -314,6 +316,17 @@ def test_classify_interval_z8():
     assert {v + 1 for v in members} == cyclic_subgroup(b.g, 1) - {0}
 
 
+def test_cyclic_p_groups_are_one_interval():
+    # Z(p**k), k >= 2: every vertex is a power of a generator, so the power
+    # graph is complete and its one class, of p**k - 1 members and orders
+    # p ... p**k, is <1> minus the trivial subgroup (Z(1024)'s has 1,023)
+    orders = [n for n in range(2, 2001) if (pp := is_prime_power(n)) and pp[1] >= 2]
+    assert len(orders) == 30 and orders[-1] == 1849
+    for n in orders:
+        r = analyze(f"Z({n})")
+        assert [(c.weight, c.kind) for c in r.classes] == [(n - 1, CYCLIC_INTERVAL)], n
+
+
 def test_classify_gen_class_q8():
     b = bundle("Q8")
     i = b.g.labels.index("i")
@@ -328,12 +341,19 @@ def _planted(g, members):
     return Pipeline(g, QuotientGraph(_node_of((members, rest)), [], (len(members), len(rest))))
 
 
+# chains of index p whose orders and least generators fit an interval, each
+# missing some generators: Z(8) without 7, Z(8) without 3, and Z(9) without
+# 6 and 8 (elements; vertex v is element v + 1)
+PARTIAL_INTERVALS = (("Z(8)", (0, 1, 2, 3, 4, 5)), ("Z(8)", (0, 1, 3, 4, 5, 6)), ("Z(9)", (0, 1, 2, 3, 4, 6)))
+
+
 def test_classify_rejects_other_unions():
     z6, z8 = bundle("Z(6)").g, bundle("Z(8)").g
     for g, members in (
         (z6, (0, 1)),  # elements 1, 2: part of the generator set {1, 5}
         (z6, (1, 2, 3)),  # <2> and <3>: neither contains the other
         (z8, (0, 2, 3, 4, 6)),  # <1> and <4>: index 4, not 2
+        *((bundle(spec).g, members) for spec, members in PARTIAL_INTERVALS),
     ):
         assert peel_class(g, members) is None
         with pytest.raises(InternalCheckError, match="fits neither"):
@@ -341,11 +361,12 @@ def test_classify_rejects_other_unions():
 
 
 def test_report_rejects_the_unions_classify_rejects(monkeypatch):
-    # a report decides all its classes' chains from one table of powers; a
-    # union that fits neither form fails there too, and so does analyze
-    # itself, which classifies before any class table is read. Ab[2,4]'s
-    # orders fit an interval, but (1, 0) is no power of (0, 1)
-    for spec, members in (("Z(6)", (1, 2, 3)), ("Z(8)", (0, 2, 3, 4, 6)), ("Ab[2,4]", (0, 2, 3))):
+    # a union that fits neither form fails analyze itself, which classifies
+    # before any class table is read. Ab[2,4]'s orders and count fit an
+    # interval, but (1, 0) is no power of (0, 1)
+    for spec, members in (
+        ("Z(6)", (1, 2, 3)), ("Z(8)", (0, 2, 3, 4, 6)), ("Ab[2,4]", (0, 2, 3)), *PARTIAL_INTERVALS
+    ):
         g = bundle(spec).g
         assert peel_class(g, members) is None
         fits_neither = rf"MEN class \[{', '.join(map(str, members))}\] fits neither"
